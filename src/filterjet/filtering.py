@@ -11,12 +11,13 @@ so drift is a regression signal rather than silently hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridMeasure, StateGrid, VectorMeasure
 from .models import ModelSpec
-from .multiindex import IndexSet, MultiIndex, enumerate_indices, pair_table
+from .multiindex import IndexSet, MultiIndex, count_upto, enumerate_indices, pair_table
 
 MASS_TOL = 1e-10
 PREDICTIVE_FLOOR = 1e-300
@@ -39,9 +40,10 @@ class MassInvariantError(ArithmeticError):
 class KernelCache:
     """Per-(model, theta) kernel jets reused across filter steps.
 
-    The transition-derivative matrices do not depend on the observation,
-    so they are built once; each step only assembles the observation
-    jet on the grid and combines the two by the Leibniz rule.
+    The joint kernel factors as obs(y|x) trans(x|x'), and the transition
+    jet does not depend on the observation, so it is built once; each
+    step only evaluates the observation jet on the grid and pairs it
+    with the transition-moved slots by the Leibniz rule.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -52,22 +54,11 @@ class KernelCache:
         self.grid = model.grid
         # (K, N, N): slot k holds the transition jet row on the grid.
         self.trans = model.transition_grid_jet(self.theta, self.index_set)
-        self._pairs = pair_table(self.index_set)
         self._obs_at = model.observation_grid_factory(self.theta, self.index_set)
 
     def observation_vectors(self, y) -> np.ndarray:
         """(K, N) observation-density jet at a single observation."""
         return self._obs_at(float(y))
-
-    def matrices(self, y) -> np.ndarray:
-        """(K, N, N) joint-kernel jet at a single observation."""
-        obs = self.observation_vectors(y)
-        out = np.zeros_like(self.trans)
-        for k, pairs in enumerate(self._pairs):
-            acc = out[k]
-            for coeff, b_slot, g_slot in pairs:
-                acc += coeff * obs[b_slot][:, None] * self.trans[g_slot]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +72,68 @@ class FilterState:
     history: tuple[VectorMeasure, ...] | None = None
 
 
-def total_mass(measure: GridMeasure) -> float:
-    """Signed total mass of a grid measure."""
-    return measure.total_mass()
+@lru_cache(maxsize=None)
+def _update_plan(index_set: IndexSet):
+    """Layout of the factored prediction-update: (blocks, obs_rows, moved_rows, coeff).
+
+    For (start, count) = blocks[q], rows start .. start + count of the
+    moved array hold trans[q] @ weighted[b] for the slots b with
+    deg q + deg b <= order, which in graded order are a prefix.  Row k
+    of the update is coeff[k] @ (obs[obs_rows] * moved[moved_rows]):
+    the Leibniz pairing nested twice, slot k pairing measure slot b with
+    kernel slot g = k - b, and g pairing observation slot beta with
+    transition slot q = g - beta.
+    """
+    pairs = pair_table(index_set)
+    counts = [count_upto(index_set.dimension, index_set.order - d) for d in index_set.degrees]
+    starts = [sum(counts[:q]) for q in range(len(counts))]
+    terms = np.array(
+        [
+            (k, c_outer * c_inner, beta, starts[q] + b)
+            for k in range(1, len(index_set))
+            for c_outer, b, g in pairs[k]
+            for c_inner, beta, q in pairs[g]
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 4)
+    coeff = np.zeros((len(index_set), len(terms)))
+    coeff[terms[:, 0], np.arange(len(terms))] = terms[:, 1]
+    plan = (tuple(zip(starts, counts)), terms[:, 2], terms[:, 3], coeff)
+    for arr in plan[1:]:
+        arr.flags.writeable = False
+    return plan
+
+
+def _prediction_update(cache: KernelCache, y, weighted: np.ndarray) -> np.ndarray:
+    """(K, N) unnormalized prediction-update of the weighted slots at y.
+
+    Row k sums, over beta + q + b = k, the multinomial weight times
+    obs[beta] * (trans[q] @ weighted[b]); the transition jet moves the
+    slots with one product per q, and no per-observation N x N kernel
+    is assembled.  Row 0 applies the assembled slot-0 kernel instead,
+    so the Bayes filter and its predictive mass keep their rounding.
+    """
+    blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
+    obs = cache.observation_vectors(y)
+    moved = np.empty((sum(count for _, count in blocks), weighted.shape[1]))
+    for q, (start, count) in enumerate(blocks):
+        np.matmul(weighted[:count], cache.trans[q].T, out=moved[start : start + count])
+    update = coeff @ (obs[obs_rows] * moved[moved_rows])
+    update[0] = (obs[0][:, None] * cache.trans[0]) @ weighted[0]
+    return update
+
+
+def _normalized_update(cache: KernelCache, y, measure: VectorMeasure) -> tuple[np.ndarray, float]:
+    """Prediction-update of every slot divided by the slot-0 predictive mass.
+
+    Raises PredictiveMassError when that mass is not above PREDICTIVE_FLOOR.
+    """
+    grid = measure.grid
+    update = _prediction_update(cache, y, measure.components * grid.weights)
+    predictive = float(np.dot(update[0], grid.weights))
+    if not predictive > PREDICTIVE_FLOOR:
+        raise PredictiveMassError(predictive)
+    return update / predictive, predictive
 
 
 def apply_R(model: ModelSpec, alpha, theta, y, lam: GridMeasure) -> GridMeasure:
@@ -98,9 +148,10 @@ def apply_R(model: ModelSpec, alpha, theta, y, lam: GridMeasure) -> GridMeasure:
         raise ValueError("measure grid differs from the model grid")
     theta = model.validate_theta(theta)
     iset = enumerate_indices(model.dim_theta, alpha.degree)
-    cache = KernelCache(model, theta, iset)
-    mat = cache.matrices(y)[iset.slot(alpha)]
-    return GridMeasure(mat @ (lam.density * lam.grid.weights), lam.grid)
+    weighted = np.zeros((len(iset), lam.grid.size))
+    weighted[0] = lam.density * lam.grid.weights
+    update = _prediction_update(KernelCache(model, theta, iset), y, weighted)
+    return GridMeasure(update[iset.slot(alpha)], lam.grid)
 
 
 def _require_l0(measure: VectorMeasure) -> None:
@@ -108,49 +159,31 @@ def _require_l0(measure: VectorMeasure) -> None:
         raise ValueError("vector measure is not in the recursion state space (slot 0 must be a probability)")
 
 
-def _step_core(cache: KernelCache, y, measure: VectorMeasure):
-    """Shared single-step work: updated densities plus the step scalars.
+def _step_core(model: ModelSpec, theta, y, measure: VectorMeasure, cache: KernelCache | None):
+    """One validated filter step, shared by both public step functions.
 
-    Returns (components, s_masses, predictive_mass) where components is
-    the (K, N) array of updated slot densities, s_masses[k] the total
-    mass of the k-th normalized prediction-update, and predictive_mass
-    the unnormalized slot-0 mass that normalizes everything.
+    Returns (updated measure, s_masses, predictive_mass) where s_masses[k]
+    is the total mass of the k-th normalized prediction-update and
+    predictive_mass the unnormalized slot-0 mass that normalizes
+    everything.
     """
-    iset = cache.index_set
-    grid = cache.grid
-    weighted = measure.components * grid.weights
-    mats = cache.matrices(y)
-    # r_update[g, b] = unnormalized update of slot b by the g-derivative kernel.
-    n_slots = len(iset)
-    r_update = {}
-    for g in range(n_slots):
-        for b in range(n_slots):
-            if iset.degrees[g] + iset.degrees[b] <= iset.order:
-                r_update[g, b] = mats[g] @ weighted[b]
-    predictive = float(np.dot(r_update[0, 0], grid.weights))
-    if not predictive > PREDICTIVE_FLOOR:
-        raise PredictiveMassError(predictive)
-
-    s_dens = np.zeros((n_slots, grid.size))
-    for k, pairs in enumerate(pair_table(iset)):
-        acc = s_dens[k]
-        for coeff, b_slot, g_slot in pairs:
-            acc += coeff * r_update[g_slot, b_slot]
-        acc /= predictive
-    s_masses = s_dens @ grid.weights
-
-    f_dens = np.zeros_like(s_dens)
-    f_dens[0] = s_dens[0]
-    for k, pairs in enumerate(pair_table(iset)):
-        if k == 0:
-            continue
-        acc = s_dens[k].copy()
-        for coeff, b_slot, g_slot in pairs:
-            if b_slot == k:
-                continue
-            acc -= coeff * f_dens[b_slot] * s_masses[g_slot]
-        f_dens[k] = acc
-    return f_dens, s_masses, predictive
+    _require_l0(measure)
+    if cache is None:
+        cache = KernelCache(model, theta, measure.index_set)
+    elif cache.index_set != measure.index_set or not np.array_equal(
+        cache.theta, model.validate_theta(theta)
+    ):
+        raise ValueError("cache was built for a different index set or parameter")
+    s_dens, predictive = _normalized_update(cache, y, measure)
+    s_masses = s_dens @ measure.grid.weights
+    # Recenter in place in increasing degree, so every slot b < k is final;
+    # the last pair of each row is b == k itself.
+    f_dens = s_dens
+    for k, pairs in enumerate(pair_table(cache.index_set)):
+        for coeff, b_slot, g_slot in pairs[:-1]:
+            f_dens[k] -= coeff * f_dens[b_slot] * s_masses[g_slot]
+    _check_masses(f_dens, measure.grid)
+    return VectorMeasure(f_dens, measure.index_set, measure.grid), s_masses, predictive
 
 
 def _check_masses(components: np.ndarray, grid: StateGrid) -> None:
@@ -174,18 +207,8 @@ def compute_s(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> Grid
     _require_l0(measure)
     if not measure.grid.compatible(model.grid):
         raise ValueError("measure grid differs from the model grid")
-    iset = measure.index_set
-    cache = KernelCache(model, theta, iset)
-    weighted = measure.components * measure.grid.weights
-    mats = cache.matrices(y)
-    predictive = float(np.dot(mats[0] @ weighted[0], measure.grid.weights))
-    if not predictive > PREDICTIVE_FLOOR:
-        raise PredictiveMassError(predictive)
-    k = iset.slot(alpha)
-    acc = np.zeros(measure.grid.size)
-    for coeff, b_slot, g_slot in pair_table(iset)[k]:
-        acc += coeff * (mats[g_slot] @ weighted[b_slot])
-    return GridMeasure(acc / predictive, measure.grid)
+    s_dens, _ = _normalized_update(KernelCache(model, theta, measure.index_set), y, measure)
+    return GridMeasure(s_dens[measure.index_set.slot(alpha)], measure.grid)
 
 
 def filter_step(
@@ -197,16 +220,7 @@ def filter_step(
     slot is its prediction-update minus the binomial-weighted recentering
     by lower slots, evaluated in increasing degree.
     """
-    _require_l0(measure)
-    if cache is None:
-        cache = KernelCache(model, theta, measure.index_set)
-    elif cache.index_set != measure.index_set or not np.array_equal(
-        cache.theta, model.validate_theta(theta)
-    ):
-        raise ValueError("cache was built for a different index set or parameter")
-    f_dens, _, _ = _step_core(cache, y, measure)
-    _check_masses(f_dens, measure.grid)
-    return VectorMeasure(f_dens, measure.index_set, measure.grid)
+    return _step_core(model, theta, y, measure, cache)[0]
 
 
 def filter_step_with_scalars(
@@ -216,16 +230,7 @@ def filter_step_with_scalars(
 
     Returns (updated measure, s_masses, predictive_mass).
     """
-    _require_l0(measure)
-    if cache is None:
-        cache = KernelCache(model, theta, measure.index_set)
-    elif cache.index_set != measure.index_set or not np.array_equal(
-        cache.theta, model.validate_theta(theta)
-    ):
-        raise ValueError("cache was built for a different index set or parameter")
-    f_dens, s_masses, predictive = _step_core(cache, y, measure)
-    _check_masses(f_dens, measure.grid)
-    return VectorMeasure(f_dens, measure.index_set, measure.grid), s_masses, predictive
+    return _step_core(model, theta, y, measure, cache)
 
 
 def filter_iterate(

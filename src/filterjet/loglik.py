@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import KernelCache, PredictiveMassError, filter_step_with_scalars
+from .filtering import KernelCache, PredictiveMassError, _normalized_update, filter_step_with_scalars
 from .grid import GridMeasure, VectorMeasure, embed
 from .models import ModelSpec, simulate, theta_array
 from .multiindex import IndexSet, MultiIndex, enumerate_indices, shifted_pair_table
@@ -55,13 +55,7 @@ def psi_zero(model: ModelSpec, theta, y, measure: VectorMeasure) -> float:
     theta = model.validate_theta(theta)
     if not measure.is_l0(tol=1e-8):
         raise ValueError("slot 0 must be a probability measure")
-    cache = KernelCache(model, theta, measure.index_set)
-    grid = measure.grid
-    predictive = float(
-        np.dot(cache.matrices(y)[0] @ (measure.components[0] * grid.weights), grid.weights)
-    )
-    if not predictive > 0.0:
-        raise PredictiveMassError(predictive)
+    _, predictive = _normalized_update(KernelCache(model, theta, measure.index_set), y, measure)
     return math.log(predictive)
 
 

@@ -6,12 +6,14 @@ import pytest
 from filterjet import (
     FDScheme,
     GridMeasure,
+    PredictiveMassError,
     apply_R,
     avg_loglik_rate,
     compute_s,
     embed,
     fd_derivative,
     filter_iterate,
+    filter_step,
     loglik_jet,
     oracle_log_likelihood,
     psi_alpha,
@@ -94,6 +96,16 @@ class TestPsiZero:
         base = psi_zero(model32, theta, 0.4, uniform_l0)
         scaled = psi_zero(_ScaledKernel(model32, 3.0), theta, 0.4, uniform_l0)
         assert scaled == pytest.approx(base + math.log(3.0), abs=1e-12)
+
+    def test_mass_at_the_floor_is_rejected_like_the_step(self, model32, theta, uniform_l0):
+        # a positive mass below PREDICTIVE_FLOOR aborts psi_zero exactly as it aborts the step
+        tiny = _ScaledKernel(model32, 1e-301)
+        with pytest.raises(PredictiveMassError) as from_psi:
+            psi_zero(tiny, theta, 0.4, uniform_l0)
+        with pytest.raises(PredictiveMassError) as from_step:
+            filter_step(tiny, theta, 0.4, uniform_l0)
+        assert 0.0 < from_psi.value.mass <= 1e-300
+        assert from_psi.value.mass == from_step.value.mass
 
 
 class TestPsiAlpha:
