@@ -76,7 +76,6 @@ class ExperimentConfig:
     rml_step_b: float = 300.0
     rml_steps: int = 6000
     rml_init: tuple[float, ...] = (0.45, 1.25)
-    rate_horizon: int = 200
     y_samples: int = 25
 
 

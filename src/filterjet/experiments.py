@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import KernelCache, filter_iterate, filter_step
+from .filtering import KernelCache, PredictiveMassError, filter_iterate, filter_step
 from .grid import GridMeasure, VectorMeasure, embed, measure_distance
 from .models import ModelSpec, simulate
 from .multiindex import MultiIndex
@@ -261,7 +261,10 @@ def ergodicity_experiment(
                 x_new = model.transition_sample(theta, x, rng)
                 y_new = model.observation_sample(theta, x_new, rng)
                 update_with = y_new if chain == "aligned" else y
-                measure = filter_step(model, theta, update_with, measure, cache=cache)
+                try:
+                    measure = filter_step(model, theta, update_with, measure, cache=cache)
+                except PredictiveMassError as err:
+                    raise PredictiveMassError(err.mass, observation_index=n + 1) from err
                 x, y = x_new, y_new
 
     estimates = samples.mean(axis=2)
@@ -317,7 +320,6 @@ def derivative_identity_sweep(
     seed: int,
     lam0: GridMeasure | None = None,
     scheme: FDScheme = FDScheme(),
-    max_degree: int | None = None,
     rel_tol: float = 1e-4,
     abs_floor: float = 1e-6,
     data_theta=None,
@@ -337,7 +339,7 @@ def derivative_identity_sweep(
         data_theta = box.mean(axis=1)
     data_theta = model.validate_theta(data_theta)
     traj = simulate(model, data_theta, lam0, horizon, seed=labeled_seed(seed, "identity-path"))
-    index_set = model.index_set(model.max_order if max_degree is None else max_degree)
+    index_set = model.index_set()
     weights = model.grid.weights
     floor_scale = abs_floor / rel_tol
 

@@ -187,16 +187,6 @@ class VectorMeasure:
         if not np.all(np.isfinite(self.components)):
             raise ValueError("components must be finite")
 
-    @classmethod
-    def from_components(cls, measures, index_set: IndexSet) -> "VectorMeasure":
-        measures = list(measures)
-        if len(measures) != len(index_set):
-            raise ValueError("one component per index-set slot is required")
-        grid = measures[0].grid
-        for m in measures[1:]:
-            _require_same_grid(grid, m.grid)
-        return cls(np.stack([m.density for m in measures]), index_set, grid)
-
     def component(self, alpha) -> GridMeasure:
         return GridMeasure(self.components[self.index_set.slot(alpha)], self.grid)
 

@@ -205,7 +205,10 @@ def rml_demo(
     trace[0] = current
     projections = 0
     for k, y in enumerate(traj.observations):
-        measure, s_masses, predictive = filter_step_with_scalars(model, current, y, measure)
+        try:
+            measure, s_masses, predictive = filter_step_with_scalars(model, current, y, measure)
+        except PredictiveMassError as err:
+            raise PredictiveMassError(err.mass, observation_index=k + 1) from err
         increments = jet_increments_from_scalars(s_masses, predictive, iset)
         gradient = increments[grad_slots]
         current = current + (step_a / (step_b + k)) * gradient

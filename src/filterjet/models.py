@@ -1,5 +1,9 @@
 """Parametric state-space models with analytic parameter derivatives.
 
+ModelSpec is the contract the filter consumes: the transition jet and
+an observation-jet evaluator tabulated on the model grid, plus the two
+samplers that simulation draws from.
+
 The concrete family is a nonlinear Gaussian model truncated to a box:
 the next state is drift(x) plus scaled noise, the observation is an
 observation map of the state plus scaled noise, and both the drift and
@@ -14,7 +18,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from .multiindex import (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Rejection trials a truncated sampler makes before it gives up.
+SAMPLER_MAX_TRIALS = 10**6
 
 FEATURE_FUNCTIONS = {
     "zero": lambda x: np.zeros_like(x),
@@ -118,13 +124,15 @@ class Trajectory:
 
 
 class ModelSpec(abc.ABC):
-    """Capability contract for a parametric state-space model on a grid.
+    """What the filter needs from a parametric state-space model on a grid.
 
     The joint kernel factors into a transition density (in the new
     state, given the old) and an observation density (in the
-    observation, given the new state); implementations expose whole
-    derivative jets of both factors so callers can assemble any mixed
-    kernel derivative by the Leibniz rule.
+    observation, given the new state).  The filter consumes the whole
+    derivative jets of both factors tabulated on the model grid and
+    pairs them by the Leibniz rule itself; simulation consumes the two
+    samplers.  A subclass sets ``grid`` and provides the seven abstract
+    members; the parameter checks and the index set come with the base.
     """
 
     grid: StateGrid
@@ -142,12 +150,16 @@ class ModelSpec(abc.ABC):
     def parameter_box(self) -> tuple[tuple[float, float], ...]: ...
 
     @abc.abstractmethod
-    def transition_jet(self, theta, x_new, x_old, index_set: IndexSet) -> np.ndarray:
-        """Derivatives of the transition density, one slot per index."""
+    def transition_grid_jet(self, theta, index_set: IndexSet) -> np.ndarray:
+        """(K, N, N) transition jet on the grid: slot, new state, old state."""
 
     @abc.abstractmethod
-    def observation_jet(self, theta, y, x, index_set: IndexSet) -> np.ndarray:
-        """Derivatives of the observation density, one slot per index."""
+    def observation_grid_factory(self, theta, index_set: IndexSet):
+        """Evaluator y -> (K, N) observation-density jet on the grid.
+
+        Everything that depends only on theta is built once here, since
+        the filter evaluates one observation per step at a fixed theta.
+        """
 
     @abc.abstractmethod
     def transition_sample(self, theta, x: float, rng: np.random.Generator) -> float: ...
@@ -171,74 +183,15 @@ class ModelSpec(abc.ABC):
     def index_set(self, order: int | None = None) -> IndexSet:
         return enumerate_indices(self.dim_theta, self.max_order if order is None else order)
 
-    def observation_jet_factory(self, theta, x, index_set: IndexSet):
-        """A single-observation evaluator with per-theta work hoisted out.
-
-        The default just closes over observation_jet; models whose
-        normalizer does not depend on the observation override this to
-        precompute it once.
-        """
-
-        def at(y):
-            return self.observation_jet(theta, y, x, index_set)
-
-        return at
-
-    def transition_grid_jet(self, theta, index_set: IndexSet) -> np.ndarray:
-        """(K, N, N) transition jet tabulated on the model grid.
-
-        The default handles scalar-state models by broadcasting the
-        single coordinate; multivariate-state models override this.
-        """
-        if self.grid.dim != 1:
-            raise NotImplementedError("override transition_grid_jet for multivariate states")
-        x = self.grid.axis(0)
-        return self.transition_jet(theta, x[:, None], x[None, :], index_set)
-
-    def observation_grid_factory(self, theta, index_set: IndexSet):
-        """Evaluator y -> (K, N) observation jet on the model grid."""
-        if self.grid.dim != 1:
-            raise NotImplementedError("override observation_grid_factory for multivariate states")
-        return self.observation_jet_factory(theta, self.grid.axis(0), index_set)
-
-    def kernel_jet(self, theta, y, x_new, x_old, index_set: IndexSet) -> np.ndarray:
-        """Joint-kernel derivatives assembled by the Leibniz rule.
-
-        Slot a holds the mixed derivative of observation(y | x_new) times
-        transition(x_new | x_old), broadcast over x_new and x_old.
-        """
-        obs = self.observation_jet(theta, y, x_new, index_set)
-        trans = self.transition_jet(theta, x_new, x_old, index_set)
-        shape = np.broadcast_shapes(obs.shape[1:], trans.shape[1:])
-        out = np.zeros((len(index_set),) + shape)
-        for k, pairs in enumerate(pair_table(index_set)):
-            acc = out[k]
-            for coeff, b_slot, g_slot in pairs:
-                acc += coeff * obs[b_slot] * trans[g_slot]
-        return out
-
-    def kernel_derivative(self, alpha, theta, y, x_new, x_old) -> np.ndarray:
-        """Single mixed derivative of the joint kernel at (y, x_new | x_old)."""
-        alpha = MultiIndex(alpha)
-        self.validate_order(alpha.degree)
-        iset = enumerate_indices(self.dim_theta, alpha.degree)
-        return self.kernel_jet(theta, y, x_new, x_old, iset)[iset.slot(alpha)]
-
-    def transition_derivative(self, alpha, theta, x_new, x_old) -> np.ndarray:
-        alpha = MultiIndex(alpha)
-        self.validate_order(alpha.degree)
-        iset = enumerate_indices(self.dim_theta, alpha.degree)
-        return self.transition_jet(theta, x_new, x_old, iset)[iset.slot(alpha)]
-
-    def observation_derivative(self, alpha, theta, y, x) -> np.ndarray:
-        alpha = MultiIndex(alpha)
-        self.validate_order(alpha.degree)
-        iset = enumerate_indices(self.dim_theta, alpha.degree)
-        return self.observation_jet(theta, y, x, iset)[iset.slot(alpha)]
-
 
 def _quotient_jet(num: np.ndarray, den: np.ndarray, index_set: IndexSet) -> np.ndarray:
-    """Jet of num/den from the jets of num and den (recursion in degree)."""
+    """Jet of num/den from the jets of num and den (recursion in degree).
+
+    den may have fewer axes than num; its axes after the slot axis align
+    with the trailing axes of num.
+    """
+    if den.ndim < num.ndim:
+        den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
     out = np.empty_like(np.broadcast_arrays(num, den)[0])
     inv = 1.0 / den[0]
     for k, pairs in enumerate(pair_table(index_set)):
@@ -251,6 +204,34 @@ def _quotient_jet(num: np.ndarray, den: np.ndarray, index_set: IndexSet) -> np.n
     return out
 
 
+def _slope_powers(slopes: np.ndarray, index_set: IndexSet) -> np.ndarray:
+    """Per index a, the product over coordinates i of slopes[i] ** a_i."""
+    out = np.empty((len(index_set),) + slopes.shape[1:])
+    for k, alpha in enumerate(index_set.indices):
+        factor = np.ones(slopes.shape[1:])
+        for i, a_i in enumerate(alpha):
+            if a_i:
+                factor = factor * slopes[i] ** a_i
+        out[k] = factor
+    return out
+
+
+def _truncated_normal(loc: float, scale: float, box, rng: np.random.Generator) -> float:
+    """Rejection draw of loc + scale * N(0, 1) in the box, one normal per trial.
+
+    The trials are capped, so a box far in the tail raises instead of hanging.
+    """
+    lo, hi = box
+    for _ in range(SAMPLER_MAX_TRIALS):
+        draw = loc + scale * rng.standard_normal()
+        if lo <= draw <= hi:
+            return draw
+    raise ArithmeticError(
+        f"no draw inside [{lo}, {hi}] after {SAMPLER_MAX_TRIALS} trials "
+        f"from location {loc!r} with scale {scale!r}"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedNonlinearModel(ModelSpec):
     """Nonlinear Gaussian state-space model truncated to a box.
@@ -261,7 +242,8 @@ class TruncatedNonlinearModel(ModelSpec):
     obs_scale.  The transition density is truncated and renormalized on
     the grid's box; the observation density is truncated to obs_box when
     one is given, and left as a proper Gaussian density on the whole
-    real line otherwise.
+    real line otherwise.  transition_jet and observation_jet also evaluate
+    the densities at broadcast points off the grid, for assumption_constants.
     """
 
     grid: StateGrid
@@ -321,52 +303,37 @@ class TruncatedNonlinearModel(ModelSpec):
         x = np.asarray(x, dtype=float)
         return np.stack([FEATURE_FUNCTIONS[n](x) for n in names])
 
-    def drift(self, theta, x) -> np.ndarray:
-        theta = theta_array(theta)
-        return np.tensordot(theta, self._features(self.drift_features, x), axes=1)
-
     def observation_map(self, theta, x) -> np.ndarray:
         theta = theta_array(theta)
         return np.tensordot(theta, self._features(self.obs_features, x), axes=1)
 
-    # -- unnormalized kernels and their jets ----------------------------------
-    def _location_jet(self, names, scale, theta, target, x, index_set, ratios=False) -> np.ndarray:
-        """Jet of pdf((target - theta . features(x)) / scale).
+    # -- unnormalized kernel jets ----------------------------------------------
+    def _location_jet(self, names, scale, theta, x, index_set, ratios=False):
+        """Evaluator target -> jet of pdf((target - theta . features(x)) / scale).
 
         The standardized residual is affine in theta, so the mixed
         derivative for index a is pdf^(|a|) times the product of the
-        per-coordinate slopes raised to the entries of a.  With
-        ratios=True the jet is divided by its own zero slot, which stays
-        finite arbitrarily far into the tails.
+        per-coordinate slopes raised to the entries of a.  The features
+        and slope powers depend only on x and are built once; the target
+        broadcasts against x.  With ratios=True the jet is divided by its
+        own zero slot, which stays finite arbitrarily far into the tails.
         """
-        theta = theta_array(theta)
-        target = np.asarray(target, dtype=float)
         feats = self._features(names, x)
-        location = np.tensordot(theta, feats, axes=1)
-        z = (target - location) / scale
-        if ratios:
-            pdf_derivs = _gauss_ratio_derivs(z, index_set.order)
-        else:
-            pdf_derivs = _gauss_pdf_derivs(z, index_set.order)
-        slopes = -feats / scale
-        out = np.empty((len(index_set),) + z.shape)
-        for k, alpha in enumerate(index_set.indices):
-            factor = np.ones_like(np.asarray(x, dtype=float))
-            for i, a_i in enumerate(alpha):
-                if a_i:
-                    factor = factor * slopes[i] ** a_i
-            out[k] = pdf_derivs[alpha.degree] * factor
-        return out
+        location = np.tensordot(theta_array(theta), feats, axes=1)
+        factors = _slope_powers(-feats / scale, index_set)
+        derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
+        degrees = index_set.degrees
+        order = index_set.order
 
-    def transition_kernel_jet(self, theta, x_new, x_old, index_set) -> np.ndarray:
-        """Jet of the untruncated transition numerator."""
-        return self._location_jet(
-            self.drift_features, self.trans_scale, theta, x_new, x_old, index_set
-        )
+        def at(target):
+            z = (np.asarray(target, dtype=float) - location) / scale
+            pdf = derivs(z, order)
+            out = np.empty((len(degrees),) + z.shape)
+            for k, degree in enumerate(degrees):
+                out[k] = pdf[degree] * factors[k]
+            return out
 
-    def observation_kernel_jet(self, theta, y, x, index_set) -> np.ndarray:
-        """Jet of the untruncated observation numerator."""
-        return self._location_jet(self.obs_features, self.obs_scale, theta, y, x, index_set)
+        return at
 
     def observation_score_jet(self, theta, y, x, index_set) -> np.ndarray:
         """Observation jet divided by the density itself (slot 0 becomes one).
@@ -379,89 +346,64 @@ class TruncatedNonlinearModel(ModelSpec):
         self.validate_order(index_set.order)
         if self.obs_box is None:
             return self._location_jet(
-                self.obs_features, self.obs_scale, theta, y, x, index_set, ratios=True
-            )
+                self.obs_features, self.obs_scale, theta, x, index_set, ratios=True
+            )(y)
         jet = self.observation_jet(theta, y, x, index_set)
-        return jet / jet[0]
-
-    def transition_score_jet(self, theta, x_new, x_old, index_set) -> np.ndarray:
-        """Transition jet divided by the density itself (slot 0 becomes one)."""
-        jet = self.transition_jet(theta, x_new, x_old, index_set)
         return jet / jet[0]
 
     # -- truncated densities ---------------------------------------------------
     def transition_jet(self, theta, x_new, x_old, index_set) -> np.ndarray:
+        """Transition-density jet at (x_new | x_old), renormalized on the grid."""
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
         x_old = np.asarray(x_old, dtype=float)
-        num = self.transition_kernel_jet(theta, x_new, x_old, index_set)
+        numerator = self._location_jet(
+            self.drift_features, self.trans_scale, theta, x_old, index_set
+        )
         nodes = self.grid.axis(0).reshape((-1,) + (1,) * x_old.ndim)
-        node_jet = self.transition_kernel_jet(theta, nodes, x_old, index_set)
-        den = np.tensordot(node_jet, self.grid.weights, axes=([1], [0]))
+        den = np.tensordot(numerator(nodes), self.grid.weights, axes=([1], [0]))
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
-        den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
-        return _quotient_jet(num, den, index_set)
+        return _quotient_jet(numerator(x_new), den, index_set)
 
-    def _observation_normalizer_jet(self, theta, x, index_set) -> np.ndarray:
-        """Jet of the observation-truncation normalizer, shape (K,) + x.shape."""
+    def transition_grid_jet(self, theta, index_set) -> np.ndarray:
+        x = self.grid.axis(0)
+        return self.transition_jet(theta, x[:, None], x[None, :], index_set)
+
+    def _observation_evaluator(self, theta, x, index_set):
+        """Evaluator y -> observation-density jet at the states x.
+
+        The feature values, slope powers and truncation normalizer depend
+        only on theta and x, so they are built once; each observation
+        then costs one Gaussian evaluation plus the quotient recursion.
+        y may be an array that broadcasts against x.
+        """
+        theta = self.validate_theta(theta)
+        self.validate_order(index_set.order)
+        x = np.asarray(x, dtype=float)
+        numerator = self._location_jet(self.obs_features, self.obs_scale, theta, x, index_set)
         if self.obs_box is None:
             # Lebesgue normalizer over the real line: constant in theta.
             den = np.zeros((len(index_set),) + x.shape)
             den[0] = self.obs_scale
-            return den
-        nodes = self._obs_nodes.reshape((-1,) + (1,) * x.ndim)
-        node_jet = self.observation_kernel_jet(theta, nodes, x, index_set)
-        den = np.tensordot(node_jet, self._obs_weights, axes=([1], [0]))
-        if np.any(den[0] <= 0.0):
-            raise ValueError("observation normalizer vanished on the quadrature")
-        return den
-
-    def observation_jet(self, theta, y, x, index_set) -> np.ndarray:
-        theta = self.validate_theta(theta)
-        self.validate_order(index_set.order)
-        x = np.asarray(x, dtype=float)
-        self._check_obs_domain(y)
-        num = self.observation_kernel_jet(theta, y, x, index_set)
-        den = self._observation_normalizer_jet(theta, x, index_set)
-        den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
-        return _quotient_jet(num, den, index_set)
-
-    def observation_jet_factory(self, theta, x, index_set):
-        """Per-observation evaluator with all x-dependent work precomputed.
-
-        The feature values, slope powers, and truncation normalizer on
-        the fixed states are built once; each observation then costs one
-        Gaussian evaluation plus the quotient recursion.
-        """
-        theta = self.validate_theta(theta)
-        self.validate_order(index_set.order)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        feats = self._features(self.obs_features, x)
-        location = theta @ feats
-        slopes = -feats / self.obs_scale
-        factors = np.empty((len(index_set),) + x.shape)
-        for k, alpha in enumerate(index_set.indices):
-            f = np.ones_like(x)
-            for i, a_i in enumerate(alpha):
-                if a_i:
-                    f = f * slopes[i] ** a_i
-            factors[k] = f
-        den = self._observation_normalizer_jet(theta, x, index_set)
-        degrees = index_set.degrees
-        order = index_set.order
-        scale = self.obs_scale
+        else:
+            nodes = self._obs_nodes.reshape((-1,) + (1,) * x.ndim)
+            den = np.tensordot(numerator(nodes), self._obs_weights, axes=([1], [0]))
+            if np.any(den[0] <= 0.0):
+                raise ValueError("observation normalizer vanished on the quadrature")
 
         def at(y):
             self._check_obs_domain(y)
-            z = (float(y) - location) / scale
-            pdf_derivs = _gauss_pdf_derivs(z, order)
-            num = np.empty_like(factors)
-            for k in range(factors.shape[0]):
-                num[k] = pdf_derivs[degrees[k]] * factors[k]
-            return _quotient_jet(num, den, index_set)
+            return _quotient_jet(numerator(y), den, index_set)
 
         return at
+
+    def observation_jet(self, theta, y, x, index_set) -> np.ndarray:
+        """Observation-density jet at (y | x); y broadcasts against x."""
+        return self._observation_evaluator(theta, x, index_set)(y)
+
+    def observation_grid_factory(self, theta, index_set):
+        return self._observation_evaluator(theta, self.grid.axis(0), index_set)
 
     def _check_obs_domain(self, y) -> None:
         if self.obs_box is None:
@@ -478,36 +420,26 @@ class TruncatedNonlinearModel(ModelSpec):
         )
 
     def transition_sample(self, theta, x, rng) -> float:
-        lo, hi = self.grid.bounds[0]
         loc = self._scalar_location(self.drift_features, theta, float(x))
-        while True:
-            draw = loc + self.trans_scale * rng.standard_normal()
-            if lo <= draw <= hi:
-                return draw
+        return _truncated_normal(loc, self.trans_scale, self.grid.bounds[0], rng)
 
     def observation_sample(self, theta, x, rng) -> float:
         loc = self._scalar_location(self.obs_features, theta, float(x))
         if self.obs_box is None:
             return loc + self.obs_scale * rng.standard_normal()
-        lo, hi = self.obs_box
-        while True:
-            draw = loc + self.obs_scale * rng.standard_normal()
-            if lo <= draw <= hi:
-                return draw
+        return _truncated_normal(loc, self.obs_scale, self.obs_box, rng)
 
 
-def kernel_matrix(model: ModelSpec, alpha, theta, y, grid: StateGrid) -> np.ndarray:
-    """Mixed kernel derivative tabulated on the grid.
+def kernel_matrix(model: ModelSpec, alpha, theta, y) -> np.ndarray:
+    """Mixed kernel derivative tabulated on the model grid.
 
     Entry (i, j) is the alpha-derivative of the joint kernel at
-    (y, x_i | x_j).  The grid must be the model's own grid, since the
-    truncation normalizers are quadratures on it.
+    (y, x_i | x_j).  The filter never assembles this matrix; the
+    path-sum oracle and the tests do.
     """
     alpha = MultiIndex(alpha)
     model.validate_order(alpha.degree)
     theta = model.validate_theta(theta)
-    if not grid.compatible(model.grid):
-        raise ValueError("kernel_matrix grid differs from the model grid")
     iset = enumerate_indices(model.dim_theta, alpha.degree)
     trans = model.transition_grid_jet(theta, iset)
     obs = model.observation_grid_factory(theta, iset)(y)
@@ -564,7 +496,7 @@ class AssumptionConstants:
 
 
 def assumption_constants(
-    model: TruncatedNonlinearModel, theta_samples, y_samples, grid: StateGrid | None = None
+    model: TruncatedNonlinearModel, theta_samples, y_samples
 ) -> AssumptionConstants:
     """Estimate the mixing/envelope constants by scanning grids and samples.
 
@@ -572,16 +504,13 @@ def assumption_constants(
     model order) are evaluated on the grid for each sampled theta; the
     per-observation score table is the max ratio |d^a r| / r over states.
     """
-    grid = model.grid if grid is None else grid
-    if not grid.compatible(model.grid):
-        raise ValueError("assumption constants must be scanned on the model grid")
     theta_samples = [model.validate_theta(t) for t in theta_samples]
     y_values = np.atleast_1d(np.asarray(y_samples, dtype=float))
     if len(theta_samples) == 0 or y_values.size == 0:
         raise ValueError("sample sets must be nonempty")
 
     iset = model.index_set()
-    x = grid.axis(0)
+    x = model.grid.axis(0)
     compact = model.compact_observations
     degrees = np.asarray(iset.degrees)
 
@@ -593,7 +522,7 @@ def assumption_constants(
     ratio_max = np.zeros((y_values.size, len(iset)))
     table = pair_table(iset)
     for theta in theta_samples:
-        trans = model.transition_jet(theta, x[:, None], x[None, :], iset)
+        trans = model.transition_grid_jet(theta, iset)
         if float(trans[0].min()) <= 0.0:
             raise ValueError("joint kernel vanished on the grid; mixing assumption fails")
         p_min = min(p_min, float(trans[0].min()))

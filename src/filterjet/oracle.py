@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridMeasure, StateGrid
+from .grid import GridMeasure
 from .models import ModelSpec, kernel_matrix
 from .multiindex import MultiIndex
 
@@ -48,9 +48,9 @@ def _path_sum_matrix(model: ModelSpec, theta, observations) -> np.ndarray:
             f"path-sum oracle limited to {ORACLE_MAX_POINTS} grid points, got {grid.size}"
         )
     zero = MultiIndex.zero(model.dim_theta)
-    mat = kernel_matrix(model, zero, theta, observations[0], grid)
+    mat = kernel_matrix(model, zero, theta, observations[0])
     for y in observations[1:]:
-        step = kernel_matrix(model, zero, theta, y, grid)
+        step = kernel_matrix(model, zero, theta, y)
         mat = step @ (grid.weights[:, None] * mat)
     return mat
 
@@ -183,7 +183,6 @@ class StationaryLaw:
 def stationary_law(
     model: ModelSpec,
     theta,
-    grid: StateGrid | None = None,
     tol: float = 1e-12,
     max_iterations: int = 100_000,
 ) -> StationaryLaw:
@@ -193,9 +192,7 @@ def stationary_law(
     variation, then runs a second power iteration on the mass-deflated
     operator to estimate the second-largest eigenvalue modulus.
     """
-    grid = model.grid if grid is None else grid
-    if not grid.compatible(model.grid):
-        raise ValueError("stationary law must be computed on the model grid")
+    grid = model.grid
     theta = model.validate_theta(theta)
     iset = model.index_set(0)
     trans = model.transition_grid_jet(theta, iset)[0]

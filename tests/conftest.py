@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from filterjet import GridMeasure, StateGrid, TruncatedNonlinearModel, embed
+from filterjet.models import ModelSpec
 
 
 def make_model(cells=32, order=2, variant="compact", drift=("tanh", "zero"),
@@ -57,3 +58,52 @@ def random_l0(model, index_set, rng, derivative_scale=1.0):
 def uniform_embedding(model, order=None):
     iset = model.index_set(order)
     return embed(GridMeasure.uniform(model.grid), iset)
+
+
+class BrokenObservation(ModelSpec):
+    """Delegating model whose observation density vanishes for y above 1e6.
+
+    With outlier_from=n, the n-th and every later observation draw
+    returns such a y (after consuming the inner draw), so a filter run on
+    the simulated observations aborts at step n.
+    """
+
+    def __init__(self, inner, outlier_from=None):
+        self.inner = inner
+        self.grid = inner.grid
+        self.outlier_from = outlier_from
+        self.draws = 0
+
+    @property
+    def dim_theta(self):
+        return self.inner.dim_theta
+
+    @property
+    def max_order(self):
+        return self.inner.max_order
+
+    @property
+    def parameter_box(self):
+        return self.inner.parameter_box
+
+    def transition_grid_jet(self, theta, index_set):
+        return self.inner.transition_grid_jet(theta, index_set)
+
+    def observation_grid_factory(self, theta, index_set):
+        inner = self.inner.observation_grid_factory(theta, index_set)
+
+        def at(y):
+            jet = inner(y)
+            return jet * 0.0 if y > 1e6 else jet
+
+        return at
+
+    def transition_sample(self, theta, x, rng):
+        return self.inner.transition_sample(theta, x, rng)
+
+    def observation_sample(self, theta, x, rng):
+        self.draws += 1
+        y = self.inner.observation_sample(theta, x, rng)
+        if self.outlier_from is not None and self.draws >= self.outlier_from:
+            return 1e7
+        return y

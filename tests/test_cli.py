@@ -124,6 +124,19 @@ class TestRun:
         assert run("check-derivs", str(cfg)) == 3
         assert "numerical abort" in capsys.readouterr().err
 
+    def test_unreachable_observation_box_exits_3(self, tmp_path, capsys):
+        # observations can only land in [5, 6] more than 20 noise scales
+        # above every location, so the rejection sampler hits its cap
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text(
+            "[run]\noutdir = {}\n[model]\nobs_min = 5\nobs_max = 6\nobs_scale = 0.1\n".format(
+                tmp_path / "out"
+            )
+        )
+        assert run("simulate", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "[5.0, 6.0]" in err
+
     def test_simulate_writes_artifacts_and_passes(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         outdir = tmp_path / "out"

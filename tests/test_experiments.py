@@ -6,6 +6,7 @@ import pytest
 from filterjet import (
     FDScheme,
     GridMeasure,
+    PredictiveMassError,
     VectorMeasure,
     bounded_lipschitz_phi,
     component_tv_phi,
@@ -25,7 +26,7 @@ from filterjet import (
 from filterjet.experiments import PhiSpec, log_linear_fit
 from filterjet.multiindex import enumerate_indices
 
-from conftest import THETA, make_model, random_l0
+from conftest import THETA, BrokenObservation, make_model, random_l0
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,15 @@ class TestErgodicity:
             ergodicity_experiment(small_model, theta, phi, [z], [1], 1, seed=0)
         with pytest.raises(ValueError):
             ergodicity_experiment(small_model, theta, phi, [z], [1], 10, seed=0, chain="sideways")
+
+    def test_abort_names_the_observation_index(self, gaussian_model, theta):
+        # the third observation drawn along the first replica has vanishing density
+        broken = BrokenObservation(gaussian_model, outlier_from=3)
+        z = (0.0, 0.0, embed(GridMeasure.uniform(broken.grid), broken.index_set(1)))
+        phi = posterior_mean_phi(broken)
+        with pytest.raises(PredictiveMassError) as info:
+            ergodicity_experiment(broken, theta, phi, [z], [5], replicas=2, seed=0)
+        assert info.value.observation_index == 3
 
 
 class TestPhiEnvelopes:

@@ -24,10 +24,9 @@ from filterjet import (
     tv_norm,
 )
 from filterjet.experiments import log_linear_fit
-from filterjet.models import ModelSpec
 from filterjet.multiindex import enumerate_indices
 
-from conftest import THETA, make_model, random_l0
+from conftest import THETA, BrokenObservation, make_model, random_l0
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ class TestApplyR:
         constants = assumption_constants(model32, [theta], [y])
         volume = model32.grid.volume
         assert constants.epsilon * volume <= mass <= volume / constants.epsilon
-        col = model32.grid.weights @ kernel_matrix(model32, (0, 0), theta, y, model32.grid)
+        col = model32.grid.weights @ kernel_matrix(model32, (0, 0), theta, y)
         assert col.min() - 1e-12 <= mass <= col.max() + 1e-12
 
     def test_linearity(self, model32, theta):
@@ -187,39 +186,6 @@ class TestFilterStep:
             filter_step(model32, theta, 0.1, uniform_l0, cache=other)
 
 
-class _BrokenObservation(ModelSpec):
-    """Delegating model whose observation density vanishes for large y."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.grid = inner.grid
-
-    @property
-    def dim_theta(self):
-        return self.inner.dim_theta
-
-    @property
-    def max_order(self):
-        return self.inner.max_order
-
-    @property
-    def parameter_box(self):
-        return self.inner.parameter_box
-
-    def transition_jet(self, theta, x_new, x_old, index_set):
-        return self.inner.transition_jet(theta, x_new, x_old, index_set)
-
-    def observation_jet(self, theta, y, x, index_set):
-        jet = self.inner.observation_jet(theta, y, x, index_set)
-        return jet * 0.0 if np.any(np.asarray(y) > 1e6) else jet
-
-    def transition_sample(self, theta, x, rng):
-        return self.inner.transition_sample(theta, x, rng)
-
-    def observation_sample(self, theta, x, rng):
-        return self.inner.observation_sample(theta, x, rng)
-
-
 class TestFilterIterate:
     def test_empty_block_returns_initial(self, model32, theta, uniform_l0):
         state = filter_iterate(model32, theta, [], uniform_l0)
@@ -278,7 +244,7 @@ class TestFilterIterate:
         assert np.exp(slope) <= 0.99
 
     def test_underflow_reports_observation_index(self, gaussian_model, theta, uniform_l0):
-        broken = _BrokenObservation(gaussian_model)
+        broken = BrokenObservation(gaussian_model)
         with pytest.raises(PredictiveMassError) as info:
             filter_iterate(broken, theta, [0.1, 0.2, 1e7], uniform_l0)
         assert info.value.observation_index == 3

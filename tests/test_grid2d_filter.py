@@ -96,13 +96,6 @@ class PlanarTanhModel(ModelSpec):
 
         return at
 
-    # coordinate-level jets are not used on a planar grid
-    def transition_jet(self, theta, x_new, x_old, index_set):
-        raise NotImplementedError
-
-    def observation_jet(self, theta, y, x, index_set):
-        raise NotImplementedError
-
     def transition_sample(self, theta, x, rng):
         raise NotImplementedError
 

@@ -25,7 +25,7 @@ from filterjet import (
 from filterjet.models import ModelSpec
 from filterjet.multiindex import enumerate_indices
 
-from conftest import THETA, make_model, random_l0
+from conftest import THETA, BrokenObservation, make_model, random_l0
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +58,12 @@ class _ScaledKernel(ModelSpec):
     def parameter_box(self):
         return self.inner.parameter_box
 
-    def transition_jet(self, theta, x_new, x_old, index_set):
-        return self.inner.transition_jet(theta, x_new, x_old, index_set)
+    def transition_grid_jet(self, theta, index_set):
+        return self.inner.transition_grid_jet(theta, index_set)
 
-    def observation_jet(self, theta, y, x, index_set):
-        return self.factor * self.inner.observation_jet(theta, y, x, index_set)
+    def observation_grid_factory(self, theta, index_set):
+        inner = self.inner.observation_grid_factory(theta, index_set)
+        return lambda y: self.factor * inner(y)
 
     def transition_sample(self, theta, x, rng):
         return self.inner.transition_sample(theta, x, rng)
@@ -282,3 +283,10 @@ class TestRmlDemo:
         trace = rml_demo(small, init, theta, step_a=3.0, step_b=300.0, n_steps=500, seed=67)
         box = np.asarray(small.parameter_box)
         assert np.all(trace.thetas > box[:, 0]) and np.all(trace.thetas < box[:, 1])
+
+    def test_abort_names_the_observation_index(self, gaussian_model, theta):
+        # the fourth simulated observation has vanishing density
+        broken = BrokenObservation(gaussian_model, outlier_from=4)
+        with pytest.raises(PredictiveMassError) as info:
+            rml_demo(broken, theta, theta, step_a=3.0, step_b=300.0, n_steps=6, seed=1)
+        assert info.value.observation_index == 4

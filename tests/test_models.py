@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterjet import (
     FDScheme,
@@ -12,7 +16,9 @@ from filterjet import (
     simulate,
     stationary_law,
 )
-from filterjet.multiindex import MultiIndex, enumerate_indices
+from filterjet import models
+from filterjet.models import _gauss_pdf_derivs
+from filterjet.multiindex import enumerate_indices, pair_table
 
 from conftest import THETA, make_model
 
@@ -39,7 +45,7 @@ class TestTrajectory:
 
 class TestKernelMatrix:
     def test_zero_index_nonnegative(self, model32, theta):
-        mat = kernel_matrix(model32, (0, 0), theta, 0.5, model32.grid)
+        mat = kernel_matrix(model32, (0, 0), theta, 0.5)
         assert np.all(mat >= 0.0)
 
     def test_column_sums_equal_observation_mass_for_constant_obs(self):
@@ -48,7 +54,7 @@ class TestKernelMatrix:
         model = make_model(obs=("zero", "zero"))
         theta = THETA
         y = 1.3
-        mat = kernel_matrix(model, (0, 0), theta, y, model.grid)
+        mat = kernel_matrix(model, (0, 0), theta, y)
         col_sums = model.grid.weights @ mat
         iset = enumerate_indices(2, 0)
         q = model.observation_jet(theta, y, model.grid.axis(0)[:1], iset)[0][0]
@@ -56,21 +62,20 @@ class TestKernelMatrix:
 
     def test_first_derivative_matches_central_difference(self, model32, theta):
         h = 1e-4
-        grid = model32.grid
-        analytic = kernel_matrix(model32, (1, 0), theta, 0.5, grid)
-        up = kernel_matrix(model32, (0, 0), theta + np.array([h, 0.0]), 0.5, grid)
-        dn = kernel_matrix(model32, (0, 0), theta - np.array([h, 0.0]), 0.5, grid)
+        analytic = kernel_matrix(model32, (1, 0), theta, 0.5)
+        up = kernel_matrix(model32, (0, 0), theta + np.array([h, 0.0]), 0.5)
+        dn = kernel_matrix(model32, (0, 0), theta - np.array([h, 0.0]), 0.5)
         fd = (up - dn) / (2 * h)
         rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(fd))
         assert rel <= 1e-6
 
     def test_order_and_domain_validation(self, model32, theta):
         with pytest.raises(ValueError):
-            kernel_matrix(model32, (2, 1), theta, 0.5, model32.grid)  # degree 3 > order 2
+            kernel_matrix(model32, (2, 1), theta, 0.5)  # degree 3 > order 2
         with pytest.raises(ValueError):
-            kernel_matrix(model32, (0, 0), np.array([0.1, 0.9]), 0.5, model32.grid)
+            kernel_matrix(model32, (0, 0), np.array([0.1, 0.9]), 0.5)
         with pytest.raises(ValueError):
-            kernel_matrix(model32, (0, 0), theta, 9.5, model32.grid)  # y outside box
+            kernel_matrix(model32, (0, 0), theta, 9.5)  # y outside box
 
 
 class TestTruncatedDensities:
@@ -98,12 +103,10 @@ class TestTruncatedDensities:
 
     def test_joint_kernel_integrates_to_one(self, model32, theta):
         # integrate the joint kernel over observation and new state
-        iset = enumerate_indices(2, 0)
-        x = model32.grid.axis(0)
         nodes = model32._obs_nodes
-        total = np.zeros(x.size)
+        total = np.zeros(model32.grid.size)
         for y, wy in zip(nodes, model32._obs_weights):
-            mat = model32.kernel_jet(theta, y, x[:, None], x[None, :], iset)[0]
+            mat = kernel_matrix(model32, (0, 0), theta, y)
             total += wy * (model32.grid.weights @ mat)
         assert np.max(np.abs(total - 1.0)) <= 1e-10
 
@@ -130,55 +133,110 @@ class TestTruncatedDensities:
         # every mixed derivative of the joint kernel against the oracle
         scheme = FDScheme(1e-3, 2)
         y = -0.7
-        grid = model32.grid
-        f = lambda th: kernel_matrix(model32, (0, 0), th, y, grid)  # noqa: E731
+        f = lambda th: kernel_matrix(model32, (0, 0), th, y)  # noqa: E731
         for alpha in enumerate_indices(2, 2).indices:
             if alpha.degree == 0:
                 continue
             fd = fd_derivative(f, alpha, theta, scheme, bounds=model32.parameter_box)
-            analytic = kernel_matrix(model32, alpha, theta, y, grid)
+            analytic = kernel_matrix(model32, alpha, theta, y)
             scale = max(np.max(np.abs(fd)), 1e-12)
             assert np.max(np.abs(analytic - fd)) / scale <= 1e-4
-
-    def test_single_index_evaluators_match_jets(self, model32, theta):
-        # the scalar-index evaluators agree with the corresponding jet rows
-        x = model32.grid.axis(0)
-        for alpha in ((1, 0), (0, 2), (1, 1)):
-            iset = enumerate_indices(2, MultiIndex(alpha).degree)
-            trans = model32.transition_derivative(alpha, theta, x[:, None], x[None, :])
-            jet = model32.transition_jet(theta, x[:, None], x[None, :], iset)
-            assert np.array_equal(trans, jet[iset.slot(alpha)])
-            obs = model32.observation_derivative(alpha, theta, 0.4, x)
-            ojet = model32.observation_jet(theta, 0.4, x, iset)
-            assert np.array_equal(obs, ojet[iset.slot(alpha)])
-            kd = model32.kernel_derivative(alpha, theta, 0.4, x[:, None], x[None, :])
-            km = kernel_matrix(model32, alpha, theta, 0.4, model32.grid)
-            assert np.allclose(kd, km, rtol=0, atol=0)
 
     def test_observation_first_derivative_fd(self, model32, theta):
         h = 1e-4
         x = model32.grid.axis(0)
-        up = model32.observation_derivative((0, 0), theta + np.array([0, h]), 1.2, x)
-        dn = model32.observation_derivative((0, 0), theta - np.array([0, h]), 1.2, x)
+        iset = enumerate_indices(2, 1)
+        up = model32.observation_jet(theta + np.array([0, h]), 1.2, x, iset)[iset.slot((0, 0))]
+        dn = model32.observation_jet(theta - np.array([0, h]), 1.2, x, iset)[iset.slot((0, 0))]
         fd = (up - dn) / (2 * h)
-        analytic = model32.observation_derivative((0, 1), theta, 1.2, x)
+        analytic = model32.observation_jet(theta, 1.2, x, iset)[iset.slot((0, 1))]
         assert np.max(np.abs(analytic - fd)) / np.max(np.abs(fd)) <= 1e-6
 
     def test_symmetric_model_invariant_under_theta_swap(self):
         model = make_model(drift=("tanh", "tanh"), obs=("linear", "linear"))
-        grid = model.grid
-        a = kernel_matrix(model, (0, 0), np.array([0.5, 0.9]), 0.4, grid)
-        b = kernel_matrix(model, (0, 0), np.array([0.9, 0.5]), 0.4, grid)
+        a = kernel_matrix(model, (0, 0), np.array([0.5, 0.9]), 0.4)
+        b = kernel_matrix(model, (0, 0), np.array([0.9, 0.5]), 0.4)
         assert np.allclose(a, b, rtol=0, atol=1e-15)
 
     def test_kernel_positivity_across_samples(self, model32):
         # strong positivity of the joint kernel on the compact domains
-        iset = enumerate_indices(2, 0)
-        x = model32.grid.axis(0)
         for th in ([0.8, 0.9], [0.3, 1.4], [1.4, 0.3]):
             for y in (-5.5, 0.0, 5.5):
-                mat = model32.kernel_jet(np.asarray(th), y, x[:, None], x[None, :], iset)[0]
+                mat = kernel_matrix(model32, (0, 0), np.asarray(th), y)
                 assert mat.min() > 0.0
+
+
+def _reference_observation_jet(model, theta, y, x, index_set):
+    """The general observation-jet path as it stood before it shared the grid evaluator.
+
+    Numerator jet of the location density, then the truncation normalizer
+    jet by quadrature over the observation box, then the quotient
+    recursion, all written out separately.
+    """
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
+
+    def location_jet(target):
+        feats = model._features(model.obs_features, x)
+        location = np.tensordot(theta, feats, axes=1)
+        z = (np.asarray(target, dtype=float) - location) / model.obs_scale
+        pdf_derivs = _gauss_pdf_derivs(z, index_set.order)
+        slopes = -feats / model.obs_scale
+        out = np.empty((len(index_set),) + z.shape)
+        for k, alpha in enumerate(index_set.indices):
+            factor = np.ones_like(x)
+            for i, a_i in enumerate(alpha):
+                if a_i:
+                    factor = factor * slopes[i] ** a_i
+            out[k] = pdf_derivs[alpha.degree] * factor
+        return out
+
+    num = location_jet(y)
+    if model.obs_box is None:
+        den = np.zeros((len(index_set),) + x.shape)
+        den[0] = model.obs_scale
+    else:
+        nodes = model._obs_nodes.reshape((-1,) + (1,) * x.ndim)
+        den = np.tensordot(location_jet(nodes), model._obs_weights, axes=([1], [0]))
+    den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
+    out = np.empty_like(np.broadcast_arrays(num, den)[0])
+    inv = 1.0 / den[0]
+    for k, pairs in enumerate(pair_table(index_set)):
+        acc = num[k].copy()
+        for coeff, b_slot, g_slot in pairs:
+            if b_slot == k:
+                continue
+            acc -= coeff * out[b_slot] * den[g_slot]
+        out[k] = acc * inv
+    return out
+
+
+@lru_cache(maxsize=None)
+def _model(variant, order):
+    return make_model(cells=24, order=order, variant=variant)
+
+
+class TestObservationJetPaths:
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        ys=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
+        theta=st.tuples(st.floats(0.25, 1.45), st.floats(0.25, 1.45)),
+    )
+    def test_point_and_grid_paths_match_the_reference(self, variant, order, ys, theta):
+        model = _model(variant, order)
+        iset = model.index_set()
+        x = model.grid.axis(0)
+        on_grid = model.observation_grid_factory(theta, iset)
+        for y in ys:
+            reference = _reference_observation_jet(model, theta, y, x, iset)
+            assert np.array_equal(model.observation_jet(theta, y, x, iset), reference)
+            assert np.array_equal(on_grid(y), reference)
+        column = np.asarray(ys)[:, None]
+        for states in (x[None, :], x):
+            reference = _reference_observation_jet(model, theta, column, states, iset)
+            assert np.array_equal(model.observation_jet(theta, column, states, iset), reference)
 
 
 class TestSimulate:
@@ -223,6 +281,24 @@ class TestSimulate:
         pi_cells = pi.density * grid.weights
         tv = 0.5 * np.sum(np.abs(empirical - pi_cells))
         assert tv <= 0.05
+
+    def test_accepted_draws_follow_the_rejection_stream(self, model32, theta):
+        # one standard normal per trial, first accepted draw returned
+        rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+        lo, hi = model32.grid.bounds[0]
+        for x in np.linspace(-3.0, 3.0, 25):
+            loc = model32._scalar_location(model32.drift_features, theta, float(x))
+            while True:
+                expected = loc + model32.trans_scale * replay.standard_normal()
+                if lo <= expected <= hi:
+                    break
+            assert model32.transition_sample(theta, x, rng) == expected
+
+    def test_sampler_cap_names_box_and_location(self, theta, monkeypatch):
+        monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 1000)
+        model = make_model(obs_box=(5.0, 6.0), obs_scale=0.1)
+        with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0"):
+            model.observation_sample(theta, 0.0, np.random.default_rng(0))
 
     def test_requires_probability_initial_law(self, model32, theta):
         bad = GridMeasure(np.full(model32.grid.size, 2.0), model32.grid)

@@ -143,10 +143,6 @@ class TestStationaryLaw:
         assert tv_norm(result.law - uniform) <= 1e-8
         assert result.second_eigenvalue <= 1e-8
 
-    def test_requires_model_grid(self, model32, model8, theta):
-        with pytest.raises(ValueError):
-            stationary_law(model32, theta, grid=model8.grid)
-
 
 class TestOracleAgreement:
     def test_twenty_random_draws(self, model8):
