@@ -51,31 +51,28 @@ _FEATURE_SCALARS = {
 }
 
 
-def _gauss_ratio_derivs(z: np.ndarray, order: int) -> list[np.ndarray]:
-    """pdf^(k)(z) / pdf(z) for the standard normal, orders 0..order.
+def _gauss_ratio_derivs(z: np.ndarray, order: int) -> np.ndarray:
+    """(order + 1, ...) ratios pdf^(k)(z) / pdf(z) for the standard normal.
 
     These are signed Hermite polynomials via the recurrence
-    He_{k+1} = z He_k - k He_{k-1}; they stay representable even where
+    r_(k+1) = -z r_k - k r_(k-1); they stay representable even where
     the pdf itself underflows.
     """
     z = np.asarray(z, dtype=float)
-    out = [np.ones_like(z)]
-    if order == 0:
-        return out
-    he_prev = out[0]
-    he = z + 0.0
-    out.append(-he)
-    for k in range(1, order):
-        he, he_prev = z * he - k * he_prev, he
-        sign = -1.0 if (k + 1) % 2 else 1.0
-        out.append(sign * he)
+    out = np.empty((order + 1,) + z.shape)
+    out[0] = 1.0
+    for k in range(order):
+        out[k + 1] = -z * out[k]
+        if k:
+            out[k + 1] -= k * out[k - 1]
     return out
 
 
-def _gauss_pdf_derivs(z: np.ndarray, order: int) -> list[np.ndarray]:
-    """Derivatives of the standard normal pdf at z, orders 0..order."""
-    pdf = np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / _SQRT_2PI
-    return [r * pdf for r in _gauss_ratio_derivs(z, order)]
+def _gauss_pdf_derivs(z: np.ndarray, order: int) -> np.ndarray:
+    """(order + 1, ...) derivatives of the standard normal pdf at z."""
+    out = _gauss_ratio_derivs(z, order)
+    out *= np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / _SQRT_2PI
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,23 +181,27 @@ class ModelSpec(abc.ABC):
         return enumerate_indices(self.dim_theta, self.max_order if order is None else order)
 
 
-def _quotient_jet(num: np.ndarray, den: np.ndarray, index_set: IndexSet) -> np.ndarray:
-    """Jet of num/den from the jets of num and den (recursion in degree).
+def _quotient_degrees(num: np.ndarray, den) -> np.ndarray:
+    """Derivatives 0..order of num / den in one variable, from those of num and den.
 
-    den may have fewer axes than num; its axes after the slot axis align
-    with the trailing axes of num.
+    Solves the Leibniz rule N_d = sum_j C(d, j) G_j D_(d-j) for G_d in
+    increasing degree, overwriting num with the G_d.  den may list fewer
+    derivatives than num; the missing ones are zero.
     """
-    if den.ndim < num.ndim:
-        den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
-    out = np.empty_like(np.broadcast_arrays(num, den)[0])
     inv = 1.0 / den[0]
-    for k, pairs in enumerate(pair_table(index_set)):
-        acc = num[k].copy()
-        for coeff, b_slot, g_slot in pairs:
-            if b_slot == k:
-                continue
-            acc -= coeff * out[b_slot] * den[g_slot]
-        out[k] = acc * inv
+    scaled = [d_k * inv for d_k in den]
+    for d, acc in enumerate(num):
+        acc *= inv
+        for j in range(max(0, d + 1 - len(den)), d):
+            acc -= (math.comb(d, j) * scaled[d - j]) * num[j]
+    return num
+
+
+def _expand_degrees(by_degree, factors: np.ndarray, index_set: IndexSet) -> np.ndarray:
+    """(K, ...) jet whose slot a is by_degree[|a|] times factors[a]."""
+    out = np.empty((len(index_set),) + by_degree[0].shape)
+    for k, degree in enumerate(index_set.degrees):
+        np.multiply(by_degree[degree], factors[k], out=out[k])
     return out
 
 
@@ -257,6 +258,8 @@ class TruncatedNonlinearModel(ModelSpec):
     obs_quad_cells: int = 161
     _obs_nodes: np.ndarray | None = field(default=None, repr=False)
     _obs_weights: np.ndarray | None = field(default=None, repr=False)
+    _drift_scalars: tuple = field(init=False, repr=False)
+    _obs_scalars: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.dim != 1:
@@ -281,6 +284,8 @@ class TruncatedNonlinearModel(ModelSpec):
             nodes = lo + h * (np.arange(n) + 0.5)
             object.__setattr__(self, "_obs_nodes", nodes)
             object.__setattr__(self, "_obs_weights", np.full(n, h))
+        for attr, names in (("_drift_scalars", self.drift_features), ("_obs_scalars", self.obs_features)):
+            object.__setattr__(self, attr, tuple(_FEATURE_SCALARS[n] for n in names))
 
     @property
     def dim_theta(self) -> int:
@@ -307,33 +312,28 @@ class TruncatedNonlinearModel(ModelSpec):
         theta = theta_array(theta)
         return np.tensordot(theta, self._features(self.obs_features, x), axes=1)
 
-    # -- unnormalized kernel jets ----------------------------------------------
+    # -- kernel jets by degree ------------------------------------------------
     def _location_jet(self, names, scale, theta, x, index_set, ratios=False):
-        """Evaluator target -> jet of pdf((target - theta . features(x)) / scale).
+        """(evaluator, factors) for the jet of pdf((target - theta . features(x)) / scale).
 
-        The standardized residual is affine in theta, so the mixed
-        derivative for index a is pdf^(|a|) times the product of the
-        per-coordinate slopes raised to the entries of a.  The features
-        and slope powers depend only on x and are built once; the target
-        broadcasts against x.  With ratios=True the jet is divided by its
-        own zero slot, which stays finite arbitrarily far into the tails.
+        The location is affine in theta, so the mixed derivative for
+        index a is pdf^(|a|) times factors[a], the product of the
+        per-coordinate slopes raised to the entries of a.  Only the
+        order + 1 Gaussian derivatives depend on the target; the
+        evaluator returns them by degree, with the target broadcast
+        against x.  With ratios=True they are divided by the pdf itself,
+        which stays finite arbitrarily far into the tails.
         """
         feats = self._features(names, x)
         location = np.tensordot(theta_array(theta), feats, axes=1)
         factors = _slope_powers(-feats / scale, index_set)
         derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
-        degrees = index_set.degrees
         order = index_set.order
 
         def at(target):
-            z = (np.asarray(target, dtype=float) - location) / scale
-            pdf = derivs(z, order)
-            out = np.empty((len(degrees),) + z.shape)
-            for k, degree in enumerate(degrees):
-                out[k] = pdf[degree] * factors[k]
-            return out
+            return derivs((np.asarray(target, dtype=float) - location) / scale, order)
 
-        return at
+        return at, factors
 
     def observation_score_jet(self, theta, y, x, index_set) -> np.ndarray:
         """Observation jet divided by the density itself (slot 0 becomes one).
@@ -345,30 +345,47 @@ class TruncatedNonlinearModel(ModelSpec):
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
         if self.obs_box is None:
-            return self._location_jet(
+            at, factors = self._location_jet(
                 self.obs_features, self.obs_scale, theta, x, index_set, ratios=True
-            )(y)
+            )
+            return _expand_degrees(at(y), factors, index_set)
         jet = self.observation_jet(theta, y, x, index_set)
         return jet / jet[0]
 
     # -- truncated densities ---------------------------------------------------
+    def _transition_quotient(self, num, on_nodes, factors, index_set) -> np.ndarray:
+        """Transition jet from the Gaussian derivatives by degree at the new states and the nodes.
+
+        The normalizer's derivatives are the grid quadrature of on_nodes
+        over its axis 1.  One tensordot over the whole stack keeps the
+        degree-0 rows first in one BLAS product, as they always were, so
+        slot 0 on the grid keeps its bits.
+        """
+        den = np.tensordot(on_nodes, self.grid.weights, axes=([1], [0]))
+        if np.any(den[0] <= 0.0):
+            raise ValueError("transition normalizer vanished on the grid")
+        return _expand_degrees(_quotient_degrees(num, den), factors, index_set)
+
     def transition_jet(self, theta, x_new, x_old, index_set) -> np.ndarray:
         """Transition-density jet at (x_new | x_old), renormalized on the grid."""
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
         x_old = np.asarray(x_old, dtype=float)
-        numerator = self._location_jet(
+        at, factors = self._location_jet(
             self.drift_features, self.trans_scale, theta, x_old, index_set
         )
         nodes = self.grid.axis(0).reshape((-1,) + (1,) * x_old.ndim)
-        den = np.tensordot(numerator(nodes), self.grid.weights, axes=([1], [0]))
-        if np.any(den[0] <= 0.0):
-            raise ValueError("transition normalizer vanished on the grid")
-        return _quotient_jet(numerator(x_new), den, index_set)
+        return self._transition_quotient(at(x_new), at(nodes), factors, index_set)
 
     def transition_grid_jet(self, theta, index_set) -> np.ndarray:
+        # The new states are the quadrature nodes, so one Gaussian
+        # evaluation on the N x N grid serves the numerator and the normalizer.
+        theta = self.validate_theta(theta)
+        self.validate_order(index_set.order)
         x = self.grid.axis(0)
-        return self.transition_jet(theta, x[:, None], x[None, :], index_set)
+        at, factors = self._location_jet(self.drift_features, self.trans_scale, theta, x, index_set)
+        on_grid = at(x[:, None])
+        return self._transition_quotient(on_grid, on_grid, factors, index_set)
 
     def _observation_evaluator(self, theta, x, index_set):
         """Evaluator y -> observation-density jet at the states x.
@@ -381,22 +398,21 @@ class TruncatedNonlinearModel(ModelSpec):
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
         x = np.asarray(x, dtype=float)
-        numerator = self._location_jet(self.obs_features, self.obs_scale, theta, x, index_set)
+        at, factors = self._location_jet(self.obs_features, self.obs_scale, theta, x, index_set)
         if self.obs_box is None:
             # Lebesgue normalizer over the real line: constant in theta.
-            den = np.zeros((len(index_set),) + x.shape)
-            den[0] = self.obs_scale
+            den = [self.obs_scale]
         else:
             nodes = self._obs_nodes.reshape((-1,) + (1,) * x.ndim)
-            den = np.tensordot(numerator(nodes), self._obs_weights, axes=([1], [0]))
+            den = np.tensordot(at(nodes), self._obs_weights, axes=([1], [0]))
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
 
-        def at(y):
+        def evaluate(y):
             self._check_obs_domain(y)
-            return _quotient_jet(numerator(y), den, index_set)
+            return _expand_degrees(_quotient_degrees(at(y), den), factors, index_set)
 
-        return at
+        return evaluate
 
     def observation_jet(self, theta, y, x, index_set) -> np.ndarray:
         """Observation-density jet at (y | x); y broadcasts against x."""
@@ -406,25 +422,30 @@ class TruncatedNonlinearModel(ModelSpec):
         return self._observation_evaluator(theta, self.grid.axis(0), index_set)
 
     def _check_obs_domain(self, y) -> None:
-        if self.obs_box is None:
-            return
-        lo, hi = self.obs_box
-        y = np.asarray(y, dtype=float)
-        if np.any(y < lo) or np.any(y > hi):
-            raise ValueError(f"observation outside the domain [{lo}, {hi}]")
+        # NaN fails every comparison.  A scalar y, one per filter step, skips NumPy.
+        lo, hi = self.obs_box or (-math.inf, math.inf)
+        if isinstance(y, float):
+            inside = lo <= y <= hi and math.isfinite(y)
+        else:
+            y = np.asarray(y, dtype=float)
+            inside = bool(np.all(np.isfinite(y) & (lo <= y) & (y <= hi)))
+        if not inside:
+            raise ValueError(f"observation {y!r} is not finite or lies outside [{lo}, {hi}]")
 
     # -- sampling ---------------------------------------------------------------
-    def _scalar_location(self, names, theta, x: float) -> float:
-        return float(
-            sum(t * _FEATURE_SCALARS[n](x) for t, n in zip(theta_array(theta), names))
-        )
+    def _scalar_location(self, features, theta, x: float) -> float:
+        """theta . features(x) for one state, summed left to right as Python floats."""
+        loc = 0.0
+        for t, f in zip(theta_array(theta).tolist(), features):
+            loc += t * f(x)
+        return loc
 
     def transition_sample(self, theta, x, rng) -> float:
-        loc = self._scalar_location(self.drift_features, theta, float(x))
+        loc = self._scalar_location(self._drift_scalars, theta, float(x))
         return _truncated_normal(loc, self.trans_scale, self.grid.bounds[0], rng)
 
     def observation_sample(self, theta, x, rng) -> float:
-        loc = self._scalar_location(self.obs_features, theta, float(x))
+        loc = self._scalar_location(self._obs_scalars, theta, float(x))
         if self.obs_box is None:
             return loc + self.obs_scale * rng.standard_normal()
         return _truncated_normal(loc, self.obs_scale, self.obs_box, rng)

@@ -3,6 +3,7 @@ import pytest
 
 from filterjet import GridMeasure, StateGrid, TruncatedNonlinearModel, embed
 from filterjet.models import ModelSpec
+from filterjet.multiindex import pair_table
 
 
 def make_model(cells=32, order=2, variant="compact", drift=("tanh", "zero"),
@@ -53,6 +54,27 @@ def random_l0(model, index_set, rng, derivative_scale=1.0):
     from filterjet import VectorMeasure
 
     return VectorMeasure(components, index_set, grid)
+
+
+def kslot_quotient_jet(num, den, index_set):
+    """Jet of num/den slot by slot from the jets of num and den (recursion in degree).
+
+    The general multi-index quotient, with one Leibniz sum per slot;
+    den may have fewer axes than num, its axes after the slot axis
+    aligning with the trailing axes of num.
+    """
+    if den.ndim < num.ndim:
+        den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
+    out = np.empty_like(np.broadcast_arrays(num, den)[0])
+    inv = 1.0 / den[0]
+    for k, pairs in enumerate(pair_table(index_set)):
+        acc = num[k].copy()
+        for coeff, b_slot, g_slot in pairs:
+            if b_slot == k:
+                continue
+            acc -= coeff * out[b_slot] * den[g_slot]
+        out[k] = acc * inv
+    return out
 
 
 def uniform_embedding(model, order=None):

@@ -23,6 +23,7 @@ from filterjet import (
     total_mass,
     tv_norm,
 )
+from filterjet import filtering
 from filterjet.experiments import log_linear_fit
 from filterjet.multiindex import enumerate_indices
 
@@ -170,6 +171,37 @@ class TestFilterStep:
             masses = out.masses()
             assert abs(masses[0] - 1.0) <= 1e-10
             assert np.max(np.abs(masses[1:])) <= 1e-10
+
+    def test_scaled_derivative_slots_do_not_abort(self, theta):
+        # valid inputs whose derivative slots are 1e4 times larger: rounding
+        # alone exceeded an absolute 1e-10 in 29 of these 30 steps
+        model = make_model(cells=64, order=2)
+        iset = model.index_set()
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            measure = random_l0(model, iset, rng, derivative_scale=1e4)
+            out = filter_step(model, theta, rng.uniform(-5, 5), measure)
+            tv = np.abs(out.components) @ model.grid.weights
+            assert abs(out.masses()[0] - 1.0) <= 1e-10
+            assert np.all(np.abs(out.masses()[1:]) <= 1e-10 * tv[1:])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_corrupted_recentering_trips_the_guard(self, model32, theta, iset, scale, monkeypatch):
+        # one recentering coefficient of slot 1 off by 1e-6 leaves mass behind
+        filtering._update_plan(iset)  # cached before pair_table is patched
+        table = filtering.pair_table(iset)
+
+        def corrupted(index_set):
+            rows = [list(row) for row in table]
+            coeff, b_slot, g_slot = rows[1][0]
+            rows[1][0] = (coeff * (1.0 + 1e-6), b_slot, g_slot)
+            return rows
+
+        measure = random_l0(model32, iset, np.random.default_rng(2), derivative_scale=scale)
+        filter_step(model32, theta, 0.3, measure)
+        monkeypatch.setattr(filtering, "pair_table", corrupted)
+        with pytest.raises(MassInvariantError, match="mass drifts"):
+            filter_step(model32, theta, 0.3, measure)
 
     def test_projective_invariance_of_posterior(self, model32, theta):
         # the normalized zero-slot update ignores positive rescaling of the

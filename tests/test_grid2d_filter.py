@@ -21,8 +21,10 @@ from filterjet import (
     filter_step,
     loglik_jet,
 )
-from filterjet.models import ModelSpec, _gauss_pdf_derivs, _quotient_jet
+from filterjet.models import ModelSpec, _gauss_pdf_derivs
 from filterjet.multiindex import enumerate_indices, pair_table
+
+from conftest import kslot_quotient_jet
 
 
 class PlanarTanhModel(ModelSpec):
@@ -75,7 +77,7 @@ class PlanarTanhModel(ModelSpec):
         )
         den = np.tensordot(node_jet, self.grid.weights, axes=([1], [0]))
         assert np.all(den[0] > 0.0)
-        return _quotient_jet(num, den, index_set)
+        return kslot_quotient_jet(num, den, index_set)
 
     def observation_grid_factory(self, theta, index_set):
         theta = self.validate_theta(theta)

@@ -226,6 +226,13 @@ class TestLogLikJet:
         with pytest.raises(ValueError):
             loglik_jet(model32, theta, [], GridMeasure.uniform(model32.grid))
 
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_is_rejected(self, theta, variant, bad):
+        model = make_model(cells=16, variant=variant)
+        with pytest.raises(ValueError, match="observation"):
+            loglik_jet(model, theta, [0.1, bad, 0.2], GridMeasure.uniform(model.grid))
+
 
 @pytest.fixture(scope="module")
 def small():

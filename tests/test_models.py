@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -17,10 +18,9 @@ from filterjet import (
     stationary_law,
 )
 from filterjet import models
-from filterjet.models import _gauss_pdf_derivs
-from filterjet.multiindex import enumerate_indices, pair_table
+from filterjet.multiindex import enumerate_indices
 
-from conftest import THETA, make_model
+from conftest import THETA, kslot_quotient_jet, make_model
 
 
 class TestParameterPoint:
@@ -166,77 +166,168 @@ class TestTruncatedDensities:
                 assert mat.min() > 0.0
 
 
-def _reference_observation_jet(model, theta, y, x, index_set):
-    """The general observation-jet path as it stood before it shared the grid evaluator.
+FEATURE_SETS = {
+    "default": {},
+    "zero-one": {
+        "drift": ("tanh", "one", "zero"),
+        "obs": ("zero", "one", "linear"),
+        "theta_box": ((0.2, 1.5),) * 3,
+    },
+}
 
-    Numerator jet of the location density, then the truncation normalizer
-    jet by quadrature over the observation box, then the quotient
-    recursion, all written out separately.
-    """
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
 
-    def location_jet(target):
-        feats = model._features(model.obs_features, x)
-        location = np.tensordot(theta, feats, axes=1)
-        z = (np.asarray(target, dtype=float) - location) / model.obs_scale
-        pdf_derivs = _gauss_pdf_derivs(z, index_set.order)
-        slopes = -feats / model.obs_scale
+def _hermite_ratios(z, order):
+    """pdf^(k)(z) / pdf(z) for k = 0..order, signed Hermite polynomials
+    from He_(k+1) = z He_k - k He_(k-1)."""
+    out = [np.ones_like(z)]
+    he_prev, he = out[0], z + 0.0
+    for k in range(order):
+        out.append(he if k % 2 else -he)
+        he, he_prev = z * he - (k + 1) * he_prev, he
+    return out
+
+
+def _reference_location_jet(theta, feats, scale, index_set):
+    """Evaluator target -> (K, ...) jet of pdf((target - theta . feats) / scale), slot by slot."""
+    location = np.tensordot(np.asarray(theta, dtype=float), feats, axes=1)
+    slopes = -feats / scale
+
+    def at(target):
+        z = (np.asarray(target, dtype=float) - location) / scale
+        pdf = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+        pdf_derivs = [r * pdf for r in _hermite_ratios(z, index_set.order)]
         out = np.empty((len(index_set),) + z.shape)
         for k, alpha in enumerate(index_set.indices):
-            factor = np.ones_like(x)
+            factor = np.ones(feats.shape[1:])
             for i, a_i in enumerate(alpha):
                 if a_i:
                     factor = factor * slopes[i] ** a_i
             out[k] = pdf_derivs[alpha.degree] * factor
         return out
 
-    num = location_jet(y)
+    return at
+
+
+def _reference_transition_jet(model, theta, x_new, x_old, index_set):
+    """The transition jet built slot by slot: K numerator slots at the new
+    states and on the grid nodes, the normalizer jet by quadrature, then
+    the multi-index quotient recursion."""
+    x_old = np.asarray(x_old, dtype=float)
+    feats = model._features(model.drift_features, x_old)
+    at = _reference_location_jet(theta, feats, model.trans_scale, index_set)
+    nodes = model.grid.axis(0).reshape((-1,) + (1,) * x_old.ndim)
+    den = np.tensordot(at(nodes), model.grid.weights, axes=([1], [0]))
+    return kslot_quotient_jet(at(x_new), den, index_set)
+
+
+def _reference_observation_jet(model, theta, y, x, index_set):
+    """The observation jet built slot by slot, as for the transition, with
+    the truncation normalizer by quadrature over the observation box."""
+    x = np.asarray(x, dtype=float)
+    feats = model._features(model.obs_features, x)
+    at = _reference_location_jet(theta, feats, model.obs_scale, index_set)
     if model.obs_box is None:
         den = np.zeros((len(index_set),) + x.shape)
         den[0] = model.obs_scale
     else:
         nodes = model._obs_nodes.reshape((-1,) + (1,) * x.ndim)
-        den = np.tensordot(location_jet(nodes), model._obs_weights, axes=([1], [0]))
-    den = den.reshape(den.shape[:1] + (1,) * (num.ndim - den.ndim) + den.shape[1:])
-    out = np.empty_like(np.broadcast_arrays(num, den)[0])
-    inv = 1.0 / den[0]
-    for k, pairs in enumerate(pair_table(index_set)):
-        acc = num[k].copy()
-        for coeff, b_slot, g_slot in pairs:
-            if b_slot == k:
-                continue
-            acc -= coeff * out[b_slot] * den[g_slot]
-        out[k] = acc * inv
-    return out
+        den = np.tensordot(at(nodes), model._obs_weights, axes=([1], [0]))
+    return kslot_quotient_jet(at(y), den, index_set)
+
+
+def _assert_matches_reference(jet, reference, slot0_exact=True):
+    # Slot 0 takes the same operations in the same order, so it is bit for
+    # bit equal; higher slots sum the same terms grouped by degree instead
+    # of by multi-index, which moves float64 rounding only.  Without
+    # slot0_exact, slot 0 may differ by rounding: a BLAS dot product rounds
+    # the last rows of a product whose row count is not a multiple of four
+    # differently, and the normalizer's row count is (order + 1) times the
+    # number of old states, where the reference's is K times that.
+    assert jet.shape == reference.shape
+    if slot0_exact:
+        assert np.array_equal(jet[0], reference[0])
+    else:
+        assert np.max(np.abs(jet[0] - reference[0])) <= 1e-15 * np.max(np.abs(reference[0]))
+    for k in range(1, len(reference)):
+        scale = np.max(np.abs(reference[k]))
+        assert np.max(np.abs(jet[k] - reference[k])) <= 1e-13 * scale
 
 
 @lru_cache(maxsize=None)
-def _model(variant, order):
-    return make_model(cells=24, order=order, variant=variant)
+def _model(variant, order, cells=24, features="default"):
+    return make_model(cells=cells, order=order, variant=variant, **FEATURE_SETS[features])
+
+
+THETAS = st.lists(st.floats(0.25, 1.45), min_size=3, max_size=3)
+
+
+class TestTransitionJetPaths:
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [24, 33])
+    @pytest.mark.parametrize("features", ["default", "zero-one"])
+    @settings(max_examples=10, deadline=None)
+    # old states on a 0.01 lattice: a subnormal state makes slots that
+    # underflow, where a relative tolerance means nothing
+    @given(theta=THETAS, x_off=st.lists(st.integers(-300, 300).map(lambda i: i / 100), min_size=1, max_size=3))
+    def test_grid_and_point_paths_match_the_reference(
+        self, variant, order, cells, features, theta, x_off
+    ):
+        model = _model(variant, order, cells, features)
+        theta = theta[: model.dim_theta]
+        iset = model.index_set()
+        x = model.grid.axis(0)
+        on_grid = model.transition_grid_jet(theta, iset)
+        _assert_matches_reference(
+            on_grid, _reference_transition_jet(model, theta, x[:, None], x[None, :], iset)
+        )
+        assert np.array_equal(model.transition_jet(theta, x[:, None], x[None, :], iset), on_grid)
+        # off the grid: new states against a column of old states
+        column = np.asarray(x_off)[:, None]
+        _assert_matches_reference(
+            model.transition_jet(theta, x, column, iset),
+            _reference_transition_jet(model, theta, x, column, iset),
+            slot0_exact=False,
+        )
+
+
+def _check_observation_paths(model, ys, theta):
+    theta = theta[: model.dim_theta]
+    iset = model.index_set()
+    x = model.grid.axis(0)
+    on_grid = model.observation_grid_factory(theta, iset)
+    for y in ys:
+        jet = on_grid(y)
+        _assert_matches_reference(jet, _reference_observation_jet(model, theta, y, x, iset))
+        assert np.array_equal(model.observation_jet(theta, y, x, iset), jet)
+    column = np.asarray(ys)[:, None]
+    for states in (x[None, :], x):
+        _assert_matches_reference(
+            model.observation_jet(theta, column, states, iset),
+            _reference_observation_jet(model, theta, column, states, iset),
+        )
+
+
+OBSERVATIONS = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4)
 
 
 class TestObservationJetPaths:
     @pytest.mark.parametrize("variant", ["compact", "gaussian"])
     @pytest.mark.parametrize("order", [1, 2, 3])
     @settings(max_examples=20, deadline=None)
-    @given(
-        ys=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
-        theta=st.tuples(st.floats(0.25, 1.45), st.floats(0.25, 1.45)),
-    )
+    @given(ys=OBSERVATIONS, theta=THETAS)
     def test_point_and_grid_paths_match_the_reference(self, variant, order, ys, theta):
-        model = _model(variant, order)
-        iset = model.index_set()
-        x = model.grid.axis(0)
-        on_grid = model.observation_grid_factory(theta, iset)
-        for y in ys:
-            reference = _reference_observation_jet(model, theta, y, x, iset)
-            assert np.array_equal(model.observation_jet(theta, y, x, iset), reference)
-            assert np.array_equal(on_grid(y), reference)
-        column = np.asarray(ys)[:, None]
-        for states in (x[None, :], x):
-            reference = _reference_observation_jet(model, theta, column, states, iset)
-            assert np.array_equal(model.observation_jet(theta, column, states, iset), reference)
+        _check_observation_paths(_model(variant, order), ys, theta)
+
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("cells, features", [(33, "default"), (24, "zero-one"), (33, "zero-one")])
+    @settings(max_examples=10, deadline=None)
+    @given(ys=OBSERVATIONS, theta=THETAS)
+    def test_odd_grid_and_zero_one_features_match_the_reference(
+        self, variant, order, cells, features, ys, theta
+    ):
+        _check_observation_paths(_model(variant, order, cells, features), ys, theta)
 
 
 class TestSimulate:
@@ -287,7 +378,7 @@ class TestSimulate:
         rng, replay = np.random.default_rng(3), np.random.default_rng(3)
         lo, hi = model32.grid.bounds[0]
         for x in np.linspace(-3.0, 3.0, 25):
-            loc = model32._scalar_location(model32.drift_features, theta, float(x))
+            loc = model32._scalar_location(model32._drift_scalars, theta, float(x))
             while True:
                 expected = loc + model32.trans_scale * replay.standard_normal()
                 if lo <= expected <= hi:
