@@ -15,9 +15,7 @@ from .grid import (
     VectorMeasure,
     embed,
     measure_distance,
-    total_mass,
     tv_norm,
-    vector_norm,
 )
 from .models import (
     AssumptionConstants,

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import KernelCache, PredictiveMassError, filter_iterate, filter_step
+from .filtering import KernelCache, _indexed_step, filter_iterate
 from .grid import GridMeasure, VectorMeasure, embed, measure_distance
 from .models import ModelSpec, simulate
 from .multiindex import MultiIndex
@@ -243,8 +243,9 @@ def ergodicity_experiment(
     if record_ns.size == 0 or record_ns[0] < 0:
         raise ValueError("record_ns must be non-negative")
     n_max = int(record_ns[-1])
-    index_set = initial_conditions[0][2].index_set
-    cache = KernelCache(model, theta, index_set)
+    if len(initial_conditions) == 0:
+        raise ValueError("initial_conditions must name at least one start point")
+    cache = KernelCache(model, theta, initial_conditions[0][2].index_set)
 
     samples = np.empty((len(initial_conditions), record_ns.size, replicas))
     for z_idx, (x0, y0, measure0) in enumerate(initial_conditions):
@@ -261,10 +262,7 @@ def ergodicity_experiment(
                 x_new = model.transition_sample(theta, x, rng)
                 y_new = model.observation_sample(theta, x_new, rng)
                 update_with = y_new if chain == "aligned" else y
-                try:
-                    measure = filter_step(model, theta, update_with, measure, cache=cache)
-                except PredictiveMassError as err:
-                    raise PredictiveMassError(err.mass, observation_index=n + 1) from err
+                measure = _indexed_step(cache, update_with, measure, n + 1)[0]
                 x, y = x_new, y_new
 
     estimates = samples.mean(axis=2)

@@ -126,9 +126,18 @@ def _prediction_update(cache: KernelCache, y, weighted: np.ndarray) -> np.ndarra
 def _normalized_update(cache: KernelCache, y, measure: VectorMeasure) -> tuple[np.ndarray, float]:
     """Prediction-update of every slot divided by the slot-0 predictive mass.
 
-    Raises PredictiveMassError when that mass is not above PREDICTIVE_FLOOR.
+    The one input check of a step: the measure must use the cache's
+    index set and grid, and its slot 0 must be a probability.  Raises
+    ValueError otherwise, and PredictiveMassError when the predictive
+    mass is not above PREDICTIVE_FLOOR.
     """
     grid = measure.grid
+    if measure.index_set != cache.index_set:
+        raise ValueError("measure index set differs from the kernel cache's")
+    if not grid.compatible(cache.grid):
+        raise ValueError("measure grid differs from the model grid")
+    if not measure.is_l0(tol=1e-8):
+        raise ValueError("vector measure is not in the recursion state space (slot 0 must be a probability)")
     update = _prediction_update(cache, y, measure.components * grid.weights)
     predictive = float(np.dot(update[0], grid.weights))
     if not predictive > PREDICTIVE_FLOOR:
@@ -146,7 +155,6 @@ def apply_R(model: ModelSpec, alpha, theta, y, lam: GridMeasure) -> GridMeasure:
     model.validate_order(alpha.degree)
     if not lam.grid.compatible(model.grid):
         raise ValueError("measure grid differs from the model grid")
-    theta = model.validate_theta(theta)
     iset = enumerate_indices(model.dim_theta, alpha.degree)
     weighted = np.zeros((len(iset), lam.grid.size))
     weighted[0] = lam.density * lam.grid.weights
@@ -154,26 +162,18 @@ def apply_R(model: ModelSpec, alpha, theta, y, lam: GridMeasure) -> GridMeasure:
     return GridMeasure(update[iset.slot(alpha)], lam.grid)
 
 
-def _require_l0(measure: VectorMeasure) -> None:
-    if not measure.is_l0(tol=1e-8):
-        raise ValueError("vector measure is not in the recursion state space (slot 0 must be a probability)")
+def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
+    """One step of the derivative filter; every filter pass runs this function.
 
-
-def _step_core(model: ModelSpec, theta, y, measure: VectorMeasure, cache: KernelCache | None):
-    """One validated filter step, shared by both public step functions.
-
-    Returns (updated measure, s_masses, predictive_mass) where s_masses[k]
-    is the total mass of the k-th normalized prediction-update and
+    Returns (updated measure, s_masses, predictive_mass): s_masses[k] is
+    the total mass of the k-th normalized prediction-update and
     predictive_mass the unnormalized slot-0 mass that normalizes
-    everything.
+    everything.  The measure must use the cache's index set and grid
+    and have a probability in slot 0 (ValueError otherwise).  Slot 0
+    becomes the Bayes-updated probability measure; each higher slot is
+    its prediction-update minus the binomial-weighted recentering by
+    lower slots, evaluated in increasing degree.
     """
-    _require_l0(measure)
-    if cache is None:
-        cache = KernelCache(model, theta, measure.index_set)
-    elif cache.index_set != measure.index_set or not np.array_equal(
-        cache.theta, model.validate_theta(theta)
-    ):
-        raise ValueError("cache was built for a different index set or parameter")
     s_dens, predictive = _normalized_update(cache, y, measure)
     s_masses = s_dens @ measure.grid.weights
     # Recenter in place in increasing degree, so every slot b < k is final;
@@ -204,6 +204,22 @@ def _check_masses(components: np.ndarray, grid: StateGrid) -> None:
         )
 
 
+def _indexed_step(cache: KernelCache, y, measure: VectorMeasure, observation_index: int):
+    """filter_step_with_scalars, with a predictive-mass abort naming its observation."""
+    try:
+        return filter_step_with_scalars(cache, y, measure)
+    except PredictiveMassError as err:
+        raise PredictiveMassError(err.mass, observation_index=observation_index) from err
+
+
+def _observation_block(observations) -> np.ndarray:
+    """Observations as a 1-D float array; ValueError for any other shape."""
+    block = np.atleast_1d(np.asarray(observations, dtype=float))
+    if block.ndim != 1:
+        raise ValueError(f"observations must be one-dimensional, got shape {block.shape}")
+    return block
+
+
 def compute_s(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> GridMeasure:
     """Normalized multi-derivative prediction-update (before recentering).
 
@@ -211,35 +227,24 @@ def compute_s(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> Grid
     kernel updates of slot beta, all divided by the slot-0 predictive
     mass.
     """
-    alpha = MultiIndex(alpha)
-    model.validate_order(alpha.degree)
-    _require_l0(measure)
-    if not measure.grid.compatible(model.grid):
-        raise ValueError("measure grid differs from the model grid")
+    slot = measure.index_set.slot(alpha)
     s_dens, _ = _normalized_update(KernelCache(model, theta, measure.index_set), y, measure)
-    return GridMeasure(s_dens[measure.index_set.slot(alpha)], measure.grid)
+    return GridMeasure(s_dens[slot], measure.grid)
 
 
 def filter_step(
     model: ModelSpec, theta, y, measure: VectorMeasure, cache: KernelCache | None = None
 ) -> VectorMeasure:
-    """One full step of the derivative filter.
+    """One full step of the derivative filter (see filter_step_with_scalars).
 
-    Slot 0 becomes the Bayes-updated probability measure; each higher
-    slot is its prediction-update minus the binomial-weighted recentering
-    by lower slots, evaluated in increasing degree.
+    Builds the kernel cache for (model, theta) unless one built for
+    theta is given.
     """
-    return _step_core(model, theta, y, measure, cache)[0]
-
-
-def filter_step_with_scalars(
-    model: ModelSpec, theta, y, measure: VectorMeasure, cache: KernelCache | None = None
-):
-    """Filter step plus the per-step scalars shared with the jet recursion.
-
-    Returns (updated measure, s_masses, predictive_mass).
-    """
-    return _step_core(model, theta, y, measure, cache)
+    if cache is None:
+        cache = KernelCache(model, theta, measure.index_set)
+    elif not np.array_equal(cache.theta, model.validate_theta(theta)):
+        raise ValueError("cache was built for a different parameter")
+    return filter_step_with_scalars(cache, y, measure)[0]
 
 
 def filter_iterate(
@@ -252,27 +257,21 @@ def filter_iterate(
 ) -> FilterState:
     """Fold the filter step over an observation block.
 
-    An empty block returns the initial condition unchanged.  With
-    keep_history, every intermediate vector measure (including the
-    initial one) is retained.
+    An empty block runs no step, so it returns the initial condition
+    unchanged and unchecked.  With keep_history, every intermediate
+    vector measure (including the initial one) is retained.
     """
-    _require_l0(measure)
-    theta_arr = model.validate_theta(theta)
-    observations = np.atleast_1d(np.asarray(observations, dtype=float))
-    cache = KernelCache(model, theta_arr, measure.index_set)
-    history = [measure] if keep_history else None
-    current = measure
+    cache = KernelCache(model, theta, measure.index_set)
+    observations = _observation_block(observations)
+    history = [measure]
     for j, y in enumerate(observations):
-        try:
-            current = filter_step(model, theta_arr, y, current, cache=cache)
-        except PredictiveMassError as err:
-            raise PredictiveMassError(err.mass, observation_index=origin + j + 1) from err
+        measure = _indexed_step(cache, y, measure, origin + j + 1)[0]
         if keep_history:
-            history.append(current)
+            history.append(measure)
     return FilterState(
-        measure=current,
+        measure=measure,
         step=origin + len(observations),
         origin=origin,
-        theta=theta_arr,
+        theta=cache.theta,
         history=tuple(history) if keep_history else None,
     )

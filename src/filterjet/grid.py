@@ -226,16 +226,6 @@ def tv_norm(measure: GridMeasure) -> float:
     return measure.tv_norm()
 
 
-def total_mass(measure: GridMeasure) -> float:
-    """Signed total mass: integral of the density."""
-    return measure.total_mass()
-
-
-def vector_norm(measure: VectorMeasure) -> float:
-    """Max over slots of the componentwise total variation norm."""
-    return measure.vector_norm()
-
-
 def embed(lam: GridMeasure, index_set: IndexSet) -> VectorMeasure:
     """Lift a probability measure: slot 0 carries it, every other slot is zero."""
     if not lam.is_probability():
@@ -256,8 +246,6 @@ __all__ = [
     "GridMeasure",
     "VectorMeasure",
     "tv_norm",
-    "total_mass",
-    "vector_norm",
     "embed",
     "measure_distance",
     "PROBABILITY_TOL",

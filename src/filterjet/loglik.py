@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import KernelCache, PredictiveMassError, _normalized_update, filter_step_with_scalars
+from .filtering import KernelCache, _indexed_step, _normalized_update, _observation_block
 from .grid import GridMeasure, VectorMeasure, embed
-from .models import ModelSpec, simulate, theta_array
+from .models import ModelSpec, simulate
 from .multiindex import IndexSet, MultiIndex, enumerate_indices, shifted_pair_table
 from .seeding import labeled_seed
 
@@ -52,22 +52,18 @@ def jet_increments_from_scalars(s_masses: np.ndarray, predictive: float, index_s
 
 def psi_zero(model: ModelSpec, theta, y, measure: VectorMeasure) -> float:
     """Log predictive mass of one observation given the current slot-0 law."""
-    theta = model.validate_theta(theta)
-    if not measure.is_l0(tol=1e-8):
-        raise ValueError("slot 0 must be a probability measure")
     _, predictive = _normalized_update(KernelCache(model, theta, measure.index_set), y, measure)
     return math.log(predictive)
 
 
 def psi_alpha(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> float:
     """One mixed derivative of the per-step log-likelihood increment."""
-    alpha = MultiIndex(alpha)
-    if alpha.degree < 1:
+    if MultiIndex(alpha).degree < 1:
         raise ValueError("use psi_zero for the zero index")
-    model.validate_order(alpha.degree)
-    _, s_masses, predictive = filter_step_with_scalars(model, theta, y, measure)
-    values = jet_increments_from_scalars(s_masses, predictive, measure.index_set)
-    return float(values[measure.index_set.slot(alpha)])
+    slot = measure.index_set.slot(alpha)
+    s_dens, predictive = _normalized_update(KernelCache(model, theta, measure.index_set), y, measure)
+    values = jet_increments_from_scalars(s_dens @ measure.grid.weights, predictive, measure.index_set)
+    return float(values[slot])
 
 
 def loglik_jet(
@@ -83,21 +79,15 @@ def loglik_jet(
     jet increments; slot 0 therefore equals the log joint observation
     density exactly (telescoping), and higher slots its derivatives.
     """
-    observations = np.atleast_1d(np.asarray(observations, dtype=float))
+    observations = _observation_block(observations)
     if observations.shape[0] < 1:
         raise ValueError("at least one observation is required")
-    theta = model.validate_theta(theta)
     measure = embed(lam0, model.index_set())
     cache = KernelCache(model, theta, measure.index_set)
     totals = np.zeros(len(measure.index_set))
     steps = np.empty((observations.shape[0], len(measure.index_set))) if keep_increments else None
     for j, y in enumerate(observations):
-        try:
-            measure, s_masses, predictive = filter_step_with_scalars(
-                model, theta, y, measure, cache=cache
-            )
-        except PredictiveMassError as err:
-            raise PredictiveMassError(err.mass, observation_index=j + 1) from err
+        measure, s_masses, predictive = _indexed_step(cache, y, measure, j + 1)
         increments = jet_increments_from_scalars(s_masses, predictive, measure.index_set)
         totals += increments
         if keep_increments:
@@ -205,10 +195,8 @@ def rml_demo(
     trace[0] = current
     projections = 0
     for k, y in enumerate(traj.observations):
-        try:
-            measure, s_masses, predictive = filter_step_with_scalars(model, current, y, measure)
-        except PredictiveMassError as err:
-            raise PredictiveMassError(err.mass, observation_index=k + 1) from err
+        cache = KernelCache(model, current, iset)
+        measure, s_masses, predictive = _indexed_step(cache, y, measure, k + 1)
         increments = jet_increments_from_scalars(s_masses, predictive, iset)
         gradient = increments[grad_slots]
         current = current + (step_a / (step_b + k)) * gradient

@@ -481,6 +481,8 @@ def simulate(model: ModelSpec, theta, lam0: GridMeasure, n: int, seed: int) -> T
     theta = model.validate_theta(theta)
     if not lam0.is_probability():
         raise ValueError("initial law must be a probability measure")
+    if not lam0.grid.compatible(model.grid):
+        raise ValueError("initial law grid differs from the model grid")
     rng = np.random.default_rng(seed)
     pmf = np.clip(lam0.density * lam0.grid.weights, 0.0, None)
     pmf = pmf / pmf.sum()

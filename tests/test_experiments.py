@@ -21,7 +21,6 @@ from filterjet import (
     simulate,
     state_projection_phi,
     stationary_law,
-    vector_norm,
 )
 from filterjet.experiments import PhiSpec, log_linear_fit
 from filterjet.multiindex import enumerate_indices
@@ -185,7 +184,7 @@ class TestPhiEnvelopes:
             b = random_l0(model32, iset2, rng, derivative_scale=2.0)
             x, y = rng.uniform(-3, 3), rng.uniform(-6, 6)
             for spec in specs:
-                na, nb = vector_norm(a), vector_norm(b)
+                na, nb = a.vector_norm(), b.vector_norm()
                 assert abs(spec(x, y, a)) <= spec.phi_bound * na**spec.growth_exponent + 1e-12
                 lhs = abs(spec(x, y, a) - spec(x, y, b))
                 rhs = (

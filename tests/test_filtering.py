@@ -20,7 +20,6 @@ from filterjet import (
     measure_distance,
     oracle_filter,
     simulate,
-    total_mass,
     tv_norm,
 )
 from filterjet import filtering
@@ -54,7 +53,7 @@ class TestApplyR:
         # column-mass bracket evaluated on the grid
         y = 0.5
         lam = GridMeasure.uniform(model32.grid)
-        mass = total_mass(apply_R(model32, (0, 0), theta, y, lam))
+        mass = apply_R(model32, (0, 0), theta, y, lam).total_mass()
         constants = assumption_constants(model32, [theta], [y])
         volume = model32.grid.volume
         assert constants.epsilon * volume <= mass <= volume / constants.epsilon
@@ -81,15 +80,15 @@ class TestApplyR:
 class TestTotalMass:
     def test_probability_and_negation(self, model32):
         lam = GridMeasure.uniform(model32.grid)
-        assert total_mass(lam) == pytest.approx(1.0, abs=1e-14)
-        assert total_mass(-1.0 * lam) == pytest.approx(-1.0, abs=1e-14)
+        assert lam.total_mass() == pytest.approx(1.0, abs=1e-14)
+        assert (-1.0 * lam).total_mass() == pytest.approx(-1.0, abs=1e-14)
 
     def test_normalized_update_has_unit_mass(self, model32, theta, iset):
         rng = np.random.default_rng(4)
         for _ in range(5):
             measure = random_l0(model32, iset, rng)
             s0 = compute_s(model32, (0, 0), theta, rng.uniform(-4, 4), measure)
-            assert total_mass(s0) == pytest.approx(1.0, abs=1e-12)
+            assert s0.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestComputeS:
@@ -97,7 +96,7 @@ class TestComputeS:
         lam = GridMeasure.uniform(model32.grid)
         measure = embed(lam, iset)
         y = -1.2
-        denom = total_mass(apply_R(model32, (0, 0), theta, y, lam))
+        denom = apply_R(model32, (0, 0), theta, y, lam).total_mass()
         for alpha in iset.indices:
             s = compute_s(model32, alpha, theta, y, measure)
             direct = apply_R(model32, alpha, theta, y, lam)
@@ -143,7 +142,7 @@ class TestFilterStep:
         s0 = compute_s(model32, (0, 0), theta, y, uniform_l0)
         for alpha in ((1, 0), (0, 1)):
             s_a = compute_s(model32, alpha, theta, y, uniform_l0)
-            expected = s_a.density - s0.density * total_mass(s_a)
+            expected = s_a.density - s0.density * s_a.total_mass()
             assert np.max(np.abs(out.component(alpha).density - expected)) <= 1e-12
 
     def test_single_step_derivative_identity(self, model32, theta, iset):
@@ -186,7 +185,12 @@ class TestFilterStep:
             assert np.all(np.abs(out.masses()[1:]) <= 1e-10 * tv[1:])
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
-    def test_corrupted_recentering_trips_the_guard(self, model32, theta, iset, scale, monkeypatch):
+    @pytest.mark.parametrize(
+        "run",
+        [filter_step, lambda model, theta, y, measure: filter_iterate(model, theta, [y], measure)],
+        ids=["filter_step", "filter_iterate"],
+    )
+    def test_corrupted_recentering_trips_the_guard(self, model32, theta, iset, run, scale, monkeypatch):
         # one recentering coefficient of slot 1 off by 1e-6 leaves mass behind
         filtering._update_plan(iset)  # cached before pair_table is patched
         table = filtering.pair_table(iset)
@@ -198,10 +202,10 @@ class TestFilterStep:
             return rows
 
         measure = random_l0(model32, iset, np.random.default_rng(2), derivative_scale=scale)
-        filter_step(model32, theta, 0.3, measure)
+        run(model32, theta, 0.3, measure)
         monkeypatch.setattr(filtering, "pair_table", corrupted)
         with pytest.raises(MassInvariantError, match="mass drifts"):
-            filter_step(model32, theta, 0.3, measure)
+            run(model32, theta, 0.3, measure)
 
     def test_projective_invariance_of_posterior(self, model32, theta):
         # the normalized zero-slot update ignores positive rescaling of the
@@ -287,11 +291,12 @@ class TestSharedScalars:
         rng = np.random.default_rng(8)
         measure = random_l0(model32, iset, rng)
         y = 0.7
-        _, s_masses, predictive = filter_step_with_scalars(model32, theta, y, measure)
+        cache = KernelCache(model32, theta, iset)
+        _, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
         for k, alpha in enumerate(iset.indices):
-            direct = total_mass(compute_s(model32, alpha, theta, y, measure))
+            direct = compute_s(model32, alpha, theta, y, measure).total_mass()
             assert s_masses[k] == pytest.approx(direct, rel=1e-12, abs=1e-12)
         lam0 = measure.component(iset.zero)
         assert predictive == pytest.approx(
-            total_mass(apply_R(model32, (0, 0), theta, y, lam0)), rel=1e-12
+            apply_R(model32, (0, 0), theta, y, lam0).total_mass(), rel=1e-12
         )

@@ -6,6 +6,7 @@ import pytest
 from filterjet import (
     FDScheme,
     GridMeasure,
+    KernelCache,
     PredictiveMassError,
     apply_R,
     avg_loglik_rate,
@@ -14,14 +15,15 @@ from filterjet import (
     fd_derivative,
     filter_iterate,
     filter_step,
+    filter_step_with_scalars,
     loglik_jet,
     oracle_log_likelihood,
     psi_alpha,
     psi_zero,
     rml_demo,
     simulate,
-    total_mass,
 )
+from filterjet.loglik import jet_increments_from_scalars
 from filterjet.models import ModelSpec
 from filterjet.multiindex import enumerate_indices
 
@@ -115,7 +117,7 @@ class TestPsiAlpha:
         measure = random_l0(model32, iset, rng)
         y = -0.6
         for alpha in ((1, 0), (0, 1)):
-            expected = total_mass(compute_s(model32, alpha, theta, y, measure))
+            expected = compute_s(model32, alpha, theta, y, measure).total_mass()
             assert psi_alpha(model32, alpha, theta, y, measure) == pytest.approx(
                 expected, rel=1e-12
             )
@@ -124,12 +126,22 @@ class TestPsiAlpha:
         lam = GridMeasure.uniform(model32.grid)
         measure = embed(lam, iset)
         y = 0.9
-        denom = total_mass(apply_R(model32, (0, 0), theta, y, lam))
+        denom = apply_R(model32, (0, 0), theta, y, lam).total_mass()
         for alpha in ((1, 0), (0, 1)):
-            num = total_mass(apply_R(model32, alpha, theta, y, lam))
+            num = apply_R(model32, alpha, theta, y, lam).total_mass()
             assert psi_alpha(model32, alpha, theta, y, measure) == pytest.approx(
                 num / denom, rel=1e-12
             )
+
+    def test_equals_the_core_increment_exactly(self, model32, theta, iset):
+        measure = random_l0(model32, iset, np.random.default_rng(6))
+        y = -0.4
+        cache = KernelCache(model32, theta, iset)
+        _, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
+        increments = jet_increments_from_scalars(s_masses, predictive, iset)
+        assert psi_zero(model32, theta, y, measure) == increments[0]
+        for k in range(1, len(iset)):
+            assert psi_alpha(model32, iset.indices[k], theta, y, measure) == increments[k]
 
     def test_zero_index_rejected(self, model32, theta, uniform_l0):
         with pytest.raises(ValueError):
@@ -161,7 +173,7 @@ class TestLogLikJet:
         lam = GridMeasure.uniform(model32.grid)
         y = 0.7
         jet = loglik_jet(model32, theta, [y], lam)
-        direct = math.log(total_mass(apply_R(model32, (0, 0), theta, y, lam)))
+        direct = math.log(apply_R(model32, (0, 0), theta, y, lam).total_mass())
         assert jet.values[0] == pytest.approx(direct, abs=1e-12)
 
     def test_matches_path_sum_oracle(self, model8, theta):

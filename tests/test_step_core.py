@@ -1,9 +1,10 @@
-"""The factored filter step against the assembled-matrix step it replaced.
+"""The filter-step core against its references and its consumers.
 
 The reference below builds the K joint-kernel matrices for every
 observation and applies them slot by slot.  The factored step must give
 the same Bayes filter and predictive mass bit for bit, and the same
-derivative slots up to rounding.
+derivative slots up to rounding.  The folds over an observation block
+must equal chained calls of the core bit for bit.
 """
 from functools import lru_cache
 
@@ -12,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filterjet import KernelCache, StateGrid, filter_step_with_scalars
+from filterjet import (
+    GridMeasure,
+    KernelCache,
+    StateGrid,
+    embed,
+    filter_iterate,
+    filter_step_with_scalars,
+    loglik_jet,
+)
+from filterjet.loglik import jet_increments_from_scalars
 from filterjet.multiindex import pair_table
 
 from conftest import THETA, make_model, random_l0
@@ -88,7 +98,7 @@ def cached_kernel(kind, cells, order):
 def test_factored_step_matches_assembled_kernels(kind, cells, order, seed, y):
     cache = cached_kernel(kind, cells, order)
     measure = random_l0(cache.model, cache.index_set, np.random.default_rng(seed))
-    out, s_masses, predictive = filter_step_with_scalars(cache.model, THETA, y, measure, cache=cache)
+    out, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
     ref, ref_masses, ref_predictive = reference_step(cache, y, measure)
     assert predictive == ref_predictive
     assert np.array_equal(out.components[0], ref[0])
@@ -96,3 +106,30 @@ def test_factored_step_matches_assembled_kernels(kind, cells, order, seed, y):
         scale = np.max(np.abs(ref[k]))
         assert np.max(np.abs(out.components[k] - ref[k])) <= SLOT_RTOL * scale
     assert np.allclose(s_masses, ref_masses, rtol=0.0, atol=SLOT_RTOL * np.max(np.abs(ref_masses)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("cells", [8, 24])
+@pytest.mark.parametrize("kind", ["line", "planar"])
+@settings(max_examples=5, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ys=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+)
+def test_folds_equal_chained_core_steps(kind, cells, order, seed, ys):
+    cache = cached_kernel(kind, cells, order)
+    model, iset = cache.model, cache.index_set
+    rng = np.random.default_rng(seed)
+    measure = random_l0(model, iset, rng)
+    history = filter_iterate(model, THETA, ys, measure, keep_history=True).history
+    chained = measure
+    for y, folded in zip(ys, history[1:]):
+        chained = filter_step_with_scalars(cache, y, chained)[0]
+        assert np.array_equal(folded.components, chained.components)
+
+    lam0 = random_l0(model, iset, rng).component(iset.zero)
+    increments = loglik_jet(model, THETA, ys, lam0, keep_increments=True).increments
+    chained = embed(lam0, iset)
+    for y, folded in zip(ys, increments):
+        chained, s_masses, predictive = filter_step_with_scalars(cache, y, chained)
+        assert np.array_equal(folded, jet_increments_from_scalars(s_masses, predictive, iset))
