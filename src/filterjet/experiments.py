@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import KernelCache, _indexed_step, filter_iterate
+from .filtering import KernelCache, _check_measure, _step, filter_iterate
 from .grid import GridMeasure, VectorMeasure, embed, measure_distance
 from .models import ModelSpec, simulate
 from .multiindex import MultiIndex
@@ -88,15 +88,26 @@ def forgetting_experiment(
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     fit_start, fit_stop = fit_window if fit_window is not None else (max(1, n_max // 4), n_max)
     traj = simulate(model, theta, lam0, n_max, seed=labeled_seed(seed, "forgetting-path"))
+    if not pairs:
+        return []
+
+    # Both members of every pair filter the shared path as one batch:
+    # rows 2i and 2i + 1 hold pair i.
+    members = [measure for pair in pairs for measure in pair]
+    cache = KernelCache(model, theta, members[0].index_set)
+    for measure in members:
+        _check_measure(measure, cache.index_set, cache.grid)
+    components = np.stack([measure.components for measure in members])
+    distances = np.empty((len(pairs), n_max))
+    for j in range(n_max):
+        ys = np.full(len(members), traj.observations[j])
+        components = _step(cache, ys, components, j + 1)[0]
+        gaps = np.abs(components[0::2] - components[1::2]) @ cache.grid.weights
+        distances[:, j] = gaps.max(axis=1)
 
     curves = []
-    for first, second in pairs:
-        state_a = filter_iterate(model, theta, traj.observations, first, keep_history=True)
-        state_b = filter_iterate(model, theta, traj.observations, second, keep_history=True)
+    for (first, second), distance in zip(pairs, distances):
         horizon = np.arange(1, n_max + 1)
-        distance = np.array(
-            [measure_distance(a, b) for a, b in zip(state_a.history[1:], state_b.history[1:])]
-        )
         degenerate = measure_distance(first, second) == 0.0
         truncated_at = None
         under = np.nonzero(distance < DISTANCE_FLOOR)[0]
@@ -232,7 +243,9 @@ def ergodicity_experiment(
 
     Replica streams are shared across start points (common random
     numbers), so the spread measures contraction instead of independent
-    Monte-Carlo noise; each estimate is still unbiased.
+    Monte-Carlo noise; each estimate is still unbiased.  The paths are
+    simulated first, then all starts x replicas filter as one batch; an
+    abort names the batch row s * replicas + r as its replica.
     """
     if replicas < 2:
         raise ValueError("at least two replicas are required")
@@ -246,24 +259,41 @@ def ergodicity_experiment(
     if len(initial_conditions) == 0:
         raise ValueError("initial_conditions must name at least one start point")
     cache = KernelCache(model, theta, initial_conditions[0][2].index_set)
+    starts = len(initial_conditions)
+    for _, _, measure0 in initial_conditions:
+        _check_measure(measure0, cache.index_set, cache.grid)
 
-    samples = np.empty((len(initial_conditions), record_ns.size, replicas))
-    for z_idx, (x0, y0, measure0) in enumerate(initial_conditions):
+    # Every (start, replica) path of (x, y), drawn from its replica's
+    # stream; row s * replicas + r holds replica r from start s.
+    xs = np.empty((starts * replicas, n_max + 1))
+    ys = np.empty_like(xs)
+    for z_idx, (x0, y0, _) in enumerate(initial_conditions):
         for r in range(replicas):
             rng = labeled_rng(seed, "ergodicity", r)
-            x, y, measure = float(x0), float(y0), measure0
-            t_idx = 0
-            for n in range(n_max + 1):
-                if t_idx < record_ns.size and n == record_ns[t_idx]:
-                    samples[z_idx, t_idx, r] = phi(x, y, measure)
-                    t_idx += 1
-                if n == n_max:
-                    break
-                x_new = model.transition_sample(theta, x, rng)
-                y_new = model.observation_sample(theta, x_new, rng)
-                update_with = y_new if chain == "aligned" else y
-                measure = _indexed_step(cache, update_with, measure, n + 1)[0]
-                x, y = x_new, y_new
+            row = z_idx * replicas + r
+            x, y = float(x0), float(y0)
+            xs[row, 0], ys[row, 0] = x, y
+            for n in range(1, n_max + 1):
+                x = model.transition_sample(theta, x, rng)
+                y = model.observation_sample(theta, x, rng)
+                xs[row, n], ys[row, n] = x, y
+    # The aligned chain updates with the fresh observation, the shifted one
+    # with the observation already in the state.
+    update_with = ys[:, 1:] if chain == "aligned" else ys[:, :-1]
+
+    components = np.repeat([m.components for _, _, m in initial_conditions], replicas, axis=0)
+    samples = np.empty((starts, record_ns.size, replicas))
+    t_idx = 0
+    for n in range(n_max + 1):
+        if t_idx < record_ns.size and n == record_ns[t_idx]:
+            for row, (x, y) in enumerate(zip(xs[:, n].tolist(), ys[:, n].tolist())):
+                z_idx, r = divmod(row, replicas)
+                measure0 = initial_conditions[z_idx][2]
+                view = VectorMeasure(components[row], measure0.index_set, measure0.grid)
+                samples[z_idx, t_idx, r] = phi(x, y, view)
+            t_idx += 1
+        if n < n_max:
+            components = _step(cache, update_with[:, n], components, n + 1)[0]
 
     estimates = samples.mean(axis=2)
     stderr = samples.std(axis=2, ddof=1) / math.sqrt(replicas)

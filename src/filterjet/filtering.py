@@ -21,16 +21,32 @@ from .multiindex import IndexSet, MultiIndex, count_upto, enumerate_indices, pai
 
 MASS_TOL = 1e-10
 PREDICTIVE_FLOOR = 1e-300
+SLOT0_KERNEL_ENTRIES = 2**20
 
 
 class PredictiveMassError(ArithmeticError):
-    """Predictive mass vanished numerically; usually a mis-specified setup."""
+    """Predictive mass vanished numerically; usually a mis-specified setup.
 
-    def __init__(self, mass: float, observation_index: int | None = None):
+    replica is the row of a batched step that aborted, None for a single step.
+    """
+
+    def __init__(self, mass: float, observation_index: int | None = None, replica: int | None = None):
         self.mass = mass
         self.observation_index = observation_index
-        where = "" if observation_index is None else f" at observation index {observation_index}"
-        super().__init__(f"predictive mass {mass!r} below {PREDICTIVE_FLOOR}{where}")
+        self.replica = replica
+        super().__init__(
+            f"predictive mass {mass!r} below {PREDICTIVE_FLOOR}{_where(replica, observation_index)}"
+        )
+
+
+def _where(replica: int | None, observation_index: int | None) -> str:
+    """' at replica r, observation index j', naming only the parts that are known."""
+    parts = []
+    if replica is not None:
+        parts.append(f"replica {replica}")
+    if observation_index is not None:
+        parts.append(f"observation index {observation_index}")
+    return " at " + ", ".join(parts) if parts else ""
 
 
 class MassInvariantError(ArithmeticError):
@@ -56,9 +72,16 @@ class KernelCache:
         self.trans = model.transition_grid_jet(self.theta, self.index_set)
         self._obs_at = model.observation_grid_factory(self.theta, self.index_set)
 
-    def observation_vectors(self, y) -> np.ndarray:
-        """(K, N) observation-density jet at a single observation."""
-        return self._obs_at(float(y))
+    def observation_vectors(self, ys) -> np.ndarray:
+        """(K, R, N) observation-density jet on the grid at R observations.
+
+        A single observation is evaluated as a float, which NumPy
+        broadcasts against the grid fastest.
+        """
+        ys = np.asarray(ys, dtype=float)
+        if ys.size == 1:
+            return self._obs_at(ys.item())[:, None]
+        return self._obs_at(ys[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,45 +127,140 @@ def _update_plan(index_set: IndexSet):
     return plan
 
 
-def _prediction_update(cache: KernelCache, y, weighted: np.ndarray) -> np.ndarray:
-    """(K, N) unnormalized prediction-update of the weighted slots at y.
+def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """(R, K, N) unnormalized prediction-update of R replicas' weighted slots at ys.
 
     Row k sums, over beta + q + b = k, the multinomial weight times
     obs[beta] * (trans[q] @ weighted[b]); the transition jet moves the
-    slots with one product per q, and no per-observation N x N kernel
-    is assembled.  Row 0 applies the assembled slot-0 kernel instead,
-    so the Bayes filter and its predictive mass keep their rounding.
+    slots of every replica with one stacked product per q, and no
+    per-observation N x N kernel is assembled.  Row 0 applies the
+    assembled slot-0 kernel instead, so the Bayes filter and its
+    predictive mass keep their rounding.  Each replica's products are
+    the BLAS calls of a single step, so a replica in a batch rounds as
+    it does alone.
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
-    obs = cache.observation_vectors(y)
-    moved = np.empty((sum(count for _, count in blocks), weighted.shape[1]))
+    obs = cache.observation_vectors(ys)
+    moved = np.empty((weighted.shape[0], sum(count for _, count in blocks), weighted.shape[2]))
     for q, (start, count) in enumerate(blocks):
-        np.matmul(weighted[:count], cache.trans[q].T, out=moved[start : start + count])
-    update = coeff @ (obs[obs_rows] * moved[moved_rows])
-    update[0] = (obs[0][:, None] * cache.trans[0]) @ weighted[0]
+        np.matmul(weighted[:, :count], cache.trans[q].T, out=moved[:, start : start + count])
+    update = np.matmul(coeff, obs[obs_rows].transpose(1, 0, 2) * moved[:, moved_rows])
+    # The assembled slot-0 kernels of a chunk of replicas hold at most
+    # SLOT0_KERNEL_ENTRIES numbers, so memory stays bounded for any R.
+    size = weighted.shape[2]
+    chunk = max(1, SLOT0_KERNEL_ENTRIES // size**2)
+    for lo in range(0, len(update), chunk):
+        rows = slice(lo, lo + chunk)
+        kernels = obs[0][rows, :, None] * cache.trans[0]
+        update[rows, 0] = np.matmul(kernels, weighted[rows, 0, :, None])[..., 0]
     return update
 
 
-def _normalized_update(cache: KernelCache, y, measure: VectorMeasure) -> tuple[np.ndarray, float]:
-    """Prediction-update of every slot divided by the slot-0 predictive mass.
+def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, serial: bool) -> None:
+    """Slot 0 of every replica must be a probability (tolerance 1e-8)."""
+    slot0 = components[:, 0]
+    drift = np.abs(np.matmul(slot0[:, None], grid.weights)[:, 0] - 1.0)
+    # NaN fails both comparisons, as it propagates through min and max.
+    if not (slot0.min() >= -1e-8 and drift.max() <= 1e-8):
+        ok = np.all(slot0 >= -1e-8, axis=1) & (drift <= 1e-8)
+        replica = None if serial else int(np.argmin(ok))
+        raise ValueError(
+            "vector measure is not in the recursion state space (slot 0 must be a probability)"
+            + _where(replica, observation_index)
+        )
 
-    The one input check of a step: the measure must use the cache's
-    index set and grid, and its slot 0 must be a probability.  Raises
-    ValueError otherwise, and PredictiveMassError when the predictive
-    mass is not above PREDICTIVE_FLOOR.
+
+def _normalized_update(cache: KernelCache, ys, components, observation_index=None, serial=False):
+    """Prediction-update of every slot divided by the slot-0 predictive mass, per replica.
+
+    ys is (R,) and components (R, K, N); returns the (R, K, N) update and
+    the (R,) predictive masses.  Raises ValueError unless every slot 0 is
+    a probability, and PredictiveMassError when a predictive mass is not
+    above PREDICTIVE_FLOOR; both name the first failing replica (None
+    for a serial call) and the observation index.
     """
-    grid = measure.grid
-    if measure.index_set != cache.index_set:
+    grid = cache.grid
+    _check_l0(components, grid, observation_index, serial)
+    update = _prediction_update(cache, ys, components * grid.weights)
+    predictive = np.matmul(update[:, None, 0], grid.weights)[:, 0]
+    if not predictive.min() > PREDICTIVE_FLOOR:
+        replica = int(np.argmin(predictive > PREDICTIVE_FLOOR))
+        raise PredictiveMassError(
+            float(predictive[replica]), observation_index, None if serial else replica
+        )
+    return update / predictive[:, None, None], predictive
+
+
+def _step(cache: KernelCache, ys, components, observation_index=None, serial=False):
+    """One filter step of R replicas sharing one kernel cache; every filter pass runs it.
+
+    Replica r updates components[r] (R, K, N) with the observation ys[r].
+    Returns (components, s_masses (R, K), predictive (R,)): s_masses[r, k]
+    is the total mass of the k-th normalized prediction-update and
+    predictive[r] the unnormalized slot-0 mass that normalizes it.  Slot
+    0 becomes the Bayes-updated probability; each higher slot is its
+    prediction-update minus the binomial-weighted recentering by lower
+    slots, evaluated in increasing degree.  Aborts name the replica
+    (None with serial) and observation_index.
+    """
+    f_dens, predictive = _normalized_update(cache, ys, components, observation_index, serial)
+    s_masses = f_dens @ cache.grid.weights
+    # Recenter in place in increasing degree, so every slot b < k is final;
+    # the last pair of each row is b == k itself.  Slot-major views keep
+    # the per-pair work cheap; one replica recenters with scalar masses.
+    if len(f_dens) == 1:
+        slots, masses = f_dens[0], s_masses[0]
+    else:
+        slots, masses = f_dens.transpose(1, 0, 2), s_masses.T[:, :, None]
+    for k, pairs in enumerate(pair_table(cache.index_set)):
+        for coeff, b_slot, g_slot in pairs[:-1]:
+            slots[k] -= coeff * slots[b_slot] * masses[g_slot]
+    _check_masses(f_dens, cache.grid, observation_index, serial)
+    return f_dens, s_masses, predictive
+
+
+def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=None, serial=False) -> None:
+    """Slot 0 of every replica must have mass one and every other slot mass zero.
+
+    Raises MassInvariantError naming the first failing replica and slot.
+    The tolerance is MASS_TOL times the slot's TV norm where that exceeds
+    one: rounding in a slot's mass grows with the slot's size, so an
+    absolute bound would abort on valid inputs whose derivative slots are
+    large, while unit-scale slots keep the absolute MASS_TOL.  A slot
+    that is not finite fails too: its drift is NaN or infinite.
+    """
+    drift = components @ grid.weights
+    drift[:, 0] -= 1.0
+    tols = MASS_TOL * np.maximum(1.0, np.abs(components) @ grid.weights)
+    ok = np.abs(drift) < tols
+    if not ok.all():
+        replica, k = np.unravel_index(np.argmin(ok), ok.shape)
+        raise MassInvariantError(
+            f"slot {k} mass drifts by {float(drift[replica, k])!r}, beyond {float(tols[replica, k])!r}"
+            + _where(None if serial else int(replica), observation_index)
+        )
+
+
+def _check_measure(measure: VectorMeasure, index_set: IndexSet, grid: StateGrid) -> None:
+    """The measure must use the index set and grid a kernel cache was built for."""
+    if measure.index_set != index_set:
         raise ValueError("measure index set differs from the kernel cache's")
-    if not grid.compatible(cache.grid):
+    if not measure.grid.compatible(grid):
         raise ValueError("measure grid differs from the model grid")
-    if not measure.is_l0(tol=1e-8):
-        raise ValueError("vector measure is not in the recursion state space (slot 0 must be a probability)")
-    update = _prediction_update(cache, y, measure.components * grid.weights)
-    predictive = float(np.dot(update[0], grid.weights))
-    if not predictive > PREDICTIVE_FLOOR:
-        raise PredictiveMassError(predictive)
-    return update / predictive, predictive
+
+
+def _one_observation(y) -> np.ndarray:
+    """A single step's observation as a (1,) array; ValueError naming y for any other shape."""
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim != 0:
+        raise ValueError(f"y must be a scalar observation, got shape {ys.shape}")
+    return ys.reshape(1)
+
+
+def _serial_input(cache: KernelCache, y, measure: VectorMeasure):
+    """The checked (1,) observation and (1, K, N) components of a single step."""
+    _check_measure(measure, cache.index_set, cache.grid)
+    return _one_observation(y), measure.components[None]
 
 
 def apply_R(model: ModelSpec, alpha, theta, y, lam: GridMeasure) -> GridMeasure:
@@ -155,57 +273,34 @@ def apply_R(model: ModelSpec, alpha, theta, y, lam: GridMeasure) -> GridMeasure:
     model.validate_order(alpha.degree)
     if not lam.grid.compatible(model.grid):
         raise ValueError("measure grid differs from the model grid")
+    ys = _one_observation(y)
     iset = enumerate_indices(model.dim_theta, alpha.degree)
-    weighted = np.zeros((len(iset), lam.grid.size))
-    weighted[0] = lam.density * lam.grid.weights
-    update = _prediction_update(KernelCache(model, theta, iset), y, weighted)
-    return GridMeasure(update[iset.slot(alpha)], lam.grid)
+    weighted = np.zeros((1, len(iset), lam.grid.size))
+    weighted[0, 0] = lam.density * lam.grid.weights
+    update = _prediction_update(KernelCache(model, theta, iset), ys, weighted)
+    return GridMeasure(update[0, iset.slot(alpha)], lam.grid)
 
 
 def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
-    """One step of the derivative filter; every filter pass runs this function.
+    """One step of the derivative filter: the batched step core at one replica.
 
     Returns (updated measure, s_masses, predictive_mass): s_masses[k] is
     the total mass of the k-th normalized prediction-update and
     predictive_mass the unnormalized slot-0 mass that normalizes
     everything.  The measure must use the cache's index set and grid
-    and have a probability in slot 0 (ValueError otherwise).  Slot 0
-    becomes the Bayes-updated probability measure; each higher slot is
-    its prediction-update minus the binomial-weighted recentering by
-    lower slots, evaluated in increasing degree.
+    and have a probability in slot 0, and y must be a scalar
+    (ValueError otherwise).
     """
-    s_dens, predictive = _normalized_update(cache, y, measure)
-    s_masses = s_dens @ measure.grid.weights
-    # Recenter in place in increasing degree, so every slot b < k is final;
-    # the last pair of each row is b == k itself.
-    f_dens = s_dens
-    for k, pairs in enumerate(pair_table(cache.index_set)):
-        for coeff, b_slot, g_slot in pairs[:-1]:
-            f_dens[k] -= coeff * f_dens[b_slot] * s_masses[g_slot]
-    _check_masses(f_dens, measure.grid)
-    return VectorMeasure(f_dens, measure.index_set, measure.grid), s_masses, predictive
-
-
-def _check_masses(components: np.ndarray, grid: StateGrid) -> None:
-    """Slot 0 must have mass one and every other slot mass zero.
-
-    The tolerance is MASS_TOL times the slot's TV norm where that exceeds
-    one: rounding in a slot's mass grows with the slot's size, so an
-    absolute bound would abort on valid inputs whose derivative slots are
-    large, while unit-scale slots keep the absolute MASS_TOL.
-    """
-    drift = components @ grid.weights
-    drift[0] -= 1.0
-    tols = MASS_TOL * np.maximum(1.0, np.abs(components) @ grid.weights)
-    if np.any(np.abs(drift) > tols):
-        k = int(np.argmax(np.abs(drift) / tols))
-        raise MassInvariantError(
-            f"slot {k} mass drifts by {float(drift[k])!r}, beyond {float(tols[k])!r}"
-        )
+    components, s_masses, predictive = _step(cache, *_serial_input(cache, y, measure), serial=True)
+    return VectorMeasure(components[0], measure.index_set, measure.grid), s_masses[0], float(predictive[0])
 
 
 def _indexed_step(cache: KernelCache, y, measure: VectorMeasure, observation_index: int):
-    """filter_step_with_scalars, with a predictive-mass abort naming its observation."""
+    """filter_step_with_scalars, with a predictive-mass abort naming its observation.
+
+    The serial folds step through the public wrapper, so that a traced
+    run counts their steps in the benchmark's step layer.
+    """
     try:
         return filter_step_with_scalars(cache, y, measure)
     except PredictiveMassError as err:
@@ -228,8 +323,9 @@ def compute_s(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> Grid
     mass.
     """
     slot = measure.index_set.slot(alpha)
-    s_dens, _ = _normalized_update(KernelCache(model, theta, measure.index_set), y, measure)
-    return GridMeasure(s_dens[slot], measure.grid)
+    cache = KernelCache(model, theta, measure.index_set)
+    s_dens, _ = _normalized_update(cache, *_serial_input(cache, y, measure), serial=True)
+    return GridMeasure(s_dens[0, slot], measure.grid)
 
 
 def filter_step(
@@ -244,7 +340,8 @@ def filter_step(
         cache = KernelCache(model, theta, measure.index_set)
     elif not np.array_equal(cache.theta, model.validate_theta(theta)):
         raise ValueError("cache was built for a different parameter")
-    return filter_step_with_scalars(cache, y, measure)[0]
+    components = _step(cache, *_serial_input(cache, y, measure), serial=True)[0]
+    return VectorMeasure(components[0], measure.index_set, measure.grid)
 
 
 def filter_iterate(

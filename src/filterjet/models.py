@@ -154,8 +154,10 @@ class ModelSpec(abc.ABC):
     def observation_grid_factory(self, theta, index_set: IndexSet):
         """Evaluator y -> (K, N) observation-density jet on the grid.
 
-        Everything that depends only on theta is built once here, since
-        the filter evaluates one observation per step at a fixed theta.
+        A float y gives (K, N); an (R, 1) column of observations, which a
+        step over R replicas passes, gives (K, R, N).  Everything that
+        depends only on theta is built once here, since the filter
+        evaluates the observations of every step at a fixed theta.
         """
 
     @abc.abstractmethod

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filtering import _observation_block
 from .grid import GridMeasure
 from .models import ModelSpec, kernel_matrix
 from .multiindex import MultiIndex
@@ -36,7 +37,7 @@ class FDScheme:
 
 def _path_sum_matrix(model: ModelSpec, theta, observations) -> np.ndarray:
     """(N, N) matrix of the n-step kernel product r(y_1..y_n, x | x')."""
-    observations = np.atleast_1d(np.asarray(observations, dtype=float))
+    observations = _observation_block(observations)
     n = observations.shape[0]
     grid = model.grid
     if n < 1:

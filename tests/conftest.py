@@ -115,8 +115,7 @@ class BrokenObservation(ModelSpec):
         inner = self.inner.observation_grid_factory(theta, index_set)
 
         def at(y):
-            jet = inner(y)
-            return jet * 0.0 if y > 1e6 else jet
+            return np.where(np.asarray(y) > 1e6, 0.0, inner(y))
 
         return at
 

@@ -160,13 +160,16 @@ class TestErgodicity:
             ergodicity_experiment(small_model, theta, phi, [z], [1], 10, seed=0, chain="sideways")
 
     def test_abort_names_the_observation_index(self, gaussian_model, theta):
-        # the third observation drawn along the first replica has vanishing density
+        # paths are drawn before any step: replica 0 draws observations 1-5,
+        # so from the third draw on every density vanishes, and the batch
+        # first aborts at the first step of replica 1
         broken = BrokenObservation(gaussian_model, outlier_from=3)
         z = (0.0, 0.0, embed(GridMeasure.uniform(broken.grid), broken.index_set(1)))
         phi = posterior_mean_phi(broken)
         with pytest.raises(PredictiveMassError) as info:
             ergodicity_experiment(broken, theta, phi, [z], [5], replicas=2, seed=0)
-        assert info.value.observation_index == 3
+        assert info.value.replica == 1
+        assert info.value.observation_index == 1
 
 
 class TestPhiEnvelopes:

@@ -284,6 +284,37 @@ class TestFilterIterate:
         with pytest.raises(PredictiveMassError) as info:
             filter_iterate(broken, theta, [0.1, 0.2, 1e7], uniform_l0)
         assert info.value.observation_index == 3
+        assert info.value.replica is None
+
+
+class TestBatchAborts:
+    """A batched step names the first replica that fails, with the observation."""
+
+    def test_predictive_mass_names_the_replica(self, gaussian_model, theta, uniform_l0):
+        cache = KernelCache(BrokenObservation(gaussian_model), theta, uniform_l0.index_set)
+        batch = np.repeat(uniform_l0.components[None], 3, axis=0)
+        with pytest.raises(PredictiveMassError, match="at replica 1, observation index 4") as info:
+            filtering._step(cache, np.array([0.1, 1e7, 0.2]), batch, 4)
+        assert (info.value.replica, info.value.observation_index) == (1, 4)
+
+    def test_l0_check_names_the_replica(self, model32, theta, uniform_l0):
+        cache = KernelCache(model32, theta, uniform_l0.index_set)
+        batch = np.repeat(uniform_l0.components[None], 3, axis=0)
+        batch[2, 0] *= 1.5
+        with pytest.raises(ValueError, match="slot 0 must be a probability.* at replica 2, observation index 6"):
+            filtering._step(cache, np.zeros(3), batch, 6)
+
+    def test_mass_guard_names_the_replica(self, model32, uniform_l0):
+        batch = np.repeat(uniform_l0.components[None], 3, axis=0)
+        batch[1, 0] *= 1.0 + 1e-6
+        with pytest.raises(MassInvariantError, match="slot 0 .* at replica 1, observation index 7"):
+            filtering._check_masses(batch, model32.grid, 7)
+
+    def test_mass_guard_rejects_an_infinite_slot(self, model32, uniform_l0):
+        batch = np.array(uniform_l0.components[None])
+        batch[0, 1, 3] = np.inf
+        with pytest.raises(MassInvariantError, match="slot 1"):
+            filtering._check_masses(batch, model32.grid)
 
 
 class TestSharedScalars:

@@ -90,7 +90,7 @@ class PlanarTanhModel(ModelSpec):
         degrees = index_set.degrees
 
         def at(y):
-            z = (float(y) - location) / self.obs_scale
+            z = (np.asarray(y, dtype=float) - location) / self.obs_scale
             pdf = _gauss_pdf_derivs(z, index_set.order)
             return np.stack(
                 [pdf[degrees[k]] * factors[k] for k in range(len(index_set))]

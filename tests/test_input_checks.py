@@ -17,8 +17,12 @@ from filterjet import (
     ergodicity_experiment,
     filter_iterate,
     filter_step,
+    filter_step_with_scalars,
     forgetting_experiment,
+    KernelCache,
     loglik_jet,
+    oracle_filter,
+    oracle_log_likelihood,
     posterior_mean_phi,
     psi_alpha,
     psi_zero,
@@ -86,3 +90,29 @@ def test_two_dimensional_observations_are_rejected(model, fold):
 def test_ergodicity_needs_an_initial_condition(model):
     with pytest.raises(ValueError, match="initial_conditions"):
         ergodicity_experiment(model, THETA, posterior_mean_phi(model), [], [1, 2], 2, seed=0)
+
+
+SINGLE_STEP_CALLS = {
+    "filter_step": lambda m, y: filter_step(m, THETA, y, _l0(GridMeasure.uniform(m.grid), m)),
+    "filter_step_with_scalars": lambda m, y: filter_step_with_scalars(
+        KernelCache(m, THETA), y, _l0(GridMeasure.uniform(m.grid), m)
+    ),
+    "compute_s": lambda m, y: compute_s(m, (1, 0), THETA, y, _l0(GridMeasure.uniform(m.grid), m)),
+    "psi_zero": lambda m, y: psi_zero(m, THETA, y, _l0(GridMeasure.uniform(m.grid), m)),
+    "psi_alpha": lambda m, y: psi_alpha(m, (1, 0), THETA, y, _l0(GridMeasure.uniform(m.grid), m)),
+    "apply_R": lambda m, y: apply_R(m, (1, 0), THETA, y, GridMeasure.uniform(m.grid)),
+}
+
+
+@pytest.mark.parametrize("y", [np.zeros(2), [[0.1]], np.array([0.2])], ids=["pair", "nested", "one-element"])
+@pytest.mark.parametrize("entry", sorted(SINGLE_STEP_CALLS))
+def test_single_step_rejects_a_non_scalar_observation(model, entry, y):
+    with pytest.raises(ValueError, match="y must be a scalar observation"):
+        SINGLE_STEP_CALLS[entry](model, y)
+
+
+@pytest.mark.parametrize("oracle", [oracle_filter, oracle_log_likelihood])
+def test_path_sum_oracle_rejects_a_two_dimensional_block(oracle):
+    small = make_model(cells=8, order=1)
+    with pytest.raises(ValueError, match="observations must be one-dimensional"):
+        oracle(small, THETA, np.zeros((2, 2)), GridMeasure.uniform(small.grid))

@@ -4,7 +4,9 @@ The reference below builds the K joint-kernel matrices for every
 observation and applies them slot by slot.  The factored step must give
 the same Bayes filter and predictive mass bit for bit, and the same
 derivative slots up to rounding.  The folds over an observation block
-must equal chained calls of the core bit for bit.
+must equal chained calls of the core bit for bit.  The core's replica
+axis must reproduce the single step: exactly at one replica, and to
+rounding for a batch.
 """
 from functools import lru_cache
 
@@ -22,6 +24,8 @@ from filterjet import (
     filter_step_with_scalars,
     loglik_jet,
 )
+from filterjet import filtering
+from filterjet.filtering import _step, _update_plan
 from filterjet.loglik import jet_increments_from_scalars
 from filterjet.multiindex import pair_table
 
@@ -35,7 +39,7 @@ def reference_step(cache, y, measure):
     """Assembled-matrix step: (components, s_masses, predictive)."""
     iset, grid = cache.index_set, cache.grid
     pairs = pair_table(iset)
-    obs = cache.observation_vectors(y)
+    obs = cache.observation_vectors([y])[:, 0]
     mats = np.zeros_like(cache.trans)
     for k, row in enumerate(pairs):
         for coeff, b_slot, g_slot in row:
@@ -62,6 +66,26 @@ def reference_step(cache, y, measure):
             if b_slot != k:
                 acc -= coeff * f_dens[b_slot] * s_masses[g_slot]
         f_dens[k] = acc
+    return f_dens, s_masses, predictive
+
+
+def single_step(cache, y, measure):
+    """The step before it gained a replica axis: (components, s_masses, predictive)."""
+    blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
+    grid = measure.grid
+    weighted = measure.components * grid.weights
+    obs = cache.observation_vectors([y])[:, 0]
+    moved = np.empty((sum(count for _, count in blocks), grid.size))
+    for q, (start, count) in enumerate(blocks):
+        np.matmul(weighted[:count], cache.trans[q].T, out=moved[start : start + count])
+    update = coeff @ (obs[obs_rows] * moved[moved_rows])
+    update[0] = (obs[0][:, None] * cache.trans[0]) @ weighted[0]
+    predictive = float(np.dot(update[0], grid.weights))
+    f_dens = update / predictive
+    s_masses = f_dens @ grid.weights
+    for k, pairs in enumerate(pair_table(cache.index_set)):
+        for c, b_slot, g_slot in pairs[:-1]:
+            f_dens[k] -= c * f_dens[b_slot] * s_masses[g_slot]
     return f_dens, s_masses, predictive
 
 
@@ -133,3 +157,65 @@ def test_folds_equal_chained_core_steps(kind, cells, order, seed, ys):
     for y, folded in zip(ys, increments):
         chained, s_masses, predictive = filter_step_with_scalars(cache, y, chained)
         assert np.array_equal(folded, jet_increments_from_scalars(s_masses, predictive, iset))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("cells", [8, 24])
+@pytest.mark.parametrize("kind", ["line", "planar"])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), y=st.floats(-3.0, 3.0))
+def test_one_replica_equals_the_single_step_exactly(kind, cells, order, seed, y):
+    cache = cached_kernel(kind, cells, order)
+    measure = random_l0(cache.model, cache.index_set, np.random.default_rng(seed))
+    ref, ref_masses, ref_predictive = single_step(cache, y, measure)
+    out, s_masses, predictive = _step(cache, np.array([y]), measure.components[None])
+    assert np.array_equal(out[0], ref)
+    assert np.array_equal(s_masses[0], ref_masses)
+    assert predictive[0] == ref_predictive
+    serial, serial_masses, serial_predictive = filter_step_with_scalars(cache, y, measure)
+    assert np.array_equal(serial.components, ref)
+    assert np.array_equal(serial_masses, ref_masses)
+    assert serial_predictive == ref_predictive
+
+
+def _assert_slots_close(got, ref):
+    for k in range(ref.shape[0]):
+        assert np.max(np.abs(got[k] - ref[k])) <= SLOT_RTOL * np.max(np.abs(ref[k]))
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 7, 60])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("cells", [8, 24])
+@pytest.mark.parametrize("kind", ["line", "planar"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_core_equals_chained_single_steps(kind, cells, order, replicas, seed):
+    # every replica starts from its own measure and sees its own observations
+    cache = cached_kernel(kind, cells, order)
+    rng = np.random.default_rng(seed)
+    starts = [random_l0(cache.model, cache.index_set, rng) for _ in range(replicas)]
+    ys = rng.uniform(-3.0, 3.0, size=(3, replicas))
+    batch = np.stack([measure.components for measure in starts])
+    for j, row in enumerate(ys):
+        batch, s_masses, predictive = _step(cache, row, batch, j + 1)
+    for r, measure in enumerate(starts):
+        for y in ys[:, r]:
+            measure, ref_masses, ref_predictive = filter_step_with_scalars(cache, y, measure)
+        _assert_slots_close(batch[r], measure.components)
+        assert abs(predictive[r] - ref_predictive) <= SLOT_RTOL * ref_predictive
+        scale = max(1.0, np.max(np.abs(ref_masses)))
+        assert np.max(np.abs(s_masses[r] - ref_masses)) <= SLOT_RTOL * scale
+
+
+def test_slot0_kernel_chunks_do_not_change_the_step(monkeypatch):
+    # a batch whose assembled slot-0 kernels exceed the bound is done in
+    # chunks of replicas, with the same numbers
+    cache = cached_kernel("line", 24, 2)
+    rng = np.random.default_rng(4)
+    batch = np.stack([random_l0(cache.model, cache.index_set, rng).components for _ in range(7)])
+    ys = rng.uniform(-3.0, 3.0, size=7)
+    whole = _step(cache, ys, batch)
+    monkeypatch.setattr(filtering, "SLOT0_KERNEL_ENTRIES", 2 * 24**2)
+    chunked = _step(cache, ys, batch)
+    for got, ref in zip(chunked, whole):
+        assert np.array_equal(got, ref)
