@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .filtering import KernelCache, _check_measure, _step, filter_iterate
-from .grid import GridMeasure, VectorMeasure, embed, measure_distance
+from .grid import GridMeasure, VectorMeasure, embed, measure_distance, vector_norms
 from .models import ModelSpec, simulate
 from .multiindex import MultiIndex
 from .oracle import FDScheme, fd_derivative
@@ -102,8 +102,7 @@ def forgetting_experiment(
     for j in range(n_max):
         ys = np.full(len(members), traj.observations[j])
         components = _step(cache, ys, components, j + 1)[0]
-        gaps = np.abs(components[0::2] - components[1::2]) @ cache.grid.weights
-        distances[:, j] = gaps.max(axis=1)
+        distances[:, j] = vector_norms(components[0::2] - components[1::2], cache.grid)
 
     curves = []
     for (first, second), distance in zip(pairs, distances):

@@ -27,7 +27,8 @@ SLOT0_KERNEL_ENTRIES = 2**20
 class PredictiveMassError(ArithmeticError):
     """Predictive mass vanished numerically; usually a mis-specified setup.
 
-    replica is the row of a batched step that aborted, None for a single step.
+    replica is the row of a batched step that aborted, None for a step of
+    one replica.
     """
 
     def __init__(self, mass: float, observation_index: int | None = None, replica: int | None = None):
@@ -37,6 +38,11 @@ class PredictiveMassError(ArithmeticError):
         super().__init__(
             f"predictive mass {mass!r} below {PREDICTIVE_FLOOR}{_where(replica, observation_index)}"
         )
+
+
+def _replica(row, rows: int) -> int | None:
+    """The failing row of a step over `rows` replicas; None when there is one replica."""
+    return int(row) if rows > 1 else None
 
 
 def _where(replica: int | None, observation_index: int | None) -> str:
@@ -73,10 +79,11 @@ class KernelCache:
         self._obs_at = model.observation_grid_factory(self.theta, self.index_set)
 
     def observation_vectors(self, ys) -> np.ndarray:
-        """(K, R, N) observation-density jet on the grid at R observations.
+        """(K, R, N) observation-density jet on the grid at the (R,) observations ys.
 
-        A single observation is evaluated as a float, which NumPy
-        broadcasts against the grid fastest.
+        One observation goes to the model as a float, whose domain check
+        and grid broadcast skip NumPy's general path: 12% of an R = 1
+        step at N = 32, order 1 (BENCH_6.json, `r1_branches`).
         """
         ys = np.asarray(ys, dtype=float)
         if ys.size == 1:
@@ -156,42 +163,39 @@ def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray)
     return update
 
 
-def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, serial: bool) -> None:
+def _check_l0(components: np.ndarray, grid: StateGrid, observation_index) -> None:
     """Slot 0 of every replica must be a probability (tolerance 1e-8)."""
     slot0 = components[:, 0]
     drift = np.abs(np.matmul(slot0[:, None], grid.weights)[:, 0] - 1.0)
     # NaN fails both comparisons, as it propagates through min and max.
     if not (slot0.min() >= -1e-8 and drift.max() <= 1e-8):
         ok = np.all(slot0 >= -1e-8, axis=1) & (drift <= 1e-8)
-        replica = None if serial else int(np.argmin(ok))
         raise ValueError(
             "vector measure is not in the recursion state space (slot 0 must be a probability)"
-            + _where(replica, observation_index)
+            + _where(_replica(np.argmin(ok), len(ok)), observation_index)
         )
 
 
-def _normalized_update(cache: KernelCache, ys, components, observation_index=None, serial=False):
+def _normalized_update(cache: KernelCache, ys, components, observation_index=None):
     """Prediction-update of every slot divided by the slot-0 predictive mass, per replica.
 
     ys is (R,) and components (R, K, N); returns the (R, K, N) update and
     the (R,) predictive masses.  Raises ValueError unless every slot 0 is
     a probability, and PredictiveMassError when a predictive mass is not
-    above PREDICTIVE_FLOOR; both name the first failing replica (None
-    for a serial call) and the observation index.
+    above PREDICTIVE_FLOOR; both name the first failing replica (when
+    there is more than one) and the observation index.
     """
     grid = cache.grid
-    _check_l0(components, grid, observation_index, serial)
+    _check_l0(components, grid, observation_index)
     update = _prediction_update(cache, ys, components * grid.weights)
     predictive = np.matmul(update[:, None, 0], grid.weights)[:, 0]
     if not predictive.min() > PREDICTIVE_FLOOR:
-        replica = int(np.argmin(predictive > PREDICTIVE_FLOOR))
-        raise PredictiveMassError(
-            float(predictive[replica]), observation_index, None if serial else replica
-        )
+        row = int(np.argmin(predictive > PREDICTIVE_FLOOR))
+        raise PredictiveMassError(float(predictive[row]), observation_index, _replica(row, len(predictive)))
     return update / predictive[:, None, None], predictive
 
 
-def _step(cache: KernelCache, ys, components, observation_index=None, serial=False):
+def _step(cache: KernelCache, ys, components, observation_index=None):
     """One filter step of R replicas sharing one kernel cache; every filter pass runs it.
 
     Replica r updates components[r] (R, K, N) with the observation ys[r].
@@ -201,13 +205,15 @@ def _step(cache: KernelCache, ys, components, observation_index=None, serial=Fal
     0 becomes the Bayes-updated probability; each higher slot is its
     prediction-update minus the binomial-weighted recentering by lower
     slots, evaluated in increasing degree.  Aborts name the replica
-    (None with serial) and observation_index.
+    (when R > 1) and observation_index.
     """
-    f_dens, predictive = _normalized_update(cache, ys, components, observation_index, serial)
+    f_dens, predictive = _normalized_update(cache, ys, components, observation_index)
     s_masses = f_dens @ cache.grid.weights
     # Recenter in place in increasing degree, so every slot b < k is final;
-    # the last pair of each row is b == k itself.  Slot-major views keep
-    # the per-pair work cheap; one replica recenters with scalar masses.
+    # the last pair of each row is b == k itself.  Slot-major views let
+    # each pair update every replica at once; one replica uses 1-D slots
+    # and scalar masses, the same products in the same order, which saves
+    # 5% of an R = 1 step at N = 64, order 3 (BENCH_6.json, `r1_branches`).
     if len(f_dens) == 1:
         slots, masses = f_dens[0], s_masses[0]
     else:
@@ -215,11 +221,11 @@ def _step(cache: KernelCache, ys, components, observation_index=None, serial=Fal
     for k, pairs in enumerate(pair_table(cache.index_set)):
         for coeff, b_slot, g_slot in pairs[:-1]:
             slots[k] -= coeff * slots[b_slot] * masses[g_slot]
-    _check_masses(f_dens, cache.grid, observation_index, serial)
+    _check_masses(f_dens, cache.grid, observation_index)
     return f_dens, s_masses, predictive
 
 
-def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=None, serial=False) -> None:
+def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=None) -> None:
     """Slot 0 of every replica must have mass one and every other slot mass zero.
 
     Raises MassInvariantError naming the first failing replica and slot.
@@ -234,10 +240,10 @@ def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=Non
     tols = MASS_TOL * np.maximum(1.0, np.abs(components) @ grid.weights)
     ok = np.abs(drift) < tols
     if not ok.all():
-        replica, k = np.unravel_index(np.argmin(ok), ok.shape)
+        row, k = np.unravel_index(np.argmin(ok), ok.shape)
         raise MassInvariantError(
-            f"slot {k} mass drifts by {float(drift[replica, k])!r}, beyond {float(tols[replica, k])!r}"
-            + _where(None if serial else int(replica), observation_index)
+            f"slot {k} mass drifts by {float(drift[row, k])!r}, beyond {float(tols[row, k])!r}"
+            + _where(_replica(row, len(ok)), observation_index)
         )
 
 
@@ -291,7 +297,7 @@ def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
     and have a probability in slot 0, and y must be a scalar
     (ValueError otherwise).
     """
-    components, s_masses, predictive = _step(cache, *_serial_input(cache, y, measure), serial=True)
+    components, s_masses, predictive = _step(cache, *_serial_input(cache, y, measure))
     return VectorMeasure(components[0], measure.index_set, measure.grid), s_masses[0], float(predictive[0])
 
 
@@ -324,7 +330,7 @@ def compute_s(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> Grid
     """
     slot = measure.index_set.slot(alpha)
     cache = KernelCache(model, theta, measure.index_set)
-    s_dens, _ = _normalized_update(cache, *_serial_input(cache, y, measure), serial=True)
+    s_dens, _ = _normalized_update(cache, *_serial_input(cache, y, measure))
     return GridMeasure(s_dens[0, slot], measure.grid)
 
 
@@ -340,7 +346,7 @@ def filter_step(
         cache = KernelCache(model, theta, measure.index_set)
     elif not np.array_equal(cache.theta, model.validate_theta(theta)):
         raise ValueError("cache was built for a different parameter")
-    components = _step(cache, *_serial_input(cache, y, measure), serial=True)[0]
+    components = _step(cache, *_serial_input(cache, y, measure))[0]
     return VectorMeasure(components[0], measure.index_set, measure.grid)
 
 

@@ -195,7 +195,7 @@ class VectorMeasure:
         return self.components @ self.grid.weights
 
     def vector_norm(self) -> float:
-        return float(np.max(np.abs(self.components) @ self.grid.weights))
+        return float(vector_norms(self.components, self.grid))
 
     def is_l0(self, tol: float = PROBABILITY_TOL) -> bool:
         """Membership in the recursion's state space: slot 0 is a probability."""
@@ -235,6 +235,11 @@ def embed(lam: GridMeasure, index_set: IndexSet) -> VectorMeasure:
     return VectorMeasure(components, index_set, lam.grid)
 
 
+def vector_norms(components: np.ndarray, grid: StateGrid) -> np.ndarray:
+    """Vector norm of every measure in a (..., K, N) stack: the largest slot TV norm."""
+    return np.max(np.abs(components) @ grid.weights, axis=-1)
+
+
 def measure_distance(a: VectorMeasure, b: VectorMeasure) -> float:
     """Vector norm of the componentwise difference."""
     _require_compatible(a, b)
@@ -248,5 +253,6 @@ __all__ = [
     "tv_norm",
     "embed",
     "measure_distance",
+    "vector_norms",
     "PROBABILITY_TOL",
 ]

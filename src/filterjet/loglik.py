@@ -66,7 +66,7 @@ def jet_increments_from_scalars(s_masses: np.ndarray, predictive, index_set: Ind
 def psi_zero(model: ModelSpec, theta, y, measure: VectorMeasure) -> float:
     """Log predictive mass of one observation given the current slot-0 law."""
     cache = KernelCache(model, theta, measure.index_set)
-    _, predictive = _normalized_update(cache, *_serial_input(cache, y, measure), serial=True)
+    _, predictive = _normalized_update(cache, *_serial_input(cache, y, measure))
     return math.log(predictive[0])
 
 
@@ -76,7 +76,7 @@ def psi_alpha(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> floa
         raise ValueError("use psi_zero for the zero index")
     slot = measure.index_set.slot(alpha)
     cache = KernelCache(model, theta, measure.index_set)
-    s_dens, predictive = _normalized_update(cache, *_serial_input(cache, y, measure), serial=True)
+    s_dens, predictive = _normalized_update(cache, *_serial_input(cache, y, measure))
     values = jet_increments_from_scalars(s_dens[0] @ measure.grid.weights, predictive[0], measure.index_set)
     return float(values[slot])
 

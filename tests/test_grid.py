@@ -10,6 +10,7 @@ from filterjet import (
     measure_distance,
     tv_norm,
 )
+from filterjet.grid import vector_norms
 from filterjet.multiindex import enumerate_indices
 
 
@@ -99,6 +100,14 @@ class TestVectorMeasure:
         comps[5] = 0.25 / grid.volume
         vm = VectorMeasure(comps, iset, grid)
         assert vm.vector_norm() == pytest.approx(3.5, rel=1e-13)
+
+    def test_vector_norms_of_a_stack_match_each_measure(self, grid, iset):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(2, 3, len(iset), grid.size))
+        norms = vector_norms(stack, grid)
+        assert norms.shape == (2, 3)
+        for index in np.ndindex(norms.shape):
+            assert norms[index] == pytest.approx(VectorMeasure(stack[index], iset, grid).vector_norm(), rel=1e-14)
 
     def test_is_l0(self, grid, iset):
         assert embed(GridMeasure.uniform(grid), iset).is_l0()
