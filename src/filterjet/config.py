@@ -22,17 +22,6 @@ class ConfigError(ValueError):
 
 VARIANTS = ("compact", "gaussian")
 
-EXPERIMENTS = (
-    "simulate",
-    "check-derivs",
-    "forgetting",
-    "ergodicity",
-    "loglik",
-    "rml",
-    "assumptions",
-)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     variant: str = "compact"
@@ -204,6 +193,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("[experiment] horizon: must be >= 1")
     if e.replicas < 2:
         raise ConfigError("[experiment] replicas: must be >= 2")
+    for key in ("theta_draws", "y_samples", "rml_steps"):
+        if getattr(e, key) < 1:
+            raise ConfigError(f"[experiment] {key}: must be >= 1")
+    if not e.record_ns or min(e.record_ns) < 0:
+        raise ConfigError("[experiment] record_ns: need at least one horizon, none negative")
     if len(e.rml_init) != d:
         raise ConfigError("[experiment] rml_init: one value per parameter")
 

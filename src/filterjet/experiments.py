@@ -252,7 +252,9 @@ def ergodicity_experiment(
         raise ValueError("chain must be 'aligned' or 'shifted'")
     theta = model.validate_theta(theta)
     record_ns = np.asarray(sorted(set(int(n) for n in record_ns)))
-    if record_ns.size == 0 or record_ns[0] < 0:
+    if record_ns.size == 0:
+        raise ValueError("record_ns must name at least one horizon")
+    if record_ns[0] < 0:
         raise ValueError("record_ns must be non-negative")
     n_max = int(record_ns[-1])
     if len(initial_conditions) == 0:
@@ -361,6 +363,8 @@ def derivative_identity_sweep(
     """
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     thetas = [model.validate_theta(t) for t in thetas]
+    if not thetas:
+        raise ValueError("thetas must name at least one parameter point")
     if data_theta is None:
         box = np.asarray(model.parameter_box, dtype=float)
         data_theta = box.mean(axis=1)

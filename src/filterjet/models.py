@@ -75,33 +75,6 @@ def _gauss_pdf_derivs(z: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
-    """A parameter vector strictly inside its open box."""
-
-    theta: tuple[float, ...]
-    bounds: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-        object.__setattr__(self, "bounds", tuple((float(a), float(b)) for a, b in self.bounds))
-        if len(self.theta) != len(self.bounds):
-            raise ValueError("theta and bounds must have the same length")
-        for t, (lo, hi) in zip(self.theta, self.bounds):
-            if not lo < t < hi:
-                raise ValueError(f"theta component {t} not strictly inside ({lo}, {hi})")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)
-
-
-def theta_array(theta) -> np.ndarray:
-    if isinstance(theta, ParameterPoint):
-        return theta.array
-    return np.asarray(theta, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A simulated path: states X_0..X_n and observations Y_1..Y_n."""
@@ -167,7 +140,7 @@ class ModelSpec(abc.ABC):
     def observation_sample(self, theta, x: float, rng: np.random.Generator) -> float: ...
 
     def validate_theta(self, theta) -> np.ndarray:
-        arr = theta_array(theta)
+        arr = np.asarray(theta, dtype=float)
         if arr.shape != (self.dim_theta,):
             raise ValueError(f"theta must have shape ({self.dim_theta},), got {arr.shape}")
         for t, (lo, hi) in zip(arr, self.parameter_box):
@@ -245,8 +218,8 @@ class TruncatedNonlinearModel(ModelSpec):
     obs_scale.  The transition density is truncated and renormalized on
     the grid's box; the observation density is truncated to obs_box when
     one is given, and left as a proper Gaussian density on the whole
-    real line otherwise.  transition_jet and observation_jet also evaluate
-    the densities at broadcast points off the grid, for assumption_constants.
+    real line otherwise.  Both kernel jets are evaluated at the grid
+    states only.
     """
 
     grid: StateGrid
@@ -310,24 +283,20 @@ class TruncatedNonlinearModel(ModelSpec):
         x = np.asarray(x, dtype=float)
         return np.stack([FEATURE_FUNCTIONS[n](x) for n in names])
 
-    def observation_map(self, theta, x) -> np.ndarray:
-        theta = theta_array(theta)
-        return np.tensordot(theta, self._features(self.obs_features, x), axes=1)
-
-    # -- kernel jets by degree ------------------------------------------------
-    def _location_jet(self, names, scale, theta, x, index_set, ratios=False):
+    # -- kernel jets by degree on the grid -----------------------------------
+    def _location_jet(self, names, scale, theta, index_set, ratios=False):
         """(evaluator, factors) for the jet of pdf((target - theta . features(x)) / scale).
 
-        The location is affine in theta, so the mixed derivative for
-        index a is pdf^(|a|) times factors[a], the product of the
-        per-coordinate slopes raised to the entries of a.  Only the
-        order + 1 Gaussian derivatives depend on the target; the
-        evaluator returns them by degree, with the target broadcast
-        against x.  With ratios=True they are divided by the pdf itself,
-        which stays finite arbitrarily far into the tails.
+        x runs over the grid states.  The location is affine in theta, so
+        the mixed derivative for index a is pdf^(|a|) times factors[a],
+        the product of the per-coordinate slopes raised to the entries of
+        a.  Only the order + 1 Gaussian derivatives depend on the target;
+        the evaluator returns them by degree, with the target broadcast
+        against the states.  With ratios=True they are divided by the pdf
+        itself, which stays finite arbitrarily far into the tails.
         """
-        feats = self._features(names, x)
-        location = np.tensordot(theta_array(theta), feats, axes=1)
+        feats = self._features(names, self.grid.axis(0))
+        location = np.tensordot(np.asarray(theta, dtype=float), feats, axes=1)
         factors = _slope_powers(-feats / scale, index_set)
         derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
         order = index_set.order
@@ -337,76 +306,34 @@ class TruncatedNonlinearModel(ModelSpec):
 
         return at, factors
 
-    def observation_score_jet(self, theta, y, x, index_set) -> np.ndarray:
-        """Observation jet divided by the density itself (slot 0 becomes one).
-
-        On an unbounded observation domain the normalizer is constant in
-        theta, so the scores are pure Hermite ratios and stay finite in
-        the far tails where the density underflows.
-        """
+    def transition_grid_jet(self, theta, index_set) -> np.ndarray:
+        # The new states are the quadrature nodes, so one Gaussian evaluation
+        # on the N x N grid serves the numerator and the normalizer.  One
+        # tensordot over the whole stack keeps slot 0's bits.
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
-        if self.obs_box is None:
-            at, factors = self._location_jet(
-                self.obs_features, self.obs_scale, theta, x, index_set, ratios=True
-            )
-            return _expand_degrees(at(y), factors, index_set)
-        jet = self.observation_jet(theta, y, x, index_set)
-        return jet / jet[0]
-
-    # -- truncated densities ---------------------------------------------------
-    def _transition_quotient(self, num, on_nodes, factors, index_set) -> np.ndarray:
-        """Transition jet from the Gaussian derivatives by degree at the new states and the nodes.
-
-        The normalizer's derivatives are the grid quadrature of on_nodes
-        over its axis 1.  One tensordot over the whole stack keeps the
-        degree-0 rows first in one BLAS product, as they always were, so
-        slot 0 on the grid keeps its bits.
-        """
-        den = np.tensordot(on_nodes, self.grid.weights, axes=([1], [0]))
+        at, factors = self._location_jet(self.drift_features, self.trans_scale, theta, index_set)
+        on_grid = at(self.grid.axis(0)[:, None])
+        den = np.tensordot(on_grid, self.grid.weights, axes=([1], [0]))
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
-        return _expand_degrees(_quotient_degrees(num, den), factors, index_set)
+        return _expand_degrees(_quotient_degrees(on_grid, den), factors, index_set)
 
-    def transition_jet(self, theta, x_new, x_old, index_set) -> np.ndarray:
-        """Transition-density jet at (x_new | x_old), renormalized on the grid."""
-        theta = self.validate_theta(theta)
-        self.validate_order(index_set.order)
-        x_old = np.asarray(x_old, dtype=float)
-        at, factors = self._location_jet(
-            self.drift_features, self.trans_scale, theta, x_old, index_set
-        )
-        nodes = self.grid.axis(0).reshape((-1,) + (1,) * x_old.ndim)
-        return self._transition_quotient(at(x_new), at(nodes), factors, index_set)
-
-    def transition_grid_jet(self, theta, index_set) -> np.ndarray:
-        # The new states are the quadrature nodes, so one Gaussian
-        # evaluation on the N x N grid serves the numerator and the normalizer.
-        theta = self.validate_theta(theta)
-        self.validate_order(index_set.order)
-        x = self.grid.axis(0)
-        at, factors = self._location_jet(self.drift_features, self.trans_scale, theta, x, index_set)
-        on_grid = at(x[:, None])
-        return self._transition_quotient(on_grid, on_grid, factors, index_set)
-
-    def _observation_evaluator(self, theta, x, index_set):
-        """Evaluator y -> observation-density jet at the states x.
+    def observation_grid_factory(self, theta, index_set):
+        """Evaluator y -> observation-density jet at the grid states.
 
         The feature values, slope powers and truncation normalizer depend
-        only on theta and x, so they are built once; each observation
-        then costs one Gaussian evaluation plus the quotient recursion.
-        y may be an array that broadcasts against x.
+        only on theta, so they are built once; each observation then
+        costs one Gaussian evaluation plus the quotient recursion.
         """
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
-        x = np.asarray(x, dtype=float)
-        at, factors = self._location_jet(self.obs_features, self.obs_scale, theta, x, index_set)
+        at, factors = self._location_jet(self.obs_features, self.obs_scale, theta, index_set)
         if self.obs_box is None:
             # Lebesgue normalizer over the real line: constant in theta.
             den = [self.obs_scale]
         else:
-            nodes = self._obs_nodes.reshape((-1,) + (1,) * x.ndim)
-            den = np.tensordot(at(nodes), self._obs_weights, axes=([1], [0]))
+            den = np.tensordot(at(self._obs_nodes[:, None]), self._obs_weights, axes=([1], [0]))
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
 
@@ -415,13 +342,6 @@ class TruncatedNonlinearModel(ModelSpec):
             return _expand_degrees(_quotient_degrees(at(y), den), factors, index_set)
 
         return evaluate
-
-    def observation_jet(self, theta, y, x, index_set) -> np.ndarray:
-        """Observation-density jet at (y | x); y broadcasts against x."""
-        return self._observation_evaluator(theta, x, index_set)(y)
-
-    def observation_grid_factory(self, theta, index_set):
-        return self._observation_evaluator(theta, self.grid.axis(0), index_set)
 
     def _check_obs_domain(self, y) -> None:
         # NaN fails every comparison.  A scalar y, one per filter step, skips NumPy.
@@ -438,7 +358,7 @@ class TruncatedNonlinearModel(ModelSpec):
     def _scalar_location(self, features, theta, x: float) -> float:
         """theta . features(x) for one state, summed left to right as Python floats."""
         loc = 0.0
-        for t, f in zip(theta_array(theta).tolist(), features):
+        for t, f in zip(np.asarray(theta, dtype=float).tolist(), features):
             loc += t * f(x)
         return loc
 
@@ -559,15 +479,23 @@ def assumption_constants(
         if compact:
             y_scan = np.concatenate([y_values, model._obs_nodes])
         else:
-            obs_locations = model.observation_map(theta, x)
+            obs_locations = np.tensordot(theta, model._features(model.obs_features, x), axes=1)
             pad = 4.0 * model.obs_scale
             probe = np.linspace(obs_locations.min() - pad, obs_locations.max() + pad, 41)
             y_scan = np.concatenate([y_values, probe])
-        obs = model.observation_jet(theta, y_scan[:, None], x[None, :], iset)
+        obs = model.observation_grid_factory(theta, iset)(y_scan[:, None])
         q_max = max(q_max, float(obs[0].max()))
         q_all_max = max(q_all_max, float(np.abs(obs).max()))
-        obs_scores = model.observation_score_jet(theta, y_scan[:, None], x[None, :], iset)
-        if not compact:
+        # Observation scores d^b q / q.  On an unbounded observation domain
+        # the normalizer is constant in theta, so they are pure Hermite
+        # ratios and stay finite in the far tails where q underflows.
+        if compact:
+            obs_scores = obs / obs[0]
+        else:
+            at, factors = model._location_jet(
+                model.obs_features, model.obs_scale, theta, iset, ratios=True
+            )
+            obs_scores = _expand_degrees(at(y_scan[:, None]), factors, iset)
             # Smallest constant dominating |d^b q| / (q (1+|y|)^(2|b|)).
             growth = (1.0 + np.abs(y_scan))[:, None]
             for k in range(1, len(iset)):
@@ -584,7 +512,7 @@ def assumption_constants(
     psi_table = ratio_max.max(axis=1)
 
     if compact:
-        eps1 = min(p_min, _compact_q_min(model, theta_samples, x))
+        eps1 = min(p_min, _compact_q_min(model, theta_samples))
         if eps1 <= 0.0:
             raise ValueError("zero kernel encountered; mixing assumption fails on the grid")
         k1 = max(p_deriv_max, q_all_max)
@@ -627,11 +555,11 @@ def assumption_constants(
     )
 
 
-def _compact_q_min(model: TruncatedNonlinearModel, theta_samples, x) -> float:
+def _compact_q_min(model: TruncatedNonlinearModel, theta_samples) -> float:
     q_min = math.inf
     iset = enumerate_indices(model.dim_theta, 0)
     for theta in theta_samples:
-        obs = model.observation_jet(theta, model._obs_nodes[:, None], x[None, :], iset)
+        obs = model.observation_grid_factory(theta, iset)(model._obs_nodes[:, None])
         q_min = min(q_min, float(obs[0].min()))
     return q_min
 

@@ -111,6 +111,23 @@ class TestRun:
         assert run("simulate", str(bad)) == 2
         assert "line" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("check-derivs", "theta_draws", "0"),
+            ("assumptions", "y_samples", "0"),
+            ("ergodicity", "record_ns", ""),
+            ("rml", "rml_steps", "0"),
+        ],
+    )
+    def test_empty_experiment_setting_exits_2(self, tmp_path, capsys, experiment, key, value):
+        # each value parses but leaves its experiment nothing to run
+        lines = [ln for ln in fast_config(tmp_path / "out").splitlines() if not ln.startswith(key)]
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert run(experiment, str(cfg)) == 2
+        assert f"[experiment] {key}" in capsys.readouterr().err
+
     def test_numerical_abort_exits_3(self, tmp_path, capsys):
         # a state box vastly wider than the noise makes the truncation
         # normalizer underflow when the kernel is first evaluated

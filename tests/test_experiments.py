@@ -158,6 +158,8 @@ class TestErgodicity:
             ergodicity_experiment(small_model, theta, phi, [z], [1], 1, seed=0)
         with pytest.raises(ValueError):
             ergodicity_experiment(small_model, theta, phi, [z], [1], 10, seed=0, chain="sideways")
+        with pytest.raises(ValueError, match="at least one horizon"):
+            ergodicity_experiment(small_model, theta, phi, [z], [], 10, seed=0)
 
     def test_abort_names_the_observation_index(self, gaussian_model, theta):
         # paths are drawn before any step: replica 0 draws observations 1-5,
@@ -205,6 +207,10 @@ class TestDerivativeIdentitySweep:
         report = derivative_identity_sweep(model, thetas, horizon=5, seed=13)
         assert report.passed
         assert report.worst_scaled <= 1e-4
+
+    def test_empty_theta_list_rejected(self):
+        with pytest.raises(ValueError, match="thetas"):
+            derivative_identity_sweep(make_model(cells=8, order=1), [], horizon=2, seed=0)
 
     def test_zero_order_rows_are_exact(self, theta):
         model = make_model(cells=16, order=1)

@@ -81,8 +81,7 @@ class TestPsiZero:
         model = make_model(obs=("zero", "zero"))
         measure = embed(GridMeasure.uniform(model.grid), iset)
         y = 1.1
-        x0 = model.grid.axis(0)[:1]
-        q = model.observation_jet(theta, y, x0, enumerate_indices(2, 0))[0][0]
+        q = model.observation_grid_factory(theta, enumerate_indices(2, 0))(y)[0][0]
         assert psi_zero(model, theta, y, measure) == pytest.approx(math.log(q), abs=1e-12)
 
     def test_reads_only_the_zero_slot(self, model32, theta, iset, uniform_l0):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from filterjet import (
     FDScheme,
     GridMeasure,
-    ParameterPoint,
     Trajectory,
     assumption_constants,
     fd_derivative,
@@ -23,16 +22,16 @@ from filterjet.multiindex import enumerate_indices
 from conftest import THETA, kslot_quotient_jet, make_model
 
 
-class TestParameterPoint:
-    def test_strict_interior_required(self):
-        with pytest.raises(ValueError):
-            ParameterPoint((0.2, 0.9), ((0.2, 1.5), (0.2, 1.5)))
-        pp = ParameterPoint((0.8, 0.9), ((0.2, 1.5), (0.2, 1.5)))
-        assert pp.array.tolist() == [0.8, 0.9]
+class TestValidateTheta:
+    def test_plain_sequence_becomes_a_float_array(self, model32):
+        arr = model32.validate_theta([0.8, 0.9])
+        assert arr.dtype == float and arr.tolist() == [0.8, 0.9]
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ParameterPoint((0.5,), ((0.2, 1.5), (0.2, 1.5)))
+    def test_boundary_and_shape_rejected(self, model32):
+        with pytest.raises(ValueError, match="open box"):
+            model32.validate_theta([0.2, 0.9])
+        with pytest.raises(ValueError, match="shape"):
+            model32.validate_theta([0.5])
 
 
 class TestTrajectory:
@@ -57,7 +56,7 @@ class TestKernelMatrix:
         mat = kernel_matrix(model, (0, 0), theta, y)
         col_sums = model.grid.weights @ mat
         iset = enumerate_indices(2, 0)
-        q = model.observation_jet(theta, y, model.grid.axis(0)[:1], iset)[0][0]
+        q = model.observation_grid_factory(theta, iset)(y)[0][0]
         assert np.allclose(col_sums, q, rtol=1e-12, atol=1e-15)
 
     def test_first_derivative_matches_central_difference(self, model32, theta):
@@ -80,24 +79,19 @@ class TestKernelMatrix:
 
 class TestTruncatedDensities:
     def test_transition_normalized_on_grid(self, model32, theta):
-        x = model32.grid.axis(0)
-        iset = enumerate_indices(2, 0)
-        dens = model32.transition_jet(theta, x[:, None], x[None, :], iset)[0]
+        dens = model32.transition_grid_jet(theta, enumerate_indices(2, 0))[0]
         masses = model32.grid.weights @ dens
         assert np.max(np.abs(masses - 1.0)) <= 1e-8
 
     def test_transition_density_strictly_positive(self, model32, theta):
-        x = model32.grid.axis(0)
-        iset = enumerate_indices(2, 0)
-        dens = model32.transition_jet(theta, x[:, None], x[None, :], iset)[0]
+        dens = model32.transition_grid_jet(theta, enumerate_indices(2, 0))[0]
         observed_min = dens.min()
         assert observed_min > 0.0
 
     def test_observation_normalized_on_quadrature(self, model32, theta):
         iset = enumerate_indices(2, 0)
-        x = model32.grid.axis(0)
         nodes = model32._obs_nodes
-        q = model32.observation_jet(theta, nodes[:, None], x[None, :], iset)[0]
+        q = model32.observation_grid_factory(theta, iset)(nodes[:, None])[0]
         masses = model32._obs_weights @ q
         assert np.max(np.abs(masses - 1.0)) <= 1e-10
 
@@ -112,19 +106,17 @@ class TestTruncatedDensities:
 
     def test_unbounded_observation_density_proper(self, gaussian_model, theta):
         iset = enumerate_indices(2, 0)
-        x = gaussian_model.grid.axis(0)
         ys = np.linspace(-12, 12, 2001)
-        q = gaussian_model.observation_jet(theta, ys[:, None], x[None, :], iset)[0]
+        q = gaussian_model.observation_grid_factory(theta, iset)(ys[:, None])[0]
         masses = np.trapezoid(q, ys, axis=0)
         assert np.max(np.abs(masses - 1.0)) <= 1e-6
 
     def test_transition_first_derivative_fd(self, model32, theta):
         h = 1e-4
-        x = model32.grid.axis(0)
         iset = enumerate_indices(2, 1)
-        analytic = model32.transition_jet(theta, x[:, None], x[None, :], iset)
-        up = model32.transition_jet(theta + np.array([h, 0]), x[:, None], x[None, :], iset)[0]
-        dn = model32.transition_jet(theta - np.array([h, 0]), x[:, None], x[None, :], iset)[0]
+        analytic = model32.transition_grid_jet(theta, iset)
+        up = model32.transition_grid_jet(theta + np.array([h, 0]), iset)[0]
+        dn = model32.transition_grid_jet(theta - np.array([h, 0]), iset)[0]
         fd = (up - dn) / (2 * h)
         rel = np.max(np.abs(analytic[iset.slot((1, 0))] - fd)) / np.max(np.abs(fd))
         assert rel <= 1e-6
@@ -144,12 +136,12 @@ class TestTruncatedDensities:
 
     def test_observation_first_derivative_fd(self, model32, theta):
         h = 1e-4
-        x = model32.grid.axis(0)
         iset = enumerate_indices(2, 1)
-        up = model32.observation_jet(theta + np.array([0, h]), 1.2, x, iset)[iset.slot((0, 0))]
-        dn = model32.observation_jet(theta - np.array([0, h]), 1.2, x, iset)[iset.slot((0, 0))]
+        jet = lambda th: model32.observation_grid_factory(th, iset)(1.2)  # noqa: E731
+        up = jet(theta + np.array([0, h]))[iset.slot((0, 0))]
+        dn = jet(theta - np.array([0, h]))[iset.slot((0, 0))]
         fd = (up - dn) / (2 * h)
-        analytic = model32.observation_jet(theta, 1.2, x, iset)[iset.slot((0, 1))]
+        analytic = jet(theta)[iset.slot((0, 1))]
         assert np.max(np.abs(analytic - fd)) / np.max(np.abs(fd)) <= 1e-6
 
     def test_symmetric_model_invariant_under_theta_swap(self):
@@ -235,19 +227,12 @@ def _reference_observation_jet(model, theta, y, x, index_set):
     return kslot_quotient_jet(at(y), den, index_set)
 
 
-def _assert_matches_reference(jet, reference, slot0_exact=True):
+def _assert_matches_reference(jet, reference):
     # Slot 0 takes the same operations in the same order, so it is bit for
     # bit equal; higher slots sum the same terms grouped by degree instead
-    # of by multi-index, which moves float64 rounding only.  Without
-    # slot0_exact, slot 0 may differ by rounding: a BLAS dot product rounds
-    # the last rows of a product whose row count is not a multiple of four
-    # differently, and the normalizer's row count is (order + 1) times the
-    # number of old states, where the reference's is K times that.
+    # of by multi-index, which moves float64 rounding only.
     assert jet.shape == reference.shape
-    if slot0_exact:
-        assert np.array_equal(jet[0], reference[0])
-    else:
-        assert np.max(np.abs(jet[0] - reference[0])) <= 1e-15 * np.max(np.abs(reference[0]))
+    assert np.array_equal(jet[0], reference[0])
     for k in range(1, len(reference)):
         scale = np.max(np.abs(reference[k]))
         assert np.max(np.abs(jet[k] - reference[k])) <= 1e-13 * scale
@@ -267,27 +252,15 @@ class TestTransitionJetPaths:
     @pytest.mark.parametrize("cells", [24, 33])
     @pytest.mark.parametrize("features", ["default", "zero-one"])
     @settings(max_examples=10, deadline=None)
-    # old states on a 0.01 lattice: a subnormal state makes slots that
-    # underflow, where a relative tolerance means nothing
-    @given(theta=THETAS, x_off=st.lists(st.integers(-300, 300).map(lambda i: i / 100), min_size=1, max_size=3))
-    def test_grid_and_point_paths_match_the_reference(
-        self, variant, order, cells, features, theta, x_off
-    ):
+    @given(theta=THETAS)
+    def test_grid_and_point_paths_match_the_reference(self, variant, order, cells, features, theta):
         model = _model(variant, order, cells, features)
         theta = theta[: model.dim_theta]
         iset = model.index_set()
         x = model.grid.axis(0)
-        on_grid = model.transition_grid_jet(theta, iset)
         _assert_matches_reference(
-            on_grid, _reference_transition_jet(model, theta, x[:, None], x[None, :], iset)
-        )
-        assert np.array_equal(model.transition_jet(theta, x[:, None], x[None, :], iset), on_grid)
-        # off the grid: new states against a column of old states
-        column = np.asarray(x_off)[:, None]
-        _assert_matches_reference(
-            model.transition_jet(theta, x, column, iset),
-            _reference_transition_jet(model, theta, x, column, iset),
-            slot0_exact=False,
+            model.transition_grid_jet(theta, iset),
+            _reference_transition_jet(model, theta, x[:, None], x[None, :], iset),
         )
 
 
@@ -297,15 +270,11 @@ def _check_observation_paths(model, ys, theta):
     x = model.grid.axis(0)
     on_grid = model.observation_grid_factory(theta, iset)
     for y in ys:
-        jet = on_grid(y)
-        _assert_matches_reference(jet, _reference_observation_jet(model, theta, y, x, iset))
-        assert np.array_equal(model.observation_jet(theta, y, x, iset), jet)
+        _assert_matches_reference(on_grid(y), _reference_observation_jet(model, theta, y, x, iset))
     column = np.asarray(ys)[:, None]
-    for states in (x[None, :], x):
-        _assert_matches_reference(
-            model.observation_jet(theta, column, states, iset),
-            _reference_observation_jet(model, theta, column, states, iset),
-        )
+    _assert_matches_reference(
+        on_grid(column), _reference_observation_jet(model, theta, column, x, iset)
+    )
 
 
 OBSERVATIONS = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4)
@@ -328,6 +297,45 @@ class TestObservationJetPaths:
         self, variant, order, cells, features, ys, theta
     ):
         _check_observation_paths(_model(variant, order, cells, features), ys, theta)
+
+
+class TestObservationScores:
+    """The observation scores d^b q / q behind the assumption_constants score table."""
+
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_score_table_is_the_joint_kernel_quotient(self, variant, order):
+        model = _model(variant, order)
+        ys = np.array([-4.0, -0.7, 0.3, 2.5, 5.0])
+        table = assumption_constants(model, [THETA], ys).psi_values
+        for y, psi in zip(ys, table):
+            base = kernel_matrix(model, (0, 0), THETA, y)
+            scores = [
+                np.abs(kernel_matrix(model, alpha, THETA, y) / base).max()
+                for alpha in model.index_set().indices
+                if alpha.degree
+            ]
+            assert abs(psi - max(scores)) <= 1e-12 * max(scores)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_gaussian_scores_are_hermite_ratios_finite_where_the_density_underflows(self, order):
+        model = _model("gaussian", order)
+        iset = model.index_set()
+        at, factors = model._location_jet(
+            model.obs_features, model.obs_scale, THETA, iset, ratios=True
+        )
+        density = model.observation_grid_factory(THETA, iset)
+        ys = np.array([-6.0, -0.7, 0.3, 2.5, 6.0])[:, None]
+        scores = models._expand_degrees(at(ys), factors, iset)
+        jet = density(ys)
+        for k in range(len(iset)):
+            quotient = jet[k] / jet[0]
+            assert np.max(np.abs(scores[k] - quotient)) <= 1e-12 * np.max(np.abs(quotient))
+        # at y = 500 the density is 0.0 at every state, its scores are not
+        assert np.all(density(500.0)[0] == 0.0)
+        assert np.all(np.isfinite(models._expand_degrees(at(500.0), factors, iset)))
+        far = assumption_constants(model, [THETA], [500.0]).psi_values
+        assert np.all(np.isfinite(far)) and np.all(far > 0.0)
 
 
 class TestSimulate:

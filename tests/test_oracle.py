@@ -129,9 +129,7 @@ class TestStationaryLaw:
         assert pi.is_probability(tol=1e-10)
         assert 0.0 < result.second_eigenvalue < 1.0
         # fixed point: one more transition application leaves pi unchanged
-        x = model32.grid.axis(0)
-        iset = model32.index_set(0)
-        trans = model32.transition_jet(theta, x[:, None], x[None, :], iset)[0]
+        trans = model32.transition_grid_jet(theta, model32.index_set(0))[0]
         pushed = trans @ (pi.density * model32.grid.weights)
         assert float(np.dot(np.abs(pushed - pi.density), model32.grid.weights)) < 1e-10
 
