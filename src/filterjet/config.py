@@ -193,9 +193,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("[experiment] horizon: must be >= 1")
     if e.replicas < 2:
         raise ConfigError("[experiment] replicas: must be >= 2")
-    for key in ("theta_draws", "y_samples", "rml_steps"):
+    for key in ("theta_draws", "rml_steps"):
         if getattr(e, key) < 1:
             raise ConfigError(f"[experiment] {key}: must be >= 1")
+    if e.y_samples < 2:
+        # the Gaussian tail-growth exponent is a log-log slope: two points at least
+        raise ConfigError("[experiment] y_samples: must be >= 2")
     if not e.record_ns or min(e.record_ns) < 0:
         raise ConfigError("[experiment] record_ns: need at least one horizon, none negative")
     if len(e.rml_init) != d:

@@ -120,13 +120,20 @@ def _richardson(samples):
     return table[0]
 
 
-def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
+def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None, evaluations=None):
     """Mixed parameter derivative of f by nested central differences.
 
     Coordinates are differenced one at a time following the entries of
     alpha, each with Richardson extrapolation by step halving.  f may
     return a float, an ndarray, or a GridMeasure; the result matches.
-    Repeated evaluation points are cached within one call.
+
+    Every evaluation of f is memoized by the bytes of its parameter
+    point, so a repeated stencil point costs one call.  The memo lives
+    for one call unless the caller passes its own dict as evaluations:
+    a caller that differences several alpha at one theta shares one
+    dict across those calls (the stencils of different alpha overlap)
+    and may seed it with f's value at a point it has already computed.
+    The dict maps point bytes to f's return value.
     """
     alpha = MultiIndex(alpha)
     theta = np.asarray(theta, dtype=float)
@@ -138,24 +145,24 @@ def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
             if not (lo + margin < t < hi - margin):
                 raise ValueError("finite-difference stencil would leave the parameter box")
 
-    sample = f(np.array(theta))
-    wraps_measure = isinstance(sample, GridMeasure)
-    grid = sample.grid if wraps_measure else None
-
-    cache: dict[bytes, np.ndarray] = {theta.tobytes(): _as_array(sample)}
+    memo = {} if evaluations is None else evaluations
 
     def cached(point):
-        key = np.asarray(point, dtype=float).tobytes()
-        if key not in cache:
-            cache[key] = _as_array(f(np.asarray(point, dtype=float)))
-        return cache[key]
+        key = point.tobytes()
+        if key not in memo:
+            memo[key] = f(point.copy())
+        return memo[key]
+
+    sample = cached(theta)
+    wraps_measure = isinstance(sample, GridMeasure)
+    grid = sample.grid if wraps_measure else None
 
     def derive(point, remaining):
         for axis in range(len(remaining)):
             if remaining[axis] > 0:
                 break
         else:
-            return cached(point)
+            return _as_array(cached(point))
         order = remaining[axis]
         rest = list(remaining)
         rest[axis] = 0

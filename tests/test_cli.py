@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from filterjet import FDScheme, GridMeasure, fd_derivative, loglik_jet, simulate
 from filterjet.cli import main, run
 from filterjet.config import (
     ConfigError,
@@ -10,8 +11,10 @@ from filterjet.config import (
     build_grid,
     build_model,
     load_config_text,
+    reference_theta,
     render_config,
 )
+from filterjet.seeding import labeled_seed
 
 FAST = """
 [run]
@@ -128,6 +131,16 @@ class TestRun:
         assert run(experiment, str(cfg)) == 2
         assert f"[experiment] {key}" in capsys.readouterr().err
 
+    def test_single_y_sample_exits_2(self, tmp_path, capsys):
+        # one sample gives no log-log slope, so the Gaussian growth
+        # exponent could not be measured, let alone judged
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            fast_config(tmp_path / "out") + "y_samples = 1\n[model]\nvariant = gaussian\n"
+        )
+        assert run("assumptions", str(cfg)) == 2
+        assert "[experiment] y_samples" in capsys.readouterr().err
+
     def test_numerical_abort_exits_3(self, tmp_path, capsys):
         # a state box vastly wider than the noise makes the truncation
         # normalizer underflow when the kernel is first evaluated
@@ -203,6 +216,26 @@ class TestRun:
         assert "psi_0_0" in header
         body = (outdir / "results.csv").read_text().splitlines()[1:]
         assert len(body) == 5
+
+    def test_loglik_fd_column_equals_per_alpha_differences(self, tmp_path):
+        # the memo the alpha share must not move a bit of derivatives.csv
+        cfg_path = tmp_path / "ll.cfg"
+        outdir = tmp_path / "out"
+        cfg_path.write_text(fast_config(outdir, horizon=5).replace("order = 1", "order = 2"))
+        assert run("loglik", str(cfg_path)) == 0
+        cfg = load_config_text(cfg_path.read_text())
+        model = build_model(cfg)
+        theta = reference_theta(cfg)
+        lam0 = GridMeasure.uniform(model.grid)
+        traj = simulate(model, theta, lam0, 5, labeled_seed(cfg.seed, "loglik-path"))
+        slot0 = lambda th: loglik_jet(model, th, traj.observations, lam0).values[0]  # noqa: E731
+        scheme = FDScheme(cfg.derivatives.fd_step, cfg.derivatives.fd_levels)
+        lines = (outdir / "derivatives.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(model.index_set()) - 1
+        for line in lines:
+            alpha, _, fd, _ = line.split(",")
+            want = fd_derivative(slot0, tuple(map(int, alpha.split())), theta, scheme)
+            assert float(fd) == want
 
     def test_failing_threshold_exits_1(self, tmp_path):
         # an absurdly tight tolerance forces a FAIL verdict

@@ -1,0 +1,148 @@
+"""The derivative-identity sweep's finite-difference passes.
+
+The sweep differences slot 0 of the filter through one evaluation memo
+per parameter point and runs those passes on the order-1 index set.  The
+tests here guard both choices: slot 0 does not depend on the index set's
+order (from 1 up), and the memoized sweep reports exactly what the
+plain per-alpha sweep with full-order passes reports, with 29 passes
+instead of 94 at dimension 2 and order 3.
+"""
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import filterjet.experiments as experiments
+from filterjet import (
+    FDScheme,
+    GridMeasure,
+    StateGrid,
+    derivative_identity_sweep,
+    embed,
+    fd_derivative,
+    filter_iterate,
+    simulate,
+)
+from filterjet.experiments import SweepCell
+from filterjet.seeding import labeled_seed
+
+from conftest import THETA, make_model
+from test_step_core import _PlanarModel
+
+HORIZON = 6
+thetas = st.tuples(st.floats(0.3, 1.4), st.floats(0.3, 1.4)).map(np.array)
+
+
+@lru_cache(maxsize=None)
+def line_model(variant, cells, order=3):
+    return make_model(cells=cells, order=order, variant=variant)
+
+
+@lru_cache(maxsize=None)
+def observations(variant, cells):
+    model = line_model(variant, cells)
+    lam = GridMeasure.uniform(model.grid)
+    return simulate(model, THETA, lam, HORIZON, seed=31).observations
+
+
+def slot0(model, theta, ys, order):
+    start = embed(GridMeasure.uniform(model.grid), model.index_set(order))
+    return filter_iterate(model, theta, ys, start).measure.components[0]
+
+
+# Order 0 is left out on purpose: its slot 0 differs from the full-order
+# one in the last bits (the order-0 normalizer reduces in another BLAS
+# summation order), so the sweep runs its difference passes at order 1.
+@pytest.mark.parametrize("cells", [8, 24, 33, 64])
+@pytest.mark.parametrize("variant", ["compact", "gaussian"])
+@settings(max_examples=8, deadline=None)
+@given(theta=thetas)
+def test_slot0_does_not_depend_on_the_order(variant, cells, theta):
+    model = line_model(variant, cells)
+    ys = observations(variant, cells)
+    full = slot0(model, theta, ys, model.max_order)
+    for order in range(1, model.max_order):
+        assert np.array_equal(slot0(model, theta, ys, order), full)
+
+
+@pytest.mark.parametrize("max_order", [2, 3])
+@settings(max_examples=5, deadline=None)
+@given(theta=thetas)
+def test_planar_slot0_does_not_depend_on_the_order(max_order, theta):
+    model = _PlanarModel(StateGrid.uniform([(-2.0, 2.0), (-2.0, 2.0)], (6, 5)), max_order)
+    ys = [0.4, -0.9, 1.3, 0.2]
+    full = slot0(model, theta, ys, max_order)
+    for order in range(1, max_order):
+        assert np.array_equal(slot0(model, theta, ys, order), full)
+
+
+def per_alpha_sweep(model, thetas, horizon, seed, scheme=FDScheme(), rel_tol=1e-4, abs_floor=1e-6):
+    """The sweep before the memo: full-order passes, one fd_derivative cache per alpha."""
+    lam0 = GridMeasure.uniform(model.grid)
+    data_theta = np.asarray(model.parameter_box, dtype=float).mean(axis=1)
+    traj = simulate(model, data_theta, lam0, horizon, seed=labeled_seed(seed, "identity-path"))
+    index_set = model.index_set()
+    weights = model.grid.weights
+    floor_scale = abs_floor / rel_tol
+
+    def zero_slot_masses(theta_point):
+        state = filter_iterate(model, theta_point, traj.observations, embed(lam0, index_set))
+        return state.measure.components[0] * weights
+
+    cells = []
+    for t_idx, theta in enumerate(thetas):
+        state = filter_iterate(model, theta, traj.observations, embed(lam0, index_set))
+        slot_masses = state.measure.components * weights
+        for k, alpha in enumerate(index_set.indices):
+            if alpha.degree == 0:
+                reference = slot_masses[0]
+            else:
+                reference = fd_derivative(
+                    zero_slot_masses, alpha, theta, scheme, bounds=model.parameter_box
+                )
+            gap = np.abs(slot_masses[k] - reference)
+            scaled = float((gap / np.maximum(floor_scale, np.abs(reference))).max())
+            cells.append(SweepCell(t_idx, alpha, float(gap.max()), scaled))
+    return cells
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["compact", "gaussian"])
+@settings(max_examples=4, deadline=None)
+@given(theta=thetas, second=thetas)
+def test_memoized_sweep_equals_the_per_alpha_sweep(variant, order, theta, second):
+    model = line_model(variant, 12, order)
+    report = derivative_identity_sweep(model, [theta, second], horizon=4, seed=3)
+    expected = per_alpha_sweep(model, [theta, second], horizon=4, seed=3)
+    assert len(report.cells) == len(expected)
+    for got, want in zip(report.cells, expected):
+        assert got.theta_index == want.theta_index
+        assert got.alpha == want.alpha
+        assert got.max_abs_error == want.max_abs_error
+        assert got.scaled_error == want.scaled_error
+    assert report.worst_scaled == max(c.scaled_error for c in expected)
+    assert report.worst_abs == max(c.max_abs_error for c in expected)
+
+
+def test_one_full_pass_and_28_order1_passes(monkeypatch):
+    model = line_model("compact", 12)
+    orders = []
+
+    def counted(model, theta, observations, measure, *args, **kwargs):
+        orders.append(measure.index_set.order)
+        return filter_iterate(model, theta, observations, measure, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "filter_iterate", counted)
+    derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
+    assert orders.count(3) == 1
+    assert orders.count(1) == 28
+    assert len(orders) == 29
+
+    # the same sweep without the shared memo: one fd_derivative per alpha
+    orders.clear()
+    per_alpha_fd = lambda *args, evaluations=None, **kw: fd_derivative(*args, **kw)  # noqa: E731
+    monkeypatch.setattr(experiments, "fd_derivative", per_alpha_fd)
+    derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
+    assert len(orders) == 94
