@@ -372,8 +372,9 @@ def derivative_identity_sweep(
     model its slot 0 equals the full-order slot 0 bit for bit, so the
     report is the one full-order passes give.  An order-0 pass would be
     cheaper still, but its slot 0 differs in the last bits: the order-0
-    normalizer's tensordot reads a transposed view, so BLAS sums in
-    another order.
+    normalizer's matrix-vector product reads a Fortran-order view, and
+    puts its last rows in BLAS's tail when N is not a multiple of four,
+    so BLAS sums in another order.
     """
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     thetas = [model.validate_theta(t) for t in thetas]

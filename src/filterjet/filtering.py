@@ -63,9 +63,12 @@ class KernelCache:
     """Per-(model, theta) kernel jets reused across filter steps.
 
     The joint kernel factors as obs(y|x) trans(x|x'), and the transition
-    jet does not depend on the observation, so it is built once; each
-    step only evaluates the observation jet on the grid and pairs it
-    with the transition-moved slots by the Leibniz rule.
+    jet does not depend on the observation, so it is built once per
+    theta, here, together with the model's observation evaluator, which
+    holds the observation jet's per-theta parts; what depends on
+    neither theta nor y the model holds itself.  Each step only
+    evaluates the observation jet at its y on the grid and pairs it with
+    the transition-moved slots by the Leibniz rule.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -302,15 +305,19 @@ def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
 
 
 def _indexed_step(cache: KernelCache, y, measure: VectorMeasure, observation_index: int):
-    """filter_step_with_scalars, with a predictive-mass abort naming its observation.
+    """filter_step_with_scalars, with every abort naming its observation.
 
     The serial folds step through the public wrapper, so that a traced
-    run counts their steps in the benchmark's step layer.
+    run counts their steps in the benchmark's step layer; this re-raises
+    its predictive-mass, input (ValueError) and slot-mass aborts with
+    the observation index, as the batched consumers' aborts carry it.
     """
     try:
         return filter_step_with_scalars(cache, y, measure)
     except PredictiveMassError as err:
         raise PredictiveMassError(err.mass, observation_index=observation_index) from err
+    except (ValueError, MassInvariantError) as err:
+        raise type(err)(f"{err}{_where(None, observation_index)}") from err
 
 
 def _observation_block(observations) -> np.ndarray:

@@ -128,9 +128,10 @@ class ModelSpec(abc.ABC):
         """Evaluator y -> (K, N) observation-density jet on the grid.
 
         A float y gives (K, N); an (R, 1) column of observations, which a
-        step over R replicas passes, gives (K, R, N).  Everything that
-        depends only on theta is built once here, since the filter
-        evaluates the observations of every step at a fixed theta.
+        step over R replicas passes, gives (K, R, N).  The factory runs
+        once per theta and the evaluator once per step, at that fixed
+        theta: build everything that depends only on theta here, and
+        everything that depends on neither theta nor y once per model.
         """
 
     @abc.abstractmethod
@@ -156,20 +157,46 @@ class ModelSpec(abc.ABC):
         return enumerate_indices(self.dim_theta, self.max_order if order is None else order)
 
 
-def _quotient_degrees(num: np.ndarray, den) -> np.ndarray:
-    """Derivatives 0..order of num / den in one variable, from those of num and den.
+def _quotient_plan(den, order: int):
+    """Per-degree coefficients of the quotient recursion, from the derivatives of den.
 
-    Solves the Leibniz rule N_d = sum_j C(d, j) G_j D_(d-j) for G_d in
-    increasing degree, overwriting num with the G_d.  den may list fewer
-    derivatives than num; the missing ones are zero.
+    Solving the Leibniz rule N_d = sum_j C(d, j) G_j D_(d-j) for G_d
+    needs 1 / D_0 and the weights C(d, j) D_(d-j) / D_0, which depend on
+    den alone; den may list fewer derivatives than order + 1, the missing
+    ones being zero.  Returns (1 / D_0, rows), row d listing (j, weight).
     """
     inv = 1.0 / den[0]
     scaled = [d_k * inv for d_k in den]
-    for d, acc in enumerate(num):
+    rows = [
+        [(j, math.comb(d, j) * scaled[d - j]) for j in range(max(0, d + 1 - len(den)), d)]
+        for d in range(order + 1)
+    ]
+    return inv, rows
+
+
+def _quotient_degrees(num: np.ndarray, plan) -> np.ndarray:
+    """Derivatives 0..order of num / den in one variable, overwriting num's.
+
+    plan is _quotient_plan(den, order); the G_d are solved in increasing
+    degree.
+    """
+    inv, rows = plan
+    for acc, row in zip(num, rows):
         acc *= inv
-        for j in range(max(0, d + 1 - len(den)), d):
-            acc -= (math.comb(d, j) * scaled[d - j]) * num[j]
+        for j, weight in row:
+            acc -= weight * num[j]
     return num
+
+
+def _integrate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(D, M) sums over axis 1 of (D, N, M) values against (N,) weights.
+
+    This is the BLAS matrix-vector product that np.tensordot makes, on
+    the (D * M, N) layout that it reads: a copy for D > 1 and, for
+    D = 1, a Fortran-order view of the values.
+    """
+    d, n, m = values.shape
+    return np.dot(values.transpose(0, 2, 1).reshape(d * m, n), weights.reshape(n, 1)).reshape(d, m)
 
 
 def _expand_degrees(by_degree, factors: np.ndarray, index_set: IndexSet) -> np.ndarray:
@@ -220,6 +247,14 @@ class TruncatedNonlinearModel(ModelSpec):
     one is given, and left as a proper Gaussian density on the whole
     real line otherwise.  Both kernel jets are evaluated at the grid
     states only.
+
+    Their work splits by what it depends on.  Per model: the feature
+    values on the grid and the slope powers of every index (the
+    (features, factors) tables).  Per theta: the locations, the Gaussian
+    derivatives and normalizer of the transition, the observation
+    normalizer, and both quotients' coefficients.  Per observation: the
+    Gaussian derivatives at y, the quotient recursion and the products
+    with the slope powers.
     """
 
     grid: StateGrid
@@ -235,6 +270,8 @@ class TruncatedNonlinearModel(ModelSpec):
     _obs_weights: np.ndarray | None = field(default=None, repr=False)
     _drift_scalars: tuple = field(init=False, repr=False)
     _obs_scalars: tuple = field(init=False, repr=False)
+    _drift_tables: tuple = field(init=False, repr=False)
+    _obs_tables: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.dim != 1:
@@ -261,6 +298,16 @@ class TruncatedNonlinearModel(ModelSpec):
             object.__setattr__(self, "_obs_weights", np.full(n, h))
         for attr, names in (("_drift_scalars", self.drift_features), ("_obs_scalars", self.obs_features)):
             object.__setattr__(self, attr, tuple(_FEATURE_SCALARS[n] for n in names))
+        # (features, factors) on the grid states: the feature values and, per
+        # index of the full index set, the slope powers.  Index sets are
+        # graded, so a lower-order set's factors are a prefix of these.
+        full = self.index_set()
+        for attr, names, scale in (
+            ("_drift_tables", self.drift_features, self.trans_scale),
+            ("_obs_tables", self.obs_features, self.obs_scale),
+        ):
+            feats = self._features(names, self.grid.axis(0))
+            object.__setattr__(self, attr, (feats, _slope_powers(-feats / scale, full)))
 
     @property
     def dim_theta(self) -> int:
@@ -284,62 +331,68 @@ class TruncatedNonlinearModel(ModelSpec):
         return np.stack([FEATURE_FUNCTIONS[n](x) for n in names])
 
     # -- kernel jets by degree on the grid -----------------------------------
-    def _location_jet(self, names, scale, theta, index_set, ratios=False):
+    def _location_jet(self, tables, scale, theta, index_set, ratios=False):
         """(evaluator, factors) for the jet of pdf((target - theta . features(x)) / scale).
 
-        x runs over the grid states.  The location is affine in theta, so
-        the mixed derivative for index a is pdf^(|a|) times factors[a],
-        the product of the per-coordinate slopes raised to the entries of
-        a.  Only the order + 1 Gaussian derivatives depend on the target;
-        the evaluator returns them by degree, with the target broadcast
-        against the states.  With ratios=True they are divided by the pdf
-        itself, which stays finite arbitrarily far into the tails.
+        x runs over the grid states, and tables is the model's (features,
+        factors) of the drift or of the observation map.  The location is
+        affine in theta, so the mixed derivative for index a is
+        pdf^(|a|) times factors[a], the product of the per-coordinate
+        slopes raised to the entries of a.  Only the order + 1 Gaussian
+        derivatives depend on the target; the evaluator returns them by
+        degree, with the target broadcast against the states.  With
+        ratios=True they are divided by the pdf itself, which stays
+        finite arbitrarily far into the tails.
         """
-        feats = self._features(names, self.grid.axis(0))
-        location = np.tensordot(np.asarray(theta, dtype=float), feats, axes=1)
-        factors = _slope_powers(-feats / scale, index_set)
+        features, factors = tables
+        # theta . features as np.tensordot sums it: a (1, dim) row times the table.
+        location = np.dot(theta.reshape(1, -1), features).reshape(-1)
         derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
         order = index_set.order
 
         def at(target):
             return derivs((np.asarray(target, dtype=float) - location) / scale, order)
 
-        return at, factors
+        return at, factors[: len(index_set)]
 
     def transition_grid_jet(self, theta, index_set) -> np.ndarray:
         # The new states are the quadrature nodes, so one Gaussian evaluation
         # on the N x N grid serves the numerator and the normalizer.  One
-        # tensordot over the whole stack keeps slot 0's bits.
+        # integral over the whole stack keeps slot 0's bits.
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
-        at, factors = self._location_jet(self.drift_features, self.trans_scale, theta, index_set)
+        at, factors = self._location_jet(self._drift_tables, self.trans_scale, theta, index_set)
         on_grid = at(self.grid.axis(0)[:, None])
-        den = np.tensordot(on_grid, self.grid.weights, axes=([1], [0]))
+        den = _integrate(on_grid, self.grid.weights)
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
-        return _expand_degrees(_quotient_degrees(on_grid, den), factors, index_set)
+        plan = _quotient_plan(den, index_set.order)
+        return _expand_degrees(_quotient_degrees(on_grid, plan), factors, index_set)
 
     def observation_grid_factory(self, theta, index_set):
         """Evaluator y -> observation-density jet at the grid states.
 
-        The feature values, slope powers and truncation normalizer depend
-        only on theta, so they are built once; each observation then
-        costs one Gaussian evaluation plus the quotient recursion.
+        Per model, the feature values and slope powers are tabulated once
+        (in __post_init__).  Per theta, this builds the location, the
+        truncation normalizer and the quotient coefficients.  Per y, the
+        evaluator costs one Gaussian evaluation, the quotient recursion
+        and the product with the slope powers.
         """
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
-        at, factors = self._location_jet(self.obs_features, self.obs_scale, theta, index_set)
+        at, factors = self._location_jet(self._obs_tables, self.obs_scale, theta, index_set)
         if self.obs_box is None:
             # Lebesgue normalizer over the real line: constant in theta.
             den = [self.obs_scale]
         else:
-            den = np.tensordot(at(self._obs_nodes[:, None]), self._obs_weights, axes=([1], [0]))
+            den = _integrate(at(self._obs_nodes[:, None]), self._obs_weights)
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
+        plan = _quotient_plan(den, index_set.order)
 
         def evaluate(y):
             self._check_obs_domain(y)
-            return _expand_degrees(_quotient_degrees(at(y), den), factors, index_set)
+            return _expand_degrees(_quotient_degrees(at(y), plan), factors, index_set)
 
         return evaluate
 
@@ -479,7 +532,7 @@ def assumption_constants(
         if compact:
             y_scan = np.concatenate([y_values, model._obs_nodes])
         else:
-            obs_locations = np.tensordot(theta, model._features(model.obs_features, x), axes=1)
+            obs_locations = np.tensordot(theta, model._obs_tables[0], axes=1)
             pad = 4.0 * model.obs_scale
             probe = np.linspace(obs_locations.min() - pad, obs_locations.max() + pad, 41)
             y_scan = np.concatenate([y_values, probe])
@@ -493,7 +546,7 @@ def assumption_constants(
             obs_scores = obs / obs[0]
         else:
             at, factors = model._location_jet(
-                model.obs_features, model.obs_scale, theta, iset, ratios=True
+                model._obs_tables, model.obs_scale, theta, iset, ratios=True
             )
             obs_scores = _expand_degrees(at(y_scan[:, None]), factors, iset)
             # Smallest constant dominating |d^b q| / (q (1+|y|)^(2|b|)).

@@ -17,8 +17,10 @@ from filterjet import (
     filter_step,
     filter_step_with_scalars,
     kernel_matrix,
+    loglik_jet,
     measure_distance,
     oracle_filter,
+    rml_demo,
     simulate,
     tv_norm,
 )
@@ -315,6 +317,31 @@ class TestBatchAborts:
         batch[0, 1, 3] = np.inf
         with pytest.raises(MassInvariantError, match="slot 1"):
             filtering._check_masses(batch, model32.grid)
+
+
+class TestSerialFoldAborts:
+    """The serial folds name the observation of every abort, as the batched step does."""
+
+    def test_non_probability_start_names_the_first_observation(self, model32, theta, uniform_l0):
+        components = uniform_l0.components.copy()
+        components[0] *= 1.5
+        start = VectorMeasure(components, uniform_l0.index_set, uniform_l0.grid)
+        with pytest.raises(ValueError, match="slot 0 must be a probability.* at observation index 5$"):
+            filter_iterate(model32, theta, [0.1, 0.2], start, origin=4)
+
+    @pytest.mark.parametrize(
+        "fold, index",
+        [
+            (lambda m, lam: filter_iterate(m, THETA, [0.1, 0.2], embed(lam, m.index_set()), origin=2), 3),
+            (lambda m, lam: loglik_jet(m, THETA, [0.1, 0.2], lam), 1),
+            (lambda m, lam: rml_demo(m, THETA, THETA, 0.1, 1.0, 3, seed=1), 1),
+        ],
+        ids=["filter_iterate", "loglik_jet", "rml_demo"],
+    )
+    def test_slot_mass_abort_names_the_observation(self, model32, monkeypatch, fold, index):
+        monkeypatch.setattr(filtering, "MASS_TOL", 0.0)
+        with pytest.raises(MassInvariantError, match=f"beyond 0.0 at observation index {index}$"):
+            fold(model32, GridMeasure.uniform(model32.grid))
 
 
 class TestSharedScalars:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from filterjet import (
     FDScheme,
     GridMeasure,
+    StateGrid,
     Trajectory,
     assumption_constants,
     fd_derivative,
@@ -299,6 +301,99 @@ class TestObservationJetPaths:
         _check_observation_paths(_model(variant, order, cells, features), ys, theta)
 
 
+def _parent_location_jet(model, names, scale, theta, index_set):
+    """The replaced build's location jet: feature values and slope powers
+    computed on every call, theta . features by np.tensordot."""
+    feats = model._features(names, model.grid.axis(0))
+    location = np.tensordot(np.asarray(theta, dtype=float), feats, axes=1)
+    factors = models._slope_powers(-feats / scale, index_set)
+
+    def at(target):
+        z = (np.asarray(target, dtype=float) - location) / scale
+        return models._gauss_pdf_derivs(z, index_set.order)
+
+    return at, factors
+
+
+def _parent_quotient(num, den):
+    """The replaced quotient recursion, 1 / den[0] and the scaled den recomputed per call."""
+    inv = 1.0 / den[0]
+    scaled = [d_k * inv for d_k in den]
+    for d, acc in enumerate(num):
+        acc *= inv
+        for j in range(max(0, d + 1 - len(den)), d):
+            acc -= (math.comb(d, j) * scaled[d - j]) * num[j]
+    return num
+
+
+def _parent_transition_jet(model, theta, index_set):
+    at, factors = _parent_location_jet(model, model.drift_features, model.trans_scale, theta, index_set)
+    on_grid = at(model.grid.axis(0)[:, None])
+    den = np.tensordot(on_grid, model.grid.weights, axes=([1], [0]))
+    return models._expand_degrees(_parent_quotient(on_grid, den), factors, index_set)
+
+
+def _parent_observation_jet(model, theta, index_set, y):
+    """The replaced evaluator at y: the normalizer and quotient rebuilt per observation."""
+    at, factors = _parent_location_jet(model, model.obs_features, model.obs_scale, theta, index_set)
+    if model.obs_box is None:
+        den = [model.obs_scale]
+    else:
+        den = np.tensordot(at(model._obs_nodes[:, None]), model._obs_weights, axes=([1], [0]))
+    return models._expand_degrees(_parent_quotient(at(y), den), factors, index_set)
+
+
+class TestBuildMatchesReplacedBuild:
+    """The per-model tables and per-theta quotient coefficients change no bit of any jet."""
+
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [24, 33])
+    @settings(max_examples=8, deadline=None)
+    @given(theta=THETAS, ys=OBSERVATIONS)
+    def test_every_slot_is_bit_identical(self, variant, order, cells, theta, ys):
+        model = _model(variant, order, cells)
+        theta = np.asarray(theta[: model.dim_theta])
+        column = np.asarray(ys)[:, None]
+        for lower in range(order + 1):
+            iset = model.index_set(lower)
+            assert np.array_equal(
+                model.transition_grid_jet(theta, iset), _parent_transition_jet(model, theta, iset)
+            )
+            evaluate = model.observation_grid_factory(theta, iset)
+            for y in ys + [column]:
+                assert np.array_equal(evaluate(y), _parent_observation_jet(model, theta, iset, y))
+
+    def test_tables_serve_every_order_of_one_model(self):
+        model = _model("compact", 3)
+        for order in (1, 3):
+            iset = model.index_set(order)
+            assert model.transition_grid_jet(THETA, iset).shape == (len(iset), 24, 24)
+            assert model.observation_grid_factory(THETA, iset)(0.4).shape == (len(iset), 24)
+            assert np.array_equal(
+                model.transition_grid_jet(THETA, iset), _parent_transition_jet(model, THETA, iset)
+            )
+
+    def test_a_model_on_another_grid_has_its_own_tables(self):
+        model = _model("compact", 2)
+        iset = model.index_set()
+        for other in (
+            dataclasses.replace(model, grid=StateGrid.uniform([(-2.0, 2.5)], 24)),
+            make_model(cells=24, order=2, state=(-2.0, 2.5)),
+        ):
+            assert other._drift_tables[0] is not model._drift_tables[0]
+            assert np.array_equal(
+                other.transition_grid_jet(THETA, iset), _parent_transition_jet(other, THETA, iset)
+            )
+            assert np.array_equal(
+                other.observation_grid_factory(THETA, iset)(0.4),
+                _parent_observation_jet(other, THETA, iset, 0.4),
+            )
+            assert not np.array_equal(
+                other.transition_grid_jet(THETA, iset), model.transition_grid_jet(THETA, iset)
+            )
+
+
 class TestObservationScores:
     """The observation scores d^b q / q behind the assumption_constants score table."""
 
@@ -322,7 +417,7 @@ class TestObservationScores:
         model = _model("gaussian", order)
         iset = model.index_set()
         at, factors = model._location_jet(
-            model.obs_features, model.obs_scale, THETA, iset, ratios=True
+            model._obs_tables, model.obs_scale, THETA, iset, ratios=True
         )
         density = model.observation_grid_factory(THETA, iset)
         ys = np.array([-6.0, -0.7, 0.3, 2.5, 6.0])[:, None]
