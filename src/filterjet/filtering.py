@@ -63,12 +63,12 @@ class KernelCache:
     """Per-(model, theta) kernel jets reused across filter steps.
 
     The joint kernel factors as obs(y|x) trans(x|x'), and the transition
-    jet does not depend on the observation, so it is built once per
-    theta, here, together with the model's observation evaluator, which
-    holds the observation jet's per-theta parts; what depends on
-    neither theta nor y the model holds itself.  Each step only
-    evaluates the observation jet at its y on the grid and pairs it with
-    the transition-moved slots by the Leibniz rule.
+    jet does not depend on the observation.  So the cache builds, once
+    per theta, the transition jet and the model's observation evaluator,
+    which holds the observation jet's per-theta parts; the model itself
+    holds what depends on neither theta nor y.  Each step only evaluates
+    the observation jet at its y and pairs it with the transition-moved
+    slots by the Leibniz rule.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):

@@ -372,11 +372,10 @@ class TruncatedNonlinearModel(ModelSpec):
     def observation_grid_factory(self, theta, index_set):
         """Evaluator y -> observation-density jet at the grid states.
 
-        Per model, the feature values and slope powers are tabulated once
-        (in __post_init__).  Per theta, this builds the location, the
-        truncation normalizer and the quotient coefficients.  Per y, the
-        evaluator costs one Gaussian evaluation, the quotient recursion
-        and the product with the slope powers.
+        This builds the location, the truncation normalizer and the
+        quotient coefficients; each y then costs one Gaussian
+        evaluation, the quotient recursion and the products with the
+        slope powers.
         """
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
