@@ -157,34 +157,19 @@ class ModelSpec(abc.ABC):
         return enumerate_indices(self.dim_theta, self.max_order if order is None else order)
 
 
-def _quotient_plan(den, order: int):
-    """Per-degree coefficients of the quotient recursion, from the derivatives of den.
+def _quotient_degrees(num: np.ndarray, den) -> np.ndarray:
+    """Derivatives 0..order of num / den in one variable, from those of num and den.
 
-    Solving the Leibniz rule N_d = sum_j C(d, j) G_j D_(d-j) for G_d
-    needs 1 / D_0 and the weights C(d, j) D_(d-j) / D_0, which depend on
-    den alone; den may list fewer derivatives than order + 1, the missing
-    ones being zero.  Returns (1 / D_0, rows), row d listing (j, weight).
+    Solves the Leibniz rule N_d = sum_j C(d, j) G_j D_(d-j) for G_d in
+    increasing degree, overwriting num with the G_d.  den may list fewer
+    derivatives than num; the missing ones are zero.
     """
     inv = 1.0 / den[0]
     scaled = [d_k * inv for d_k in den]
-    rows = [
-        [(j, math.comb(d, j) * scaled[d - j]) for j in range(max(0, d + 1 - len(den)), d)]
-        for d in range(order + 1)
-    ]
-    return inv, rows
-
-
-def _quotient_degrees(num: np.ndarray, plan) -> np.ndarray:
-    """Derivatives 0..order of num / den in one variable, overwriting num's.
-
-    plan is _quotient_plan(den, order); the G_d are solved in increasing
-    degree.
-    """
-    inv, rows = plan
-    for acc, row in zip(num, rows):
+    for d, acc in enumerate(num):
         acc *= inv
-        for j, weight in row:
-            acc -= weight * num[j]
+        for j in range(max(0, d + 1 - len(den)), d):
+            acc -= (math.comb(d, j) * scaled[d - j]) * num[j]
     return num
 
 
@@ -250,9 +235,8 @@ class TruncatedNonlinearModel(ModelSpec):
 
     Their work splits by what it depends on.  Per model: the feature
     values on the grid and the slope powers of every index (the
-    (features, factors) tables).  Per theta: the locations, the Gaussian
-    derivatives and normalizer of the transition, the observation
-    normalizer, and both quotients' coefficients.  Per observation: the
+    (features, factors) tables).  Per theta: the locations, the whole
+    transition jet and the observation normalizer.  Per observation: the
     Gaussian derivatives at y, the quotient recursion and the products
     with the slope powers.
     """
@@ -366,16 +350,14 @@ class TruncatedNonlinearModel(ModelSpec):
         den = _integrate(on_grid, self.grid.weights)
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
-        plan = _quotient_plan(den, index_set.order)
-        return _expand_degrees(_quotient_degrees(on_grid, plan), factors, index_set)
+        return _expand_degrees(_quotient_degrees(on_grid, den), factors, index_set)
 
     def observation_grid_factory(self, theta, index_set):
         """Evaluator y -> observation-density jet at the grid states.
 
-        This builds the location, the truncation normalizer and the
-        quotient coefficients; each y then costs one Gaussian
-        evaluation, the quotient recursion and the products with the
-        slope powers.
+        This builds the location and the truncation normalizer; each y
+        then costs one Gaussian evaluation, the quotient recursion and
+        the products with the slope powers.
         """
         theta = self.validate_theta(theta)
         self.validate_order(index_set.order)
@@ -387,11 +369,10 @@ class TruncatedNonlinearModel(ModelSpec):
             den = _integrate(at(self._obs_nodes[:, None]), self._obs_weights)
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
-        plan = _quotient_plan(den, index_set.order)
 
         def evaluate(y):
             self._check_obs_domain(y)
-            return _expand_degrees(_quotient_degrees(at(y), plan), factors, index_set)
+            return _expand_degrees(_quotient_degrees(at(y), den), factors, index_set)
 
         return evaluate
 

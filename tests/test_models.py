@@ -315,36 +315,25 @@ def _parent_location_jet(model, names, scale, theta, index_set):
     return at, factors
 
 
-def _parent_quotient(num, den):
-    """The replaced quotient recursion, 1 / den[0] and the scaled den recomputed per call."""
-    inv = 1.0 / den[0]
-    scaled = [d_k * inv for d_k in den]
-    for d, acc in enumerate(num):
-        acc *= inv
-        for j in range(max(0, d + 1 - len(den)), d):
-            acc -= (math.comb(d, j) * scaled[d - j]) * num[j]
-    return num
-
-
 def _parent_transition_jet(model, theta, index_set):
     at, factors = _parent_location_jet(model, model.drift_features, model.trans_scale, theta, index_set)
     on_grid = at(model.grid.axis(0)[:, None])
     den = np.tensordot(on_grid, model.grid.weights, axes=([1], [0]))
-    return models._expand_degrees(_parent_quotient(on_grid, den), factors, index_set)
+    return models._expand_degrees(models._quotient_degrees(on_grid, den), factors, index_set)
 
 
 def _parent_observation_jet(model, theta, index_set, y):
-    """The replaced evaluator at y: the normalizer and quotient rebuilt per observation."""
+    """The replaced evaluator at y: location, factors and normalizer rebuilt per observation."""
     at, factors = _parent_location_jet(model, model.obs_features, model.obs_scale, theta, index_set)
     if model.obs_box is None:
         den = [model.obs_scale]
     else:
         den = np.tensordot(at(model._obs_nodes[:, None]), model._obs_weights, axes=([1], [0]))
-    return models._expand_degrees(_parent_quotient(at(y), den), factors, index_set)
+    return models._expand_degrees(models._quotient_degrees(at(y), den), factors, index_set)
 
 
 class TestBuildMatchesReplacedBuild:
-    """The per-model tables and per-theta quotient coefficients change no bit of any jet."""
+    """The per-model tables and the explicit BLAS normalizers change no bit of any jet."""
 
     @pytest.mark.parametrize("variant", ["compact", "gaussian"])
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -363,16 +352,6 @@ class TestBuildMatchesReplacedBuild:
             evaluate = model.observation_grid_factory(theta, iset)
             for y in ys + [column]:
                 assert np.array_equal(evaluate(y), _parent_observation_jet(model, theta, iset, y))
-
-    def test_tables_serve_every_order_of_one_model(self):
-        model = _model("compact", 3)
-        for order in (1, 3):
-            iset = model.index_set(order)
-            assert model.transition_grid_jet(THETA, iset).shape == (len(iset), 24, 24)
-            assert model.observation_grid_factory(THETA, iset)(0.4).shape == (len(iset), 24)
-            assert np.array_equal(
-                model.transition_grid_jet(THETA, iset), _parent_transition_jet(model, THETA, iset)
-            )
 
     def test_a_model_on_another_grid_has_its_own_tables(self):
         model = _model("compact", 2)
