@@ -31,8 +31,6 @@ from .filtering import (
     KernelCache,
     MassInvariantError,
     PredictiveMassError,
-    apply_R,
-    compute_s,
     filter_iterate,
     filter_step,
     filter_step_with_scalars,
@@ -43,8 +41,6 @@ from .loglik import (
     RmlTrace,
     avg_loglik_rate,
     loglik_jet,
-    psi_alpha,
-    psi_zero,
     rml_demo,
 )
 from .oracle import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -180,6 +181,8 @@ def validate_config(cfg: RunConfig) -> None:
     for t, lo, hi in zip(m.theta, m.theta_min, m.theta_max):
         if not lo < t < hi:
             raise ConfigError(f"[model] theta: {t} not strictly inside ({lo}, {hi})")
+    if m.obs_quad_cells < 1:
+        raise ConfigError("[model] obs_quad_cells: must be >= 1")
     if cfg.grid.cells < 2:
         raise ConfigError("[grid] cells: need at least 2 cells")
     if cfg.derivatives.order not in (1, 2, 3):
@@ -196,6 +199,11 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("theta_draws", "rml_steps"):
         if getattr(e, key) < 1:
             raise ConfigError(f"[experiment] {key}: must be >= 1")
+    if not e.rel_tol > 0:
+        raise ConfigError("[experiment] rel_tol: must be positive")
+    for key in ("rml_step_a", "rml_step_b"):
+        if not 0 < getattr(e, key) < math.inf:
+            raise ConfigError(f"[experiment] {key}: must be finite and positive")
     if e.y_samples < 2:
         # the Gaussian tail-growth exponent is a log-log slope: two points at least
         raise ConfigError("[experiment] y_samples: must be >= 2")

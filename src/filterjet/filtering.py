@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridMeasure, StateGrid, VectorMeasure
+from .grid import StateGrid, VectorMeasure
 from .models import ModelSpec
-from .multiindex import IndexSet, MultiIndex, count_upto, enumerate_indices, pair_table
+from .multiindex import IndexSet, count_upto, pair_table
 
 MASS_TOL = 1e-10
 PREDICTIVE_FLOOR = 1e-300
@@ -99,10 +99,6 @@ class FilterState:
     """Result of folding filter steps over an observation block."""
 
     measure: VectorMeasure
-    step: int
-    origin: int
-    theta: np.ndarray
-    history: tuple[VectorMeasure, ...] | None = None
 
 
 @lru_cache(maxsize=None)
@@ -258,36 +254,16 @@ def _check_measure(measure: VectorMeasure, index_set: IndexSet, grid: StateGrid)
         raise ValueError("measure grid differs from the model grid")
 
 
-def _one_observation(y) -> np.ndarray:
-    """A single step's observation as a (1,) array; ValueError naming y for any other shape."""
+def _serial_input(cache: KernelCache, y, measure: VectorMeasure):
+    """The checked (1,) observation and (1, K, N) components of a single step.
+
+    ValueError unless the measure suits the cache and y is a scalar.
+    """
+    _check_measure(measure, cache.index_set, cache.grid)
     ys = np.asarray(y, dtype=float)
     if ys.ndim != 0:
         raise ValueError(f"y must be a scalar observation, got shape {ys.shape}")
-    return ys.reshape(1)
-
-
-def _serial_input(cache: KernelCache, y, measure: VectorMeasure):
-    """The checked (1,) observation and (1, K, N) components of a single step."""
-    _check_measure(measure, cache.index_set, cache.grid)
-    return _one_observation(y), measure.components[None]
-
-
-def apply_R(model: ModelSpec, alpha, theta, y, lam: GridMeasure) -> GridMeasure:
-    """One unnormalized prediction-update with a mixed kernel derivative.
-
-    The output density at x is the integral of the alpha-derivative of
-    the joint kernel at (y, x | x') against lam(dx').
-    """
-    alpha = MultiIndex(alpha)
-    model.validate_order(alpha.degree)
-    if not lam.grid.compatible(model.grid):
-        raise ValueError("measure grid differs from the model grid")
-    ys = _one_observation(y)
-    iset = enumerate_indices(model.dim_theta, alpha.degree)
-    weighted = np.zeros((1, len(iset), lam.grid.size))
-    weighted[0, 0] = lam.density * lam.grid.weights
-    update = _prediction_update(KernelCache(model, theta, iset), ys, weighted)
-    return GridMeasure(update[0, iset.slot(alpha)], lam.grid)
+    return ys.reshape(1), measure.components[None]
 
 
 def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
@@ -328,19 +304,6 @@ def _observation_block(observations) -> np.ndarray:
     return block
 
 
-def compute_s(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> GridMeasure:
-    """Normalized multi-derivative prediction-update (before recentering).
-
-    Sums, over beta below alpha, the binomial-weighted (alpha - beta)
-    kernel updates of slot beta, all divided by the slot-0 predictive
-    mass.
-    """
-    slot = measure.index_set.slot(alpha)
-    cache = KernelCache(model, theta, measure.index_set)
-    s_dens, _ = _normalized_update(cache, *_serial_input(cache, y, measure))
-    return GridMeasure(s_dens[0, slot], measure.grid)
-
-
 def filter_step(
     model: ModelSpec, theta, y, measure: VectorMeasure, cache: KernelCache | None = None
 ) -> VectorMeasure:
@@ -357,31 +320,13 @@ def filter_step(
     return VectorMeasure(components[0], measure.index_set, measure.grid)
 
 
-def filter_iterate(
-    model: ModelSpec,
-    theta,
-    observations,
-    measure: VectorMeasure,
-    keep_history: bool = False,
-    origin: int = 0,
-) -> FilterState:
+def filter_iterate(model: ModelSpec, theta, observations, measure: VectorMeasure) -> FilterState:
     """Fold the filter step over an observation block.
 
     An empty block runs no step, so it returns the initial condition
-    unchanged and unchecked.  With keep_history, every intermediate
-    vector measure (including the initial one) is retained.
+    unchanged and unchecked.
     """
     cache = KernelCache(model, theta, measure.index_set)
-    observations = _observation_block(observations)
-    history = [measure]
-    for j, y in enumerate(observations):
-        measure = _indexed_step(cache, y, measure, origin + j + 1)[0]
-        if keep_history:
-            history.append(measure)
-    return FilterState(
-        measure=measure,
-        step=origin + len(observations),
-        origin=origin,
-        theta=cache.theta,
-        history=tuple(history) if keep_history else None,
-    )
+    for j, y in enumerate(_observation_block(observations)):
+        measure = _indexed_step(cache, y, measure, j + 1)[0]
+    return FilterState(measure=measure)

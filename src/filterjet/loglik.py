@@ -17,12 +17,10 @@ from .filtering import (
     KernelCache,
     _check_measure,
     _indexed_step,
-    _normalized_update,
     _observation_block,
-    _serial_input,
     _step,
 )
-from .grid import GridMeasure, VectorMeasure, embed
+from .grid import GridMeasure, embed
 from .models import ModelSpec, simulate
 from .multiindex import IndexSet, MultiIndex, enumerate_indices, shifted_pair_table
 from .seeding import labeled_seed
@@ -61,24 +59,6 @@ def jet_increments_from_scalars(s_masses: np.ndarray, predictive, index_set: Ind
             acc = acc - coeff * out[b_slot] * slots[g_slot]
         out[k] = acc
     return out.T
-
-
-def psi_zero(model: ModelSpec, theta, y, measure: VectorMeasure) -> float:
-    """Log predictive mass of one observation given the current slot-0 law."""
-    cache = KernelCache(model, theta, measure.index_set)
-    _, predictive = _normalized_update(cache, *_serial_input(cache, y, measure))
-    return math.log(predictive[0])
-
-
-def psi_alpha(model: ModelSpec, alpha, theta, y, measure: VectorMeasure) -> float:
-    """One mixed derivative of the per-step log-likelihood increment."""
-    if MultiIndex(alpha).degree < 1:
-        raise ValueError("use psi_zero for the zero index")
-    slot = measure.index_set.slot(alpha)
-    cache = KernelCache(model, theta, measure.index_set)
-    s_dens, predictive = _normalized_update(cache, *_serial_input(cache, y, measure))
-    values = jet_increments_from_scalars(s_dens[0] @ measure.grid.weights, predictive[0], measure.index_set)
-    return float(values[slot])
 
 
 def loglik_jet(
@@ -203,6 +183,11 @@ def rml_demo(
     """
     if model.max_order < 1:
         raise ValueError("gradient ascent needs derivative order >= 1")
+    # A zero gain is allowed: it runs the filter and leaves theta where it starts.
+    if not (0 <= step_a < math.inf and 0 < step_b < math.inf):
+        raise ValueError(
+            f"step_a must be finite and >= 0 and step_b finite and > 0, got {step_a!r} and {step_b!r}"
+        )
     theta_true = model.validate_theta(theta_true)
     current = model.validate_theta(theta_init).copy()
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0

@@ -250,8 +250,8 @@ class TruncatedNonlinearModel(ModelSpec):
     obs_box: tuple[float, float] | None = None
     order: int = 2
     obs_quad_cells: int = 161
-    _obs_nodes: np.ndarray | None = field(default=None, repr=False)
-    _obs_weights: np.ndarray | None = field(default=None, repr=False)
+    _obs_nodes: np.ndarray | None = field(default=None, init=False, repr=False)
+    _obs_weights: np.ndarray | None = field(default=None, init=False, repr=False)
     _drift_scalars: tuple = field(init=False, repr=False)
     _obs_scalars: tuple = field(init=False, repr=False)
     _drift_tables: tuple = field(init=False, repr=False)
@@ -271,15 +271,16 @@ class TruncatedNonlinearModel(ModelSpec):
             raise ValueError("supported derivative orders are 1, 2, 3")
         if len(self.theta_box) != len(self.drift_features):
             raise ValueError("theta_box needs one interval per parameter")
+        nodes = weights = None
         if self.obs_box is not None:
             lo, hi = self.obs_box
             if not hi > lo:
                 raise ValueError("obs_box must be a nondegenerate interval")
             n = int(self.obs_quad_cells)
             h = (hi - lo) / n
-            nodes = lo + h * (np.arange(n) + 0.5)
-            object.__setattr__(self, "_obs_nodes", nodes)
-            object.__setattr__(self, "_obs_weights", np.full(n, h))
+            nodes, weights = lo + h * (np.arange(n) + 0.5), np.full(n, h)
+        object.__setattr__(self, "_obs_nodes", nodes)
+        object.__setattr__(self, "_obs_weights", weights)
         for attr, names in (("_drift_scalars", self.drift_features), ("_obs_scalars", self.obs_features)):
             object.__setattr__(self, attr, tuple(_FEATURE_SCALARS[n] for n in names))
         # (features, factors) on the grid states: the feature values and, per

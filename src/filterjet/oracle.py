@@ -56,6 +56,17 @@ def _path_sum_matrix(model: ModelSpec, theta, observations) -> np.ndarray:
     return mat
 
 
+def _path_sum(model: ModelSpec, theta, observations, lam: GridMeasure):
+    """(raw, mass): the path-sum matrix applied to lam, and its positive total mass."""
+    if not lam.grid.compatible(model.grid):
+        raise ValueError("initial measure grid differs from the model grid")
+    raw = _path_sum_matrix(model, theta, observations) @ (lam.density * lam.grid.weights)
+    mass = float(np.dot(raw, lam.grid.weights))
+    if not mass > 0.0:
+        raise ArithmeticError("path-sum mass is not positive")
+    return raw, mass
+
+
 def oracle_filter(model: ModelSpec, theta, observations, lam: GridMeasure) -> GridMeasure:
     """Filtering distribution by explicit path-sum quadrature.
 
@@ -63,26 +74,13 @@ def oracle_filter(model: ModelSpec, theta, observations, lam: GridMeasure) -> Gr
     block, applies the initial measure, and normalizes; scaling lam by
     any positive constant leaves the result unchanged.
     """
-    if not lam.grid.compatible(model.grid):
-        raise ValueError("initial measure grid differs from the model grid")
-    mat = _path_sum_matrix(model, theta, observations)
-    raw = mat @ (lam.density * lam.grid.weights)
-    mass = float(np.dot(raw, lam.grid.weights))
-    if not mass > 0.0:
-        raise ArithmeticError("path-sum mass is not positive")
+    raw, mass = _path_sum(model, theta, observations, lam)
     return GridMeasure(raw / mass, lam.grid)
 
 
 def oracle_log_likelihood(model: ModelSpec, theta, observations, lam: GridMeasure) -> float:
     """log of the joint observation density by explicit path-sum quadrature."""
-    if not lam.grid.compatible(model.grid):
-        raise ValueError("initial measure grid differs from the model grid")
-    mat = _path_sum_matrix(model, theta, observations)
-    raw = mat @ (lam.density * lam.grid.weights)
-    mass = float(np.dot(raw, lam.grid.weights))
-    if not mass > 0.0:
-        raise ArithmeticError("path-sum mass is not positive")
-    return float(np.log(mass))
+    return float(np.log(_path_sum(model, theta, observations, lam)[1]))
 
 
 _STENCILS = {

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from filterjet import GridMeasure, StateGrid, TruncatedNonlinearModel, embed
+from filterjet import GridMeasure, KernelCache, StateGrid, TruncatedNonlinearModel, embed
+from filterjet import filtering
 from filterjet.models import ModelSpec
 from filterjet.multiindex import pair_table
 
@@ -54,6 +55,27 @@ def random_l0(model, index_set, rng, derivative_scale=1.0):
     from filterjet import VectorMeasure
 
     return VectorMeasure(components, index_set, grid)
+
+
+def kernel_updates(model, theta, y, lam):
+    """{alpha: R^alpha lam} at y over the model's index set.
+
+    Rows of the step core's prediction-update with lam in slot 0 and
+    every higher slot zero: row alpha integrates the alpha-derivative
+    of the joint kernel at (y, x | x') against lam(dx').
+    """
+    iset = model.index_set()
+    weighted = np.zeros((1, len(iset), lam.grid.size))
+    weighted[0, 0] = lam.density * lam.grid.weights
+    update = filtering._prediction_update(KernelCache(model, theta, iset), np.array([y]), weighted)[0]
+    return {tuple(alpha): GridMeasure(row, lam.grid) for alpha, row in zip(iset.indices, update)}
+
+
+def normalized_updates(model, theta, y, measure):
+    """{alpha: S^alpha} at y: the step core's normalized update of every slot, before recentering."""
+    cache = KernelCache(model, theta, measure.index_set)
+    update = filtering._normalized_update(cache, np.array([y]), measure.components[None])[0][0]
+    return {tuple(alpha): GridMeasure(row, measure.grid) for alpha, row in zip(measure.index_set.indices, update)}
 
 
 def kslot_quotient_jet(num, den, index_set):

@@ -131,6 +131,29 @@ class TestRun:
         assert run(experiment, str(cfg)) == 2
         assert f"[experiment] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, section, key, value",
+        [
+            ("rml", "experiment", "rml_step_b", "0"),
+            ("rml", "experiment", "rml_step_b", "-5"),
+            ("rml", "experiment", "rml_step_b", "inf"),
+            ("rml", "experiment", "rml_step_a", "nan"),
+            ("rml", "experiment", "rml_step_a", "0"),
+            ("rml", "experiment", "rml_step_a", "inf"),
+            ("loglik", "experiment", "rel_tol", "0"),
+            ("check-derivs", "experiment", "rel_tol", "-1e-4"),
+            ("loglik", "model", "obs_quad_cells", "0"),
+            ("rml", "model", "obs_quad_cells", "-3"),
+        ],
+    )
+    def test_out_of_range_setting_exits_2(self, tmp_path, capsys, experiment, section, key, value):
+        # each value parses, but the run would divide by it or step with it into a numerical abort
+        setting = f"{key} = {value}\n" if section == "experiment" else f"[{section}]\n{key} = {value}\n"
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(fast_config(tmp_path / "out") + setting)
+        assert run(experiment, str(cfg)) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
     def test_single_y_sample_exits_2(self, tmp_path, capsys):
         # one sample gives no log-log slope, so the Gaussian growth
         # exponent could not be measured, let alone judged

@@ -8,9 +8,7 @@ from filterjet import (
     MassInvariantError,
     PredictiveMassError,
     VectorMeasure,
-    apply_R,
     assumption_constants,
-    compute_s,
     embed,
     fd_derivative,
     filter_iterate,
@@ -28,7 +26,7 @@ from filterjet import filtering
 from filterjet.experiments import log_linear_fit
 from filterjet.multiindex import enumerate_indices
 
-from conftest import THETA, BrokenObservation, make_model, random_l0
+from conftest import THETA, BrokenObservation, kernel_updates, make_model, normalized_updates, random_l0
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +39,15 @@ def uniform_l0(model32, iset):
     return embed(GridMeasure.uniform(model32.grid), iset)
 
 
-class TestApplyR:
+class TestKernelUpdate:
+    """R^alpha, the unnormalized prediction-update, as rows of the step core."""
+
     def test_zero_measure_maps_to_zero(self, model32, theta):
-        out = apply_R(model32, (0, 0), theta, 0.5, GridMeasure.zero(model32.grid))
-        assert np.all(out.density == 0.0)
+        for out in kernel_updates(model32, theta, 0.5, GridMeasure.zero(model32.grid)).values():
+            assert np.all(out.density == 0.0)
 
     def test_probability_input_gives_nonnegative_output(self, model32, theta):
-        out = apply_R(model32, (0, 0), theta, 0.5, GridMeasure.uniform(model32.grid))
+        out = kernel_updates(model32, theta, 0.5, GridMeasure.uniform(model32.grid))[(0, 0)]
         assert np.all(out.density >= 0.0)
 
     def test_mass_within_mixing_bounds(self, model32, theta):
@@ -55,7 +55,7 @@ class TestApplyR:
         # column-mass bracket evaluated on the grid
         y = 0.5
         lam = GridMeasure.uniform(model32.grid)
-        mass = apply_R(model32, (0, 0), theta, y, lam).total_mass()
+        mass = kernel_updates(model32, theta, y, lam)[(0, 0)].total_mass()
         constants = assumption_constants(model32, [theta], [y])
         volume = model32.grid.volume
         assert constants.epsilon * volume <= mass <= volume / constants.epsilon
@@ -68,15 +68,11 @@ class TestApplyR:
         m1 = GridMeasure(rng.standard_normal(grid.size), grid)
         m2 = GridMeasure(rng.standard_normal(grid.size), grid)
         a, b = 1.7, -0.4
-        lhs = apply_R(model32, (1, 0), theta, 0.5, a * m1 + b * m2)
-        rhs = a * apply_R(model32, (1, 0), theta, 0.5, m1) + b * apply_R(
-            model32, (1, 0), theta, 0.5, m2
-        )
-        assert np.max(np.abs(lhs.density - rhs.density)) <= 1e-12
-
-    def test_grid_mismatch_rejected(self, model32, model8, theta):
-        with pytest.raises(ValueError):
-            apply_R(model32, (0, 0), theta, 0.5, GridMeasure.uniform(model8.grid))
+        lhs = kernel_updates(model32, theta, 0.5, a * m1 + b * m2)
+        r1, r2 = (kernel_updates(model32, theta, 0.5, m) for m in (m1, m2))
+        for alpha, out in lhs.items():
+            rhs = a * r1[alpha] + b * r2[alpha]
+            assert np.max(np.abs(out.density - rhs.density)) <= 1e-12
 
 
 class TestTotalMass:
@@ -89,25 +85,25 @@ class TestTotalMass:
         rng = np.random.default_rng(4)
         for _ in range(5):
             measure = random_l0(model32, iset, rng)
-            s0 = compute_s(model32, (0, 0), theta, rng.uniform(-4, 4), measure)
+            s0 = normalized_updates(model32, theta, rng.uniform(-4, 4), measure)[(0, 0)]
             assert s0.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestComputeS:
+class TestNormalizedUpdate:
+    """S^alpha, the normalized update before recentering, as rows of the step core."""
+
     def test_embedded_input_reduces_to_single_term(self, model32, theta, iset):
         lam = GridMeasure.uniform(model32.grid)
-        measure = embed(lam, iset)
         y = -1.2
-        denom = apply_R(model32, (0, 0), theta, y, lam).total_mass()
-        for alpha in iset.indices:
-            s = compute_s(model32, alpha, theta, y, measure)
-            direct = apply_R(model32, alpha, theta, y, lam)
-            assert np.max(np.abs(s.density - direct.density / denom)) <= 1e-12
+        direct = kernel_updates(model32, theta, y, lam)
+        denom = direct[(0, 0)].total_mass()
+        for alpha, s in normalized_updates(model32, theta, y, embed(lam, iset)).items():
+            assert np.max(np.abs(s.density - direct[alpha].density / denom)) <= 1e-12
 
     def test_requires_l0(self, model32, theta, iset):
         comps = np.ones((len(iset), model32.grid.size))
         with pytest.raises(ValueError):
-            compute_s(model32, (0, 0), theta, 0.5, VectorMeasure(comps, iset, model32.grid))
+            normalized_updates(model32, theta, 0.5, VectorMeasure(comps, iset, model32.grid))
 
     def test_norm_bounded_by_score_envelope(self, model32, theta, iset):
         # Direct evaluation against the computed envelope: the constant is
@@ -120,13 +116,13 @@ class TestComputeS:
         for _ in range(5):
             measure = random_l0(model32, iset, rng)
             norms = {a: tv_norm(measure.component(a)) for a in iset.indices}
+            s_all = normalized_updates(model32, theta, y, measure)
             for alpha in iset.indices:
-                s = compute_s(model32, alpha, theta, y, measure)
                 bound = envelope_const * sum(
                     psi ** (alpha - gamma).degree * norms[gamma]
                     for gamma in iset.below(alpha)
                 )
-                assert tv_norm(s) <= bound
+                assert tv_norm(s_all[alpha]) <= bound
 
 
 class TestFilterStep:
@@ -141,9 +137,10 @@ class TestFilterStep:
         # recentered by the posterior times the update mass
         y = 0.8
         out = filter_step(model32, theta, y, uniform_l0)
-        s0 = compute_s(model32, (0, 0), theta, y, uniform_l0)
+        s_all = normalized_updates(model32, theta, y, uniform_l0)
+        s0 = s_all[(0, 0)]
         for alpha in ((1, 0), (0, 1)):
-            s_a = compute_s(model32, alpha, theta, y, uniform_l0)
+            s_a = s_all[alpha]
             expected = s_a.density - s0.density * s_a.total_mass()
             assert np.max(np.abs(out.component(alpha).density - expected)) <= 1e-12
 
@@ -156,7 +153,7 @@ class TestFilterStep:
         scheme = FDScheme(1e-3, 2)
 
         def posterior(th):
-            return compute_s(model32, (0, 0), th, y, embed(lam, iset)).density
+            return normalized_updates(model32, th, y, embed(lam, iset))[(0, 0)].density
 
         for alpha in iset.indices:
             if alpha.degree == 0:
@@ -214,8 +211,8 @@ class TestFilterStep:
         # incoming density
         lam = GridMeasure.uniform(model32.grid)
         y = 0.9
-        base = apply_R(model32, (0, 0), theta, y, lam).normalized()
-        scaled = apply_R(model32, (0, 0), theta, y, 7.3 * lam).normalized()
+        base = kernel_updates(model32, theta, y, lam)[(0, 0)].normalized()
+        scaled = kernel_updates(model32, theta, y, 7.3 * lam)[(0, 0)].normalized()
         assert np.max(np.abs(base.density - scaled.density)) <= 1e-12
 
     def test_cache_mismatch_rejected(self, model32, theta, uniform_l0):
@@ -227,7 +224,6 @@ class TestFilterStep:
 class TestFilterIterate:
     def test_empty_block_returns_initial(self, model32, theta, uniform_l0):
         state = filter_iterate(model32, theta, [], uniform_l0)
-        assert state.step == 0
         assert np.array_equal(state.measure.components, uniform_l0.components)
 
     def test_semigroup_composition(self, model32, theta, uniform_l0):
@@ -236,18 +232,8 @@ class TestFilterIterate:
         ys = traj.observations
         full = filter_iterate(model32, theta, ys, uniform_l0)
         part = filter_iterate(model32, theta, ys[:5], uniform_l0)
-        rest = filter_iterate(model32, theta, ys[5:], part.measure, origin=5)
-        assert rest.step == 12
+        rest = filter_iterate(model32, theta, ys[5:], part.measure)
         assert measure_distance(full.measure, rest.measure) <= 1e-12
-
-    def test_history_retention(self, model32, theta, uniform_l0):
-        lam = GridMeasure.uniform(model32.grid)
-        traj = simulate(model32, theta, lam, 4, seed=78)
-        state = filter_iterate(model32, theta, traj.observations, uniform_l0, keep_history=True)
-        assert len(state.history) == 5
-        assert state.history[0] is uniform_l0
-        no_hist = filter_iterate(model32, theta, traj.observations, uniform_l0)
-        assert no_hist.history is None
 
     def test_zero_slot_matches_path_sum_oracle(self, model8, theta):
         iset = model8.index_set()
@@ -264,17 +250,13 @@ class TestFilterIterate:
         lam = GridMeasure.uniform(grid)
         traj = simulate(model32, theta, lam, 40, seed=81)
         rng = np.random.default_rng(82)
-        a = filter_iterate(
-            model32, theta, traj.observations,
-            random_l0(model32, iset, rng), keep_history=True,
-        )
-        b = filter_iterate(
-            model32, theta, traj.observations,
-            random_l0(model32, iset, rng), keep_history=True,
-        )
-        dist = np.array(
-            [measure_distance(u, v) for u, v in zip(a.history[1:], b.history[1:])]
-        )
+        cache = KernelCache(model32, theta, iset)
+        a, b = random_l0(model32, iset, rng), random_l0(model32, iset, rng)
+        dist = []
+        for y in traj.observations:
+            a, b = (filter_step(model32, theta, y, m, cache=cache) for m in (a, b))
+            dist.append(measure_distance(a, b))
+        dist = np.array(dist)
         ns = np.arange(1, 41)
         window = (ns >= 5) & (ns <= 40) & (dist > 1e-14)
         slope, _, _ = log_linear_fit(ns[window], dist[window])
@@ -326,13 +308,13 @@ class TestSerialFoldAborts:
         components = uniform_l0.components.copy()
         components[0] *= 1.5
         start = VectorMeasure(components, uniform_l0.index_set, uniform_l0.grid)
-        with pytest.raises(ValueError, match="slot 0 must be a probability.* at observation index 5$"):
-            filter_iterate(model32, theta, [0.1, 0.2], start, origin=4)
+        with pytest.raises(ValueError, match="slot 0 must be a probability.* at observation index 1$"):
+            filter_iterate(model32, theta, [0.1, 0.2], start)
 
     @pytest.mark.parametrize(
         "fold, index",
         [
-            (lambda m, lam: filter_iterate(m, THETA, [0.1, 0.2], embed(lam, m.index_set()), origin=2), 3),
+            (lambda m, lam: filter_iterate(m, THETA, [0.1, 0.2], embed(lam, m.index_set())), 1),
             (lambda m, lam: loglik_jet(m, THETA, [0.1, 0.2], lam), 1),
             (lambda m, lam: rml_demo(m, THETA, THETA, 0.1, 1.0, 3, seed=1), 1),
         ],
@@ -345,16 +327,16 @@ class TestSerialFoldAborts:
 
 
 class TestSharedScalars:
-    def test_scalars_match_compute_s_masses(self, model32, theta, iset):
+    def test_scalars_match_the_update_masses(self, model32, theta, iset):
         rng = np.random.default_rng(8)
         measure = random_l0(model32, iset, rng)
         y = 0.7
         cache = KernelCache(model32, theta, iset)
         _, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
+        s_all = normalized_updates(model32, theta, y, measure)
         for k, alpha in enumerate(iset.indices):
-            direct = compute_s(model32, alpha, theta, y, measure).total_mass()
-            assert s_masses[k] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert s_masses[k] == pytest.approx(s_all[alpha].total_mass(), rel=1e-12, abs=1e-12)
         lam0 = measure.component(iset.zero)
         assert predictive == pytest.approx(
-            apply_R(model32, (0, 0), theta, y, lam0).total_mass(), rel=1e-12
+            kernel_updates(model32, theta, y, lam0)[(0, 0)].total_mass(), rel=1e-12
         )

@@ -10,9 +10,7 @@ import pytest
 from filterjet import (
     GridMeasure,
     StateGrid,
-    apply_R,
     avg_loglik_rate,
-    compute_s,
     embed,
     ergodicity_experiment,
     filter_iterate,
@@ -24,8 +22,6 @@ from filterjet import (
     oracle_filter,
     oracle_log_likelihood,
     posterior_mean_phi,
-    psi_alpha,
-    psi_zero,
     rml_demo,
     simulate,
 )
@@ -52,10 +48,6 @@ FOREIGN_GRID_CALLS = {
     "filter_step": lambda m, lam: filter_step(m, THETA, 0.2, _l0(lam, m)),
     "filter_iterate": lambda m, lam: filter_iterate(m, THETA, [0.2, -0.1], _l0(lam, m)),
     "loglik_jet": lambda m, lam: loglik_jet(m, THETA, [0.2, -0.1], lam),
-    "psi_zero": lambda m, lam: psi_zero(m, THETA, 0.2, _l0(lam, m)),
-    "psi_alpha": lambda m, lam: psi_alpha(m, (1, 0), THETA, 0.2, _l0(lam, m)),
-    "compute_s": lambda m, lam: compute_s(m, (1, 0), THETA, 0.2, _l0(lam, m)),
-    "apply_R": lambda m, lam: apply_R(m, (1, 0), THETA, 0.2, lam),
     "ergodicity_experiment": lambda m, lam: ergodicity_experiment(
         m, THETA, posterior_mean_phi(m), [(0.0, 0.0, _l0(lam, m))], [1, 2], 2, seed=0
     ),
@@ -87,6 +79,15 @@ def test_two_dimensional_observations_are_rejected(model, fold):
         fold(model, THETA, np.zeros((3, 2)), start)
 
 
+@pytest.mark.parametrize(
+    "step_a, step_b",
+    [(np.nan, 10.0), (np.inf, 10.0), (-0.1, 10.0), (0.1, 0.0), (0.1, -5.0), (0.1, np.nan), (0.1, np.inf)],
+)
+def test_rml_step_sizes_out_of_range_are_rejected(model, step_a, step_b):
+    with pytest.raises(ValueError, match="step_a .* step_b"):
+        rml_demo(model, THETA, THETA, step_a, step_b, 3, seed=0)
+
+
 def test_ergodicity_needs_an_initial_condition(model):
     with pytest.raises(ValueError, match="initial_conditions"):
         ergodicity_experiment(model, THETA, posterior_mean_phi(model), [], [1, 2], 2, seed=0)
@@ -97,10 +98,6 @@ SINGLE_STEP_CALLS = {
     "filter_step_with_scalars": lambda m, y: filter_step_with_scalars(
         KernelCache(m, THETA), y, _l0(GridMeasure.uniform(m.grid), m)
     ),
-    "compute_s": lambda m, y: compute_s(m, (1, 0), THETA, y, _l0(GridMeasure.uniform(m.grid), m)),
-    "psi_zero": lambda m, y: psi_zero(m, THETA, y, _l0(GridMeasure.uniform(m.grid), m)),
-    "psi_alpha": lambda m, y: psi_alpha(m, (1, 0), THETA, y, _l0(GridMeasure.uniform(m.grid), m)),
-    "apply_R": lambda m, y: apply_R(m, (1, 0), THETA, y, GridMeasure.uniform(m.grid)),
 }
 
 

@@ -8,9 +8,8 @@ from filterjet import (
     GridMeasure,
     KernelCache,
     PredictiveMassError,
-    apply_R,
+    VectorMeasure,
     avg_loglik_rate,
-    compute_s,
     embed,
     fd_derivative,
     filter_iterate,
@@ -18,8 +17,6 @@ from filterjet import (
     filter_step_with_scalars,
     loglik_jet,
     oracle_log_likelihood,
-    psi_alpha,
-    psi_zero,
     rml_demo,
     simulate,
 )
@@ -27,7 +24,7 @@ from filterjet.loglik import jet_increments_from_scalars
 from filterjet.models import ModelSpec
 from filterjet.multiindex import enumerate_indices
 
-from conftest import THETA, BrokenObservation, make_model, random_l0
+from conftest import THETA, BrokenObservation, kernel_updates, make_model, normalized_updates, random_l0
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +71,12 @@ class _ScaledKernel(ModelSpec):
         return self.inner.observation_sample(theta, x, rng)
 
 
+def increments(model, theta, y, measure):
+    """psi^alpha of one step by slot: the jet increments the log-likelihood folds add up."""
+    cache = KernelCache(model, theta, measure.index_set)
+    return jet_increments_from_scalars(*filter_step_with_scalars(cache, y, measure)[1:], measure.index_set)
+
+
 class TestPsiZero:
     def test_constant_predictive_mass_gives_its_log(self, theta, iset):
         # with a constant observation map the predictive mass is the
@@ -82,28 +85,24 @@ class TestPsiZero:
         measure = embed(GridMeasure.uniform(model.grid), iset)
         y = 1.1
         q = model.observation_grid_factory(theta, enumerate_indices(2, 0))(y)[0][0]
-        assert psi_zero(model, theta, y, measure) == pytest.approx(math.log(q), abs=1e-12)
+        assert increments(model, theta, y, measure)[0] == pytest.approx(math.log(q), abs=1e-12)
 
     def test_reads_only_the_zero_slot(self, model32, theta, iset, uniform_l0):
         noisy = np.array(uniform_l0.components)
         noisy[1:] = np.random.default_rng(0).standard_normal(noisy[1:].shape)
-        from filterjet import VectorMeasure
-
         perturbed = VectorMeasure(noisy, iset, model32.grid)
-        assert psi_zero(model32, theta, 0.4, perturbed) == psi_zero(
-            model32, theta, 0.4, uniform_l0
-        )
+        assert increments(model32, theta, 0.4, perturbed)[0] == increments(model32, theta, 0.4, uniform_l0)[0]
 
     def test_kernel_scaling_shifts_by_log_factor(self, model32, theta, uniform_l0):
-        base = psi_zero(model32, theta, 0.4, uniform_l0)
-        scaled = psi_zero(_ScaledKernel(model32, 3.0), theta, 0.4, uniform_l0)
+        base = increments(model32, theta, 0.4, uniform_l0)[0]
+        scaled = increments(_ScaledKernel(model32, 3.0), theta, 0.4, uniform_l0)[0]
         assert scaled == pytest.approx(base + math.log(3.0), abs=1e-12)
 
     def test_mass_at_the_floor_is_rejected_like_the_step(self, model32, theta, uniform_l0):
-        # a positive mass below PREDICTIVE_FLOOR aborts psi_zero exactly as it aborts the step
+        # a positive mass below PREDICTIVE_FLOOR aborts the increment exactly as it aborts the step
         tiny = _ScaledKernel(model32, 1e-301)
         with pytest.raises(PredictiveMassError) as from_psi:
-            psi_zero(tiny, theta, 0.4, uniform_l0)
+            increments(tiny, theta, 0.4, uniform_l0)
         with pytest.raises(PredictiveMassError) as from_step:
             filter_step(tiny, theta, 0.4, uniform_l0)
         assert 0.0 < from_psi.value.mass <= 1e-300
@@ -115,36 +114,19 @@ class TestPsiAlpha:
         rng = np.random.default_rng(1)
         measure = random_l0(model32, iset, rng)
         y = -0.6
+        psi = increments(model32, theta, y, measure)
+        s_all = normalized_updates(model32, theta, y, measure)
         for alpha in ((1, 0), (0, 1)):
-            expected = compute_s(model32, alpha, theta, y, measure).total_mass()
-            assert psi_alpha(model32, alpha, theta, y, measure) == pytest.approx(
-                expected, rel=1e-12
-            )
+            assert psi[iset.slot(alpha)] == pytest.approx(s_all[alpha].total_mass(), rel=1e-12)
 
     def test_degree_one_at_embedding_is_classical_score(self, model32, theta, iset):
         lam = GridMeasure.uniform(model32.grid)
-        measure = embed(lam, iset)
         y = 0.9
-        denom = apply_R(model32, (0, 0), theta, y, lam).total_mass()
+        psi = increments(model32, theta, y, embed(lam, iset))
+        r_all = kernel_updates(model32, theta, y, lam)
+        denom = r_all[(0, 0)].total_mass()
         for alpha in ((1, 0), (0, 1)):
-            num = apply_R(model32, alpha, theta, y, lam).total_mass()
-            assert psi_alpha(model32, alpha, theta, y, measure) == pytest.approx(
-                num / denom, rel=1e-12
-            )
-
-    def test_equals_the_core_increment_exactly(self, model32, theta, iset):
-        measure = random_l0(model32, iset, np.random.default_rng(6))
-        y = -0.4
-        cache = KernelCache(model32, theta, iset)
-        _, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
-        increments = jet_increments_from_scalars(s_masses, predictive, iset)
-        assert psi_zero(model32, theta, y, measure) == increments[0]
-        for k in range(1, len(iset)):
-            assert psi_alpha(model32, iset.indices[k], theta, y, measure) == increments[k]
-
-    def test_zero_index_rejected(self, model32, theta, uniform_l0):
-        with pytest.raises(ValueError):
-            psi_alpha(model32, (0, 0), theta, 0.1, uniform_l0)
+            assert psi[iset.slot(alpha)] == pytest.approx(r_all[alpha].total_mass() / denom, rel=1e-12)
 
     def test_derivative_of_increment_along_filter_path(self, model32, theta, iset):
         # the jet increment at the filter state equals the parameter
@@ -153,18 +135,18 @@ class TestPsiAlpha:
         traj = simulate(model32, theta, lam, 8, seed=17)
         ys, y_next = traj.observations[:-1], traj.observations[-1]
         state = filter_iterate(model32, theta, ys, embed(lam, iset))
+        direct = increments(model32, theta, y_next, state.measure)
         scheme = FDScheme(1e-3, 2)
 
         def increment(th):
             inner = filter_iterate(model32, th, ys, embed(lam, iset))
-            return psi_zero(model32, th, y_next, inner.measure)
+            return increments(model32, th, y_next, inner.measure)[0]
 
-        for alpha in iset.indices:
+        for k, alpha in enumerate(iset.indices):
             if alpha.degree == 0:
                 continue
             fd = fd_derivative(increment, alpha, theta, scheme, bounds=model32.parameter_box)
-            direct = psi_alpha(model32, alpha, theta, y_next, state.measure)
-            assert abs(direct - fd) / max(abs(fd), 1e-2) <= 1e-4
+            assert abs(direct[k] - fd) / max(abs(fd), 1e-2) <= 1e-4
 
 
 class TestLogLikJet:
@@ -172,7 +154,7 @@ class TestLogLikJet:
         lam = GridMeasure.uniform(model32.grid)
         y = 0.7
         jet = loglik_jet(model32, theta, [y], lam)
-        direct = math.log(apply_R(model32, (0, 0), theta, y, lam).total_mass())
+        direct = math.log(kernel_updates(model32, theta, y, lam)[(0, 0)].total_mass())
         assert jet.values[0] == pytest.approx(direct, abs=1e-12)
 
     def test_matches_path_sum_oracle(self, model8, theta):

@@ -372,6 +372,28 @@ class TestBuildMatchesReplacedBuild:
                 other.transition_grid_jet(THETA, iset), model.transition_grid_jet(THETA, iset)
             )
 
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    def test_a_lower_order_copy_has_the_same_jets(self, variant):
+        # the loglik experiment differences a dataclasses.replace(model, order=1) copy
+        model = _model(variant, 3)
+        lower = dataclasses.replace(model, order=1)
+        iset = lower.index_set()
+        assert np.array_equal(lower.transition_grid_jet(THETA, iset), model.transition_grid_jet(THETA, iset))
+        for y in (0.4, np.array([[-1.3], [2.2]])):
+            assert np.array_equal(
+                lower.observation_grid_factory(THETA, iset)(y), model.observation_grid_factory(THETA, iset)(y)
+            )
+        assert np.array_equal(lower._obs_nodes, model._obs_nodes)
+        assert np.array_equal(lower._obs_weights, model._obs_weights)
+
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    def test_quadrature_nodes_are_not_constructor_arguments(self, variant):
+        # they follow obs_box and obs_quad_cells alone: none without a box
+        model = _model(variant, 1)
+        init = {f.name: f.init for f in dataclasses.fields(model)}
+        assert not init["_obs_nodes"] and not init["_obs_weights"]
+        assert (model._obs_nodes is None) == (model._obs_weights is None) == (variant == "gaussian")
+
 
 class TestObservationScores:
     """The observation scores d^b q / q behind the assumption_constants score table."""

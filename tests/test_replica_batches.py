@@ -18,7 +18,6 @@ from filterjet import (
     component_tv_phi,
     embed,
     ergodicity_experiment,
-    filter_iterate,
     filter_step_with_scalars,
     forgetting_experiment,
     labeled_rng,
@@ -100,12 +99,12 @@ def test_forgetting_equals_pairs_filtered_alone(small):
     pairs = [(random_l0(small, iset, rng), random_l0(small, iset, rng)) for _ in range(3)]
     curves = forgetting_experiment(small, THETA, pairs, 30, seed=7)
     path = simulate(small, THETA, GridMeasure.uniform(small.grid), 30, seed=labeled_seed(7, "forgetting-path"))
+    cache = KernelCache(small, THETA, iset)
     for (first, second), curve in zip(pairs, curves):
-        runs = [
-            filter_iterate(small, THETA, path.observations, start, keep_history=True).history[1:]
-            for start in (first, second)
-        ]
-        distance = [measure_distance(a, b) for a, b in zip(*runs)]
+        distance = []
+        for y in path.observations:
+            first, second = (filter_step_with_scalars(cache, y, m)[0] for m in (first, second))
+            distance.append(measure_distance(first, second))
         assert_close(curve.distance, distance[: len(curve.distance)])
 
 
