@@ -50,6 +50,11 @@ def _theta_draws(cfg: RunConfig, model, count: int) -> list[np.ndarray]:
     width = box[:, 1] - box[:, 0]
     margin = np.maximum(0.05 * width, 8.0 * cfg.derivatives.fd_step)
     lo, hi = box[:, 0] + margin, box[:, 1] - margin
+    if not np.all(lo < hi):
+        raise ConfigError(
+            f"[derivatives] fd_step: {cfg.derivatives.fd_step} leaves no theta box interior "
+            "clear of the margin max(5% of the width, 8 * fd_step)"
+        )
     return [lo + rng.random(box.shape[0]) * (hi - lo) for _ in range(count)]
 
 
@@ -174,10 +179,7 @@ def _run_ergodicity(cfg: RunConfig, outdir: str) -> list[Check]:
     model = build_model(cfg)
     theta = reference_theta(cfg)
     iset = model.index_set()
-    phi_name = cfg.experiment.phi
-    if phi_name not in PHI_BUILTINS:
-        raise ConfigError(f"[experiment] phi: unknown functional {phi_name!r}")
-    phi = PHI_BUILTINS[phi_name](model)
+    phi = PHI_BUILTINS[cfg.experiment.phi](model)
     starts = _ergodicity_starts(model, iset)
     ns = cfg.experiment.record_ns
     probes = {
@@ -367,7 +369,9 @@ def run(experiment: str, config_path: str) -> int:
         fh.write(resolved)
     sys.stdout.write(resolved)
     try:
-        checks = _RUNNERS[experiment](cfg, outdir)
+        # a floating-point fault aborts the same way under every warning filter
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            checks = _RUNNERS[experiment](cfg, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -2,19 +2,25 @@
 
 Configs are INI files with one section per concern.  Parsed configs are
 plain frozen dataclasses of floats, ints, and tuples, so value equality
-holds and an echoed config re-parses to an equal object.
+holds and an echoed config re-parses to an equal object.  Each key is
+declared once, as a dataclass field whose metadata holds its `Domain`:
+how its text parses and which values it accepts.  Parsing, validation
+and the echo all walk those fields; only the checks across keys are
+written out.
 """
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
+from .experiments import PHI_BUILTINS
 from .grid import StateGrid
 from .models import FEATURE_FUNCTIONS, TruncatedNonlinearModel
+from .reporting import format_value
 
 
 class ConfigError(ValueError):
@@ -23,99 +29,135 @@ class ConfigError(ValueError):
 
 VARIANTS = ("compact", "gaussian")
 
+
+@dataclass(frozen=True)
+class Domain:
+    """How one key's text becomes a value, and which values the key accepts."""
+
+    parse: Callable[[str], object]
+    accepts: Callable[[object], bool]
+    need: str
+
+
+def _key(default, parse, accepts=lambda v: True, need=""):
+    return field(default=default, metadata={"domain": Domain(parse, accepts, need)})
+
+
+def _words(kind):
+    return lambda raw: tuple(kind(tok) for tok in raw.split())
+
+
+def _real(default, accepts=lambda v: True, need=""):
+    need = f"a finite number {need}".strip()
+    return _key(default, float, lambda v: math.isfinite(v) and accepts(v), need)
+
+
+def _reals(default):
+    return _key(default, _words(float), lambda v: all(map(math.isfinite, v)), "finite numbers")
+
+
+def _count(default, least):
+    return _key(default, int, lambda v: v >= least, f"an integer >= {least}")
+
+
+def _one_of(default, choices):
+    return _key(default, str, lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
+def _names(default, choices):
+    need = f"one or more of {', '.join(choices)}"
+    return _key(default, _words(str), lambda v: bool(v) and set(v) <= set(choices), need)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    variant: str = "compact"
-    drift_features: tuple[str, ...] = ("tanh", "zero")
-    obs_features: tuple[str, ...] = ("zero", "linear")
-    trans_scale: float = 0.5
-    obs_scale: float = 0.7
-    state_min: float = -3.0
-    state_max: float = 3.0
-    obs_min: float = -6.0
-    obs_max: float = 6.0
-    theta_min: tuple[float, ...] = (0.2, 0.2)
-    theta_max: tuple[float, ...] = (1.5, 1.5)
-    theta: tuple[float, ...] = (0.8, 0.9)
-    obs_quad_cells: int = 161
+    variant: str = _one_of("compact", VARIANTS)
+    drift_features: tuple[str, ...] = _names(("tanh", "zero"), FEATURE_FUNCTIONS)
+    obs_features: tuple[str, ...] = _names(("zero", "linear"), FEATURE_FUNCTIONS)
+    trans_scale: float = _real(0.5, lambda v: v > 0, "> 0")
+    obs_scale: float = _real(0.7, lambda v: v > 0, "> 0")
+    state_min: float = _real(-3.0)
+    state_max: float = _real(3.0)
+    obs_min: float = _real(-6.0)
+    obs_max: float = _real(6.0)
+    theta_min: tuple[float, ...] = _reals((0.2, 0.2))
+    theta_max: tuple[float, ...] = _reals((1.5, 1.5))
+    theta: tuple[float, ...] = _reals((0.8, 0.9))
+    obs_quad_cells: int = _count(161, 1)
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    cells: int = 64
+    cells: int = _count(64, 2)
 
 
 @dataclass(frozen=True)
 class DerivativesConfig:
-    order: int = 2
-    fd_step: float = 1e-3
-    fd_levels: int = 2
+    order: int = _key(2, int, lambda v: v in (1, 2, 3), "one of 1, 2, 3")
+    fd_step: float = _real(1e-3, lambda v: v > 0, "> 0")
+    fd_levels: int = _count(2, 1)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    horizon: int = 10
-    replicas: int = 1000
-    theta_draws: int = 10
-    pairs: int = 5
-    record_ns: tuple[int, ...] = (5, 10, 20, 40)
-    rel_tol: float = 1e-4
-    abs_floor: float = 1e-6
-    phi: str = "posterior-mean"
-    rml_step_a: float = 3.0
-    rml_step_b: float = 300.0
-    rml_steps: int = 6000
-    rml_init: tuple[float, ...] = (0.45, 1.25)
-    y_samples: int = 25
+    horizon: int = _count(10, 1)
+    replicas: int = _count(1000, 2)
+    theta_draws: int = _count(10, 1)
+    pairs: int = _count(5, 1)
+    record_ns: tuple[int, ...] = _key(
+        (5, 10, 20, 40), _words(int), lambda v: bool(v) and min(v) >= 0, "one or more integers >= 0"
+    )
+    # a relative tolerance of 1 or more passes every check
+    rel_tol: float = _real(1e-4, lambda v: 0 < v < 1, "in (0, 1)")
+    abs_floor: float = _real(1e-6, lambda v: v >= 0, ">= 0")
+    phi: str = _one_of("posterior-mean", PHI_BUILTINS)
+    rml_step_a: float = _real(3.0, lambda v: v > 0, "> 0")
+    rml_step_b: float = _real(300.0, lambda v: v > 0, "> 0")
+    rml_steps: int = _count(6000, 1)
+    rml_init: tuple[float, ...] = _reals((0.45, 1.25))
+    # the Gaussian tail-growth exponent is a log-log slope: two points at least
+    y_samples: int = _count(25, 2)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 20260808
-    outdir: str = "out"
+    """[run] holds the keys with a domain; every other field is a section."""
+
+    seed: int = _key(20260808, int)
+    outdir: str = _key("out", str, bool, "a non-empty path")
     model: ModelConfig = ModelConfig()
     grid: GridConfig = GridConfig()
     derivatives: DerivativesConfig = DerivativesConfig()
     experiment: ExperimentConfig = ExperimentConfig()
 
 
-_SECTIONS = {
-    "run": None,
-    "model": ModelConfig,
-    "grid": GridConfig,
-    "derivatives": DerivativesConfig,
-    "experiment": ExperimentConfig,
-}
+def _sections(cfg: RunConfig):
+    """(name, object) of each INI section in file order."""
+    yield "run", cfg
+    for f in fields(cfg):
+        if "domain" not in f.metadata:
+            yield f.name, getattr(cfg, f.name)
 
 
-def _convert(section: str, key: str, raw: str, kind):
-    raw = raw.strip()
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        # tuple types: whitespace-separated values, element type from the annotation
-        elem = str if "str" in kind else (int if "int" in kind else float)
-        return tuple(elem(tok) for tok in raw.split())
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from err
+def _domains(obj) -> dict[str, Domain]:
+    return {f.name: f.metadata["domain"] for f in fields(obj) if "domain" in f.metadata}
 
 
-def _parse_section(parser, section: str, cls):
-    kwargs = {}
+def _read_section(parser, section: str, obj):
+    """obj with each key the section sets replaced by its parsed value."""
     if not parser.has_section(section):
-        return cls()
-    known = {f.name: f for f in fields(cls)}
+        return obj
+    domains = _domains(obj)
+    values = {}
     for key, raw in parser.items(section):
-        if key not in known:
+        if key not in domains:
             raise ConfigError(f"[{section}] {key}: unknown key")
-        ann = known[key].type
-        kind = {"int": int, "float": float, "str": str}.get(ann, ann)
-        kwargs[key] = _convert(section, key, raw, kind)
-    return cls(**kwargs)
+        raw = raw.strip()
+        try:
+            values[key] = domains[key].parse(raw)
+        except ValueError as err:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from err
+    return replace(obj, **values)
 
 
 def load_config_text(text: str) -> RunConfig:
@@ -124,29 +166,12 @@ def load_config_text(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(str(err)) from err
+    defaults = dict(_sections(RunConfig()))
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in defaults:
             raise ConfigError(f"[{section}]: unknown section")
-
-    seed = 20260808
-    outdir = "out"
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key == "seed":
-                seed = _convert("run", "seed", raw, int)
-            elif key == "outdir":
-                outdir = raw.strip()
-            else:
-                raise ConfigError(f"[run] {key}: unknown key")
-
-    cfg = RunConfig(
-        seed=seed,
-        outdir=outdir,
-        model=_parse_section(parser, "model", ModelConfig),
-        grid=_parse_section(parser, "grid", GridConfig),
-        derivatives=_parse_section(parser, "derivatives", DerivativesConfig),
-        experiment=_parse_section(parser, "experiment", ExperimentConfig),
-    )
+    cfg = _read_section(parser, "run", defaults.pop("run"))
+    cfg = replace(cfg, **{name: _read_section(parser, name, obj) for name, obj in defaults.items()})
     validate_config(cfg)
     return cfg
 
@@ -161,82 +186,43 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    m = cfg.model
-    if m.variant not in VARIANTS:
-        raise ConfigError(f"[model] variant: must be one of {VARIANTS}")
-    for name in m.drift_features + m.obs_features:
-        if name not in FEATURE_FUNCTIONS:
-            raise ConfigError(f"[model] features: unknown feature {name!r}")
-    if len(m.drift_features) != len(m.obs_features):
-        raise ConfigError("[model] obs_features: must match drift_features in length")
+    """Check every key against its domain, then the checks across keys."""
+    for section, obj in _sections(cfg):
+        for key, domain in _domains(obj).items():
+            value = getattr(obj, key)
+            if not domain.accepts(value):
+                raise ConfigError(f"[{section}] {key}: must be {domain.need}, got {value!r}")
+    m, e = cfg.model, cfg.experiment
     d = len(m.drift_features)
-    if not (len(m.theta_min) == len(m.theta_max) == len(m.theta) == d):
-        raise ConfigError("[model] theta/theta_min/theta_max: one value per parameter")
-    if not m.state_max > m.state_min:
-        raise ConfigError("[model] state_max: state box is degenerate")
-    if m.variant == "compact" and not m.obs_max > m.obs_min:
-        raise ConfigError("[model] obs_max: observation box is degenerate")
-    if not (m.trans_scale > 0 and m.obs_scale > 0):
-        raise ConfigError("[model] trans_scale/obs_scale: must be positive")
-    for t, lo, hi in zip(m.theta, m.theta_min, m.theta_max):
-        if not lo < t < hi:
-            raise ConfigError(f"[model] theta: {t} not strictly inside ({lo}, {hi})")
-    if m.obs_quad_cells < 1:
-        raise ConfigError("[model] obs_quad_cells: must be >= 1")
-    if cfg.grid.cells < 2:
-        raise ConfigError("[grid] cells: need at least 2 cells")
-    if cfg.derivatives.order not in (1, 2, 3):
-        raise ConfigError("[derivatives] order: must be 1, 2, or 3")
-    if not cfg.derivatives.fd_step > 0:
-        raise ConfigError("[derivatives] fd_step: must be positive")
-    if cfg.derivatives.fd_levels < 1:
-        raise ConfigError("[derivatives] fd_levels: must be >= 1")
-    e = cfg.experiment
-    if e.horizon < 1:
-        raise ConfigError("[experiment] horizon: must be >= 1")
-    if e.replicas < 2:
-        raise ConfigError("[experiment] replicas: must be >= 2")
-    for key in ("theta_draws", "rml_steps"):
-        if getattr(e, key) < 1:
-            raise ConfigError(f"[experiment] {key}: must be >= 1")
-    if not e.rel_tol > 0:
-        raise ConfigError("[experiment] rel_tol: must be positive")
-    for key in ("rml_step_a", "rml_step_b"):
-        if not 0 < getattr(e, key) < math.inf:
-            raise ConfigError(f"[experiment] {key}: must be finite and positive")
-    if e.y_samples < 2:
-        # the Gaussian tail-growth exponent is a log-log slope: two points at least
-        raise ConfigError("[experiment] y_samples: must be >= 2")
-    if not e.record_ns or min(e.record_ns) < 0:
-        raise ConfigError("[experiment] record_ns: need at least one horizon, none negative")
-    if len(e.rml_init) != d:
-        raise ConfigError("[experiment] rml_init: one value per parameter")
+    if len(m.obs_features) != d:
+        raise ConfigError("[model] obs_features: must match drift_features in length")
+    points = {"[model] theta": m.theta, "[experiment] rml_init": e.rml_init}
+    lengths = {"[model] theta_min": m.theta_min, "[model] theta_max": m.theta_max, **points}
+    for name, values in lengths.items():
+        if len(values) != d:
+            raise ConfigError(f"{name}: need one value per parameter ({d}), got {len(values)}")
+    boxes = {"state": (m.state_min, m.state_max)}
+    if m.variant == "compact":
+        boxes["obs"] = (m.obs_min, m.obs_max)
+    for box, (lo, hi) in boxes.items():
+        if not lo < hi:
+            raise ConfigError(f"[model] {box}_max: need {box}_min < {box}_max, got {lo} and {hi}")
+    for name, values in points.items():
+        for t, lo, hi in zip(values, m.theta_min, m.theta_max):
+            if not lo < t < hi:
+                raise ConfigError(f"{name}: {t} not strictly inside theta_min..theta_max ({lo}, {hi})")
 
 
 def render_config(cfg: RunConfig) -> str:
     """Echo the resolved config as INI text that parses back equal."""
 
     def fmt(value):
-        if isinstance(value, tuple):
-            return " ".join(fmt(v) for v in value)
-        if isinstance(value, float):
-            return f"{value:.17g}"
-        return str(value)
+        return " ".join(map(format_value, value)) if isinstance(value, tuple) else format_value(value)
 
-    out = io.StringIO()
-    out.write("[run]\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"outdir = {cfg.outdir}\n")
-    for section, obj in (
-        ("model", cfg.model),
-        ("grid", cfg.grid),
-        ("derivatives", cfg.derivatives),
-        ("experiment", cfg.experiment),
-    ):
-        out.write(f"\n[{section}]\n")
-        for f in fields(obj):
-            out.write(f"{f.name} = {fmt(getattr(obj, f.name))}\n")
-    return out.getvalue()
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {fmt(getattr(obj, key))}\n" for key in _domains(obj))
+        for section, obj in _sections(cfg)
+    )
 
 
 def build_grid(cfg: RunConfig) -> StateGrid:

@@ -121,7 +121,13 @@ class ModelSpec(abc.ABC):
 
     @abc.abstractmethod
     def transition_grid_jet(self, theta, index_set: IndexSet) -> np.ndarray:
-        """(K, N, N) transition jet on the grid: slot, new state, old state."""
+        """(K, N, N) transition jet on the grid: slot, new state, old state.
+
+        theta is a (dim_theta,) array that validate_theta has passed,
+        and index_set's order is within max_order.  The callers
+        (KernelCache, kernel_matrix, assumption_constants) check both
+        once, so the model does not check them again.
+        """
 
     @abc.abstractmethod
     def observation_grid_factory(self, theta, index_set: IndexSet):
@@ -132,6 +138,7 @@ class ModelSpec(abc.ABC):
         once per theta and the evaluator once per step, at that fixed
         theta: build everything that depends only on theta here, and
         everything that depends on neither theta nor y once per model.
+        theta and index_set come checked, as for transition_grid_jet.
         """
 
     @abc.abstractmethod
@@ -331,7 +338,7 @@ class TruncatedNonlinearModel(ModelSpec):
         """
         features, factors = tables
         # theta . features as np.tensordot sums it: a (1, dim) row times the table.
-        location = np.dot(theta.reshape(1, -1), features).reshape(-1)
+        location = np.dot(np.reshape(theta, (1, -1)), features).reshape(-1)
         derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
         order = index_set.order
 
@@ -344,8 +351,6 @@ class TruncatedNonlinearModel(ModelSpec):
         # The new states are the quadrature nodes, so one Gaussian evaluation
         # on the N x N grid serves the numerator and the normalizer.  One
         # integral over the whole stack keeps slot 0's bits.
-        theta = self.validate_theta(theta)
-        self.validate_order(index_set.order)
         at, factors = self._location_jet(self._drift_tables, self.trans_scale, theta, index_set)
         on_grid = at(self.grid.axis(0)[:, None])
         den = _integrate(on_grid, self.grid.weights)
@@ -360,8 +365,6 @@ class TruncatedNonlinearModel(ModelSpec):
         then costs one Gaussian evaluation, the quotient recursion and
         the products with the slope powers.
         """
-        theta = self.validate_theta(theta)
-        self.validate_order(index_set.order)
         at, factors = self._location_jet(self._obs_tables, self.obs_scale, theta, index_set)
         if self.obs_box is None:
             # Lebesgue normalizer over the real line: constant in theta.

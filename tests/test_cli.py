@@ -1,3 +1,5 @@
+import configparser
+import math
 import os
 
 import numpy as np
@@ -14,6 +16,7 @@ from filterjet.config import (
     reference_theta,
     render_config,
 )
+from filterjet.reporting import format_value
 from filterjet.seeding import labeled_seed
 
 FAST = """
@@ -144,6 +147,9 @@ class TestRun:
             ("check-derivs", "experiment", "rel_tol", "-1e-4"),
             ("loglik", "model", "obs_quad_cells", "0"),
             ("rml", "model", "obs_quad_cells", "-3"),
+            ("rml", "experiment", "rml_init", "5.0 1.25"),
+            ("rml", "experiment", "rml_init", "0.2 1.25"),
+            ("simulate", "experiment", "phi", "median"),
         ],
     )
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, experiment, section, key, value):
@@ -267,3 +273,100 @@ class TestRun:
         cfg.write_text(fast_config(outdir, horizon=4) + "rel_tol = 1e-18\nabs_floor = 1e-20\n")
         assert run("check-derivs", str(cfg)) == 1
         assert "overall: FAIL" in (outdir / "summary.txt").read_text()
+
+
+def _any(v):
+    return True
+
+
+def _positive(v):
+    return 0 < v
+
+
+# Every numeric key: (section, an experiment that reads it, int key?, the
+# values its domain accepts).  Finite floats are the base domain of reals.
+NUMERIC_KEYS = {
+    "seed": ("run", "simulate", True, _any),
+    "trans_scale": ("model", "loglik", False, _positive),
+    "obs_scale": ("model", "loglik", False, _positive),
+    "state_min": ("model", "loglik", False, _any),
+    "state_max": ("model", "loglik", False, _any),
+    "obs_min": ("model", "loglik", False, _any),
+    "obs_max": ("model", "loglik", False, _any),
+    "theta_min": ("model", "rml", False, _any),
+    "theta_max": ("model", "rml", False, _any),
+    "theta": ("model", "loglik", False, _any),
+    "obs_quad_cells": ("model", "loglik", True, _positive),
+    "cells": ("grid", "loglik", True, lambda v: v >= 2),
+    "order": ("derivatives", "loglik", True, lambda v: v in (1, 2, 3)),
+    "fd_step": ("derivatives", "check-derivs", False, _positive),
+    "fd_levels": ("derivatives", "check-derivs", True, _positive),
+    "horizon": ("experiment", "simulate", True, _positive),
+    "replicas": ("experiment", "ergodicity", True, lambda v: v >= 2),
+    "theta_draws": ("experiment", "check-derivs", True, _positive),
+    "pairs": ("experiment", "forgetting", True, _positive),
+    "record_ns": ("experiment", "ergodicity", True, lambda v: v >= 0),
+    "rel_tol": ("experiment", "check-derivs", False, lambda v: 0 < v < 1),
+    "abs_floor": ("experiment", "check-derivs", False, lambda v: v >= 0),
+    "rml_step_a": ("experiment", "rml", False, _positive),
+    "rml_step_b": ("experiment", "rml", False, _positive),
+    "rml_steps": ("experiment", "rml", True, _positive),
+    "rml_init": ("experiment", "rml", False, _any),
+    "y_samples": ("experiment", "assumptions", True, lambda v: v >= 2),
+}
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300"]
+
+
+def _setting_config(tmp_path, settings):
+    """The fast config, resolved, with each (section, key, text) of settings set."""
+    parser = configparser.ConfigParser()
+    parser.read_string(render_config(load_config_text(fast_config(tmp_path / "out"))))
+    for section, key, text in settings:
+        parser.set(section, key, text)
+    path = tmp_path / "setting.cfg"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return str(path)
+
+
+class TestEveryValueGetsAnExitCode:
+    @pytest.mark.parametrize("value", EXTREMES)
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_extreme_value(self, tmp_path, capsys, key, value):
+        # a value outside its key's domain is a config error naming the key;
+        # any other value runs or aborts with a defined code, never raises
+        section, experiment, integral, accepts = NUMERIC_KEYS[key]
+        fast = load_config_text(fast_config(tmp_path / "out"))
+        current = getattr(fast if section == "run" else getattr(fast, section), key)
+        text = value
+        if isinstance(current, tuple):
+            text = " ".join([value] + [format_value(v) for v in current[1:]])
+        number = float(value)
+        in_domain = math.isfinite(number) and accepts(number)
+        if integral:
+            in_domain = in_domain and value.lstrip("-").isdigit()
+        code = run(experiment, _setting_config(tmp_path, [(section, key, text)]))
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        if not in_domain:
+            assert code == 2 and f"[{section}] {key}" in err
+        elif code == 2:
+            assert key in err
+
+    @pytest.mark.parametrize(
+        "experiment, settings, named",
+        [
+            (
+                "simulate",
+                [("model", "drift_features", ""), ("model", "obs_features", "")],
+                "[model] drift_features",
+            ),
+            # 8 * fd_step exceeds half the box width, so no parameter point
+            # clears the margin the finite differences need
+            ("check-derivs", [("derivatives", "fd_step", "0.5")], "[derivatives] fd_step"),
+            ("simulate", [("run", "outdir", "")], "[run] outdir"),
+        ],
+    )
+    def test_setting_out_of_reach_exits_2(self, tmp_path, capsys, experiment, settings, named):
+        assert run(experiment, _setting_config(tmp_path, settings)) == 2
+        assert named in capsys.readouterr().err
