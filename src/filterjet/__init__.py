@@ -65,6 +65,6 @@ from .experiments import (
     posterior_mean_phi,
     state_projection_phi,
 )
-from .seeding import labeled_rng, labeled_seed
+from .seeding import NormalStreams, labeled_rng, labeled_seed
 
 __version__ = "0.1.0"

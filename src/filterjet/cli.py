@@ -362,11 +362,17 @@ def run(experiment: str, config_path: str) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    outdir = os.environ.get(OUTDIR_ENV) or cfg.outdir
-    ensure_outdir(outdir)
+    from_env = os.environ.get(OUTDIR_ENV)
+    outdir = from_env or cfg.outdir
     resolved = render_config(cfg)
-    with open(os.path.join(outdir, "resolved.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(resolved)
+    try:
+        ensure_outdir(outdir)
+        with open(os.path.join(outdir, "resolved.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(resolved)
+    except OSError as err:
+        source = OUTDIR_ENV if from_env else "[run] outdir"
+        print(f"config error: {source}: cannot write to {outdir!r}: {err.strerror or err}", file=sys.stderr)
+        return 2
     sys.stdout.write(resolved)
     try:
         # a floating-point fault aborts the same way under every warning filter

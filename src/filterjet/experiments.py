@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .filtering import KernelCache, _check_measure, _step, filter_iterate
-from .grid import GridMeasure, VectorMeasure, embed, measure_distance, vector_norms
+from .grid import GridMeasure, StateGrid, VectorMeasure, embed, measure_distance, vector_norms
 from .models import ModelSpec, simulate
-from .multiindex import MultiIndex
+from .multiindex import IndexSet, MultiIndex
 from .oracle import FDScheme, fd_derivative
-from .seeding import labeled_rng, labeled_seed
+from .seeding import NormalStreams, labeled_rng, labeled_seed
 
 DISTANCE_FLOOR = 1e-300
 FIT_NOISE_FLOOR = 1e-14  # below this, distances are rounding noise, not decay
@@ -137,20 +137,34 @@ def forgetting_experiment(
 
 @dataclass(frozen=True, eq=False)
 class PhiSpec:
-    """A test functional of (state, observation, filter measure).
+    """A test functional of (state, observation, filter measure), over rows.
 
-    phi_bound and growth_exponent describe its polynomial envelope in
-    the filter measure: |phi| <= phi_bound * norm^growth_exponent, with
-    the matching Lipschitz bound in the measure argument.
+    fn(xs, ys, components, index_set, grid) scores R rows at once: (R,)
+    states and observations and the (R, K, N) components of the rows'
+    filter measures, returning (R,) values.  Calling the spec scores one
+    state as one row.  phi_bound and growth_exponent describe its
+    polynomial envelope in the filter measure: |phi| <= phi_bound *
+    norm^growth_exponent, with the matching Lipschitz bound in the
+    measure argument.
     """
 
     name: str
-    fn: Callable[[float, float, VectorMeasure], float]
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray, IndexSet, StateGrid], np.ndarray]
     phi_bound: float
     growth_exponent: float
 
     def __call__(self, x: float, y: float, measure: VectorMeasure) -> float:
-        return float(self.fn(x, y, measure))
+        row = self.fn(
+            np.array([float(x)]), np.array([float(y)]), measure.components[None],
+            measure.index_set, measure.grid,
+        )
+        return float(row[0])
+
+
+def _slot_zero_means(components, index_set, grid) -> np.ndarray:
+    """Slot-0 mean of every row, with the float operations of GridMeasure.mean."""
+    masses = components[:, index_set.slot(index_set.zero)] * grid.weights
+    return (grid.points * masses[:, :, None]).sum(axis=1)[:, 0]
 
 
 def posterior_mean_phi(model: ModelSpec) -> PhiSpec:
@@ -158,7 +172,7 @@ def posterior_mean_phi(model: ModelSpec) -> PhiSpec:
     radius = float(np.max(np.abs(model.grid.bounds)))
     return PhiSpec(
         name="posterior-mean",
-        fn=lambda x, y, m: float(m.component(m.index_set.zero).mean()[0]),
+        fn=lambda xs, ys, components, index_set, grid: _slot_zero_means(components, index_set, grid),
         phi_bound=radius,
         growth_exponent=0.0,
     )
@@ -167,9 +181,15 @@ def posterior_mean_phi(model: ModelSpec) -> PhiSpec:
 def component_tv_phi(alpha) -> PhiSpec:
     """Total variation of one derivative slot; linear growth in the norm."""
     alpha = MultiIndex(alpha)
+
+    def tv_norms(xs, ys, components, index_set, grid):
+        # One dot per row, as GridMeasure.tv_norm: a matrix product sums in another order.
+        rows = np.abs(components[:, index_set.slot(alpha)])
+        return np.array([np.dot(row, grid.weights) for row in rows])
+
     return PhiSpec(
         name=f"component-tv-{'_'.join(map(str, alpha))}",
-        fn=lambda x, y, m: m.component(alpha).tv_norm(),
+        fn=tv_norms,
         phi_bound=1.0,
         growth_exponent=1.0,
     )
@@ -178,9 +198,14 @@ def component_tv_phi(alpha) -> PhiSpec:
 def bounded_lipschitz_phi(model: ModelSpec) -> PhiSpec:
     """A bounded statistic of the full augmented state, Lipschitz in the measure."""
     radius = max(1.0, float(np.max(np.abs(model.grid.bounds))))
+
+    def tanh_of_sum(xs, ys, components, index_set, grid):
+        sums = xs + ys + _slot_zero_means(components, index_set, grid)
+        return np.array([math.tanh(v) for v in sums.tolist()])
+
     return PhiSpec(
         name="bounded-lipschitz",
-        fn=lambda x, y, m: math.tanh(x + y + float(m.component(m.index_set.zero).mean()[0])),
+        fn=tanh_of_sum,
         phi_bound=radius,
         growth_exponent=0.0,
     )
@@ -190,7 +215,7 @@ def state_projection_phi() -> PhiSpec:
     """The state coordinate itself; ignores the filter measure entirely."""
     return PhiSpec(
         name="state-projection",
-        fn=lambda x, y, m: x,
+        fn=lambda xs, ys, components, index_set, grid: np.array(xs, dtype=float),
         phi_bound=math.inf,
         growth_exponent=0.0,
     )
@@ -242,9 +267,12 @@ def ergodicity_experiment(
 
     Replica streams are shared across start points (common random
     numbers), so the spread measures contraction instead of independent
-    Monte-Carlo noise; each estimate is still unbiased.  The paths are
-    simulated first, then all starts x replicas filter as one batch; an
-    abort names the batch row s * replicas + r as its replica.
+    Monte-Carlo noise; each estimate is still unbiased.  Row
+    s * replicas + r runs replica r from start s: it reads replica r's
+    normals from their start, so its path is the one that drawing it
+    alone from replica r's generator gives.  The paths of all rows are
+    drawn step by step, then all rows filter as one batch and phi scores
+    them together; an abort names the row as its replica.
     """
     if replicas < 2:
         raise ValueError("at least two replicas are required")
@@ -261,40 +289,40 @@ def ergodicity_experiment(
         raise ValueError("initial_conditions must name at least one start point")
     cache = KernelCache(model, theta, initial_conditions[0][2].index_set)
     starts = len(initial_conditions)
+    rows = starts * replicas
     for _, _, measure0 in initial_conditions:
         _check_measure(measure0, cache.index_set, cache.grid)
 
-    # Every (start, replica) path of (x, y), drawn from its replica's
-    # stream; row s * replicas + r holds replica r from start s.
-    xs = np.empty((starts * replicas, n_max + 1))
+    # (steps, rows) paths of (x, y); row s * replicas + r reads stream r.
+    normals = NormalStreams(
+        [labeled_rng(seed, "ergodicity", r) for r in range(replicas)],
+        np.tile(np.arange(replicas), starts),
+    )
+    xs = np.empty((n_max + 1, rows))
     ys = np.empty_like(xs)
-    for z_idx, (x0, y0, _) in enumerate(initial_conditions):
-        for r in range(replicas):
-            rng = labeled_rng(seed, "ergodicity", r)
-            row = z_idx * replicas + r
-            x, y = float(x0), float(y0)
-            xs[row, 0], ys[row, 0] = x, y
-            for n in range(1, n_max + 1):
-                x = model.transition_sample(theta, x, rng)
-                y = model.observation_sample(theta, x, rng)
-                xs[row, n], ys[row, n] = x, y
+    xs[0] = np.repeat([float(x0) for x0, _, _ in initial_conditions], replicas)
+    ys[0] = np.repeat([float(y0) for _, y0, _ in initial_conditions], replicas)
+    for n in range(1, n_max + 1):
+        xs[n] = model.transition_samples(theta, xs[n - 1], normals)
+        ys[n] = model.observation_samples(theta, xs[n], normals)
     # The aligned chain updates with the fresh observation, the shifted one
     # with the observation already in the state.
-    update_with = ys[:, 1:] if chain == "aligned" else ys[:, :-1]
+    update_with = ys[1:] if chain == "aligned" else ys[:-1]
 
     components = np.repeat([m.components for _, _, m in initial_conditions], replicas, axis=0)
     samples = np.empty((starts, record_ns.size, replicas))
     t_idx = 0
     for n in range(n_max + 1):
         if t_idx < record_ns.size and n == record_ns[t_idx]:
-            for row, (x, y) in enumerate(zip(xs[:, n].tolist(), ys[:, n].tolist())):
-                z_idx, r = divmod(row, replicas)
-                measure0 = initial_conditions[z_idx][2]
-                view = VectorMeasure(components[row], measure0.index_set, measure0.grid)
-                samples[z_idx, t_idx, r] = phi(x, y, view)
+            values = phi.fn(xs[n], ys[n], components, cache.index_set, cache.grid)
+            if np.shape(values) != (rows,):
+                raise ValueError(
+                    f"phi {phi.name!r} must return ({rows},) values, got shape {np.shape(values)}"
+                )
+            samples[:, t_idx, :] = np.reshape(values, (starts, replicas))
             t_idx += 1
         if n < n_max:
-            components = _step(cache, update_with[:, n], components, n + 1)[0]
+            components = _step(cache, update_with[n], components, n + 1)[0]
 
     estimates = samples.mean(axis=2)
     stderr = samples.std(axis=2, ddof=1) / math.sqrt(replicas)

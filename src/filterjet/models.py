@@ -1,8 +1,8 @@
 """Parametric state-space models with analytic parameter derivatives.
 
 ModelSpec is the contract the filter consumes: the transition jet and
-an observation-jet evaluator tabulated on the model grid, plus the two
-samplers that simulation draws from.
+an observation-jet evaluator tabulated on the model grid, plus the
+samplers that simulation draws from, one state at a time and over rows.
 
 The concrete family is a nonlinear Gaussian model truncated to a box:
 the next state is drift(x) plus scaled noise, the observation is an
@@ -28,11 +28,14 @@ from .multiindex import (
     enumerate_indices,
     pair_table,
 )
+from .seeding import NormalStreams
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Rejection trials a truncated sampler makes before it gives up.
 SAMPLER_MAX_TRIALS = 10**6
+# Widest block of its stream a pending row reads in one rejection round.
+_ROUND_WIDTH_MAX = 1024
 
 FEATURE_FUNCTIONS = {
     "zero": lambda x: np.zeros_like(x),
@@ -101,7 +104,7 @@ class ModelSpec(abc.ABC):
     observation, given the new state).  The filter consumes the whole
     derivative jets of both factors tabulated on the model grid and
     pairs them by the Leibniz rule itself; simulation consumes the two
-    samplers.  A subclass sets ``grid`` and provides the seven abstract
+    samplers.  A subclass sets ``grid`` and provides the nine abstract
     members; the parameter checks and the index set come with the base.
     """
 
@@ -146,6 +149,18 @@ class ModelSpec(abc.ABC):
 
     @abc.abstractmethod
     def observation_sample(self, theta, x: float, rng: np.random.Generator) -> float: ...
+
+    @abc.abstractmethod
+    def transition_samples(self, theta, xs: np.ndarray, normals: NormalStreams) -> np.ndarray:
+        """(R,) next states of the (R,) states xs; row i reads row i of normals.
+
+        Row i's draw and the normals it consumes equal those of
+        transition_sample at xs[i] with row i's stream as the generator.
+        """
+
+    @abc.abstractmethod
+    def observation_samples(self, theta, xs: np.ndarray, normals: NormalStreams) -> np.ndarray:
+        """(R,) observations of the (R,) states xs, row for row as observation_sample."""
 
     def validate_theta(self, theta) -> np.ndarray:
         arr = np.asarray(theta, dtype=float)
@@ -211,6 +226,14 @@ def _slope_powers(slopes: np.ndarray, index_set: IndexSet) -> np.ndarray:
     return out
 
 
+def _trials_exhausted(box, loc: float, scale: float) -> ArithmeticError:
+    lo, hi = box
+    return ArithmeticError(
+        f"no draw inside [{lo}, {hi}] after {SAMPLER_MAX_TRIALS} trials "
+        f"from location {loc!r} with scale {scale!r}"
+    )
+
+
 def _truncated_normal(loc: float, scale: float, box, rng: np.random.Generator) -> float:
     """Rejection draw of loc + scale * N(0, 1) in the box, one normal per trial.
 
@@ -221,10 +244,54 @@ def _truncated_normal(loc: float, scale: float, box, rng: np.random.Generator) -
         draw = loc + scale * rng.standard_normal()
         if lo <= draw <= hi:
             return draw
-    raise ArithmeticError(
-        f"no draw inside [{lo}, {hi}] after {SAMPLER_MAX_TRIALS} trials "
-        f"from location {loc!r} with scale {scale!r}"
-    )
+    raise _trials_exhausted(box, loc, scale)
+
+
+def _rejection_round(locs, scale, box, normals, rows, width, out) -> np.ndarray:
+    """Rows try the next width normals of their streams; returns those still pending.
+
+    An accepting row takes its first in-box draw and consumes the normals
+    up to it, as the one-at-a-time loop does.
+    """
+    lo, hi = box
+    draws = locs[rows][:, None] + scale * normals.peek(rows, width)
+    inside = (lo <= draws) & (draws <= hi)
+    hit = inside.any(axis=1)
+    first = inside.argmax(axis=1)
+    # A pending row's entry is a rejected draw until a later round overwrites it.
+    out[rows] = draws[np.arange(rows.size), first]
+    normals.advance(rows, np.where(hit, first + 1, width))
+    return rows[~hit]
+
+
+def _truncated_normals(locs: np.ndarray, scale: float, box, normals: NormalStreams) -> np.ndarray:
+    """_truncated_normal for every row, in vectorized rounds over the rows still pending.
+
+    Row i draws locs[i] + scale * z over row i's normals z, so it accepts
+    the draw and consumes the normals that the scalar loop does, and it
+    gives up after the same number of trials with the same error.  The
+    pending rows read blocks of 1, 2, 4, ... normals together.  A row
+    still pending at the widest block sits far in a tail; such rows go on
+    one stream at a time, so that in a box no row reaches, the first
+    stream's rows raise after their own trials, not after every row's.
+    """
+    out = np.empty(locs.shape)
+    rows, trials, width = np.arange(locs.size), 0, 1
+    while rows.size and width < _ROUND_WIDTH_MAX and trials < SAMPLER_MAX_TRIALS:
+        width = min(width, SAMPLER_MAX_TRIALS - trials)
+        rows = _rejection_round(locs, scale, box, normals, rows, width, out)
+        trials += width
+        width *= 2
+    streams = normals.streams[rows]
+    for stream in dict.fromkeys(streams.tolist()):
+        group, spent = rows[streams == stream], trials
+        while group.size:
+            if spent == SAMPLER_MAX_TRIALS:
+                raise _trials_exhausted(box, float(locs[group[0]]), scale)
+            width = min(_ROUND_WIDTH_MAX, SAMPLER_MAX_TRIALS - spent)
+            group = _rejection_round(locs, scale, box, normals, group, width, out)
+            spent += width
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,6 +466,14 @@ class TruncatedNonlinearModel(ModelSpec):
             loc += t * f(x)
         return loc
 
+    def _row_locations(self, features, theta, xs) -> np.ndarray:
+        """_scalar_location of every row: the same feature floats, summed in the same order."""
+        xs = np.asarray(xs, dtype=float).tolist()
+        loc = np.zeros(len(xs))
+        for t, f in zip(np.asarray(theta, dtype=float).tolist(), features):
+            loc += t * np.fromiter(map(f, xs), float, len(xs))
+        return loc
+
     def transition_sample(self, theta, x, rng) -> float:
         loc = self._scalar_location(self._drift_scalars, theta, float(x))
         return _truncated_normal(loc, self.trans_scale, self.grid.bounds[0], rng)
@@ -408,6 +483,19 @@ class TruncatedNonlinearModel(ModelSpec):
         if self.obs_box is None:
             return loc + self.obs_scale * rng.standard_normal()
         return _truncated_normal(loc, self.obs_scale, self.obs_box, rng)
+
+    def transition_samples(self, theta, xs, normals) -> np.ndarray:
+        locs = self._row_locations(self._drift_scalars, theta, xs)
+        return _truncated_normals(locs, self.trans_scale, self.grid.bounds[0], normals)
+
+    def observation_samples(self, theta, xs, normals) -> np.ndarray:
+        locs = self._row_locations(self._obs_scalars, theta, xs)
+        if self.obs_box is None:
+            rows = np.arange(locs.size)
+            draws = locs + self.obs_scale * normals.peek(rows, 1)[:, 0]
+            normals.advance(rows, 1)
+            return draws
+        return _truncated_normals(locs, self.obs_scale, self.obs_box, normals)
 
 
 def kernel_matrix(model: ModelSpec, alpha, theta, y) -> np.ndarray:

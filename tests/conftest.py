@@ -109,7 +109,8 @@ class BrokenObservation(ModelSpec):
 
     With outlier_from=n, the n-th and every later observation draw
     returns such a y (after consuming the inner draw), so a filter run on
-    the simulated observations aborts at step n.
+    the simulated observations aborts at step n.  A batched draw counts
+    as one draw per row, in row order.
     """
 
     def __init__(self, inner, outlier_from=None):
@@ -150,3 +151,14 @@ class BrokenObservation(ModelSpec):
         if self.outlier_from is not None and self.draws >= self.outlier_from:
             return 1e7
         return y
+
+    def transition_samples(self, theta, xs, normals):
+        return self.inner.transition_samples(theta, xs, normals)
+
+    def observation_samples(self, theta, xs, normals):
+        ys = self.inner.observation_samples(theta, xs, normals)
+        numbers = self.draws + 1 + np.arange(ys.size)
+        self.draws += ys.size
+        if self.outlier_from is not None:
+            ys[numbers >= self.outlier_from] = 1e7
+        return ys

@@ -196,6 +196,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "numerical abort" in err and "[5.0, 6.0]" in err
 
+    def test_unreachable_observation_box_aborts_ergodicity(self, tmp_path, capsys):
+        # at obs_scale 0.25 the observation normalizer stays representable,
+        # so the batched sampler of every row hits its cap
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text(
+            fast_config(tmp_path / "out")
+            + "[model]\nobs_min = 5\nobs_max = 6\nobs_scale = 0.25\n"
+        )
+        assert run("ergodicity", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "[5.0, 6.0]" in err
+
     def test_simulate_writes_artifacts_and_passes(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         outdir = tmp_path / "out"
@@ -216,6 +228,23 @@ class TestRun:
         assert run("simulate", str(cfg)) == 0
         assert (override / "results.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["config", "env"])
+    def test_outdir_that_cannot_be_created_exits_2(self, tmp_path, monkeypatch, capsys, from_env):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "sim.cfg"
+        if from_env:
+            cfg.write_text(fast_config(tmp_path / "out", horizon=3))
+            monkeypatch.setenv("FILTERJET_OUTDIR", str(blocker / "sub"))
+        else:
+            cfg.write_text(fast_config(blocker / "sub", horizon=3))
+            monkeypatch.delenv("FILTERJET_OUTDIR", raising=False)
+        assert run("simulate", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert ("FILTERJET_OUTDIR" if from_env else "[run] outdir") in err
+        assert not (tmp_path / "out").exists()
 
     def test_main_entry_point(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -96,7 +96,7 @@ class TestForgetting:
 class TestErgodicity:
     def test_constant_functional_has_zero_spread(self, small_model, theta):
         iset = small_model.index_set()
-        one = PhiSpec("one", lambda x, y, m: 1.0, phi_bound=1.0, growth_exponent=0.0)
+        one = PhiSpec("one", lambda xs, *_: np.ones(xs.size), phi_bound=1.0, growth_exponent=0.0)
         zs = [point_mass_pair(small_model, iset)[0]]
         zs = [(-2.0, 0.0, zs[0]), (2.0, 0.0, zs[0])]
         probe = ergodicity_experiment(small_model, theta, one, zs, [0, 3, 6], 10, seed=6)
@@ -160,18 +160,22 @@ class TestErgodicity:
             ergodicity_experiment(small_model, theta, phi, [z], [1], 10, seed=0, chain="sideways")
         with pytest.raises(ValueError, match="at least one horizon"):
             ergodicity_experiment(small_model, theta, phi, [z], [], 10, seed=0)
+        scalar = PhiSpec("scalar", lambda *_: 1.0, phi_bound=1.0, growth_exponent=0.0)
+        with pytest.raises(ValueError, match=r"must return \(10,\) values"):
+            ergodicity_experiment(small_model, theta, scalar, [z], [1], 10, seed=0)
 
     def test_abort_names_the_observation_index(self, gaussian_model, theta):
-        # paths are drawn before any step: replica 0 draws observations 1-5,
-        # so from the third draw on every density vanishes, and the batch
-        # first aborts at the first step of replica 1
-        broken = BrokenObservation(gaussian_model, outlier_from=3)
+        # paths are drawn step by step across the rows: step n draws
+        # observation n of replica 0, then of replica 1, so the fourth draw
+        # is replica 1's second observation; from there on every density
+        # vanishes, and the batch first aborts at step 2 of replica 1
+        broken = BrokenObservation(gaussian_model, outlier_from=4)
         z = (0.0, 0.0, embed(GridMeasure.uniform(broken.grid), broken.index_set(1)))
         phi = posterior_mean_phi(broken)
         with pytest.raises(PredictiveMassError) as info:
             ergodicity_experiment(broken, theta, phi, [z], [5], replicas=2, seed=0)
         assert info.value.replica == 1
-        assert info.value.observation_index == 1
+        assert info.value.observation_index == 2
 
 
 class TestPhiEnvelopes:

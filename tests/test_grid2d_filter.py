@@ -104,6 +104,12 @@ class PlanarTanhModel(ModelSpec):
     def observation_sample(self, theta, x, rng):
         raise NotImplementedError
 
+    def transition_samples(self, theta, xs, normals):
+        raise NotImplementedError
+
+    def observation_samples(self, theta, xs, normals):
+        raise NotImplementedError
+
 
 @pytest.fixture(scope="module")
 def planar():

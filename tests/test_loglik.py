@@ -70,6 +70,12 @@ class _ScaledKernel(ModelSpec):
     def observation_sample(self, theta, x, rng):
         return self.inner.observation_sample(theta, x, rng)
 
+    def transition_samples(self, theta, xs, normals):
+        return self.inner.transition_samples(theta, xs, normals)
+
+    def observation_samples(self, theta, xs, normals):
+        return self.inner.observation_samples(theta, xs, normals)
+
 
 def increments(model, theta, y, measure):
     """psi^alpha of one step by slot: the jet increments the log-likelihood folds add up."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from filterjet import (
     FDScheme,
     GridMeasure,
+    NormalStreams,
     StateGrid,
     Trajectory,
     assumption_constants,
@@ -494,6 +495,9 @@ class TestSimulate:
         model = make_model(obs_box=(5.0, 6.0), obs_scale=0.1)
         with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0"):
             model.observation_sample(theta, 0.0, np.random.default_rng(0))
+        rows = NormalStreams([np.random.default_rng(0)], [0, 0])
+        with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0"):
+            model.observation_samples(theta, np.array([0.0, 0.5]), rows)
 
     def test_requires_probability_initial_law(self, model32, theta):
         bad = GridMeasure(np.full(model32.grid.size, 2.0), model32.grid)
