@@ -21,7 +21,6 @@ from .multiindex import IndexSet, count_upto, pair_table
 
 MASS_TOL = 1e-10
 PREDICTIVE_FLOOR = 1e-300
-SLOT0_KERNEL_ENTRIES = 2**20
 
 
 class PredictiveMassError(ArithmeticError):
@@ -106,12 +105,12 @@ def _update_plan(index_set: IndexSet):
     """Layout of the factored prediction-update: (blocks, obs_rows, moved_rows, coeff).
 
     For (start, count) = blocks[q], rows start .. start + count of the
-    moved array hold trans[q] @ weighted[b] for the slots b with
-    deg q + deg b <= order, which in graded order are a prefix.  Row k
-    of the update is coeff[k] @ (obs[obs_rows] * moved[moved_rows]):
-    the Leibniz pairing nested twice, slot k pairing measure slot b with
-    kernel slot g = k - b, and g pairing observation slot beta with
-    transition slot q = g - beta.
+    slot-major (M, R, N) moved array hold trans[q] @ weighted[b] for
+    the slots b with deg q + deg b <= order, a prefix in graded order.
+    Row k of the update is coeff[k] @ (obs[obs_rows] * moved[moved_rows])
+    over the flattened replica and grid axes: the Leibniz pairing nested
+    twice, slot k pairing measure slot b with kernel slot g = k - b, and
+    g pairing observation slot beta with transition slot q = g - beta.
     """
     pairs = pair_table(index_set)
     counts = [count_upto(index_set.dimension, index_set.order - d) for d in index_set.degrees]
@@ -137,29 +136,29 @@ def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray)
     """(R, K, N) unnormalized prediction-update of R replicas' weighted slots at ys.
 
     Row k sums, over beta + q + b = k, the multinomial weight times
-    obs[beta] * (trans[q] @ weighted[b]); the transition jet moves the
-    slots of every replica with one stacked product per q, and no
-    per-observation N x N kernel is assembled.  Row 0 applies the
-    assembled slot-0 kernel instead, so the Bayes filter and its
-    predictive mass keep their rounding.  Each replica's products are
-    the BLAS calls of a single step, so a replica in a batch rounds as
-    it does alone.
+    obs[beta] * (trans[q] @ weighted[b]), slot-major: one GEMM per
+    transition slot q moves every replica, one GEMM pairs the products,
+    and slot 0 of a batch is the factored obs[0] * moved[0].  Only one
+    replica assembles a kernel, for slot 0.  Returns a transposed view
+    of (K, R, N) memory.
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     obs = cache.observation_vectors(ys)
-    moved = np.empty((weighted.shape[0], sum(count for _, count in blocks), weighted.shape[2]))
+    replicas, _, size = weighted.shape
+    slots = np.ascontiguousarray(weighted.transpose(1, 0, 2))
+    moved = np.empty((sum(count for _, count in blocks), replicas, size))
     for q, (start, count) in enumerate(blocks):
-        np.matmul(weighted[:, :count], cache.trans[q].T, out=moved[:, start : start + count])
-    update = np.matmul(coeff, obs[obs_rows].transpose(1, 0, 2) * moved[:, moved_rows])
-    # The assembled slot-0 kernels of a chunk of replicas hold at most
-    # SLOT0_KERNEL_ENTRIES numbers, so memory stays bounded for any R.
-    size = weighted.shape[2]
-    chunk = max(1, SLOT0_KERNEL_ENTRIES // size**2)
-    for lo in range(0, len(update), chunk):
-        rows = slice(lo, lo + chunk)
-        kernels = obs[0][rows, :, None] * cache.trans[0]
-        update[rows, 0] = np.matmul(kernels, weighted[rows, 0, :, None])[..., 0]
-    return update
+        out = moved[start : start + count].reshape(-1, size)
+        np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
+    terms = obs[obs_rows] * moved[moved_rows]
+    update = (coeff @ terms.reshape(len(terms), -1)).reshape(-1, replicas, size)
+    if replicas == 1:
+        # One replica keeps the assembled slot-0 kernel: the perfbench references and
+        # test_factored_step_matches_assembled_kernels pin its bits until ROADMAP item 2's re-record.
+        update[0, 0] = (obs[0, 0][:, None] * cache.trans[0]) @ weighted[0, 0]
+    else:
+        update[0] = obs[0] * moved[0]
+    return update.transpose(1, 0, 2)
 
 
 def _check_l0(components: np.ndarray, grid: StateGrid, observation_index) -> None:

@@ -6,7 +6,7 @@ the same Bayes filter and predictive mass bit for bit, and the same
 derivative slots up to rounding.  The folds over an observation block
 must equal chained calls of the core bit for bit.  The core's replica
 axis must reproduce the single step: exactly at one replica, and to
-rounding for a batch.
+rounding for a batch, whose slot 0 is factored rather than assembled.
 """
 from functools import lru_cache
 
@@ -24,8 +24,7 @@ from filterjet import (
     filter_step_with_scalars,
     loglik_jet,
 )
-from filterjet import filtering
-from filterjet.filtering import _step, _update_plan
+from filterjet.filtering import _prediction_update, _step, _update_plan
 from filterjet.loglik import jet_increments_from_scalars
 from filterjet.multiindex import pair_table
 
@@ -87,6 +86,23 @@ def single_step(cache, y, measure):
         for c, b_slot, g_slot in pairs[:-1]:
             f_dens[k] -= c * f_dens[b_slot] * s_masses[g_slot]
     return f_dens, s_masses, predictive
+
+
+def stacked_prediction_update(cache, ys, weighted):
+    """The batched update before it went slot-major: (R, K, N).
+
+    Per-replica stacked GEMMs for the moved slots and the pairing, and
+    slot 0 from the assembled (R, N, N) slot-0 kernels.
+    """
+    blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
+    obs = cache.observation_vectors(ys)
+    moved = np.empty((weighted.shape[0], sum(count for _, count in blocks), weighted.shape[2]))
+    for q, (start, count) in enumerate(blocks):
+        np.matmul(weighted[:, :count], cache.trans[q].T, out=moved[:, start : start + count])
+    update = np.matmul(coeff, obs[obs_rows].transpose(1, 0, 2) * moved[:, moved_rows])
+    kernels = obs[0][:, :, None] * cache.trans[0]
+    update[:, 0] = np.matmul(kernels, weighted[:, 0, :, None])[..., 0]
+    return update
 
 
 class _PlanarModel(PlanarTanhModel):
@@ -207,15 +223,45 @@ def test_batched_core_equals_chained_single_steps(kind, cells, order, replicas, 
         assert np.max(np.abs(s_masses[r] - ref_masses)) <= SLOT_RTOL * scale
 
 
-def test_slot0_kernel_chunks_do_not_change_the_step(monkeypatch):
-    # a batch whose assembled slot-0 kernels exceed the bound is done in
-    # chunks of replicas, with the same numbers
-    cache = cached_kernel("line", 24, 2)
-    rng = np.random.default_rng(4)
-    batch = np.stack([random_l0(cache.model, cache.index_set, rng).components for _ in range(7)])
-    ys = rng.uniform(-3.0, 3.0, size=7)
-    whole = _step(cache, ys, batch)
-    monkeypatch.setattr(filtering, "SLOT0_KERNEL_ENTRIES", 2 * 24**2)
-    chunked = _step(cache, ys, batch)
-    for got, ref in zip(chunked, whole):
+@pytest.mark.parametrize("cells, order", [(32, 1), (64, 1), (64, 3), (256, 2)])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), y=st.floats(-3.0, 3.0))
+def test_one_replica_keeps_its_bits_at_the_benchmark_shapes(cells, order, seed, y):
+    # the perfbench references pin these bits at the workloads' shapes
+    cache = cached_kernel("line", cells, order)
+    measure = random_l0(cache.model, cache.index_set, np.random.default_rng(seed))
+    ref = single_step(cache, y, measure)
+    out = _step(cache, np.array([y]), measure.components[None])
+    for got, want in zip(out, ref):
+        assert np.array_equal(got[0], want)
+
+
+def _weighted_batch(cache, replicas, rng):
+    starts = [random_l0(cache.model, cache.index_set, rng) for _ in range(replicas)]
+    return rng.uniform(-3.0, 3.0, size=replicas), np.stack([m.components for m in starts]) * cache.grid.weights
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 7, 60])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("cells", [8, 24])
+@pytest.mark.parametrize("kind", ["line", "planar"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_slot_major_update_matches_the_stacked_one(kind, cells, order, replicas, seed):
+    cache = cached_kernel(kind, cells, order)
+    ys, weighted = _weighted_batch(cache, replicas, np.random.default_rng(seed))
+    got = _prediction_update(cache, ys, weighted)
+    ref = stacked_prediction_update(cache, ys, weighted)
+    if replicas == 1:
         assert np.array_equal(got, ref)
+    for r in range(replicas):
+        _assert_slots_close(got[r], ref[r])
+
+
+def test_slot_major_update_matches_the_stacked_one_at_criterion_7s_batch():
+    cache = cached_kernel("line", 24, 1)
+    ys, weighted = _weighted_batch(cache, 3000, np.random.default_rng(7))
+    got = _prediction_update(cache, ys, weighted)
+    ref = stacked_prediction_update(cache, ys, weighted)
+    for r in range(len(ys)):
+        _assert_slots_close(got[r], ref[r])
