@@ -236,9 +236,16 @@ def test_one_replica_keeps_its_bits_at_the_benchmark_shapes(cells, order, seed, 
         assert np.array_equal(got[0], want)
 
 
-def _weighted_batch(cache, replicas, rng):
+def _assert_update_matches_stacked(cache, replicas, rng):
     starts = [random_l0(cache.model, cache.index_set, rng) for _ in range(replicas)]
-    return rng.uniform(-3.0, 3.0, size=replicas), np.stack([m.components for m in starts]) * cache.grid.weights
+    ys = rng.uniform(-3.0, 3.0, size=replicas)
+    weighted = np.stack([m.components for m in starts]) * cache.grid.weights
+    got = _prediction_update(cache, ys, weighted)
+    ref = stacked_prediction_update(cache, ys, weighted)
+    if replicas == 1:
+        assert np.array_equal(got, ref)
+    for r in range(replicas):
+        _assert_slots_close(got[r], ref[r])
 
 
 @pytest.mark.parametrize("replicas", [1, 2, 7, 60])
@@ -248,20 +255,8 @@ def _weighted_batch(cache, replicas, rng):
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_slot_major_update_matches_the_stacked_one(kind, cells, order, replicas, seed):
-    cache = cached_kernel(kind, cells, order)
-    ys, weighted = _weighted_batch(cache, replicas, np.random.default_rng(seed))
-    got = _prediction_update(cache, ys, weighted)
-    ref = stacked_prediction_update(cache, ys, weighted)
-    if replicas == 1:
-        assert np.array_equal(got, ref)
-    for r in range(replicas):
-        _assert_slots_close(got[r], ref[r])
+    _assert_update_matches_stacked(cached_kernel(kind, cells, order), replicas, np.random.default_rng(seed))
 
 
 def test_slot_major_update_matches_the_stacked_one_at_criterion_7s_batch():
-    cache = cached_kernel("line", 24, 1)
-    ys, weighted = _weighted_batch(cache, 3000, np.random.default_rng(7))
-    got = _prediction_update(cache, ys, weighted)
-    ref = stacked_prediction_update(cache, ys, weighted)
-    for r in range(len(ys)):
-        _assert_slots_close(got[r], ref[r])
+    _assert_update_matches_stacked(cached_kernel("line", 24, 1), 3000, np.random.default_rng(7))
