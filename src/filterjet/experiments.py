@@ -61,8 +61,7 @@ def _fit_decay(horizon, distance, fit_start, fit_stop):
     mask = (horizon >= fit_start) & (horizon <= fit_stop) & (distance > FIT_NOISE_FLOOR)
     if mask.sum() < 2:
         return math.nan, math.nan, math.nan
-    slope, intercept, r2 = log_linear_fit(horizon[mask], distance[mask])
-    return slope, intercept, r2
+    return log_linear_fit(horizon[mask], distance[mask])
 
 
 def forgetting_experiment(
@@ -395,14 +394,12 @@ def derivative_identity_sweep(
     point costs one filter pass: at dimension 2, order 3 and the
     default two Richardson levels, 1 full-order pass and 28 difference
     passes per point, where differencing each alpha on its own costs 94
-    passes.  The difference passes run on the order-1 index set (3
-    slots at dimension 2 instead of 10 at order 3); for the bundled
-    model its slot 0 equals the full-order slot 0 bit for bit, so the
-    report is the one full-order passes give.  An order-0 pass would be
-    cheaper still, but its slot 0 differs in the last bits: the order-0
-    normalizer's matrix-vector product reads a Fortran-order view, and
-    puts its last rows in BLAS's tail when N is not a multiple of four,
-    so BLAS sums in another order.
+    passes.  The difference passes run on the order-0 index set (1 slot
+    instead of 10 at dimension 2, order 3).  For the bundled model an
+    order-0 jet is the slot-0 prefix of the order-1 jet, as both
+    normalizers sum a stack of at least two degrees, and slot 0 does not
+    depend on the order from 1 up; so the report is the one full-order
+    passes give, bit for bit.
     """
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     thetas = [model.validate_theta(t) for t in thetas]
@@ -416,7 +413,7 @@ def derivative_identity_sweep(
     index_set = model.index_set()
     weights = model.grid.weights
     floor_scale = abs_floor / rel_tol
-    fd_start = embed(lam0, model.index_set(1))
+    fd_start = embed(lam0, model.index_set(0))
 
     def zero_slot_masses(theta_point):
         state = filter_iterate(model, theta_point, traj.observations, fd_start)
@@ -443,12 +440,10 @@ def derivative_identity_sweep(
                     theta_index=t_idx, alpha=alpha, max_abs_error=max_abs, scaled_error=scaled
                 )
             )
-    worst_scaled = max(c.scaled_error for c in cells)
-    worst_abs = max(c.max_abs_error for c in cells)
     return IdentityReport(
         cells=tuple(cells),
-        worst_scaled=worst_scaled,
-        worst_abs=worst_abs,
+        worst_scaled=max(c.scaled_error for c in cells),
+        worst_abs=max(c.max_abs_error for c in cells),
         rel_tol=rel_tol,
         abs_floor=abs_floor,
     )

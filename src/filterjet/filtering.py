@@ -151,7 +151,7 @@ def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray)
         out = moved[start : start + count].reshape(-1, size)
         np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
     terms = obs[obs_rows] * moved[moved_rows]
-    update = (coeff @ terms.reshape(len(terms), -1)).reshape(-1, replicas, size)
+    update = (coeff @ terms.reshape(len(terms), replicas * size)).reshape(-1, replicas, size)
     if replicas == 1:
         # One replica keeps the assembled slot-0 kernel: the perfbench references and
         # test_factored_step_matches_assembled_kernels pin its bits until ROADMAP item 2's re-record.

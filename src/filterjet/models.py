@@ -34,8 +34,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Rejection trials a truncated sampler makes before it gives up.
 SAMPLER_MAX_TRIALS = 10**6
-# Widest block of its stream a pending row reads in one rejection round.
-_ROUND_WIDTH_MAX = 1024
+# Widest block of its stream a pending row reads in one rejection round:
+# alone, and with the rows of other streams.
+_ROUND_WIDTH_MAX, _SHARED_WIDTH_MAX = 1024, 32
 
 FEATURE_FUNCTIONS = {
     "zero": lambda x: np.zeros_like(x),
@@ -129,7 +130,9 @@ class ModelSpec(abc.ABC):
         theta is a (dim_theta,) array that validate_theta has passed,
         and index_set's order is within max_order.  The callers
         (KernelCache, kernel_matrix, assumption_constants) check both
-        once, so the model does not check them again.
+        once, so the model does not check them again.  The derivative
+        sweep differences slot 0 of order-0 passes; a model whose slot 0
+        depends on the order gets the same sweep verdict, to rounding.
         """
 
     @abc.abstractmethod
@@ -198,9 +201,9 @@ def _quotient_degrees(num: np.ndarray, den) -> np.ndarray:
 def _integrate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(D, M) sums over axis 1 of (D, N, M) values against (N,) weights.
 
-    This is the BLAS matrix-vector product that np.tensordot makes, on
-    the (D * M, N) layout that it reads: a copy for D > 1 and, for
-    D = 1, a Fortran-order view of the values.
+    This is np.tensordot's BLAS matrix-vector product on the (D * M, N)
+    copy it reads for D > 1.  The normalizers never pass D = 1, whose
+    Fortran-order view BLAS sums in another order.
     """
     d, n, m = values.shape
     return np.dot(values.transpose(0, 2, 1).reshape(d * m, n), weights.reshape(n, 1)).reshape(d, m)
@@ -270,14 +273,14 @@ def _truncated_normals(locs: np.ndarray, scale: float, box, normals: NormalStrea
     Row i draws locs[i] + scale * z over row i's normals z, so it accepts
     the draw and consumes the normals that the scalar loop does, and it
     gives up after the same number of trials with the same error.  The
-    pending rows read blocks of 1, 2, 4, ... normals together.  A row
-    still pending at the widest block sits far in a tail; such rows go on
-    one stream at a time, so that in a box no row reaches, the first
-    stream's rows raise after their own trials, not after every row's.
+    pending rows read blocks of 1, 2, 4, ..., 32 normals together; rows
+    still pending sit in a tail and go on one stream at a time.  So in a
+    box no row reaches, the first stream's rows raise after their own
+    trials, and no block of every stuck row is wider than 32.
     """
     out = np.empty(locs.shape)
     rows, trials, width = np.arange(locs.size), 0, 1
-    while rows.size and width < _ROUND_WIDTH_MAX and trials < SAMPLER_MAX_TRIALS:
+    while rows.size and width <= _SHARED_WIDTH_MAX and trials < SAMPLER_MAX_TRIALS:
         width = min(width, SAMPLER_MAX_TRIALS - trials)
         rows = _rejection_round(locs, scale, box, normals, rows, width, out)
         trials += width
@@ -407,23 +410,23 @@ class TruncatedNonlinearModel(ModelSpec):
         # theta . features as np.tensordot sums it: a (1, dim) row times the table.
         location = np.dot(np.reshape(theta, (1, -1)), features).reshape(-1)
         derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
-        order = index_set.order
 
-        def at(target):
+        def at(target, order=index_set.order):
             return derivs((np.asarray(target, dtype=float) - location) / scale, order)
 
         return at, factors[: len(index_set)]
 
     def transition_grid_jet(self, theta, index_set) -> np.ndarray:
-        # The new states are the quadrature nodes, so one Gaussian evaluation
-        # on the N x N grid serves the numerator and the normalizer.  One
-        # integral over the whole stack keeps slot 0's bits.
+        # The new states are the quadrature nodes, so one Gaussian evaluation on
+        # the grid serves numerator and normalizer; two degrees at least, so an
+        # order-0 jet is the slot-0 prefix of the order-1 jet (see _integrate).
         at, factors = self._location_jet(self._drift_tables, self.trans_scale, theta, index_set)
-        on_grid = at(self.grid.axis(0)[:, None])
-        den = _integrate(on_grid, self.grid.weights)
+        order = index_set.order
+        on_grid = at(self.grid.axis(0)[:, None], max(order, 1))
+        den = _integrate(on_grid, self.grid.weights)[: order + 1]
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
-        return _expand_degrees(_quotient_degrees(on_grid, den), factors, index_set)
+        return _expand_degrees(_quotient_degrees(on_grid[: order + 1], den), factors, index_set)
 
     def observation_grid_factory(self, theta, index_set):
         """Evaluator y -> observation-density jet at the grid states.
@@ -437,7 +440,8 @@ class TruncatedNonlinearModel(ModelSpec):
             # Lebesgue normalizer over the real line: constant in theta.
             den = [self.obs_scale]
         else:
-            den = _integrate(at(self._obs_nodes[:, None]), self._obs_weights)
+            order = index_set.order
+            den = _integrate(at(self._obs_nodes[:, None], max(order, 1)), self._obs_weights)[: order + 1]
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
 

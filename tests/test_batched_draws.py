@@ -145,6 +145,28 @@ def test_batched_cap_counts_trials_as_the_scalar_loop(monkeypatch):
     assert str(batched.value) == str(scalar.value)
 
 
+def test_stuck_rows_of_several_streams_read_at_most_32_normals_each(monkeypatch):
+    # In a box that no row reaches, every row stays pending; the widest
+    # blocks go to one stream's rows at a time, which bounds the memory.
+    monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 4096)
+    model = make_model(cells=16, order=1, obs_box=(5.0, 6.0), obs_scale=0.25)
+    xs = np.linspace(-3.0, 3.0, 3000)
+    streams = np.arange(xs.size) % 60
+    normals = NormalStreams([np.random.default_rng([9, s]) for s in range(60)], streams)
+    shared_widths = []
+    peek = normals.peek
+
+    def spy(rows, width):
+        if np.unique(streams[rows]).size > 1:
+            shared_widths.append(width)
+        return peek(rows, width)
+
+    monkeypatch.setattr(normals, "peek", spy)
+    with pytest.raises(ArithmeticError, match="after 4096 trials"):
+        model.observation_samples(THETA, xs, normals)
+    assert shared_widths and max(shared_widths) <= 32
+
+
 # The per-measure formulas of the built-in functionals before they took rows.
 def mean_formula(x, y, m):
     return float(m.component(m.index_set.zero).mean()[0])

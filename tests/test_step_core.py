@@ -7,6 +7,7 @@ derivative slots up to rounding.  The folds over an observation block
 must equal chained calls of the core bit for bit.  The core's replica
 axis must reproduce the single step: exactly at one replica, and to
 rounding for a batch, whose slot 0 is factored rather than assembled.
+An order-0 step must run and keep the slot 0 of the higher orders.
 """
 from functools import lru_cache
 
@@ -21,6 +22,7 @@ from filterjet import (
     StateGrid,
     embed,
     filter_iterate,
+    filter_step,
     filter_step_with_scalars,
     loglik_jet,
 )
@@ -234,6 +236,39 @@ def test_one_replica_keeps_its_bits_at_the_benchmark_shapes(cells, order, seed, 
     out = _step(cache, np.array([y]), measure.components[None])
     for got, want in zip(out, ref):
         assert np.array_equal(got[0], want)
+
+
+def slot0_runs(model, order, ys, starts):
+    """Slot 0 after filter_step, filter_iterate, a batched _step at R = 1 and one at R = 3."""
+    iset = model.index_set(order)
+    first = embed(starts[0], iset)
+    cache = KernelCache(model, THETA, iset)
+    batch = np.stack([embed(lam, iset).components for lam in starts])
+    return [
+        filter_step(model, THETA, ys[0], first).components[0],
+        filter_iterate(model, THETA, ys, first).measure.components[0],
+        _step(cache, ys[:1], batch[:1])[0][0, 0],
+        _step(cache, ys, batch)[0][:, 0],
+    ]
+
+
+@pytest.mark.parametrize("cells", [24, 33, 50, 129])
+@pytest.mark.parametrize("variant", ["compact", "gaussian"])
+def test_order0_steps_keep_slot0_of_the_higher_orders(variant, cells):
+    # The derivative sweep differences order-0 passes, so their slot 0 must
+    # not see the order.  A batch of R > 1 is held to rounding only: its
+    # GEMM over every slot's rows moves slot 0's last bits between orders 1
+    # and 3 too, at N = 50 and 129.
+    model = make_model(cells=cells, order=3, variant=variant)
+    rng = np.random.default_rng(cells)
+    starts = [random_l0(model, model.index_set(0), rng).component((0, 0)) for _ in range(3)]
+    ys = np.array([0.4, -1.1, 2.3])
+    *exact, batch = slot0_runs(model, 0, ys, starts)
+    for order in (1, model.max_order):
+        *want, want_batch = slot0_runs(model, order, ys, starts)
+        for got, ref in zip(exact, want):
+            assert np.array_equal(got, ref)
+        _assert_slots_close(batch, want_batch)
 
 
 def _assert_update_matches_stacked(cache, replicas, rng):
