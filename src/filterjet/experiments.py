@@ -18,7 +18,7 @@ from .filtering import KernelCache, _check_measure, _step, filter_iterate
 from .grid import GridMeasure, StateGrid, VectorMeasure, embed, measure_distance, vector_norms
 from .models import ModelSpec, simulate
 from .multiindex import IndexSet, MultiIndex
-from .oracle import FDScheme, fd_derivative
+from .oracle import FDScheme, fd_derivative, stencil_points
 from .seeding import NormalStreams, labeled_rng, labeled_seed
 
 DISTANCE_FLOOR = 1e-300
@@ -390,16 +390,19 @@ def derivative_identity_sweep(
 
     The finite differences of one parameter point share one evaluation
     memo across all their alpha, seeded with slot 0 of the full-order
-    pass and dropped before the next point.  So each distinct stencil
-    point costs one filter pass: at dimension 2, order 3 and the
-    default two Richardson levels, 1 full-order pass and 28 difference
-    passes per point, where differencing each alpha on its own costs 94
-    passes.  The difference passes run on the order-0 index set (1 slot
-    instead of 10 at dimension 2, order 3).  For the bundled model an
-    order-0 jet is the slot-0 prefix of the order-1 jet, as both
-    normalizers sum a stack of at least two degrees, and slot 0 does not
-    depend on the order from 1 up; so the report is the one full-order
-    passes give, bit for bit.
+    pass and dropped before the next point.  stencil_points lists the
+    distinct stencil points by running fd_derivative's own recursion,
+    and the first memo miss fills the memo for all of them with one
+    filter_iterate pass over the stack of points, each of which equals
+    its serial pass bit for bit.  So at dimension 2, order 3 and the
+    default two Richardson levels a parameter point costs 1 full-order
+    pass and 1 pass over 28 stencil points, where differencing each
+    alpha on its own costs 94 passes.  The difference passes run on the
+    order-0 index set (1 slot instead of 10 at dimension 2, order 3).
+    For the bundled model an order-0 jet is the slot-0 prefix of the
+    order-1 jet, as both normalizers sum a stack of at least two
+    degrees, and slot 0 does not depend on the order from 1 up; so the
+    report is the one full-order passes give, bit for bit.
     """
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     thetas = [model.validate_theta(t) for t in thetas]
@@ -416,14 +419,24 @@ def derivative_identity_sweep(
     fd_start = embed(lam0, model.index_set(0))
 
     def zero_slot_masses(theta_point):
-        state = filter_iterate(model, theta_point, traj.observations, fd_start)
-        return state.measure.components[0] * weights
+        # A memo miss runs one pass over this point and every stencil point
+        # not in the memo yet, and memoizes them all.
+        key = theta_point.tobytes()
+        pending = [theta_point] + [
+            p for p in stencil if p.tobytes() not in evaluations and p.tobytes() != key
+        ]
+        states = filter_iterate(model, np.stack(pending), traj.observations, fd_start)
+        for point, state in zip(pending, states):
+            evaluations[point.tobytes()] = state.measure.components[0] * weights
+        return evaluations[key]
 
+    differenced = [alpha for alpha in index_set.indices if alpha.degree > 0]
     cells = []
     for t_idx, theta in enumerate(thetas):
         state = filter_iterate(model, theta, traj.observations, embed(lam0, index_set))
         slot_masses = state.measure.components * weights
         evaluations = {theta.tobytes(): slot_masses[0]}
+        stencil = stencil_points(differenced, theta, scheme, model.parameter_box)
         for k, alpha in enumerate(index_set.indices):
             if alpha.degree == 0:
                 reference = slot_masses[0]

@@ -21,32 +21,50 @@ from .multiindex import IndexSet, count_upto, pair_table
 
 MASS_TOL = 1e-10
 PREDICTIVE_FLOOR = 1e-300
+# Observations whose jets filter_iterate evaluates in one call, bounding
+# the (P, K, JET_BLOCK, N) block it holds.
+JET_BLOCK = 256
 
 
 class PredictiveMassError(ArithmeticError):
     """Predictive mass vanished numerically; usually a mis-specified setup.
 
     replica is the row of a batched step that aborted, None for a step of
-    one replica.
+    one replica; point is (index, theta) of the parameter point that
+    aborted in a pass over several points, None for a pass over one.
     """
 
-    def __init__(self, mass: float, observation_index: int | None = None, replica: int | None = None):
+    def __init__(
+        self, mass: float, observation_index: int | None = None, replica: int | None = None, point=None
+    ):
         self.mass = mass
         self.observation_index = observation_index
         self.replica = replica
+        self.point = point
         super().__init__(
-            f"predictive mass {mass!r} below {PREDICTIVE_FLOOR}{_where(replica, observation_index)}"
+            f"predictive mass {mass!r} below {PREDICTIVE_FLOOR}{_where(replica, observation_index, point)}"
         )
 
 
-def _replica(row, rows: int) -> int | None:
-    """The failing row of a step over `rows` replicas; None when there is one replica."""
-    return int(row) if rows > 1 else None
+def _locate(row, rows: int, theta=None):
+    """(replica, point) of the failing row of a step over `rows` rows.
+
+    The rows stack the replicas of each point of a (P, dim) theta in
+    turn; any other theta is one point.  replica is None when each point
+    has one replica, and point, (index, theta), when there is one point.
+    """
+    points = theta if theta is not None and theta.ndim == 2 else None
+    count = 1 if points is None else len(points)
+    replicas = rows // count
+    index, replica = divmod(int(row), replicas)
+    return (replica if replicas > 1 else None), ((index, points[index]) if count > 1 else None)
 
 
-def _where(replica: int | None, observation_index: int | None) -> str:
-    """' at replica r, observation index j', naming only the parts that are known."""
+def _where(replica: int | None, observation_index: int | None, point=None) -> str:
+    """' at parameter point p (theta t), replica r, observation index j', naming only the known parts."""
     parts = []
+    if point is not None:
+        parts.append(f"parameter point {point[0]} (theta {point[1].tolist()})")
     if replica is not None:
         parts.append(f"replica {replica}")
     if observation_index is not None:
@@ -68,29 +86,55 @@ class KernelCache:
     holds what depends on neither theta nor y.  Each step only evaluates
     the observation jet at its y and pairs it with the transition-moved
     slots by the Leibniz rule.
+
+    theta may also be a (P, dim) stack of parameter points.  The cache
+    then holds a (P, K, N, N) transition stack, built in place point by
+    point, and a list of observation evaluators, one per point, and a
+    step moves each point's replicas through that point's kernels.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
         self.model = model
-        self.theta = model.validate_theta(theta)
+        stacked = np.ndim(theta) == 2
+        if stacked:
+            if not len(theta):
+                raise ValueError("a stack of parameter points needs at least one point")
+            self.theta = np.stack([model.validate_theta(t) for t in theta])
+        else:
+            self.theta = model.validate_theta(theta)
         self.index_set = model.index_set() if index_set is None else index_set
         model.validate_order(self.index_set.order)
         self.grid = model.grid
-        # (K, N, N): slot k holds the transition jet row on the grid.
-        self.trans = model.transition_grid_jet(self.theta, self.index_set)
-        self._obs_at = model.observation_grid_factory(self.theta, self.index_set)
+        # (K, N, N), or (P, K, N, N) for a stack: slot k holds the transition jet row on the grid.
+        if stacked:
+            size = self.grid.size
+            self.trans = np.empty((len(self.theta), len(self.index_set), size, size))
+            for p, point in enumerate(self.theta):
+                self.trans[p] = model.transition_grid_jet(point, self.index_set)
+            self._obs_at = [model.observation_grid_factory(point, self.index_set) for point in self.theta]
+        else:
+            self.trans = model.transition_grid_jet(self.theta, self.index_set)
+            self._obs_at = model.observation_grid_factory(self.theta, self.index_set)
 
     def observation_vectors(self, ys) -> np.ndarray:
         """(K, R, N) observation-density jet on the grid at the (R,) observations ys.
 
-        One observation goes to the model as a float, whose domain check
-        and grid broadcast skip NumPy's general path: 12% of an R = 1
-        step at N = 32, order 1 (BENCH_6.json, `r1_branches`).
+        A cache of a (P, dim) stack returns (P, K, R, N), point by point.
         """
         ys = np.asarray(ys, dtype=float)
-        if ys.size == 1:
-            return self._obs_at(ys.item())[:, None]
-        return self._obs_at(ys[:, None])
+        if self.theta.ndim == 2:
+            return np.stack([_jet_at(at, ys) for at in self._obs_at])
+        return _jet_at(self._obs_at, ys)
+
+
+def _jet_at(at, ys: np.ndarray) -> np.ndarray:
+    """(K, R, N) jet of the observation evaluator `at` at the (R,) observations ys.
+
+    One observation goes to the model as a float, whose domain check and
+    grid broadcast skip NumPy's general path: 12% of an R = 1 step at
+    N = 32, order 1 (BENCH_6.json, `r1_branches`).
+    """
+    return at(ys.item())[:, None] if ys.size == 1 else at(ys[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +148,8 @@ class FilterState:
 def _update_plan(index_set: IndexSet):
     """Layout of the factored prediction-update: (blocks, obs_rows, moved_rows, coeff).
 
-    For (start, count) = blocks[q], rows start .. start + count of the
-    slot-major (M, R, N) moved array hold trans[q] @ weighted[b] for
+    For (start, count) = blocks[q], rows start .. start + count of a
+    point's slot-major (M, R, N) moved array hold trans[q] @ weighted[b] for
     the slots b with deg q + deg b <= order, a prefix in graded order.
     Row k of the update is coeff[k] @ (obs[obs_rows] * moved[moved_rows])
     over the flattened replica and grid axes: the Leibniz pairing nested
@@ -132,18 +176,25 @@ def _update_plan(index_set: IndexSet):
     return plan
 
 
-def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray, obs=None) -> np.ndarray:
     """(R, K, N) unnormalized prediction-update of R replicas' weighted slots at ys.
 
     Row k sums, over beta + q + b = k, the multinomial weight times
     obs[beta] * (trans[q] @ weighted[b]), slot-major: one GEMM per
     transition slot q moves every replica, one GEMM pairs the products,
     and slot 0 of a batch is the factored obs[0] * moved[0].  Only one
-    replica assembles a kernel, for slot 0.  Returns a transposed view
-    of (K, R, N) memory.
+    replica assembles a kernel, for slot 0.  obs is the jet that
+    cache.observation_vectors(ys) returns, evaluated here unless given.
+    A cache of P points takes (P·R, K, N) rows and runs _stacked_update;
+    one point keeps this 2-D path, because the stack's 4-D bookkeeping
+    cost rml-online 6-9% of its steps/s (BENCH_15.json).  Returns a
+    transposed view of (K, R, N) memory.
     """
-    blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
-    obs = cache.observation_vectors(ys)
+    plan = _update_plan(cache.index_set)
+    obs = cache.observation_vectors(ys) if obs is None else obs
+    if cache.theta.ndim == 2:
+        return _stacked_update(plan, cache.trans, obs, weighted)
+    blocks, obs_rows, moved_rows, coeff = plan
     replicas, _, size = weighted.shape
     slots = np.ascontiguousarray(weighted.transpose(1, 0, 2))
     moved = np.empty((sum(count for _, count in blocks), replicas, size))
@@ -161,56 +212,100 @@ def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray)
     return update.transpose(1, 0, 2)
 
 
-def _check_l0(components: np.ndarray, grid: StateGrid, observation_index) -> None:
-    """Slot 0 of every replica must be a probability (tolerance 1e-8)."""
+def _stacked_update(plan, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """_prediction_update over the (P, K, N, N) transition stack of P parameter points.
+
+    The (P·R, K, N) rows of weighted stack the R replicas of each point
+    in turn, and obs is (P, K, R, N).  Slot-major per point: one stacked
+    np.matmul per transition slot q moves every point's replicas through
+    that point's kernel, and one stacked GEMM pairs the products.  When
+    each point has one replica, each assembles its slot-0 kernel, in one
+    reused (N, N) buffer.  A stacked np.matmul runs each point's slice
+    through the GEMM of the one-point step, so every point keeps the bits
+    of its pass alone; a batch factors slot 0, as one point does.
+    """
+    blocks, obs_rows, moved_rows, coeff = plan
+    rows, _, size = weighted.shape
+    points = len(trans)
+    replicas = rows // points
+    slots = np.ascontiguousarray(weighted.reshape(points, replicas, -1, size).transpose(0, 2, 1, 3))
+    slots = slots.reshape(points, -1, size)
+    total = blocks[-1][0] + blocks[-1][1]
+    moved = np.empty((points, total * replicas, size))
+    for q, (start, count) in enumerate(blocks):
+        out = moved[:, start * replicas : (start + count) * replicas]
+        np.matmul(slots[:, : count * replicas], trans[:, q].transpose(0, 2, 1), out=out)
+    moved = moved.reshape(points, total, replicas, size)
+    terms = obs[:, obs_rows] * moved[:, moved_rows]
+    update = np.matmul(coeff, terms.reshape(points, len(obs_rows), replicas * size))
+    update = update.reshape(points, -1, replicas, size)
+    if replicas == 1:
+        kernel = np.empty((size, size))
+        for p in range(points):
+            np.multiply(obs[p, 0, 0, :, None], trans[p, 0], out=kernel)
+            np.matmul(kernel, weighted[p, 0], out=update[p, 0, 0])
+    else:
+        update[:, 0] = obs[:, 0] * moved[:, 0]
+    return update.transpose(0, 2, 1, 3).reshape(rows, -1, size)
+
+
+def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=None) -> None:
+    """Slot 0 of every row must be a probability (tolerance 1e-8)."""
     slot0 = components[:, 0]
     drift = np.abs(np.matmul(slot0[:, None], grid.weights)[:, 0] - 1.0)
     # NaN fails both comparisons, as it propagates through min and max.
     if not (slot0.min() >= -1e-8 and drift.max() <= 1e-8):
         ok = np.all(slot0 >= -1e-8, axis=1) & (drift <= 1e-8)
+        replica, point = _locate(np.argmin(ok), len(ok), theta)
         raise ValueError(
             "vector measure is not in the recursion state space (slot 0 must be a probability)"
-            + _where(_replica(np.argmin(ok), len(ok)), observation_index)
+            + _where(replica, observation_index, point)
         )
 
 
-def _normalized_update(cache: KernelCache, ys, components, observation_index=None):
-    """Prediction-update of every slot divided by the slot-0 predictive mass, per replica.
+def _normalized_update(cache: KernelCache, ys, components, observation_index=None, obs=None):
+    """Prediction-update of every slot divided by the slot-0 predictive mass, per row.
 
-    ys is (R,) and components (R, K, N); returns the (R, K, N) update and
-    the (R,) predictive masses.  Raises ValueError unless every slot 0 is
-    a probability, and PredictiveMassError when a predictive mass is not
-    above PREDICTIVE_FLOOR; both name the first failing replica (when
-    there is more than one) and the observation index.
+    ys is (R,) and components (P·R, K, N), as for _prediction_update,
+    which also takes obs; returns the (P·R, K, N) update and the (P·R,)
+    predictive masses.  Raises ValueError unless every slot 0 is a
+    probability, and PredictiveMassError when a predictive mass is not
+    above PREDICTIVE_FLOOR; both name the first failing row's parameter
+    point (when there is more than one), its replica (when its point has
+    more than one) and the observation index.
     """
     grid = cache.grid
-    _check_l0(components, grid, observation_index)
-    update = _prediction_update(cache, ys, components * grid.weights)
+    _check_l0(components, grid, observation_index, cache.theta)
+    update = _prediction_update(cache, ys, components * grid.weights, obs)
     predictive = np.matmul(update[:, None, 0], grid.weights)[:, 0]
     if not predictive.min() > PREDICTIVE_FLOOR:
         row = int(np.argmin(predictive > PREDICTIVE_FLOOR))
-        raise PredictiveMassError(float(predictive[row]), observation_index, _replica(row, len(predictive)))
+        replica, point = _locate(row, len(predictive), cache.theta)
+        raise PredictiveMassError(float(predictive[row]), observation_index, replica, point)
     return update / predictive[:, None, None], predictive
 
 
-def _step(cache: KernelCache, ys, components, observation_index=None):
-    """One filter step of R replicas sharing one kernel cache; every filter pass runs it.
+def _step(cache: KernelCache, ys, components, observation_index=None, obs=None):
+    """One filter step of every row of a kernel cache; every filter pass runs it.
 
-    Replica r updates components[r] (R, K, N) with the observation ys[r].
-    Returns (components, s_masses (R, K), predictive (R,)): s_masses[r, k]
-    is the total mass of the k-th normalized prediction-update and
-    predictive[r] the unnormalized slot-0 mass that normalizes it.  Slot
-    0 becomes the Bayes-updated probability; each higher slot is its
-    prediction-update minus the binomial-weighted recentering by lower
-    slots, evaluated in increasing degree.  Aborts name the replica
-    (when R > 1) and observation_index.
+    The rows of components (P·R, K, N) are R replicas for each of the
+    cache's P parameter points, point by point, and replica r updates
+    with the observation ys[r]; obs, the observation jet at ys, may be
+    given precomputed.  Returns (components, s_masses (P·R, K),
+    predictive (P·R,)): s_masses[i, k] is the total mass of the k-th
+    normalized prediction-update of row i and predictive[i] the
+    unnormalized slot-0 mass that normalizes it.  Slot 0 becomes the
+    Bayes-updated probability; each higher slot is its prediction-update
+    minus the binomial-weighted recentering by lower slots, evaluated in
+    increasing degree.  Aborts name the parameter point (when P > 1),
+    the replica (when R > 1) and observation_index.
     """
-    f_dens, predictive = _normalized_update(cache, ys, components, observation_index)
+    f_dens, predictive = _normalized_update(cache, ys, components, observation_index, obs)
     s_masses = f_dens @ cache.grid.weights
     # Recenter in place in increasing degree, so every slot b < k is final;
     # the last pair of each row is b == k itself.  Slot-major views let
-    # each pair update every replica at once; one replica uses 1-D slots
-    # and scalar masses, the same products in the same order, which saves
+    # each pair update every row at once; one row uses 1-D slots and
+    # scalar masses, the same products in the same order, which saves
     # 5% of an R = 1 step at N = 64, order 3 (BENCH_6.json, `r1_branches`).
     if len(f_dens) == 1:
         slots, masses = f_dens[0], s_masses[0]
@@ -219,14 +314,15 @@ def _step(cache: KernelCache, ys, components, observation_index=None):
     for k, pairs in enumerate(pair_table(cache.index_set)):
         for coeff, b_slot, g_slot in pairs[:-1]:
             slots[k] -= coeff * slots[b_slot] * masses[g_slot]
-    _check_masses(f_dens, cache.grid, observation_index)
+    _check_masses(f_dens, cache.grid, observation_index, cache.theta)
     return f_dens, s_masses, predictive
 
 
-def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=None) -> None:
-    """Slot 0 of every replica must have mass one and every other slot mass zero.
+def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=None, theta=None) -> None:
+    """Slot 0 of every row must have mass one and every other slot mass zero.
 
-    Raises MassInvariantError naming the first failing replica and slot.
+    Raises MassInvariantError naming the first failing row, located by
+    _locate among the points of theta, and slot.
     The tolerance is MASS_TOL times the slot's TV norm where that exceeds
     one: rounding in a slot's mass grows with the slot's size, so an
     absolute bound would abort on valid inputs whose derivative slots are
@@ -239,9 +335,10 @@ def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=Non
     ok = np.abs(drift) < tols
     if not ok.all():
         row, k = np.unravel_index(np.argmin(ok), ok.shape)
+        replica, point = _locate(row, len(ok), theta)
         raise MassInvariantError(
             f"slot {k} mass drifts by {float(drift[row, k])!r}, beyond {float(tols[row, k])!r}"
-            + _where(_replica(row, len(ok)), observation_index)
+            + _where(replica, observation_index, point)
         )
 
 
@@ -256,8 +353,11 @@ def _check_measure(measure: VectorMeasure, index_set: IndexSet, grid: StateGrid)
 def _serial_input(cache: KernelCache, y, measure: VectorMeasure):
     """The checked (1,) observation and (1, K, N) components of a single step.
 
-    ValueError unless the measure suits the cache and y is a scalar.
+    ValueError unless the cache holds one parameter point, the measure
+    suits it and y is a scalar.
     """
+    if cache.theta.ndim != 1:
+        raise ValueError("a single step needs the kernel cache of one parameter point")
     _check_measure(measure, cache.index_set, cache.grid)
     ys = np.asarray(y, dtype=float)
     if ys.ndim != 0:
@@ -319,13 +419,46 @@ def filter_step(
     return VectorMeasure(components[0], measure.index_set, measure.grid)
 
 
-def filter_iterate(model: ModelSpec, theta, observations, measure: VectorMeasure) -> FilterState:
-    """Fold the filter step over an observation block.
+def _block_jets(cache: KernelCache, ys: np.ndarray, first_index: int) -> np.ndarray:
+    """cache.observation_vectors(ys); a rejected observation's ValueError names its index."""
+    try:
+        return cache.observation_vectors(ys)
+    except ValueError:
+        for j, y in enumerate(ys, first_index):
+            try:
+                cache.observation_vectors(y)
+            except ValueError as err:
+                raise ValueError(f"{err}{_where(None, j)}") from err
+        raise
 
-    An empty block runs no step, so it returns the initial condition
-    unchanged and unchecked.
+
+def filter_iterate(
+    model: ModelSpec, theta, observations, measure: VectorMeasure
+) -> FilterState | tuple[FilterState, ...]:
+    """Fold the filter step over an observation block; returns a FilterState.
+
+    theta may be a (P, dim) stack of parameter points: one pass then
+    steps every point from the same initial measure and returns a tuple
+    of P states, each bit for bit the state of the pass at that point
+    alone.  The measure is checked once, each point's observation jet is
+    evaluated for up to JET_BLOCK observations in one call, and the step
+    core folds over (P, K, N) components.  Aborts name the observation
+    index and, for P > 1, the parameter point.  An empty block runs no
+    step, so it returns the initial condition unchanged and unchecked.
     """
     cache = KernelCache(model, theta, measure.index_set)
-    for j, y in enumerate(_observation_block(observations)):
-        measure = _indexed_step(cache, y, measure, j + 1)[0]
-    return FilterState(measure=measure)
+    block = _observation_block(observations)
+    points = len(cache.theta) if cache.theta.ndim == 2 else 1
+    if len(block):
+        _check_measure(measure, cache.index_set, cache.grid)
+        components = np.broadcast_to(measure.components, (points,) + measure.components.shape)
+        for start in range(0, len(block), JET_BLOCK):
+            ys = block[start : start + JET_BLOCK]
+            jets = _block_jets(cache, ys, start + 1)
+            for j in range(len(ys)):
+                obs = jets[..., j : j + 1, :]
+                components = _step(cache, ys[j : j + 1], components, start + j + 1, obs)[0]
+        states = tuple(FilterState(VectorMeasure(c, measure.index_set, measure.grid)) for c in components)
+    else:
+        states = (FilterState(measure=measure),) * points
+    return states if cache.theta.ndim == 2 else states[0]

@@ -177,6 +177,26 @@ def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None, e
     return result
 
 
+def stencil_points(alphas, theta, scheme: FDScheme = FDScheme(), bounds=None) -> list[np.ndarray]:
+    """The distinct points at which fd_derivative evaluates f for alphas at theta.
+
+    Runs fd_derivative itself over the alphas with one shared memo and a
+    recording f, so the points, listed in first-use order, are those of
+    its stencils exactly; theta is the first.  Raises fd_derivative's
+    ValueError when a stencil would leave the bounds.
+    """
+    points = []
+
+    def record(point):
+        points.append(point)
+        return 0.0
+
+    evaluations = {}
+    for alpha in alphas:
+        fd_derivative(record, alpha, theta, scheme, bounds, evaluations)
+    return points
+
+
 @dataclass(frozen=True, eq=False)
 class StationaryLaw:
     """Stationary law of the truncated transition kernel on the grid."""

@@ -4,8 +4,9 @@ The sweep differences slot 0 of the filter through one evaluation memo
 per parameter point and runs those passes on the order-0 index set.  The
 tests here guard both choices: slot 0 does not depend on the index set's
 order, and the memoized sweep reports exactly what the plain per-alpha
-sweep with full-order passes reports, with 29 passes instead of 94 at
-dimension 2 and order 3.
+sweep with full-order passes reports, with 2 passes instead of 94 at
+dimension 2 and order 3: one full-order pass and one order-0 pass over
+the stack of 28 stencil points.
 """
 from functools import lru_cache
 
@@ -129,23 +130,22 @@ def test_memoized_sweep_equals_the_per_alpha_sweep(variant, order, cells, theta,
     assert report.worst_abs == max(c.max_abs_error for c in expected)
 
 
-def test_one_full_pass_and_28_order0_passes(monkeypatch):
+def test_one_full_pass_and_one_order0_pass_over_28_points(monkeypatch):
     model = line_model("compact", 12)
-    orders = []
+    passes = []
 
     def counted(model, theta, observations, measure, *args, **kwargs):
-        orders.append(measure.index_set.order)
+        points = len(theta) if np.ndim(theta) == 2 else None
+        passes.append((measure.index_set.order, points))
         return filter_iterate(model, theta, observations, measure, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "filter_iterate", counted)
     derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
-    assert orders.count(3) == 1
-    assert orders.count(0) == 28
-    assert len(orders) == 29
+    assert passes == [(3, None), (0, 28)]
 
     # the same sweep without the shared memo: one fd_derivative per alpha
-    orders.clear()
+    passes.clear()
     per_alpha_fd = lambda *args, evaluations=None, **kw: fd_derivative(*args, **kw)  # noqa: E731
     monkeypatch.setattr(experiments, "fd_derivative", per_alpha_fd)
     derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
-    assert len(orders) == 94
+    assert len(passes) == 94
