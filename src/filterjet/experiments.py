@@ -8,13 +8,14 @@ jet slots against finite differences of the plain filter).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import KernelCache, _check_measure, _step, filter_iterate
+from .filtering import KernelCache, _fold, filter_iterate
 from .grid import GridMeasure, StateGrid, VectorMeasure, embed, measure_distance, vector_norms
 from .models import ModelSpec, simulate
 from .multiindex import IndexSet, MultiIndex
@@ -94,13 +95,9 @@ def forgetting_experiment(
     # rows 2i and 2i + 1 hold pair i.
     members = [measure for pair in pairs for measure in pair]
     cache = KernelCache(model, theta, members[0].index_set)
-    for measure in members:
-        _check_measure(measure, cache.index_set, cache.grid)
-    components = np.stack([measure.components for measure in members])
+    block = np.broadcast_to(traj.observations[:, None], (n_max, len(members)))
     distances = np.empty((len(pairs), n_max))
-    for j in range(n_max):
-        ys = np.full(len(members), traj.observations[j])
-        components = _step(cache, ys, components, j + 1)[0]
+    for j, (components, _, _) in enumerate(_fold(cache, block, members)):
         distances[:, j] = vector_norms(components[0::2] - components[1::2], cache.grid)
 
     curves = []
@@ -289,8 +286,6 @@ def ergodicity_experiment(
     cache = KernelCache(model, theta, initial_conditions[0][2].index_set)
     starts = len(initial_conditions)
     rows = starts * replicas
-    for _, _, measure0 in initial_conditions:
-        _check_measure(measure0, cache.index_set, cache.grid)
 
     # (steps, rows) paths of (x, y); row s * replicas + r reads stream r.
     normals = NormalStreams(
@@ -308,10 +303,12 @@ def ergodicity_experiment(
     # with the observation already in the state.
     update_with = ys[1:] if chain == "aligned" else ys[:-1]
 
-    components = np.repeat([m.components for _, _, m in initial_conditions], replicas, axis=0)
+    # The rows at n = 0, then after each step; the loop runs the fold to its end, which checks the starts.
+    row_starts = [m for _, _, m in initial_conditions for _ in range(replicas)]
+    stepped = (step[0] for step in _fold(cache, update_with, row_starts))
     samples = np.empty((starts, record_ns.size, replicas))
     t_idx = 0
-    for n in range(n_max + 1):
+    for n, components in enumerate(itertools.chain([np.stack([m.components for m in row_starts])], stepped)):
         if t_idx < record_ns.size and n == record_ns[t_idx]:
             values = phi.fn(xs[n], ys[n], components, cache.index_set, cache.grid)
             if np.shape(values) != (rows,):
@@ -320,8 +317,6 @@ def ergodicity_experiment(
                 )
             samples[:, t_idx, :] = np.reshape(values, (starts, replicas))
             t_idx += 1
-        if n < n_max:
-            components = _step(cache, update_with[n], components, n + 1)[0]
 
     estimates = samples.mean(axis=2)
     stderr = samples.std(axis=2, ddof=1) / math.sqrt(replicas)

@@ -21,8 +21,8 @@ from .multiindex import IndexSet, count_upto, pair_table
 
 MASS_TOL = 1e-10
 PREDICTIVE_FLOOR = 1e-300
-# Observations whose jets filter_iterate evaluates in one call, bounding
-# the (P, K, JET_BLOCK, N) block it holds.
+# Observations whose jets _fold evaluates in one call, steps times rows
+# (one step at least), bounding the (P, K, JET_BLOCK, N) block it holds.
 JET_BLOCK = 256
 
 
@@ -382,10 +382,11 @@ def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
 def _indexed_step(cache: KernelCache, y, measure: VectorMeasure, observation_index: int):
     """filter_step_with_scalars, with every abort naming its observation.
 
-    The serial folds step through the public wrapper, so that a traced
-    run counts their steps in the benchmark's step layer; this re-raises
-    its predictive-mass, input (ValueError) and slot-mass aborts with
-    the observation index, as the batched consumers' aborts carry it.
+    Only rml_demo steps through it: its parameter moves, so it builds a
+    cache per step.  It keeps the public wrapper because the benchmark
+    traces only the public step functions, and CI's traced rml-online run
+    needs that step layer to count.  Re-raises the predictive-mass, input
+    (ValueError) and slot-mass aborts with the observation index.
     """
     try:
         return filter_step_with_scalars(cache, y, measure)
@@ -419,17 +420,40 @@ def filter_step(
     return VectorMeasure(components[0], measure.index_set, measure.grid)
 
 
-def _block_jets(cache: KernelCache, ys: np.ndarray, first_index: int) -> np.ndarray:
-    """cache.observation_vectors(ys); a rejected observation's ValueError names its index."""
-    try:
-        return cache.observation_vectors(ys)
-    except ValueError:
-        for j, y in enumerate(ys, first_index):
-            try:
-                cache.observation_vectors(y)
-            except ValueError as err:
-                raise ValueError(f"{err}{_where(None, j)}") from err
-        raise
+def _fold(cache: KernelCache, observations: np.ndarray, starts):
+    """Fold the step core over a (T, R) observation block, yielding after each step.
+
+    starts is one VectorMeasure for every row or a sequence of R, one per
+    row, each checked once.  The (P·R, K, N) rows are R rows per point of
+    the cache, point by point; row r takes observations[j, r] at step j.
+    A call evaluates the jets of at most JET_BLOCK observations, that is
+    max(1, JET_BLOCK // R) steps.  Yields _step's (components, s_masses,
+    predictive).  Aborts name observation index j + 1 as _step's do; a
+    rejected observation names its replica too when R > 1.
+    """
+    steps, replicas = observations.shape
+    starts = [starts] if isinstance(starts, VectorMeasure) else starts
+    for measure in dict.fromkeys(starts):
+        _check_measure(measure, cache.index_set, cache.grid)
+    rows = np.stack([measure.components for measure in starts])
+    points = len(np.atleast_2d(cache.theta))
+    components = np.broadcast_to(rows, (points, replicas) + rows.shape[1:]).reshape((-1,) + rows.shape[1:])
+    span = max(1, JET_BLOCK // replicas)
+    for first in range(0, steps, span):
+        ys = observations[first : first + span]
+        try:
+            jets = cache.observation_vectors(ys.reshape(-1))
+        except ValueError:
+            for (j, r), y in np.ndenumerate(ys):
+                try:
+                    cache.observation_vectors(y)
+                except ValueError as err:
+                    raise ValueError(f"{err}{_where(r if replicas > 1 else None, first + j + 1)}") from err
+            raise
+        for j, row in enumerate(ys):
+            step = _step(cache, row, components, first + j + 1, jets[..., j * replicas : (j + 1) * replicas, :])
+            components = step[0]
+            yield step
 
 
 def filter_iterate(
@@ -440,25 +464,16 @@ def filter_iterate(
     theta may be a (P, dim) stack of parameter points: one pass then
     steps every point from the same initial measure and returns a tuple
     of P states, each bit for bit the state of the pass at that point
-    alone.  The measure is checked once, each point's observation jet is
-    evaluated for up to JET_BLOCK observations in one call, and the step
-    core folds over (P, K, N) components.  Aborts name the observation
-    index and, for P > 1, the parameter point.  An empty block runs no
-    step, so it returns the initial condition unchanged and unchecked.
+    alone.  It runs _fold with one row per point, whose aborts name the
+    observation index and, for P > 1, the parameter point.  An empty
+    block runs no step: it returns the initial condition unchecked.
     """
     cache = KernelCache(model, theta, measure.index_set)
     block = _observation_block(observations)
-    points = len(cache.theta) if cache.theta.ndim == 2 else 1
     if len(block):
-        _check_measure(measure, cache.index_set, cache.grid)
-        components = np.broadcast_to(measure.components, (points,) + measure.components.shape)
-        for start in range(0, len(block), JET_BLOCK):
-            ys = block[start : start + JET_BLOCK]
-            jets = _block_jets(cache, ys, start + 1)
-            for j in range(len(ys)):
-                obs = jets[..., j : j + 1, :]
-                components = _step(cache, ys[j : j + 1], components, start + j + 1, obs)[0]
+        for components, _, _ in _fold(cache, block[:, None], measure):
+            pass
         states = tuple(FilterState(VectorMeasure(c, measure.index_set, measure.grid)) for c in components)
     else:
-        states = (FilterState(measure=measure),) * points
+        states = (FilterState(measure=measure),) * len(np.atleast_2d(cache.theta))
     return states if cache.theta.ndim == 2 else states[0]

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import (
-    KernelCache,
-    _check_measure,
-    _indexed_step,
-    _observation_block,
-    _step,
-)
+from .filtering import KernelCache, _fold, _indexed_step, _observation_block
 from .grid import GridMeasure, embed
 from .models import ModelSpec, simulate
 from .multiindex import IndexSet, MultiIndex, enumerate_indices, shifted_pair_table
@@ -78,12 +72,11 @@ def loglik_jet(
     if observations.shape[0] < 1:
         raise ValueError("at least one observation is required")
     measure = embed(lam0, model.index_set())
-    cache = KernelCache(model, theta, measure.index_set)
+    cache = KernelCache(model, model.validate_theta(theta), measure.index_set)
     totals = np.zeros(len(measure.index_set))
     steps = np.empty((observations.shape[0], len(measure.index_set))) if keep_increments else None
-    for j, y in enumerate(observations):
-        measure, s_masses, predictive = _indexed_step(cache, y, measure, j + 1)
-        increments = jet_increments_from_scalars(s_masses, predictive, measure.index_set)
+    for j, (_, s_masses, predictive) in enumerate(_fold(cache, observations[:, None], measure)):
+        increments = jet_increments_from_scalars(s_masses[0], predictive[0], measure.index_set)
         totals += increments
         if keep_increments:
             steps[j] = increments
@@ -135,11 +128,8 @@ def avg_loglik_rate(
     observations = np.stack([traj.observations for traj in paths])
     measure = embed(lam0, model.index_set())
     cache = KernelCache(model, theta, measure.index_set)
-    _check_measure(measure, cache.index_set, cache.grid)
-    components = np.repeat(measure.components[None], replicas, axis=0)
     totals = np.zeros((replicas, len(measure.index_set)))
-    for j in range(horizon):
-        components, s_masses, predictive = _step(cache, observations[:, j], components, j + 1)
+    for _, s_masses, predictive in _fold(cache, observations.T, measure):
         totals += jet_increments_from_scalars(s_masses, predictive, measure.index_set)
     rows = totals / horizon
     mean = rows.mean(axis=0)
