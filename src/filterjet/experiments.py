@@ -392,8 +392,12 @@ def derivative_identity_sweep(
     its serial pass bit for bit.  So at dimension 2, order 3 and the
     default two Richardson levels a parameter point costs 1 full-order
     pass and 1 pass over 28 stencil points, where differencing each
-    alpha on its own costs 94 passes.  The difference passes run on the
-    order-0 index set (1 slot instead of 10 at dimension 2, order 3).
+    alpha on its own costs 94 passes.  That pass builds one kernel factor
+    per distinct model.kernel_keys key, not per point: 7 transition jets
+    and 7 observation evaluators for the bundled model's shipped
+    features, whose drift and observation map each read one coordinate.
+    The difference passes run on the order-0 index set (1 slot instead
+    of 10 at dimension 2, order 3).
     For the bundled model an order-0 jet is the slot-0 prefix of the
     order-1 jet, as both normalizers sum a stack of at least two
     degrees, and slot 0 does not depend on the order from 1 up; so the

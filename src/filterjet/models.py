@@ -106,7 +106,7 @@ class ModelSpec(abc.ABC):
     derivative jets of both factors tabulated on the model grid and
     pairs them by the Leibniz rule itself; simulation consumes the two
     samplers.  A subclass sets ``grid`` and provides the nine abstract
-    members; the parameter checks and the index set come with the base.
+    members; the checks, index set and kernel keys come with the base.
     """
 
     grid: StateGrid
@@ -141,8 +141,8 @@ class ModelSpec(abc.ABC):
 
         A float y gives (K, N); an (R, 1) column of observations, which a
         step over R replicas passes, gives (K, R, N).  The factory runs
-        once per theta and the evaluator once per step, at that fixed
-        theta: build everything that depends only on theta here, and
+        once per kernel_keys observation key and the evaluator once per
+        step: build everything that depends only on theta here, and
         everything that depends on neither theta nor y once per model.
         theta and index_set come checked, as for transition_grid_jet.
         """
@@ -164,6 +164,16 @@ class ModelSpec(abc.ABC):
     @abc.abstractmethod
     def observation_samples(self, theta, xs: np.ndarray, normals: NormalStreams) -> np.ndarray:
         """(R,) observations of the (R,) states xs, row for row as observation_sample."""
+
+    def kernel_keys(self, theta) -> tuple[bytes, bytes]:
+        """(transition_key, observation_key) of a checked theta.
+
+        Points with equal keys must get bit-identical transition jets
+        (observation evaluators): a stacked cache builds one per key.
+        The default, theta's bytes, builds one per point.
+        """
+        key = theta.tobytes()
+        return key, key
 
     def validate_theta(self, theta) -> np.ndarray:
         arr = np.asarray(theta, dtype=float)
@@ -207,6 +217,11 @@ def _integrate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     d, n, m = values.shape
     return np.dot(values.transpose(0, 2, 1).reshape(d * m, n), weights.reshape(n, 1)).reshape(d, m)
+
+
+def _location(tables, theta) -> np.ndarray:
+    """(N,) theta . features on the grid, as np.tensordot sums it: a (1, dim) row times the table."""
+    return np.dot(np.reshape(theta, (1, -1)), tables[0]).reshape(-1)
 
 
 def _expand_degrees(by_degree, factors: np.ndarray, index_set: IndexSet) -> np.ndarray:
@@ -406,15 +421,21 @@ class TruncatedNonlinearModel(ModelSpec):
         ratios=True they are divided by the pdf itself, which stays
         finite arbitrarily far into the tails.
         """
-        features, factors = tables
-        # theta . features as np.tensordot sums it: a (1, dim) row times the table.
-        location = np.dot(np.reshape(theta, (1, -1)), features).reshape(-1)
+        location = _location(tables, theta)
         derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
 
         def at(target, order=index_set.order):
             return derivs((np.asarray(target, dtype=float) - location) / scale, order)
 
-        return at, factors[: len(index_set)]
+        return at, tables[1][: len(index_set)]
+
+    def kernel_keys(self, theta) -> tuple[bytes, bytes]:
+        """The bytes of the drift and the observation location, the arrays the jets are computed from.
+
+        The shipped drift and observation map each read one coordinate of
+        theta, so their keys repeat along a finite-difference stencil.
+        """
+        return _location(self._drift_tables, theta).tobytes(), _location(self._obs_tables, theta).tobytes()
 
     def transition_grid_jet(self, theta, index_set) -> np.ndarray:
         # The new states are the quadrature nodes, so one Gaussian evaluation on

@@ -8,6 +8,8 @@ oracles stay cheap enough to trust.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +31,12 @@ class FDScheme:
     richardson_levels: int = 2
 
     def __post_init__(self):
-        if not self.base_step > 0.0:
-            raise ValueError("base step must be positive")
-        if self.richardson_levels < 1:
-            raise ValueError("at least one Richardson level is required")
+        # NaN fails the comparison; an infinite step would difference to nan.
+        if not 0.0 < self.base_step < math.inf:
+            raise ValueError(f"base step must be finite and positive, got {self.base_step!r}")
+        levels = self.richardson_levels
+        if isinstance(levels, bool) or not isinstance(levels, numbers.Integral) or levels < 1:
+            raise ValueError(f"Richardson levels must be an integer of at least 1, got {levels!r}")
 
 
 def _path_sum_matrix(model: ModelSpec, theta, observations) -> np.ndarray:

@@ -27,6 +27,21 @@ class TestFDScheme:
         with pytest.raises(ValueError):
             FDScheme(richardson_levels=0)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, -math.inf, math.nan])
+    def test_base_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="base step must be finite and positive"):
+            FDScheme(step)
+
+    @pytest.mark.parametrize("levels", [0, -1, 2.0, 1.5, True, np.float64(3.0)])
+    def test_richardson_levels_must_be_an_integer_of_at_least_one(self, levels):
+        with pytest.raises(ValueError, match="Richardson levels must be an integer of at least 1"):
+            FDScheme(1e-3, levels)
+
+    @pytest.mark.parametrize("step, levels", [(1e-3, 1), (0.25, 3), (1, np.int64(2)), (5e-324, 2)])
+    def test_valid_schemes_pass(self, step, levels):
+        scheme = FDScheme(step, levels)
+        assert (scheme.base_step, scheme.richardson_levels) == (step, levels)
+
 
 class TestFdDerivative:
     def test_exact_on_affine(self):
