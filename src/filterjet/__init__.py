@@ -27,7 +27,6 @@ from .models import (
     simulate,
 )
 from .filtering import (
-    FilterState,
     KernelCache,
     MassInvariantError,
     PredictiveMassError,

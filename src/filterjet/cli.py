@@ -32,7 +32,7 @@ from .filtering import MassInvariantError, PredictiveMassError
 from .grid import GridMeasure, VectorMeasure, embed
 from .loglik import loglik_jet, rml_demo
 from .models import assumption_constants, simulate
-from .oracle import FDScheme, fd_derivative
+from .oracle import FDScheme, fd_derivative, stencil_points
 from .reporting import Check, ensure_outdir, format_value, write_csv, write_summary
 from .seeding import labeled_rng, labeled_seed
 
@@ -124,10 +124,9 @@ def _run_forgetting(cfg: RunConfig, outdir: str) -> list[Check]:
             embed(GridMeasure.point_mass(grid, grid.size - 1), iset),
         )
     ]
-    # A pair differing only in one derivative slot.
-    base = GridMeasure.uniform(grid)
-    plain = embed(base, iset)
-    if len(iset) > 1:
+    # A pair differing only in one derivative slot, while pairs has room for it.
+    if len(iset) > 1 and len(pairs) < cfg.experiment.pairs:
+        plain = embed(GridMeasure.uniform(grid), iset)
         bumped = np.array(plain.components)
         bumped[1] = np.sin(3.0 * grid.axis(0))
         pairs.append((plain, VectorMeasure(bumped, iset, grid)))
@@ -230,10 +229,18 @@ def _run_ergodicity(cfg: RunConfig, outdir: str) -> list[Check]:
 def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
     model = build_model(cfg)
     theta = reference_theta(cfg)
+    scheme = _scheme(cfg)
+    iset = model.index_set()
+    differenced = [alpha for alpha in iset.indices if alpha.degree > 0]
+    try:
+        stencil_points(differenced, theta, scheme, model.parameter_box)
+    except ValueError as err:
+        raise ConfigError(
+            f"[model] theta: the {err} at [derivatives] fd_step = {cfg.derivatives.fd_step}"
+        ) from err
     lam0 = GridMeasure.uniform(model.grid)
     traj = simulate(model, theta, lam0, cfg.experiment.horizon, labeled_seed(cfg.seed, "loglik-path"))
     jet = loglik_jet(model, theta, traj.observations, lam0, keep_increments=True)
-    iset = jet.index_set
     header = ["step"] + ["psi_" + "_".join(map(str, a)) for a in iset.indices]
     rows = [
         tuple([k + 1] + [jet.increments[k, s] for s in range(len(iset))])
@@ -241,7 +248,6 @@ def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
     ]
     write_csv(os.path.join(outdir, "results.csv"), header, rows)
 
-    scheme = _scheme(cfg)
     # The difference passes read slot 0 only, which an order-1 build of the
     # model computes as the same float with fewer slots.
     order1 = replace(model, order=1)
@@ -250,9 +256,7 @@ def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
     evaluations = {theta.tobytes(): jet.values[0]}
     worst = 0.0
     deriv_rows = []
-    for alpha in iset.indices:
-        if alpha.degree == 0:
-            continue
+    for alpha in differenced:
         fd = fd_derivative(
             slot0, alpha, theta, scheme, bounds=model.parameter_box, evaluations=evaluations
         )

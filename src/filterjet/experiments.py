@@ -424,16 +424,16 @@ def derivative_identity_sweep(
         pending = [theta_point] + [
             p for p in stencil if p.tobytes() not in evaluations and p.tobytes() != key
         ]
-        states = filter_iterate(model, np.stack(pending), traj.observations, fd_start)
-        for point, state in zip(pending, states):
-            evaluations[point.tobytes()] = state.measure.components[0] * weights
+        measures = filter_iterate(model, np.stack(pending), traj.observations, fd_start)
+        for point, measure in zip(pending, measures):
+            evaluations[point.tobytes()] = measure.components[0] * weights
         return evaluations[key]
 
     differenced = [alpha for alpha in index_set.indices if alpha.degree > 0]
     cells = []
     for t_idx, theta in enumerate(thetas):
-        state = filter_iterate(model, theta, traj.observations, embed(lam0, index_set))
-        slot_masses = state.measure.components * weights
+        measure = filter_iterate(model, theta, traj.observations, embed(lam0, index_set))
+        slot_masses = measure.components * weights
         evaluations = {theta.tobytes(): slot_masses[0]}
         stencil = stencil_points(differenced, theta, scheme, model.parameter_box)
         for k, alpha in enumerate(index_set.indices):

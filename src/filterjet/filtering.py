@@ -10,7 +10,6 @@ so drift is a regression signal rather than silently hidden.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -156,13 +155,6 @@ def _jet_at(at, ys: np.ndarray) -> np.ndarray:
     N = 32, order 1 (BENCH_6.json, `r1_branches`).
     """
     return at(ys.item())[:, None] if ys.size == 1 else at(ys[:, None])
-
-
-@dataclass(frozen=True, eq=False)
-class FilterState:
-    """Result of folding filter steps over an observation block."""
-
-    measure: VectorMeasure
 
 
 @lru_cache(maxsize=None)
@@ -371,11 +363,15 @@ def _check_measure(measure: VectorMeasure, index_set: IndexSet, grid: StateGrid)
         raise ValueError("measure grid differs from the model grid")
 
 
-def _serial_input(cache: KernelCache, y, measure: VectorMeasure):
-    """The checked (1,) observation and (1, K, N) components of a single step.
+def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
+    """One step of the derivative filter: the batched step core at one replica.
 
-    ValueError unless the cache holds one parameter point, the measure
-    suits it and y is a scalar.
+    Returns (updated measure, s_masses, predictive_mass): s_masses[k] is
+    the total mass of the k-th normalized prediction-update and
+    predictive_mass the unnormalized slot-0 mass that normalizes
+    everything.  The cache must hold one parameter point, the measure
+    must use its index set and grid and have a probability in slot 0,
+    and y must be a scalar (ValueError otherwise).
     """
     if cache.theta.ndim != 1:
         raise ValueError("a single step needs the kernel cache of one parameter point")
@@ -383,20 +379,7 @@ def _serial_input(cache: KernelCache, y, measure: VectorMeasure):
     ys = np.asarray(y, dtype=float)
     if ys.ndim != 0:
         raise ValueError(f"y must be a scalar observation, got shape {ys.shape}")
-    return ys.reshape(1), measure.components[None]
-
-
-def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
-    """One step of the derivative filter: the batched step core at one replica.
-
-    Returns (updated measure, s_masses, predictive_mass): s_masses[k] is
-    the total mass of the k-th normalized prediction-update and
-    predictive_mass the unnormalized slot-0 mass that normalizes
-    everything.  The measure must use the cache's index set and grid
-    and have a probability in slot 0, and y must be a scalar
-    (ValueError otherwise).
-    """
-    components, s_masses, predictive = _step(cache, *_serial_input(cache, y, measure))
+    components, s_masses, predictive = _step(cache, ys.reshape(1), measure.components[None])
     return VectorMeasure(components[0], measure.index_set, measure.grid), s_masses[0], float(predictive[0])
 
 
@@ -428,7 +411,7 @@ def _observation_block(observations) -> np.ndarray:
 def filter_step(
     model: ModelSpec, theta, y, measure: VectorMeasure, cache: KernelCache | None = None
 ) -> VectorMeasure:
-    """One full step of the derivative filter (see filter_step_with_scalars).
+    """The updated measure of filter_step_with_scalars, from (model, theta).
 
     Builds the kernel cache for (model, theta) unless one built for
     theta is given.
@@ -437,8 +420,7 @@ def filter_step(
         cache = KernelCache(model, theta, measure.index_set)
     elif not np.array_equal(cache.theta, model.validate_theta(theta)):
         raise ValueError("cache was built for a different parameter")
-    components = _step(cache, *_serial_input(cache, y, measure))[0]
-    return VectorMeasure(components[0], measure.index_set, measure.grid)
+    return filter_step_with_scalars(cache, y, measure)[0]
 
 
 def _fold(cache: KernelCache, observations: np.ndarray, starts):
@@ -479,22 +461,22 @@ def _fold(cache: KernelCache, observations: np.ndarray, starts):
 
 def filter_iterate(
     model: ModelSpec, theta, observations, measure: VectorMeasure
-) -> FilterState | tuple[FilterState, ...]:
-    """Fold the filter step over an observation block; returns a FilterState.
+) -> VectorMeasure | tuple[VectorMeasure, ...]:
+    """Fold the filter step over an observation block; returns the filtered measure.
 
     theta may be a (P, dim) stack of parameter points: one pass then
     steps every point from the same initial measure and returns a tuple
-    of P states, each bit for bit the state of the pass at that point
+    of P measures, each bit for bit the measure of the pass at that point
     alone.  It runs _fold with one row per point, whose aborts name the
     observation index and, for P > 1, the parameter point.  An empty
-    block runs no step: it returns the initial condition unchecked.
+    block runs no step: it returns the initial measure itself, unchecked.
     """
     cache = KernelCache(model, theta, measure.index_set)
     block = _observation_block(observations)
     if len(block):
         for components, _, _ in _fold(cache, block[:, None], measure):
             pass
-        states = tuple(FilterState(VectorMeasure(c, measure.index_set, measure.grid)) for c in components)
+        measures = tuple(VectorMeasure(c, measure.index_set, measure.grid) for c in components)
     else:
-        states = (FilterState(measure=measure),) * len(np.atleast_2d(cache.theta))
-    return states if cache.theta.ndim == 2 else states[0]
+        measures = (measure,) * len(np.atleast_2d(cache.theta))
+    return measures if cache.theta.ndim == 2 else measures[0]

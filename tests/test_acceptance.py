@@ -82,13 +82,13 @@ def test_criterion_1_derivative_identity(default_model):
         state = filter_iterate(default_model, theta, traj.observations, embed(lam, iset))
         f = lambda th: (  # noqa: E731
             filter_iterate(default_model, th, traj.observations, embed(lam, iset))
-            .measure.components[0] * weights
+            .components[0] * weights
         )
         for alpha in iset.indices:
             if alpha.degree == 0:
                 continue
             fd = fd_derivative(f, alpha, theta, FDScheme(1e-3, 2))
-            gap = state.measure.components[iset.slot(alpha)] * weights - fd
+            gap = state.components[iset.slot(alpha)] * weights - fd
             worst_union = max(gap[gap > 0].sum() if np.any(gap > 0) else 0.0,
                               -gap[gap < 0].sum() if np.any(gap < 0) else 0.0)
             scale = max(np.abs(fd[fd > 0].sum()) if np.any(fd > 0) else 0.0,
@@ -137,7 +137,7 @@ def test_criterion_3_oracle_equivalence(model8):
         traj = simulate(model8, theta, lam, 5, seed=SEED + draw)
         state = filter_iterate(model8, theta, traj.observations, embed(lam, iset))
         reference = oracle_filter(model8, theta, traj.observations, lam)
-        worst = max(worst, tv_norm(state.measure.component(iset.zero) - reference))
+        worst = max(worst, tv_norm(state.component(iset.zero) - reference))
     assert worst <= 1e-10
     report("3 oracle-equivalence", 5, started, f"20 draws, worst TV gap {worst:.1e} <= 1e-10")
 

@@ -264,6 +264,16 @@ class TestRun:
             outs.append((outdir / "results.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_forgetting_runs_the_configured_pairs(self, tmp_path, pairs):
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(fast_config(outdir, horizon=25).replace("pairs = 2", f"pairs = {pairs}"))
+        assert run("forgetting", str(cfg)) in (0, 1)
+        assert len((outdir / "fits.csv").read_text().splitlines()) == 1 + pairs
+        assert f"pair-{pairs - 1}:" in (outdir / "summary.txt").read_text()
+        assert f"pair-{pairs}:" not in (outdir / "summary.txt").read_text()
+
     def test_loglik_csv_has_increment_columns(self, tmp_path):
         cfg = tmp_path / "ll.cfg"
         outdir = tmp_path / "out"
@@ -393,6 +403,8 @@ class TestEveryValueGetsAnExitCode:
             # 8 * fd_step exceeds half the box width, so no parameter point
             # clears the margin the finite differences need
             ("check-derivs", [("derivatives", "fd_step", "0.5")], "[derivatives] fd_step"),
+            # theta sits 5e-4 inside the box, nearer than the stencil's 2 * fd_step
+            ("loglik", [("model", "theta", "0.2005 0.9")], "[derivatives] fd_step"),
             ("simulate", [("run", "outdir", "")], "[run] outdir"),
         ],
     )

@@ -233,10 +233,10 @@ class TestDerivativeIdentitySweep:
 
         def masses(th):
             state = filter_iterate(model, th, traj.observations, embed(lam, iset))
-            return state.measure.components[0] * weights
+            return state.components[0] * weights
 
         direct = filter_iterate(model, theta, traj.observations, embed(lam, iset))
-        exact = direct.measure.components[iset.slot((1, 0))] * weights
+        exact = direct.components[iset.slot((1, 0))] * weights
         steps = np.array([0.2, 0.1, 0.05, 0.025])
         errors = []
         for h in steps:

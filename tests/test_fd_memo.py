@@ -50,7 +50,7 @@ def observations(variant, cells):
 
 def slot0(model, theta, ys, order):
     start = embed(GridMeasure.uniform(model.grid), model.index_set(order))
-    return filter_iterate(model, theta, ys, start).measure.components[0]
+    return filter_iterate(model, theta, ys, start).components[0]
 
 
 @pytest.mark.parametrize("cells", [8, 24, 33, 50, 64, 129])
@@ -91,12 +91,12 @@ def per_alpha_sweep(model, thetas, horizon, seed, scheme=FDScheme(), rel_tol=1e-
 
     def zero_slot_masses(theta_point):
         state = filter_iterate(model, theta_point, traj.observations, embed(lam0, index_set))
-        return state.measure.components[0] * weights
+        return state.components[0] * weights
 
     cells = []
     for t_idx, theta in enumerate(thetas):
         state = filter_iterate(model, theta, traj.observations, embed(lam0, index_set))
-        slot_masses = state.measure.components * weights
+        slot_masses = state.components * weights
         for k, alpha in enumerate(index_set.indices):
             if alpha.degree == 0:
                 reference = slot_masses[0]

@@ -215,6 +215,22 @@ class TestFilterStep:
         scaled = kernel_updates(model32, theta, y, 7.3 * lam)[(0, 0)].normalized()
         assert np.max(np.abs(base.density - scaled.density)) <= 1e-12
 
+    @pytest.mark.parametrize("prebuilt", [False, True], ids=["own-cache", "given-cache"])
+    def test_filter_step_is_the_measure_of_the_step_with_scalars(
+        self, model32, theta, iset, prebuilt, monkeypatch
+    ):
+        measure = random_l0(model32, iset, np.random.default_rng(6))
+        cache = KernelCache(model32, theta, iset)
+        calls = []
+        with_scalars = filtering.filter_step_with_scalars
+        monkeypatch.setattr(
+            filtering, "filter_step_with_scalars", lambda *args: calls.append(args) or with_scalars(*args)
+        )
+        out = filter_step(model32, theta, 0.4, measure, cache=cache if prebuilt else None)
+        assert len(calls) == 1
+        assert type(out) is VectorMeasure
+        assert np.array_equal(out.components, with_scalars(cache, 0.4, measure)[0].components)
+
     def test_cache_mismatch_rejected(self, model32, theta, uniform_l0):
         other = KernelCache(model32, np.array([0.5, 0.5]), uniform_l0.index_set)
         with pytest.raises(ValueError):
@@ -224,7 +240,20 @@ class TestFilterStep:
 class TestFilterIterate:
     def test_empty_block_returns_initial(self, model32, theta, uniform_l0):
         state = filter_iterate(model32, theta, [], uniform_l0)
-        assert np.array_equal(state.measure.components, uniform_l0.components)
+        assert np.array_equal(state.components, uniform_l0.components)
+
+    def test_returns_the_filtered_measure(self, model32, theta, uniform_l0):
+        alone = filter_iterate(model32, theta, [0.1, -0.2], uniform_l0)
+        assert type(alone) is VectorMeasure
+        stacked = filter_iterate(model32, np.stack([theta, [0.7, 0.9], [0.8, 0.6]]), [0.1, -0.2], uniform_l0)
+        assert type(stacked) is tuple and len(stacked) == 3
+        assert all(type(measure) is VectorMeasure for measure in stacked)
+        assert np.array_equal(stacked[0].components, alone.components)
+
+    def test_empty_block_returns_the_start_measure_itself(self, model32, theta, uniform_l0):
+        assert filter_iterate(model32, theta, [], uniform_l0) is uniform_l0
+        stacked = filter_iterate(model32, np.stack([theta, [0.7, 0.9]]), [], uniform_l0)
+        assert len(stacked) == 2 and all(measure is uniform_l0 for measure in stacked)
 
     def test_semigroup_composition(self, model32, theta, uniform_l0):
         lam = GridMeasure.uniform(model32.grid)
@@ -232,8 +261,8 @@ class TestFilterIterate:
         ys = traj.observations
         full = filter_iterate(model32, theta, ys, uniform_l0)
         part = filter_iterate(model32, theta, ys[:5], uniform_l0)
-        rest = filter_iterate(model32, theta, ys[5:], part.measure)
-        assert measure_distance(full.measure, rest.measure) <= 1e-12
+        rest = filter_iterate(model32, theta, ys[5:], part)
+        assert measure_distance(full, rest) <= 1e-12
 
     def test_zero_slot_matches_path_sum_oracle(self, model8, theta):
         iset = model8.index_set()
@@ -241,7 +270,7 @@ class TestFilterIterate:
         traj = simulate(model8, theta, lam, 5, seed=80)
         state = filter_iterate(model8, theta, traj.observations, embed(lam, iset))
         reference = oracle_filter(model8, theta, traj.observations, lam)
-        assert tv_norm(state.measure.component(iset.zero) - reference) <= 1e-10
+        assert tv_norm(state.component(iset.zero) - reference) <= 1e-10
 
     def test_forgetting_rate_below_one(self, model32, theta, iset):
         # distance between runs from random initial conditions decays

@@ -150,13 +150,13 @@ class TestPlanarFiltering:
 
         def masses(th):
             inner = filter_iterate(planar, th, OBSERVATIONS, embed(lam, iset))
-            return inner.measure.components[0] * weights
+            return inner.components[0] * weights
 
         for alpha in iset.indices:
             if alpha.degree == 0:
                 continue
             fd = fd_derivative(masses, alpha, theta2, scheme, bounds=planar.parameter_box)
-            direct = state.measure.components[iset.slot(alpha)] * weights
+            direct = state.components[iset.slot(alpha)] * weights
             gap = np.abs(direct - fd)
             assert (gap / np.maximum(1e-2, np.abs(fd))).max() <= 1e-4
 

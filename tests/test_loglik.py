@@ -141,12 +141,12 @@ class TestPsiAlpha:
         traj = simulate(model32, theta, lam, 8, seed=17)
         ys, y_next = traj.observations[:-1], traj.observations[-1]
         state = filter_iterate(model32, theta, ys, embed(lam, iset))
-        direct = increments(model32, theta, y_next, state.measure)
+        direct = increments(model32, theta, y_next, state)
         scheme = FDScheme(1e-3, 2)
 
         def increment(th):
             inner = filter_iterate(model32, th, ys, embed(lam, iset))
-            return increments(model32, th, y_next, inner.measure)[0]
+            return increments(model32, th, y_next, inner)[0]
 
         for k, alpha in enumerate(iset.indices):
             if alpha.degree == 0:
@@ -200,7 +200,7 @@ class TestLogLikJet:
         assert len(iset) == 10
         masses_ok = filter_iterate(
             model, theta, traj.observations, embed(lam, iset)
-        ).measure.masses()
+        ).masses()
         assert abs(masses_ok[0] - 1.0) <= 1e-10
         assert np.max(np.abs(masses_ok[1:])) <= 1e-10
         for alpha in iset.indices:

@@ -171,4 +171,4 @@ class TestOracleAgreement:
             traj = simulate(model8, th, lam, 5, seed=1000 + draw)
             state = filter_iterate(model8, th, traj.observations, embed(lam, iset))
             reference = oracle_filter(model8, th, traj.observations, lam)
-            assert tv_norm(state.measure.component(iset.zero) - reference) <= 1e-10
+            assert tv_norm(state.component(iset.zero) - reference) <= 1e-10

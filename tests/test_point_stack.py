@@ -79,9 +79,9 @@ def test_stacked_pass_equals_serial_passes(variant, order, cells, points):
     states = filter_iterate(model, thetas, ys, start)
     assert isinstance(states, tuple) and len(states) == points
     for theta, state in zip(thetas, states):
-        assert np.array_equal(state.measure.components, serial_fold(model, theta, ys, start))
+        assert np.array_equal(state.components, serial_fold(model, theta, ys, start))
     alone = filter_iterate(model, thetas[0], ys, start)
-    assert np.array_equal(alone.measure.components, states[0].measure.components)
+    assert np.array_equal(alone.components, states[0].components)
 
 
 def serial_sweep(model, thetas, horizon, seed, scheme=FDScheme(), rel_tol=1e-4, abs_floor=1e-6):
@@ -173,7 +173,7 @@ def test_stack_edge_cases():
     model = line_model("compact", 12)
     start = embed(GridMeasure.uniform(model.grid), model.index_set())
     states = filter_iterate(model, point_stack(3, 0), [], start)
-    assert len(states) == 3 and all(state.measure is start for state in states)
+    assert len(states) == 3 and all(state is start for state in states)
     with pytest.raises(ValueError, match="at least one point"):
         filter_iterate(model, np.empty((0, 2)), [0.1], start)
     with pytest.raises(ValueError, match="outside the open box"):

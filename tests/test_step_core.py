@@ -166,7 +166,7 @@ def test_folds_equal_chained_core_steps(kind, cells, order, seed, ys):
     chained = measure
     for j, y in enumerate(ys):
         chained = filter_step_with_scalars(cache, y, chained)[0]
-        folded = filter_iterate(model, THETA, ys[: j + 1], measure).measure
+        folded = filter_iterate(model, THETA, ys[: j + 1], measure)
         assert np.array_equal(folded.components, chained.components)
 
     lam0 = random_l0(model, iset, rng).component(iset.zero)
@@ -246,7 +246,7 @@ def slot0_runs(model, order, ys, starts):
     batch = np.stack([embed(lam, iset).components for lam in starts])
     return [
         filter_step(model, THETA, ys[0], first).components[0],
-        filter_iterate(model, THETA, ys, first).measure.components[0],
+        filter_iterate(model, THETA, ys, first).components[0],
         _step(cache, ys[:1], batch[:1])[0][0, 0],
         _step(cache, ys, batch)[0][:, 0],
     ]
