@@ -239,8 +239,11 @@ class ErgodicityProbe:
     replicas: int
 
     def spread_at(self, n: int) -> float:
-        idx = int(np.nonzero(self.record_ns == n)[0][0])
-        return float(self.spreads[idx])
+        """Across-start spread at the recorded horizon n; ValueError for any other n."""
+        hits = np.nonzero(self.record_ns == n)[0]
+        if not hits.size:
+            raise ValueError(f"horizon {n} was not recorded; recorded horizons are {self.record_ns.tolist()}")
+        return float(self.spreads[hits[0]])
 
 
 def ergodicity_experiment(

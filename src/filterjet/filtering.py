@@ -94,7 +94,9 @@ class KernelCache:
     first-use order: for the shipped model, whose drift reads only
     theta[0] and whose observation map only theta[1], the 28 order-3
     stencil points of a sweep take 7 + 7 builds.  A failed build names the first
-    point with its key when there is more than one point.
+    point with its key when there is more than one point.  The build records
+    the transition slots nonzero anywhere (at any point of a stack): a step
+    moves only those.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -133,6 +135,10 @@ class KernelCache:
         else:
             self.trans = model.transition_grid_jet(self.theta, self.index_set)
             self._obs_at = model.observation_grid_factory(self.theta, self.index_set)
+        # Slot 0 always counts as live, so an order-0 cache scans nothing.  The bare
+        # ufunc reduce skips np.any's wrapper: 2 of 7 us at N = 32, order 1.
+        jet = self.trans.reshape((-1,) + self.trans.shape[-3:])
+        self._live = (True, *np.logical_or.reduce(jet[:, 1:], axis=(0, 2, 3)).tolist())
 
     def observation_vectors(self, ys) -> np.ndarray:
         """(K, R, N) observation-density jet on the grid at the (R,) observations ys.
@@ -200,20 +206,23 @@ def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray,
     cache.observation_vectors(ys) returns, evaluated here unless given.
     A cache of P points takes (P·R, K, N) rows and runs _stacked_update;
     one point keeps this 2-D path, because the stack's 4-D bookkeeping
-    cost rml-online 6-9% of its steps/s (BENCH_15.json).  Returns a
-    transposed view of (K, R, N) memory.
+    cost rml-online 6-9% of its steps/s (BENCH_15.json).  A transition
+    slot that is zero on the whole grid moves nothing: its moved rows keep
+    the +0 its GEMM would write.  Returns a transposed view of (K, R, N)
+    memory.
     """
     plan = _update_plan(cache.index_set)
     obs = cache.observation_vectors(ys) if obs is None else obs
     if cache.theta.ndim == 2:
-        return _stacked_update(plan, cache.trans, obs, weighted)
+        return _stacked_update(plan, cache._live, cache.trans, obs, weighted)
     blocks, obs_rows, moved_rows, coeff = plan
     replicas, _, size = weighted.shape
     slots = np.ascontiguousarray(weighted.transpose(1, 0, 2))
-    moved = np.empty((sum(count for _, count in blocks), replicas, size))
+    moved = np.zeros((sum(count for _, count in blocks), replicas, size))
     for q, (start, count) in enumerate(blocks):
-        out = moved[start : start + count].reshape(-1, size)
-        np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
+        if cache._live[q]:
+            out = moved[start : start + count].reshape(-1, size)
+            np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
     terms = obs[obs_rows] * moved[moved_rows]
     update = (coeff @ terms.reshape(len(terms), replicas * size)).reshape(-1, replicas, size)
     if replicas == 1:
@@ -225,7 +234,7 @@ def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray,
     return update.transpose(1, 0, 2)
 
 
-def _stacked_update(plan, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+def _stacked_update(plan, live, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     """_prediction_update over the (P, K, N, N) transition stack of P parameter points.
 
     The (P·R, K, N) rows of weighted stack the R replicas of each point
@@ -235,7 +244,8 @@ def _stacked_update(plan, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarr
     each point has one replica, each assembles its slot-0 kernel, in one
     reused (N, N) buffer.  A stacked np.matmul runs each point's slice
     through the GEMM of the one-point step, so every point keeps the bits
-    of its pass alone; a batch factors slot 0, as one point does.
+    of its pass alone; a batch factors slot 0, as one point does.  Only
+    the live transition slots move, as in the one-point path.
     """
     blocks, obs_rows, moved_rows, coeff = plan
     rows, _, size = weighted.shape
@@ -244,10 +254,11 @@ def _stacked_update(plan, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarr
     slots = np.ascontiguousarray(weighted.reshape(points, replicas, -1, size).transpose(0, 2, 1, 3))
     slots = slots.reshape(points, -1, size)
     total = blocks[-1][0] + blocks[-1][1]
-    moved = np.empty((points, total * replicas, size))
+    moved = np.zeros((points, total * replicas, size))
     for q, (start, count) in enumerate(blocks):
-        out = moved[:, start * replicas : (start + count) * replicas]
-        np.matmul(slots[:, : count * replicas], trans[:, q].transpose(0, 2, 1), out=out)
+        if live[q]:
+            out = moved[:, start * replicas : (start + count) * replicas]
+            np.matmul(slots[:, : count * replicas], trans[:, q].transpose(0, 2, 1), out=out)
     moved = moved.reshape(points, total, replicas, size)
     terms = obs[:, obs_rows] * moved[:, moved_rows]
     update = np.matmul(coeff, terms.reshape(points, len(obs_rows), replicas * size))

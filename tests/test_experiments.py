@@ -118,6 +118,15 @@ class TestErgodicity:
         )
         assert probe.spread_at(5) / probe.spread_at(40) >= 5.0
 
+    def test_spread_at_an_unrecorded_horizon_names_the_recorded_ones(self, small_model, theta):
+        iset = small_model.index_set()
+        phi = posterior_mean_phi(small_model)
+        z = (0.0, 0.0, embed(GridMeasure.uniform(small_model.grid), iset))
+        probe = ergodicity_experiment(small_model, theta, phi, [z, z], [5, 10, 20, 40], 10, seed=3)
+        assert probe.spread_at(10) == probe.spreads[1]
+        with pytest.raises(ValueError, match=r"^horizon 7 was not recorded; recorded horizons are \[5, 10, 20, 40\]$"):
+            probe.spread_at(7)
+
     def test_aligned_and_shifted_limits_agree(self, small_model, theta):
         iset = small_model.index_set()
         grid = small_model.grid

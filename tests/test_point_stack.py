@@ -20,7 +20,6 @@ from filterjet import (
     GridMeasure,
     KernelCache,
     PredictiveMassError,
-    VectorMeasure,
     derivative_identity_sweep,
     embed,
     fd_derivative,
@@ -34,12 +33,9 @@ from filterjet.oracle import stencil_points
 from filterjet.seeding import labeled_seed
 
 from conftest import THETA, BrokenObservation, make_model, random_l0
-from test_step_core import single_step
+from test_step_core import FEATURES, serial_fold
 
 HORIZON = 5
-# (drift, observation) features: the shipped ones, where each factor reads
-# one coordinate, and a mix where both factors read both.
-FEATURES = {"shipped": (("tanh", "zero"), ("zero", "linear")), "mixed": (("tanh", "sin"), ("linear", "one"))}
 
 
 @lru_cache(maxsize=None)
@@ -56,15 +52,6 @@ def observations(variant, cells, horizon=HORIZON):
 
 def point_stack(count, seed):
     return np.random.default_rng(seed).uniform(0.3, 1.4, size=(count, 2))
-
-
-def serial_fold(model, theta, ys, start):
-    """Components after folding the test-local single step over ys at one theta."""
-    cache = KernelCache(model, theta, start.index_set)
-    measure = start
-    for y in ys:
-        measure = VectorMeasure(single_step(cache, y, measure)[0], start.index_set, start.grid)
-    return measure.components
 
 
 @pytest.mark.parametrize("points", [1, 2, 28])

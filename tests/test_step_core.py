@@ -8,6 +8,8 @@ must equal chained calls of the core bit for bit.  The core's replica
 axis must reproduce the single step: exactly at one replica, and to
 rounding for a batch, whose slot 0 is factored rather than assembled.
 An order-0 step must run and keep the slot 0 of the higher orders.
+A transition slot that is zero on the whole grid must never be read,
+and skipping it must keep every byte of the steps that run its GEMM.
 """
 from functools import lru_cache
 
@@ -20,20 +22,25 @@ from filterjet import (
     GridMeasure,
     KernelCache,
     StateGrid,
+    VectorMeasure,
     embed,
     filter_iterate,
     filter_step,
     filter_step_with_scalars,
     loglik_jet,
 )
-from filterjet.filtering import _prediction_update, _step, _update_plan
+from filterjet import filtering
+from filterjet.filtering import _fold, _prediction_update, _step, _update_plan
 from filterjet.loglik import jet_increments_from_scalars
 from filterjet.multiindex import pair_table
 
-from conftest import THETA, make_model, random_l0
+from conftest import THETA, BrokenObservation, make_model, random_l0
 from test_grid2d_filter import PlanarTanhModel
 
 SLOT_RTOL = 1e-12
+# (drift, observation) features: the shipped ones, where each factor reads
+# one coordinate, and a mix where both factors read both.
+FEATURES = {"shipped": (("tanh", "zero"), ("zero", "linear")), "mixed": (("tanh", "sin"), ("linear", "one"))}
 
 
 def reference_step(cache, y, measure):
@@ -105,6 +112,35 @@ def stacked_prediction_update(cache, ys, weighted):
     kernels = obs[0][:, :, None] * cache.trans[0]
     update[:, 0] = np.matmul(kernels, weighted[:, 0, :, None])[..., 0]
     return update
+
+
+def slot_major_update(cache, ys, weighted, obs=None):
+    """The slot-major update of a batch with one GEMM for every transition slot: (R, K, N).
+
+    _prediction_update of one point at R > 1 before it skipped the
+    all-zero slots; slot 0 is the factored obs[0] * moved[0].
+    """
+    blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
+    obs = cache.observation_vectors(ys) if obs is None else obs
+    replicas, _, size = weighted.shape
+    slots = np.ascontiguousarray(weighted.transpose(1, 0, 2))
+    moved = np.empty((sum(count for _, count in blocks), replicas, size))
+    for q, (start, count) in enumerate(blocks):
+        out = moved[start : start + count].reshape(-1, size)
+        np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
+    terms = obs[obs_rows] * moved[moved_rows]
+    update = (coeff @ terms.reshape(len(terms), replicas * size)).reshape(-1, replicas, size)
+    update[0] = obs[0] * moved[0]
+    return update.transpose(1, 0, 2)
+
+
+def serial_fold(model, theta, ys, start):
+    """Components after folding the test-local single step over ys at one theta."""
+    cache = KernelCache(model, theta, start.index_set)
+    measure = start
+    for y in ys:
+        measure = VectorMeasure(single_step(cache, y, measure)[0], start.index_set, start.grid)
+    return measure.components
 
 
 class _PlanarModel(PlanarTanhModel):
@@ -295,3 +331,122 @@ def test_slot_major_update_matches_the_stacked_one(kind, cells, order, replicas,
 
 def test_slot_major_update_matches_the_stacked_one_at_criterion_7s_batch():
     _assert_update_matches_stacked(cached_kernel("line", 24, 1), 3000, np.random.default_rng(7))
+
+
+@lru_cache(maxsize=None)
+def feature_model(features, cells):
+    drift, obs = FEATURES[features]
+    return make_model(cells=cells, order=3, drift=drift, obs=obs)
+
+
+def fold_bytes(cache, ys, starts):
+    """(components, s_masses, predictive) bytes of every _fold step over the (T, R) ys."""
+    return [tuple(part.tobytes() for part in step) for step in _fold(cache, ys, starts)]
+
+
+def theta2_slots(index_set):
+    """Slots whose index has a theta[1] entry: the shipped drift's all-zero transition slots."""
+    return [k for k, alpha in enumerate(index_set.indices) if alpha[1] > 0]
+
+
+LAYOUTS = {"R=1": (THETA, 1), "R=3": (THETA, 3), "P=2": (np.array([THETA, [0.5, 1.2]]), 1)}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("order", [2, 3])
+def test_all_zero_transition_slots_are_never_read(order, layout):
+    model = feature_model("shipped", 33)
+    iset = model.index_set(order)
+    theta, replicas = LAYOUTS[layout]
+    dead = theta2_slots(iset)
+    clean, poisoned = KernelCache(model, theta, iset), KernelCache(model, theta, iset)
+    assert not clean.trans[..., dead, :, :].any()
+    poisoned.trans[..., dead, :, :] = np.nan
+    rng = np.random.default_rng(order)
+    starts = [random_l0(model, iset, rng) for _ in range(replicas)]
+    ys = rng.uniform(-2.5, 2.5, size=(5, replicas))
+    assert fold_bytes(poisoned, ys, starts) == fold_bytes(clean, ys, starts)
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("cells", [5, 33, 64, 129])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("features", ["shipped", "mixed"])
+def test_skipping_steps_equal_full_gemm_steps_byte_for_byte(monkeypatch, features, order, cells, replicas):
+    # tobytes, unlike array_equal, tells -0 from +0
+    model = feature_model(features, cells)
+    iset = model.index_set(order)
+    cache = KernelCache(model, THETA, iset)
+    rng = np.random.default_rng(100 * cells + order)
+    starts = [random_l0(model, iset, rng) for _ in range(replicas)]
+    ys = rng.uniform(-2.5, 2.5, size=(5, replicas))
+    got = fold_bytes(cache, ys, starts)
+    if replicas == 1:
+        measure = starts[0]
+        for j, y in enumerate(ys[:, 0]):
+            components, s_masses, predictive = single_step(cache, y, measure)
+            assert got[j] == (components.tobytes(), s_masses.tobytes(), np.float64(predictive).tobytes())
+            measure = VectorMeasure(components, iset, model.grid)
+    else:
+        monkeypatch.setattr(filtering, "_prediction_update", slot_major_update)
+        assert got == fold_bytes(cache, ys, starts)
+
+
+@pytest.mark.parametrize("points", [2, 28])
+@pytest.mark.parametrize("cells", [5, 33, 64, 129])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("features", ["shipped", "mixed"])
+def test_a_skipping_stacked_pass_equals_serial_passes_byte_for_byte(features, order, cells, points):
+    model = feature_model(features, cells)
+    start = random_l0(model, model.index_set(order), np.random.default_rng(order))
+    rng = np.random.default_rng(100 * cells + order)
+    thetas = rng.uniform(0.3, 1.4, size=(points, 2))
+    ys = rng.uniform(-2.5, 2.5, size=5)
+    for theta, state in zip(thetas, filter_iterate(model, thetas, ys, start)):
+        assert state.components.tobytes() == serial_fold(model, theta, ys, start).tobytes()
+
+
+SHIPPED_DEAD_SLOTS = {0: [], 1: [1], 2: [1, 3, 4], 3: [1, 3, 4, 6, 7, 8]}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("features", ["shipped", "mixed"])
+def test_the_live_slots_are_the_nonzero_transition_slots(features, order):
+    # the shipped drift skips exactly its theta[1] slots; the mixed one reads both coordinates
+    model = feature_model(features, 33)
+    iset = model.index_set(order)
+    dead = SHIPPED_DEAD_SLOTS[order] if features == "shipped" else []
+    if features == "shipped":
+        assert dead == theta2_slots(iset)
+    live = tuple(k not in dead for k in range(len(iset)))
+    assert KernelCache(model, THETA, iset)._live == live
+    assert KernelCache(model, [THETA, [0.5, 1.2], [1.3, 0.4]], iset)._live == live
+
+
+class ZeroSlotAt(BrokenObservation):
+    """Delegating model whose transition jet has slot `slot` zeroed at the parameter point `at` only."""
+
+    def __init__(self, inner, slot, at):
+        super().__init__(inner)
+        self.slot, self.at = slot, np.asarray(at, dtype=float)
+
+    def transition_grid_jet(self, theta, index_set):
+        jet = super().transition_grid_jet(theta, index_set)
+        if np.array_equal(theta, self.at):
+            jet[self.slot] = 0.0
+        return jet
+
+
+def test_a_stack_skips_a_slot_only_when_it_is_zero_at_every_point():
+    model = ZeroSlotAt(feature_model("mixed", 33), slot=2, at=THETA)
+    iset = model.index_set(2)
+    other = np.array([0.5, 1.2])
+    assert not KernelCache(model, THETA, iset)._live[2]
+    assert not KernelCache(model, [THETA, THETA], iset)._live[2]
+    assert KernelCache(model, other, iset)._live[2]
+    start = random_l0(model, iset, np.random.default_rng(5))
+    ys = np.random.default_rng(6).uniform(-2.5, 2.5, size=5)
+    for thetas in (np.array([THETA, other]), np.array([other, THETA])):
+        assert KernelCache(model, thetas, iset)._live == (True,) * len(iset)
+        for theta, state in zip(thetas, filter_iterate(model, thetas, ys, start)):
+            assert state.components.tobytes() == serial_fold(model, theta, ys, start).tobytes()
