@@ -32,7 +32,7 @@ from .filtering import MassInvariantError, PredictiveMassError
 from .grid import GridMeasure, VectorMeasure, embed
 from .loglik import loglik_jet, rml_demo
 from .models import assumption_constants, simulate
-from .oracle import FDScheme, fd_derivative, stencil_points
+from .oracle import FDScheme, fd_derivatives, stencil_points
 from .reporting import Check, ensure_outdir, format_value, write_csv, write_summary
 from .seeding import labeled_rng, labeled_seed
 
@@ -240,7 +240,7 @@ def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
         ) from err
     lam0 = GridMeasure.uniform(model.grid)
     traj = simulate(model, theta, lam0, cfg.experiment.horizon, labeled_seed(cfg.seed, "loglik-path"))
-    jet = loglik_jet(model, theta, traj.observations, lam0, keep_increments=True)
+    jet = loglik_jet(model, theta, traj.observations, lam0)
     header = ["step"] + ["psi_" + "_".join(map(str, a)) for a in iset.indices]
     rows = [
         tuple([k + 1] + [jet.increments[k, s] for s in range(len(iset))])
@@ -248,18 +248,14 @@ def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
     ]
     write_csv(os.path.join(outdir, "results.csv"), header, rows)
 
-    # The difference passes read slot 0 only, which an order-1 build of the
-    # model computes as the same float with fewer slots.
-    order1 = replace(model, order=1)
-    slot0 = lambda th: loglik_jet(order1, th, traj.observations, lam0).values[0]  # noqa: E731
-    # One memo for every alpha at theta, seeded with the jet's own slot 0.
-    evaluations = {theta.tobytes(): jet.values[0]}
+    # The difference passes read slot 0 only, which an order-0 build of the
+    # model computes as the same float, in one pass over the stencil points.
+    order0 = replace(model, order=0)
+    slot0 = lambda stack: [j.values[0] for j in loglik_jet(order0, stack, traj.observations, lam0)]  # noqa: E731
+    fds = fd_derivatives(slot0, differenced, theta, jet.values[0], scheme, model.parameter_box)
     worst = 0.0
     deriv_rows = []
-    for alpha in differenced:
-        fd = fd_derivative(
-            slot0, alpha, theta, scheme, bounds=model.parameter_box, evaluations=evaluations
-        )
+    for alpha, fd in zip(differenced, fds):
         rel = abs(jet.value(alpha) - fd) / max(abs(fd), cfg.experiment.abs_floor / cfg.experiment.rel_tol)
         worst = max(worst, rel)
         deriv_rows.append((" ".join(map(str, alpha)), jet.value(alpha), fd, rel))

@@ -19,7 +19,7 @@ from .filtering import KernelCache, _fold, filter_iterate
 from .grid import GridMeasure, StateGrid, VectorMeasure, embed, measure_distance, vector_norms
 from .models import ModelSpec, simulate
 from .multiindex import IndexSet, MultiIndex
-from .oracle import FDScheme, fd_derivative, stencil_points
+from .oracle import FDScheme, fd_derivatives
 from .seeding import NormalStreams, labeled_rng, labeled_seed
 
 DISTANCE_FLOOR = 1e-300
@@ -386,26 +386,29 @@ def derivative_identity_sweep(
     max(abs_floor / rel_tol, |finite difference|) so the report's worst
     scaled error compares directly against rel_tol.
 
-    The finite differences of one parameter point share one evaluation
-    memo across all their alpha, seeded with slot 0 of the full-order
-    pass and dropped before the next point.  stencil_points lists the
-    distinct stencil points by running fd_derivative's own recursion,
-    and the first memo miss fills the memo for all of them with one
-    filter_iterate pass over the stack of points, each of which equals
-    its serial pass bit for bit.  So at dimension 2, order 3 and the
-    default two Richardson levels a parameter point costs 1 full-order
-    pass and 1 pass over 28 stencil points, where differencing each
-    alpha on its own costs 94 passes.  That pass builds one kernel factor
-    per distinct model.kernel_keys key, not per point: 7 transition jets
-    and 7 observation evaluators for the bundled model's shipped
-    features, whose drift and observation map each read one coordinate.
-    The difference passes run on the order-0 index set (1 slot instead
-    of 10 at dimension 2, order 3).
-    For the bundled model an order-0 jet is the slot-0 prefix of the
-    order-1 jet, as both normalizers sum a stack of at least two
-    degrees, and slot 0 does not depend on the order from 1 up; so the
-    report is the one full-order passes give, bit for bit.
+    The finite differences of one parameter point come from
+    fd_derivatives, seeded with slot 0 of the full-order pass: it runs
+    one filter_iterate pass over the stack of the other stencil points,
+    each of which equals its serial pass bit for bit.  So at dimension 2,
+    order 3 and the default two Richardson levels a parameter point
+    costs 1 full-order pass and 1 pass over 28 stencil points, where
+    differencing each alpha on its own, from its own pass at theta,
+    costs 94 passes.  That pass builds
+    one kernel factor per distinct model.kernel_keys key, not per point:
+    7 transition jets and 7 observation evaluators for the bundled
+    model's shipped features, whose drift and observation map each read
+    one coordinate.  The difference passes run on the order-0 index set
+    (1 slot instead of 10 at dimension 2, order 3).  For the bundled
+    model an order-0 jet is the slot-0 prefix of the order-1 jet, as both
+    normalizers sum a stack of at least two degrees, and slot 0 does not
+    depend on the order from 1 up; so the report is the one full-order
+    passes give, bit for bit.  rel_tol must be finite and positive and
+    abs_floor finite and non-negative (ValueError otherwise).
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    if not 0.0 <= abs_floor < math.inf:
+        raise ValueError(f"abs_floor must be finite and non-negative, got {abs_floor!r}")
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     thetas = [model.validate_theta(t) for t in thetas]
     if not thetas:
@@ -420,33 +423,18 @@ def derivative_identity_sweep(
     floor_scale = abs_floor / rel_tol
     fd_start = embed(lam0, model.index_set(0))
 
-    def zero_slot_masses(theta_point):
-        # A memo miss runs one pass over this point and every stencil point
-        # not in the memo yet, and memoizes them all.
-        key = theta_point.tobytes()
-        pending = [theta_point] + [
-            p for p in stencil if p.tobytes() not in evaluations and p.tobytes() != key
-        ]
-        measures = filter_iterate(model, np.stack(pending), traj.observations, fd_start)
-        for point, measure in zip(pending, measures):
-            evaluations[point.tobytes()] = measure.components[0] * weights
-        return evaluations[key]
+    def zero_slot_masses(stack):
+        return [m.components[0] * weights for m in filter_iterate(model, stack, traj.observations, fd_start)]
 
     differenced = [alpha for alpha in index_set.indices if alpha.degree > 0]
     cells = []
     for t_idx, theta in enumerate(thetas):
         measure = filter_iterate(model, theta, traj.observations, embed(lam0, index_set))
         slot_masses = measure.components * weights
-        evaluations = {theta.tobytes(): slot_masses[0]}
-        stencil = stencil_points(differenced, theta, scheme, model.parameter_box)
-        for k, alpha in enumerate(index_set.indices):
-            if alpha.degree == 0:
-                reference = slot_masses[0]
-            else:
-                reference = fd_derivative(
-                    zero_slot_masses, alpha, theta, scheme, bounds=model.parameter_box,
-                    evaluations=evaluations,
-                )
+        references = [slot_masses[0]] + fd_derivatives(
+            zero_slot_masses, differenced, theta, slot_masses[0], scheme, model.parameter_box
+        )
+        for k, (alpha, reference) in enumerate(zip(index_set.indices, references)):
             gap = np.abs(slot_masses[k] - reference)
             max_abs = float(gap.max())
             scaled = float((gap / np.maximum(floor_scale, np.abs(reference))).max())

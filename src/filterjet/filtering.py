@@ -109,6 +109,11 @@ class KernelCache:
         else:
             self.theta = model.validate_theta(theta)
         self.index_set = model.index_set() if index_set is None else index_set
+        if self.index_set.dimension != model.dim_theta:
+            raise ValueError(
+                f"index set dimension {self.index_set.dimension} differs from the model's "
+                f"parameter dimension {model.dim_theta}"
+            )
         model.validate_order(self.index_set.order)
         self.grid = model.grid
         # (K, N, N), or (P, K, N, N) for a stack: slot k holds the transition jet row on the grid.

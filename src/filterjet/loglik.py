@@ -22,11 +22,11 @@ from .seeding import labeled_seed
 
 @dataclass(frozen=True, eq=False)
 class LogLikJet:
-    """Log-likelihood value (slot 0) and its mixed derivatives by slot."""
+    """Log-likelihood value (slot 0), its mixed derivatives by slot, and the (T, K) per-step increments."""
 
     values: np.ndarray
     index_set: IndexSet
-    increments: np.ndarray | None = None
+    increments: np.ndarray
 
     def value(self, alpha) -> float:
         return float(self.values[self.index_set.slot(alpha)])
@@ -55,32 +55,32 @@ def jet_increments_from_scalars(s_masses: np.ndarray, predictive, index_set: Ind
     return out.T
 
 
-def loglik_jet(
-    model: ModelSpec,
-    theta,
-    observations,
-    lam0: GridMeasure,
-    keep_increments: bool = False,
-) -> LogLikJet:
+def loglik_jet(model: ModelSpec, theta, observations, lam0: GridMeasure) -> LogLikJet | tuple[LogLikJet, ...]:
     """Accumulate the log-likelihood jet along the filter trajectory.
 
     Starts the filter from the embedding of lam0 and sums the per-step
     jet increments; slot 0 therefore equals the log joint observation
     density exactly (telescoping), and higher slots its derivatives.
+    theta may be a (P, dim) stack of parameter points: one pass then
+    returns a tuple of P jets, each bit for bit the jet of the pass at
+    that point alone, as filter_iterate does.
     """
     observations = _observation_block(observations)
     if observations.shape[0] < 1:
         raise ValueError("at least one observation is required")
-    measure = embed(lam0, model.index_set())
-    cache = KernelCache(model, model.validate_theta(theta), measure.index_set)
-    totals = np.zeros(len(measure.index_set))
-    steps = np.empty((observations.shape[0], len(measure.index_set))) if keep_increments else None
-    for j, (_, s_masses, predictive) in enumerate(_fold(cache, observations[:, None], measure)):
-        increments = jet_increments_from_scalars(s_masses[0], predictive[0], measure.index_set)
-        totals += increments
-        if keep_increments:
-            steps[j] = increments
-    return LogLikJet(values=totals, index_set=measure.index_set, increments=steps)
+    iset = model.index_set()
+    cache = KernelCache(model, theta, iset)
+    points = len(np.atleast_2d(cache.theta))
+    # One point takes the scalar path of jet_increments_from_scalars: 5 us
+    # against 10 us for a one-row batch at order 2.
+    rows = slice(None) if cache.theta.ndim == 2 else 0
+    steps = np.empty((points, observations.shape[0], len(iset)))
+    totals = np.zeros((points, len(iset)))
+    for j, (_, s_masses, predictive) in enumerate(_fold(cache, observations[:, None], embed(lam0, iset))):
+        steps[:, j] = jet_increments_from_scalars(s_masses[rows], predictive[rows], iset)
+        totals += steps[:, j]
+    jets = tuple(LogLikJet(values=v, index_set=iset, increments=inc) for v, inc in zip(totals, steps))
+    return jets if cache.theta.ndim == 2 else jets[0]
 
 
 @dataclass(frozen=True, eq=False)

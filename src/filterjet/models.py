@@ -323,7 +323,8 @@ class TruncatedNonlinearModel(ModelSpec):
     the grid's box; the observation density is truncated to obs_box when
     one is given, and left as a proper Gaussian density on the whole
     real line otherwise.  Both kernel jets are evaluated at the grid
-    states only.
+    states only.  order, the highest derivative degree, is 0 to 3; an
+    order-0 build computes slot 0 alone, to the bit of a higher order.
 
     Their work splits by what it depends on.  Per model: the feature
     values on the grid and the slope powers of every index (the
@@ -359,8 +360,8 @@ class TruncatedNonlinearModel(ModelSpec):
                 raise ValueError(f"unknown feature function {name!r}")
         if not (self.trans_scale > 0.0 and self.obs_scale > 0.0):
             raise ValueError("noise scales must be positive (gain invertibility)")
-        if self.order not in (1, 2, 3):
-            raise ValueError("supported derivative orders are 1, 2, 3")
+        if self.order not in (0, 1, 2, 3):
+            raise ValueError("supported derivative orders are 0, 1, 2, 3")
         if len(self.theta_box) != len(self.drift_features):
             raise ValueError("theta_box needs one interval per parameter")
         nodes = weights = None

@@ -94,19 +94,13 @@ _STENCILS = {
 }
 
 
-def _as_array(value):
-    if isinstance(value, GridMeasure):
-        return value.density
-    return np.asarray(value, dtype=float)
-
-
 def _stencil_eval(f, theta, axis, order, h):
     """Second-order central stencil for one coordinate, one derivative order."""
     acc = None
     for offset, coeff in _STENCILS[order]:
         point = np.array(theta, dtype=float)
         point[axis] += offset * h
-        val = coeff * _as_array(f(point))
+        val = coeff * f(point)
         acc = val if acc is None else acc + val
     return acc / h**order
 
@@ -122,20 +116,14 @@ def _richardson(samples):
     return table[0]
 
 
-def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None, evaluations=None):
+def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
     """Mixed parameter derivative of f by nested central differences.
 
     Coordinates are differenced one at a time following the entries of
-    alpha, each with Richardson extrapolation by step halving.  f may
-    return a float, an ndarray, or a GridMeasure; the result matches.
-
+    alpha, each with Richardson extrapolation by step halving.  f
+    returns a float or an ndarray; the result has the same shape.
     Every evaluation of f is memoized by the bytes of its parameter
-    point, so a repeated stencil point costs one call.  The memo lives
-    for one call unless the caller passes its own dict as evaluations:
-    a caller that differences several alpha at one theta shares one
-    dict across those calls (the stencils of different alpha overlap)
-    and may seed it with f's value at a point it has already computed.
-    The dict maps point bytes to f's return value.
+    point, so a repeated stencil point costs one call.
     """
     alpha = MultiIndex(alpha)
     theta = np.asarray(theta, dtype=float)
@@ -147,24 +135,17 @@ def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None, e
             if not (lo + margin < t < hi - margin):
                 raise ValueError("finite-difference stencil would leave the parameter box")
 
-    memo = {} if evaluations is None else evaluations
-
-    def cached(point):
-        key = point.tobytes()
-        if key not in memo:
-            memo[key] = f(point.copy())
-        return memo[key]
-
-    sample = cached(theta)
-    wraps_measure = isinstance(sample, GridMeasure)
-    grid = sample.grid if wraps_measure else None
+    memo = {}
 
     def derive(point, remaining):
         for axis in range(len(remaining)):
             if remaining[axis] > 0:
                 break
         else:
-            return _as_array(cached(point))
+            key = point.tobytes()
+            if key not in memo:
+                memo[key] = np.asarray(f(point.copy()), dtype=float)
+            return memo[key]
         order = remaining[axis]
         rest = list(remaining)
         rest[axis] = 0
@@ -175,30 +156,50 @@ def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None, e
             levels.append(_stencil_eval(inner, point, axis, order, h))
         return _richardson(levels)
 
-    result = derive(theta, list(alpha))
-    if wraps_measure:
-        return GridMeasure(result, grid)
-    return result
+    return derive(theta, list(alpha))
 
 
 def stencil_points(alphas, theta, scheme: FDScheme = FDScheme(), bounds=None) -> list[np.ndarray]:
-    """The distinct points at which fd_derivative evaluates f for alphas at theta.
+    """theta, then the other distinct points at which fd_derivative evaluates f for alphas at theta.
 
-    Runs fd_derivative itself over the alphas with one shared memo and a
-    recording f, so the points, listed in first-use order, are those of
-    its stencils exactly; theta is the first.  Raises fd_derivative's
-    ValueError when a stencil would leave the bounds.
+    Runs fd_derivative itself over the alphas with a recording f, so the
+    points after theta, in first-use order, are those of its stencils
+    exactly.  Raises fd_derivative's ValueError when a stencil would
+    leave the bounds.
     """
-    points = []
+    theta = np.asarray(theta, dtype=float)
+    points = {theta.tobytes(): theta}
 
     def record(point):
-        points.append(point)
+        points.setdefault(point.tobytes(), point)
         return 0.0
 
-    evaluations = {}
     for alpha in alphas:
-        fd_derivative(record, alpha, theta, scheme, bounds, evaluations)
-    return points
+        fd_derivative(record, alpha, theta, scheme, bounds)
+    return list(points.values())
+
+
+def fd_derivatives(f, alphas, theta, at_theta, scheme: FDScheme = FDScheme(), bounds=None) -> list:
+    """fd_derivative of every alpha at theta, from one call of f on a stack of points.
+
+    at_theta is f's value at theta, which the caller already has.  f
+    takes the (P, dim) stack of the other stencil_points and returns
+    their P values in order.  It runs once, inside the first
+    fd_derivative that needs a point other than theta, and each result
+    equals that of fd_derivative with f evaluated point by point,
+    provided f gives each point of a stack the value it gives the point
+    alone.
+    """
+    points = stencil_points(alphas, theta, scheme, bounds)
+    values = {points[0].tobytes(): at_theta}
+
+    def lookup(point):
+        key = point.tobytes()
+        if key not in values:
+            values.update(zip((p.tobytes() for p in points[1:]), f(np.stack(points[1:]))))
+        return values[key]
+
+    return [fd_derivative(lookup, alpha, theta, scheme, bounds) for alpha in alphas]
 
 
 @dataclass(frozen=True, eq=False)

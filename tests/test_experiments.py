@@ -225,6 +225,15 @@ class TestDerivativeIdentitySweep:
         with pytest.raises(ValueError, match="thetas"):
             derivative_identity_sweep(make_model(cells=8, order=1), [], horizon=2, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("rel_tol", 0.0), ("rel_tol", -1e-4), ("rel_tol", math.inf), ("rel_tol", math.nan),
+         ("abs_floor", -1e-6), ("abs_floor", math.inf), ("abs_floor", math.nan)],
+    )
+    def test_tolerances_out_of_range_are_rejected(self, theta, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            derivative_identity_sweep(make_model(cells=8, order=1), [theta], horizon=2, seed=0, **{name: value})
+
     def test_zero_order_rows_are_exact(self, theta):
         model = make_model(cells=16, order=1)
         report = derivative_identity_sweep(model, [theta], horizon=4, seed=17)

@@ -1,12 +1,12 @@
 """The derivative-identity sweep's finite-difference passes.
 
-The sweep differences slot 0 of the filter through one evaluation memo
-per parameter point and runs those passes on the order-0 index set.  The
-tests here guard both choices: slot 0 does not depend on the index set's
-order, and the memoized sweep reports exactly what the plain per-alpha
-sweep with full-order passes reports, with 2 passes instead of 94 at
-dimension 2 and order 3: one full-order pass and one order-0 pass over
-the stack of 28 stencil points.
+The sweep differences slot 0 of the filter through fd_derivatives, one
+stacked pass per parameter point, and runs those passes on the order-0
+index set.  The tests here guard both choices: slot 0 of the filter and
+of the log-likelihood does not depend on the order, and the sweep
+reports exactly what the plain per-alpha sweep with full-order passes
+reports, with 2 passes instead of 94 at dimension 2 and order 3: one
+full-order pass and one order-0 pass over the stack of 28 stencil points.
 """
 from functools import lru_cache
 
@@ -24,6 +24,7 @@ from filterjet import (
     embed,
     fd_derivative,
     filter_iterate,
+    loglik_jet,
     simulate,
 )
 from filterjet.experiments import SweepCell
@@ -61,8 +62,13 @@ def test_slot0_does_not_depend_on_the_order(variant, cells, theta):
     model = line_model(variant, cells)
     ys = observations(variant, cells)
     full = slot0(model, theta, ys, model.max_order)
+    lam = GridMeasure.uniform(model.grid)
+    full_loglik = loglik_jet(model, theta, ys, lam).values[0]
     for order in range(model.max_order):
         assert np.array_equal(slot0(model, theta, ys, order), full)
+        # filterjet loglik differences slot 0 of an order-0 build of its model
+        lower = line_model(variant, cells, order)
+        assert loglik_jet(lower, theta, ys, lam).values[0] == full_loglik
 
 
 # Orders 1 and up only: the planar model sums its normalizers with its own
@@ -143,9 +149,23 @@ def test_one_full_pass_and_one_order0_pass_over_28_points(monkeypatch):
     derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
     assert passes == [(3, None), (0, 28)]
 
-    # the same sweep without the shared memo: one fd_derivative per alpha
+    # The same sweep without the shared stencil: each alpha on its own memo,
+    # which holds a pass at theta and one pass per point of that alpha's stencil.
+    def per_alpha_fds(f, alphas, theta, at_theta, scheme, bounds):
+        def differenced(alpha):
+            memo = {theta.tobytes(): f(theta[None])[0]}
+
+            def one_point(point):
+                key = point.tobytes()
+                if key not in memo:
+                    memo[key] = f(point[None])[0]
+                return memo[key]
+
+            return fd_derivative(one_point, alpha, theta, scheme, bounds)
+
+        return [differenced(alpha) for alpha in alphas]
+
     passes.clear()
-    per_alpha_fd = lambda *args, evaluations=None, **kw: fd_derivative(*args, **kw)  # noqa: E731
-    monkeypatch.setattr(experiments, "fd_derivative", per_alpha_fd)
+    monkeypatch.setattr(experiments, "fd_derivatives", per_alpha_fds)
     derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
     assert len(passes) == 94

@@ -130,18 +130,14 @@ def reference_ergodicity(model, theta, phi, initial_conditions, record_ns, repli
 @pytest.mark.parametrize("jet_block", JET_BLOCKS, indirect=True)
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("keep_increments", [False, True])
-def test_loglik_jet_equals_the_serial_step_fold(variant, order, jet_block, keep_increments):
+def test_loglik_jet_equals_the_serial_step_fold(variant, order, jet_block):
     model = line_model(variant, order)
     lam0 = GridMeasure.uniform(model.grid)
     ys = simulate(model, THETA, lam0, 12, seed=order).observations
-    jet = loglik_jet(model, THETA, ys, lam0, keep_increments=keep_increments)
+    jet = loglik_jet(model, THETA, ys, lam0)
     totals, increments = reference_loglik_jet(model, THETA, ys, lam0)
     assert np.array_equal(jet.values, totals)
-    if keep_increments:
-        assert np.array_equal(jet.increments, increments)
-    else:
-        assert jet.increments is None
+    assert np.array_equal(jet.increments, increments)
 
 
 @pytest.mark.parametrize("jet_block", JET_BLOCKS, indirect=True)
@@ -239,7 +235,23 @@ def test_a_step_abort_in_a_later_jet_block_names_its_step(gaussian_model, jet_bl
     assert (info.value.replica, info.value.observation_index) == (0, 3)
 
 
-def test_loglik_jet_rejects_a_stack_of_points():
-    model = line_model("compact", 1)
-    with pytest.raises(ValueError, match="theta must have shape"):
-        loglik_jet(model, np.stack([THETA, THETA]), [0.1, 0.2], GridMeasure.uniform(model.grid))
+# Row 2 repeats row 0, so a stack's points need not be distinct.
+@pytest.mark.parametrize("jet_block", [None, 3], indirect=True)
+@pytest.mark.parametrize("points", [1, 2, 28])
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loglik_jet_over_a_stack_equals_per_point_jets(variant, order, points, jet_block):
+    model = line_model(variant, order)
+    lam0 = GridMeasure.uniform(model.grid)
+    ys = simulate(model, THETA, lam0, 7, seed=points).observations
+    stack = np.random.default_rng(points).uniform(0.3, 1.4, size=(points, 2))
+    if points > 2:
+        stack[2] = stack[0]
+    jets = loglik_jet(model, stack, ys, lam0)
+    assert isinstance(jets, tuple) and len(jets) == points
+    for theta, jet in zip(stack, jets):
+        totals, increments = reference_loglik_jet(model, theta, ys, lam0)
+        alone = loglik_jet(model, theta, ys, lam0)
+        for got in (jet, alone):
+            assert np.array_equal(got.values, totals)
+            assert np.array_equal(got.increments, increments)

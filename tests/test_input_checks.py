@@ -26,6 +26,8 @@ from filterjet import (
     simulate,
 )
 
+from filterjet.multiindex import enumerate_indices
+
 from conftest import THETA, make_model
 
 
@@ -113,3 +115,15 @@ def test_path_sum_oracle_rejects_a_two_dimensional_block(oracle):
     small = make_model(cells=8, order=1)
     with pytest.raises(ValueError, match="observations must be one-dimensional"):
         oracle(small, THETA, np.zeros((2, 2)), GridMeasure.uniform(small.grid))
+
+
+# Each slot would take the slope factors of another index.
+@pytest.mark.parametrize("dimension, order", [(3, 1), (1, 2)])
+def test_an_index_set_of_another_dimension_is_rejected(dimension, order):
+    model = make_model(cells=24, order=2)
+    start = embed(GridMeasure.uniform(model.grid), enumerate_indices(dimension, order))
+    message = f"index set dimension {dimension} differs from the model's parameter dimension 2"
+    with pytest.raises(ValueError, match=message):
+        filter_iterate(model, THETA, [0.1, 0.3], start)
+    with pytest.raises(ValueError, match=message):
+        filter_step(model, THETA, 0.1, start)

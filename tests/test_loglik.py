@@ -173,7 +173,7 @@ class TestLogLikJet:
     def test_telescoping_is_exact(self, model32, theta):
         lam = GridMeasure.uniform(model32.grid)
         traj = simulate(model32, theta, lam, 20, seed=23)
-        jet = loglik_jet(model32, theta, traj.observations, lam, keep_increments=True)
+        jet = loglik_jet(model32, theta, traj.observations, lam)
         assert jet.increments.shape == (20, 6)
         assert np.allclose(jet.increments.sum(axis=0), jet.values, rtol=0, atol=0)
 

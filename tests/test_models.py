@@ -380,11 +380,12 @@ class TestBuildMatchesReplacedBuild:
                 other.transition_grid_jet(THETA, iset), model.transition_grid_jet(THETA, iset)
             )
 
+    @pytest.mark.parametrize("lower_order", [0, 1])
     @pytest.mark.parametrize("variant", ["compact", "gaussian"])
-    def test_a_lower_order_copy_has_the_same_jets(self, variant):
-        # the loglik experiment differences a dataclasses.replace(model, order=1) copy
+    def test_a_lower_order_copy_has_the_same_jets(self, variant, lower_order):
+        # the loglik experiment differences a dataclasses.replace(model, order=0) copy
         model = _model(variant, 3)
-        lower = dataclasses.replace(model, order=1)
+        lower = dataclasses.replace(model, order=lower_order)
         iset = lower.index_set()
         assert np.array_equal(lower.transition_grid_jet(THETA, iset), model.transition_grid_jet(THETA, iset))
         for y in (0.4, np.array([[-1.3], [2.2]])):

@@ -7,6 +7,7 @@ from filterjet import (
     FDScheme,
     GridMeasure,
     embed,
+    enumerate_indices,
     fd_derivative,
     filter_step,
     oracle_filter,
@@ -16,6 +17,7 @@ from filterjet import (
     tv_norm,
 )
 from filterjet.multiindex import MultiIndex
+from filterjet.oracle import fd_derivatives, stencil_points
 
 from conftest import THETA, make_model
 
@@ -88,17 +90,17 @@ class TestFdDerivative:
         rhs = mat @ fd_derivative(f, (1, 1), theta, scheme)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_grid_measure_codomain(self, model8, theta):
+    def test_density_codomain(self, model8, theta):
         lam = GridMeasure.uniform(model8.grid)
         iset = model8.index_set()
 
         def posterior(th):
-            return filter_step(model8, th, 0.4, embed(lam, iset)).component(iset.zero)
+            return filter_step(model8, th, 0.4, embed(lam, iset)).component(iset.zero).density
 
         out = fd_derivative(posterior, (1, 0), theta, bounds=model8.parameter_box)
-        assert isinstance(out, GridMeasure)
+        assert out.shape == (model8.grid.size,)
         direct = filter_step(model8, theta, 0.4, embed(lam, iset)).component((1, 0))
-        assert np.max(np.abs(out.density - direct.density)) <= 1e-6
+        assert np.max(np.abs(out - direct.density)) <= 1e-6
 
     def test_bounds_guard(self):
         f = lambda th: th[0]  # noqa: E731
@@ -108,6 +110,57 @@ class TestFdDerivative:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fd_derivative(lambda th: th[0], (1, 0), np.array([0.5]))
+
+
+class TestFdDerivatives:
+    @staticmethod
+    def f(th):
+        return np.array([math.sin(3.0 * th[0]) * math.exp(th[1]), th[0] ** 3 * th[1] ** 2])
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_stacked_call_equals_per_alpha_differences(self, order, levels):
+        scheme = FDScheme(1e-3, levels)
+        theta = np.array([0.7, 0.4])
+        bounds = ((0.2, 1.5), (0.2, 1.5))
+        alphas = [a for a in enumerate_indices(2, order).indices if a.degree > 0]
+        calls = []
+
+        def on_stack(stack):
+            calls.append(stack.copy())
+            return [self.f(point) for point in stack]
+
+        got = fd_derivatives(on_stack, alphas, theta, self.f(theta), scheme, bounds)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.stack(stencil_points(alphas, theta, scheme, bounds)[1:]))
+        assert len(got) == len(alphas)
+        for alpha, value in zip(alphas, got):
+            assert np.array_equal(value, fd_derivative(self.f, alpha, theta, scheme, bounds))
+
+    def test_theta_takes_the_given_value(self):
+        # (2, 0) reads theta; f is never asked for it
+        at_theta = np.array([5.0, -1.0])
+        got = fd_derivatives(
+            lambda stack: [self.f(p) for p in stack], [(2, 0)], np.array([0.7, 0.4]), at_theta
+        )[0]
+        want = fd_derivative(
+            lambda th: at_theta if np.array_equal(th, [0.7, 0.4]) else self.f(th), (2, 0), np.array([0.7, 0.4])
+        )
+        assert np.array_equal(got, want)
+
+    def test_stencil_points_lists_theta_first_and_each_point_once(self):
+        theta = np.array([0.7, 0.4])
+        points = stencil_points([(1, 0), (0, 1), (2, 0), (1, 1)], theta, FDScheme(1e-3, 2))
+        assert np.array_equal(points[0], theta)
+        # theta, 4 points each for (1, 0) and (0, 1), none new for (2, 0), 16 for (1, 1)
+        assert len({p.tobytes() for p in points}) == len(points) == 1 + 4 + 4 + 16
+
+    def test_a_stencil_outside_the_bounds_calls_nothing(self):
+        def on_stack(stack):
+            raise AssertionError("f must not run")
+
+        with pytest.raises(ValueError, match="parameter box"):
+            fd_derivatives(on_stack, [(1,)], np.array([0.2001]), 0.0, FDScheme(1e-3, 2), ((0.2, 1.5),))
 
 
 class TestOracleFilter:

@@ -82,20 +82,21 @@ def serial_sweep(model, thetas, horizon, seed, scheme=FDScheme(), rel_tol=1e-4, 
     fd_start = embed(lam0, model.index_set(0))
 
     def zero_slot_masses(theta_point):
-        return serial_fold(model, theta_point, traj.observations, fd_start)[0] * weights
+        # One memo for every alpha of a parameter point, seeded with its full-order slot 0.
+        key = theta_point.tobytes()
+        if key not in memo:
+            memo[key] = serial_fold(model, theta_point, traj.observations, fd_start)[0] * weights
+        return memo[key]
 
     cells = []
     for t_idx, theta in enumerate(thetas):
         slot_masses = serial_fold(model, theta, traj.observations, embed(lam0, index_set)) * weights
-        evaluations = {theta.tobytes(): slot_masses[0]}
+        memo = {theta.tobytes(): slot_masses[0]}
         for k, alpha in enumerate(index_set.indices):
             if alpha.degree == 0:
                 reference = slot_masses[0]
             else:
-                reference = fd_derivative(
-                    zero_slot_masses, alpha, theta, scheme, bounds=model.parameter_box,
-                    evaluations=evaluations,
-                )
+                reference = fd_derivative(zero_slot_masses, alpha, theta, scheme, bounds=model.parameter_box)
             gap = np.abs(slot_masses[k] - reference)
             scaled = float((gap / np.maximum(floor_scale, np.abs(reference))).max())
             cells.append(SweepCell(t_idx, alpha, float(gap.max()), scaled))

@@ -206,7 +206,7 @@ def test_folds_equal_chained_core_steps(kind, cells, order, seed, ys):
         assert np.array_equal(folded.components, chained.components)
 
     lam0 = random_l0(model, iset, rng).component(iset.zero)
-    increments = loglik_jet(model, THETA, ys, lam0, keep_increments=True).increments
+    increments = loglik_jet(model, THETA, ys, lam0).increments
     chained = embed(lam0, iset)
     for y, folded in zip(ys, increments):
         chained, s_masses, predictive = filter_step_with_scalars(cache, y, chained)
