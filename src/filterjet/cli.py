@@ -23,6 +23,7 @@ from .config import (
     render_config,
 )
 from .experiments import (
+    _FORGETTING_MIN_HORIZON,
     PHI_BUILTINS,
     derivative_identity_sweep,
     ergodicity_experiment,
@@ -114,6 +115,9 @@ def _run_check_derivs(cfg: RunConfig, outdir: str) -> list[Check]:
 
 
 def _run_forgetting(cfg: RunConfig, outdir: str) -> list[Check]:
+    if cfg.experiment.horizon < _FORGETTING_MIN_HORIZON:
+        need = f"at least {_FORGETTING_MIN_HORIZON} for forgetting"
+        raise ConfigError(f"[experiment] horizon: must be {need}, got {cfg.experiment.horizon}")
     model = build_model(cfg)
     theta = reference_theta(cfg)
     iset = model.index_set()
@@ -165,12 +169,15 @@ def _run_forgetting(cfg: RunConfig, outdir: str) -> list[Check]:
 
 
 def _ergodicity_starts(model, iset):
+    """(x0, y0, start) per start; the shifted chain filters y0, so it lies in the observation box."""
     grid = model.grid
     mid = grid.size // 2
+    lo, hi = model.obs_box or (-np.inf, np.inf)
+    y0 = [min(max(y, lo), hi) for y in (-1.0, 1.0, 0.0)]
     return [
-        (float(grid.axis(0)[0]), -1.0, embed(GridMeasure.point_mass(grid, 0), iset)),
-        (float(grid.axis(0)[-1]), 1.0, embed(GridMeasure.point_mass(grid, grid.size - 1), iset)),
-        (float(grid.axis(0)[mid]), 0.0, embed(GridMeasure.uniform(grid), iset)),
+        (float(grid.axis(0)[0]), y0[0], embed(GridMeasure.point_mass(grid, 0), iset)),
+        (float(grid.axis(0)[-1]), y0[1], embed(GridMeasure.point_mass(grid, grid.size - 1), iset)),
+        (float(grid.axis(0)[mid]), y0[2], embed(GridMeasure.uniform(grid), iset)),
     ]
 
 

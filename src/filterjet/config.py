@@ -83,7 +83,6 @@ class ModelConfig:
     theta_min: tuple[float, ...] = _reals((0.2, 0.2))
     theta_max: tuple[float, ...] = _reals((1.5, 1.5))
     theta: tuple[float, ...] = _reals((0.8, 0.9))
-    obs_quad_cells: int = _count(161, 1)
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,6 @@ def build_model(cfg: RunConfig, grid: StateGrid | None = None) -> TruncatedNonli
         theta_box=tuple(zip(m.theta_min, m.theta_max)),
         obs_box=(m.obs_min, m.obs_max) if m.variant == "compact" else None,
         order=cfg.derivatives.order,
-        obs_quad_cells=m.obs_quad_cells,
     )
 
 

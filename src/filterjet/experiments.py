@@ -24,6 +24,7 @@ from .seeding import NormalStreams, labeled_rng, labeled_seed
 
 DISTANCE_FLOOR = 1e-300
 FIT_NOISE_FLOOR = 1e-14  # below this, distances are rounding noise, not decay
+_FORGETTING_MIN_HORIZON = 20  # the decay fit needs the latter three quarters of a long enough curve
 
 
 def log_linear_fit(ns: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
@@ -82,8 +83,8 @@ def forgetting_experiment(
     Identical pairs give an all-zero curve with the fit skipped;
     underflowed distances truncate the curve.
     """
-    if n_max < 20:
-        raise ValueError("forgetting experiments need a horizon of at least 20")
+    if n_max < _FORGETTING_MIN_HORIZON:
+        raise ValueError(f"forgetting experiments need a horizon of at least {_FORGETTING_MIN_HORIZON}")
     theta = model.validate_theta(theta)
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     fit_start, fit_stop = fit_window if fit_window is not None else (max(1, n_max // 4), n_max)

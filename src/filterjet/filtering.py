@@ -148,24 +148,18 @@ class KernelCache:
     def observation_vectors(self, ys) -> np.ndarray:
         """(K, R, N) observation-density jet on the grid at the (R,) observations ys.
 
-        A cache of a (P, dim) stack returns (P, K, R, N), point by point:
-        each distinct evaluator runs once and its points share its jet.
+        One observation goes to a one-point cache's evaluator as a float,
+        whose domain check and grid broadcast skip NumPy's general path:
+        12% of an R = 1 step at N = 32, order 1 (BENCH_6.json,
+        `r1_branches`).  A cache of a (P, dim) stack returns (P, K, R, N),
+        point by point: each distinct evaluator runs once, on the (R, 1)
+        column, and its points share its jet.
         """
         ys = np.asarray(ys, dtype=float)
         if self.theta.ndim == 2:
-            jets = [_jet_at(at, ys) for at in self._obs_at]
+            jets = [at(ys.reshape(-1, 1)) for at in self._obs_at]
             return np.stack([jets[i] for i in self._obs_index])
-        return _jet_at(self._obs_at, ys)
-
-
-def _jet_at(at, ys: np.ndarray) -> np.ndarray:
-    """(K, R, N) jet of the observation evaluator `at` at the (R,) observations ys.
-
-    One observation goes to the model as a float, whose domain check and
-    grid broadcast skip NumPy's general path: 12% of an R = 1 step at
-    N = 32, order 1 (BENCH_6.json, `r1_branches`).
-    """
-    return at(ys.item())[:, None] if ys.size == 1 else at(ys[:, None])
+        return self._obs_at(ys.item())[:, None] if ys.size == 1 else self._obs_at(ys[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -200,16 +194,16 @@ def _update_plan(index_set: IndexSet):
     return plan
 
 
-def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray, obs=None) -> np.ndarray:
-    """(R, K, N) unnormalized prediction-update of R replicas' weighted slots at ys.
+def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """(R, K, N) unnormalized prediction-update of R replicas' weighted slots.
 
     Row k sums, over beta + q + b = k, the multinomial weight times
     obs[beta] * (trans[q] @ weighted[b]), slot-major: one GEMM per
     transition slot q moves every replica, one GEMM pairs the products,
     and slot 0 of a batch is the factored obs[0] * moved[0].  Only one
     replica assembles a kernel, for slot 0.  obs is the jet that
-    cache.observation_vectors(ys) returns, evaluated here unless given.
-    A cache of P points takes (P·R, K, N) rows and runs _stacked_update;
+    cache.observation_vectors(ys) returns at the R observations.  A
+    cache of P points takes (P·R, K, N) rows and runs _stacked_update;
     one point keeps this 2-D path, because the stack's 4-D bookkeeping
     cost rml-online 6-9% of its steps/s (BENCH_15.json).  A transition
     slot that is zero on the whole grid moves nothing: its moved rows keep
@@ -217,7 +211,6 @@ def _prediction_update(cache: KernelCache, ys: np.ndarray, weighted: np.ndarray,
     memory.
     """
     plan = _update_plan(cache.index_set)
-    obs = cache.observation_vectors(ys) if obs is None else obs
     if cache.theta.ndim == 2:
         return _stacked_update(plan, cache._live, cache.trans, obs, weighted)
     blocks, obs_rows, moved_rows, coeff = plan
@@ -292,20 +285,20 @@ def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=
         )
 
 
-def _normalized_update(cache: KernelCache, ys, components, observation_index=None, obs=None):
+def _normalized_update(cache: KernelCache, obs, components, observation_index=None):
     """Prediction-update of every slot divided by the slot-0 predictive mass, per row.
 
-    ys is (R,) and components (P·R, K, N), as for _prediction_update,
-    which also takes obs; returns the (P·R, K, N) update and the (P·R,)
-    predictive masses.  Raises ValueError unless every slot 0 is a
-    probability, and PredictiveMassError when a predictive mass is not
-    above PREDICTIVE_FLOOR; both name the first failing row's parameter
-    point (when there is more than one), its replica (when its point has
-    more than one) and the observation index.
+    obs and components (P·R, K, N) are as for _prediction_update;
+    returns the (P·R, K, N) update and the (P·R,) predictive masses.
+    Raises ValueError unless every slot 0 is a probability, and
+    PredictiveMassError when a predictive mass is not above
+    PREDICTIVE_FLOOR; both name the first failing row's parameter point
+    (when there is more than one), its replica (when its point has more
+    than one) and the observation index.
     """
     grid = cache.grid
     _check_l0(components, grid, observation_index, cache.theta)
-    update = _prediction_update(cache, ys, components * grid.weights, obs)
+    update = _prediction_update(cache, obs, components * grid.weights)
     predictive = np.matmul(update[:, None, 0], grid.weights)[:, 0]
     if not predictive.min() > PREDICTIVE_FLOOR:
         row = int(np.argmin(predictive > PREDICTIVE_FLOOR))
@@ -314,22 +307,22 @@ def _normalized_update(cache: KernelCache, ys, components, observation_index=Non
     return update / predictive[:, None, None], predictive
 
 
-def _step(cache: KernelCache, ys, components, observation_index=None, obs=None):
+def _step(cache: KernelCache, obs, components, observation_index=None):
     """One filter step of every row of a kernel cache; every filter pass runs it.
 
     The rows of components (P·R, K, N) are R replicas for each of the
     cache's P parameter points, point by point, and replica r updates
-    with the observation ys[r]; obs, the observation jet at ys, may be
-    given precomputed.  Returns (components, s_masses (P·R, K),
-    predictive (P·R,)): s_masses[i, k] is the total mass of the k-th
-    normalized prediction-update of row i and predictive[i] the
+    with the observation ys[r]: obs is cache.observation_vectors(ys),
+    the observation jet at the (R,) ys.  Returns (components, s_masses
+    (P·R, K), predictive (P·R,)): s_masses[i, k] is the total mass of
+    the k-th normalized prediction-update of row i and predictive[i] the
     unnormalized slot-0 mass that normalizes it.  Slot 0 becomes the
     Bayes-updated probability; each higher slot is its prediction-update
     minus the binomial-weighted recentering by lower slots, evaluated in
     increasing degree.  Aborts name the parameter point (when P > 1),
     the replica (when R > 1) and observation_index.
     """
-    f_dens, predictive = _normalized_update(cache, ys, components, observation_index, obs)
+    f_dens, predictive = _normalized_update(cache, obs, components, observation_index)
     s_masses = f_dens @ cache.grid.weights
     # Recenter in place in increasing degree, so every slot b < k is final;
     # the last pair of each row is b == k itself.  Slot-major views let
@@ -395,25 +388,8 @@ def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
     ys = np.asarray(y, dtype=float)
     if ys.ndim != 0:
         raise ValueError(f"y must be a scalar observation, got shape {ys.shape}")
-    components, s_masses, predictive = _step(cache, ys.reshape(1), measure.components[None])
+    components, s_masses, predictive = _step(cache, cache.observation_vectors(ys), measure.components[None])
     return VectorMeasure(components[0], measure.index_set, measure.grid), s_masses[0], float(predictive[0])
-
-
-def _indexed_step(cache: KernelCache, y, measure: VectorMeasure, observation_index: int):
-    """filter_step_with_scalars, with every abort naming its observation.
-
-    Only rml_demo steps through it: its parameter moves, so it builds a
-    cache per step.  It keeps the public wrapper because the benchmark
-    traces only the public step functions, and CI's traced rml-online run
-    needs that step layer to count.  Re-raises the predictive-mass, input
-    (ValueError) and slot-mass aborts with the observation index.
-    """
-    try:
-        return filter_step_with_scalars(cache, y, measure)
-    except PredictiveMassError as err:
-        raise PredictiveMassError(err.mass, observation_index=observation_index) from err
-    except (ValueError, MassInvariantError) as err:
-        raise type(err)(f"{err}{_where(None, observation_index)}") from err
 
 
 def _observation_block(observations) -> np.ndarray:
@@ -469,8 +445,8 @@ def _fold(cache: KernelCache, observations: np.ndarray, starts):
                 except ValueError as err:
                     raise ValueError(f"{err}{_where(r if replicas > 1 else None, first + j + 1)}") from err
             raise
-        for j, row in enumerate(ys):
-            step = _step(cache, row, components, first + j + 1, jets[..., j * replicas : (j + 1) * replicas, :])
+        for j in range(len(ys)):
+            step = _step(cache, jets[..., j * replicas : (j + 1) * replicas, :], components, first + j + 1)
             components = step[0]
             yield step
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import KernelCache, _fold, _indexed_step, _observation_block
+from .filtering import KernelCache, MassInvariantError, PredictiveMassError, filter_step_with_scalars
+from .filtering import _fold, _observation_block, _where
 from .grid import GridMeasure, embed
 from .models import ModelSpec, simulate
 from .multiindex import IndexSet, MultiIndex, enumerate_indices, shifted_pair_table
@@ -169,7 +170,7 @@ def rml_demo(
     degree-1 jet increments at the current estimate serve as the
     gradient estimate, with decreasing steps a / (b + k).  Estimates
     that leave the parameter box are pulled back to its interior and
-    counted.
+    counted.  Every abort of a step names its observation index.
     """
     if model.max_order < 1:
         raise ValueError("gradient ascent needs derivative order >= 1")
@@ -193,7 +194,12 @@ def rml_demo(
     projections = 0
     for k, y in enumerate(traj.observations):
         cache = KernelCache(model, current, iset)
-        measure, s_masses, predictive = _indexed_step(cache, y, measure, k + 1)
+        try:
+            measure, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
+        except PredictiveMassError as err:
+            raise PredictiveMassError(err.mass, observation_index=k + 1) from err
+        except (ValueError, MassInvariantError) as err:
+            raise type(err)(f"{err}{_where(None, k + 1)}") from err
         increments = jet_increments_from_scalars(s_masses, predictive, iset)
         gradient = increments[grad_slots]
         current = current + (step_a / (step_b + k)) * gradient

@@ -37,6 +37,8 @@ SAMPLER_MAX_TRIALS = 10**6
 # Widest block of its stream a pending row reads in one rejection round:
 # alone, and with the rows of other streams.
 _ROUND_WIDTH_MAX, _SHARED_WIDTH_MAX = 1024, 32
+# Midpoint cells of the compact observation normalizer's quadrature over obs_box.
+_OBS_QUAD_CELLS = 161
 
 FEATURE_FUNCTIONS = {
     "zero": lambda x: np.zeros_like(x),
@@ -342,7 +344,6 @@ class TruncatedNonlinearModel(ModelSpec):
     theta_box: tuple[tuple[float, float], ...]
     obs_box: tuple[float, float] | None = None
     order: int = 2
-    obs_quad_cells: int = 161
     _obs_nodes: np.ndarray | None = field(default=None, init=False, repr=False)
     _obs_weights: np.ndarray | None = field(default=None, init=False, repr=False)
     _drift_scalars: tuple = field(init=False, repr=False)
@@ -369,9 +370,8 @@ class TruncatedNonlinearModel(ModelSpec):
             lo, hi = self.obs_box
             if not hi > lo:
                 raise ValueError("obs_box must be a nondegenerate interval")
-            n = int(self.obs_quad_cells)
-            h = (hi - lo) / n
-            nodes, weights = lo + h * (np.arange(n) + 0.5), np.full(n, h)
+            h = (hi - lo) / _OBS_QUAD_CELLS
+            nodes, weights = lo + h * (np.arange(_OBS_QUAD_CELLS) + 0.5), np.full(_OBS_QUAD_CELLS, h)
         object.__setattr__(self, "_obs_nodes", nodes)
         object.__setattr__(self, "_obs_weights", weights)
         for attr, names in (("_drift_scalars", self.drift_features), ("_obs_scalars", self.obs_features)):
@@ -477,12 +477,15 @@ class TruncatedNonlinearModel(ModelSpec):
         # NaN fails every comparison.  A scalar y, one per filter step, skips NumPy.
         lo, hi = self.obs_box or (-math.inf, math.inf)
         if isinstance(y, float):
-            inside = lo <= y <= hi and math.isfinite(y)
+            if lo <= y <= hi and math.isfinite(y):
+                return
         else:
             y = np.asarray(y, dtype=float)
-            inside = bool(np.all(np.isfinite(y) & (lo <= y) & (y <= hi)))
-        if not inside:
-            raise ValueError(f"observation {y!r} is not finite or lies outside [{lo}, {hi}]")
+            inside = np.isfinite(y) & (lo <= y) & (y <= hi)
+            if inside.all():
+                return
+            y = float(y[~inside][0])
+        raise ValueError(f"observation {y!r} is not finite or lies outside [{lo}, {hi}]")
 
     # -- sampling ---------------------------------------------------------------
     def _scalar_location(self, features, theta, x: float) -> float:
@@ -610,7 +613,7 @@ def assumption_constants(
     compact = model.compact_observations
     degrees = np.asarray(iset.degrees)
 
-    p_min = math.inf
+    p_min = q_min = math.inf
     p_deriv_max = 0.0
     q_max = 0.0
     q_all_max = 0.0
@@ -624,13 +627,13 @@ def assumption_constants(
         p_min = min(p_min, float(trans[0].min()))
         p_deriv_max = max(p_deriv_max, float(np.abs(trans).max()))
         p_scores = trans / trans[0]
-        # Level constants come from the observation density over a scan set:
-        # the quadrature nodes for a compact domain, a central probe band
-        # plus the samples otherwise.
+        # Level constants come from the observation density over a scan set: the
+        # samples plus the quadrature nodes for a compact domain, where slot 0 at
+        # the nodes bounds the density below, or plus a central probe band.
         if compact:
             y_scan = np.concatenate([y_values, model._obs_nodes])
         else:
-            obs_locations = np.tensordot(theta, model._obs_tables[0], axes=1)
+            obs_locations = _location(model._obs_tables, theta)
             pad = 4.0 * model.obs_scale
             probe = np.linspace(obs_locations.min() - pad, obs_locations.max() + pad, 41)
             y_scan = np.concatenate([y_values, probe])
@@ -641,6 +644,7 @@ def assumption_constants(
         # the normalizer is constant in theta, so they are pure Hermite
         # ratios and stay finite in the far tails where q underflows.
         if compact:
+            q_min = min(q_min, float(obs[0, y_values.size :].min()))
             obs_scores = obs / obs[0]
         else:
             at, factors = model._location_jet(
@@ -663,12 +667,12 @@ def assumption_constants(
     psi_table = ratio_max.max(axis=1)
 
     if compact:
-        eps1 = min(p_min, _compact_q_min(model, theta_samples))
+        eps1 = min(p_min, q_min)
         if eps1 <= 0.0:
             raise ValueError("zero kernel encountered; mixing assumption fails on the grid")
         k1 = max(p_deriv_max, q_all_max)
         epsilon = min(eps1 * eps1, 1.0 / (k1 * k1))
-        psi_constant = 2.0 * k1 * k1 / (eps1 * eps1)
+        psi_constant = _envelope_constant("2*k1**2/eps1**2", 2.0 * k1 * k1, eps1, k1=k1, eps1=eps1)
         phi_bound = k1 * k1
         envelope = np.full(y_values.size, psi_constant)
         density_min = eps1
@@ -680,15 +684,21 @@ def assumption_constants(
         k2 = p_deriv_max
         k3 = max(q_max, q_scaled_ratio, 1.0)
         epsilon = min(eps2, 1.0 / k2)
-        psi_constant = 2.0 * k2 * k3 / (eps2 * eps2)
+        psi_constant = _envelope_constant("2*k2*k3/eps2**2", 2.0 * k2 * k3, eps2, k2=k2, k3=k3, eps2=eps2)
         phi_bound = k2 * k3
-        envelope = psi_constant * (1.0 + np.abs(y_values)) ** 2
+        with np.errstate(over="ignore"):
+            envelope = psi_constant * (1.0 + np.abs(y_values)) ** 2
         density_min = eps2
         deriv_max = k2
 
     envelope_holds = True
     for k in range(1, len(iset)):
-        if np.any(ratio_max[:, k] > envelope ** degrees[k] * (1.0 + 1e-9)):
+        with np.errstate(over="ignore"):
+            bound = envelope ** degrees[k] * (1.0 + 1e-9)
+        if not np.isfinite(bound).all():
+            top = f"envelope up to {float(envelope.max())!r} from psi_constant {psi_constant!r}"
+            raise ArithmeticError(f"score envelope to the power {degrees[k]} leaves float range: {top}")
+        if np.any(ratio_max[:, k] > bound):
             envelope_holds = False
     growth_exponent = _loglog_slope(1.0 + np.abs(y_values), psi_table)
 
@@ -706,13 +716,13 @@ def assumption_constants(
     )
 
 
-def _compact_q_min(model: TruncatedNonlinearModel, theta_samples) -> float:
-    q_min = math.inf
-    iset = enumerate_indices(model.dim_theta, 0)
-    for theta in theta_samples:
-        obs = model.observation_grid_factory(theta, iset)(model._obs_nodes[:, None])
-        q_min = min(q_min, float(obs[0].min()))
-    return q_min
+def _envelope_constant(formula: str, num: float, eps: float, **inputs) -> float:
+    """num / eps**2, the score-envelope constant; ArithmeticError naming it and its inputs outside float range."""
+    value = num / (eps * eps) if eps * eps > 0.0 else math.inf
+    if not math.isfinite(value):
+        named = ", ".join(f"{key} = {v!r}" for key, v in inputs.items())
+        raise ArithmeticError(f"score-envelope constant psi_constant = {formula} leaves float range at {named}")
+    return value
 
 
 def _loglog_slope(scale: np.ndarray, values: np.ndarray) -> float:

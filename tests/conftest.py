@@ -67,14 +67,15 @@ def kernel_updates(model, theta, y, lam):
     iset = model.index_set()
     weighted = np.zeros((1, len(iset), lam.grid.size))
     weighted[0, 0] = lam.density * lam.grid.weights
-    update = filtering._prediction_update(KernelCache(model, theta, iset), np.array([y]), weighted)[0]
+    cache = KernelCache(model, theta, iset)
+    update = filtering._prediction_update(cache, cache.observation_vectors([y]), weighted)[0]
     return {tuple(alpha): GridMeasure(row, lam.grid) for alpha, row in zip(iset.indices, update)}
 
 
 def normalized_updates(model, theta, y, measure):
     """{alpha: S^alpha} at y: the step core's normalized update of every slot, before recentering."""
     cache = KernelCache(model, theta, measure.index_set)
-    update = filtering._normalized_update(cache, np.array([y]), measure.components[None])[0][0]
+    update = filtering._normalized_update(cache, cache.observation_vectors([y]), measure.components[None])[0][0]
     return {tuple(alpha): GridMeasure(row, measure.grid) for alpha, row in zip(measure.index_set.indices, update)}
 
 

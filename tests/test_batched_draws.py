@@ -244,7 +244,7 @@ def row_major_ergodicity(model, theta, phi_name, starts, record_ns, replicas, se
                 samples[z_idx, t_idx, r] = formula(x, y, view)
             t_idx += 1
         if n < n_max:
-            components = _step(cache, update_with[:, n], components, n + 1)[0]
+            components = _step(cache, cache.observation_vectors(update_with[:, n]), components, n + 1)[0]
     estimates = samples.mean(axis=2)
     stderr = samples.std(axis=2, ddof=1) / math.sqrt(replicas)
     spreads = estimates.max(axis=0) - estimates.min(axis=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filterjet import FDScheme, GridMeasure, fd_derivative, loglik_jet, simulate
-from filterjet.cli import main, run
+from filterjet.cli import _ergodicity_starts, main, run
 from filterjet.config import (
     ConfigError,
     RunConfig,
@@ -145,8 +145,6 @@ class TestRun:
             ("rml", "experiment", "rml_step_a", "inf"),
             ("loglik", "experiment", "rel_tol", "0"),
             ("check-derivs", "experiment", "rel_tol", "-1e-4"),
-            ("loglik", "model", "obs_quad_cells", "0"),
-            ("rml", "model", "obs_quad_cells", "-3"),
             ("rml", "experiment", "rml_init", "5.0 1.25"),
             ("rml", "experiment", "rml_init", "0.2 1.25"),
             ("simulate", "experiment", "phi", "median"),
@@ -159,6 +157,38 @@ class TestRun:
         cfg.write_text(fast_config(tmp_path / "out") + setting)
         assert run(experiment, str(cfg)) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
+
+    def test_ergodicity_runs_in_a_narrow_observation_box(self, tmp_path, capsys):
+        # the fixed start observations -1 and 1 lie outside [-0.5, 0.5]
+        outdir = tmp_path / "out"
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(fast_config(outdir) + "[model]\nobs_min = -0.5\nobs_max = 0.5\n")
+        assert run("ergodicity", str(cfg)) in (0, 1)
+        assert (outdir / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "trans_scale, order, named",
+        [
+            # eps2 = 5.3e-256, so eps2 * eps2 underflows to 0
+            ("0.118", 2, "psi_constant = 2*k2*k3/eps2**2 leaves float range at k2 = "),
+            # eps2 = 1.1e-158: the quotient overflows to inf
+            ("0.15", 2, "psi_constant = 2*k2*k3/eps2**2 leaves float range at k2 = "),
+            ("0.25", 3, "score envelope to the power 3 leaves float range"),
+        ],
+        ids=["eps2-squared-underflows", "psi-constant-overflows", "envelope-cube-overflows"],
+    )
+    def test_assumption_constants_out_of_float_range_are_named(self, tmp_path, capsys, trans_scale, order, named):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(
+            f"[run]\nseed = 265524\noutdir = {tmp_path / 'out'}\n"
+            f"[model]\nvariant = gaussian\ndrift_features = one\nobs_features = linear\n"
+            f"trans_scale = {trans_scale}\nobs_scale = 0.4338\nstate_min = -0.91\nstate_max = 5.85\n"
+            "theta_min = 0.969\ntheta_max = 3.031\ntheta = 1.7738\n"
+            f"[grid]\ncells = 8\n[derivatives]\norder = {order}\nfd_step = 0.000229\n"
+            "[experiment]\nrml_init = 2.0\ny_samples = 6\n"
+        )
+        assert run("assumptions", str(cfg)) == 3
+        assert named in capsys.readouterr().err
 
     def test_single_y_sample_exits_2(self, tmp_path, capsys):
         # one sample gives no log-log slope, so the Gaussian growth
@@ -335,7 +365,6 @@ NUMERIC_KEYS = {
     "theta_min": ("model", "rml", False, _any),
     "theta_max": ("model", "rml", False, _any),
     "theta": ("model", "loglik", False, _any),
-    "obs_quad_cells": ("model", "loglik", True, _positive),
     "cells": ("grid", "loglik", True, lambda v: v >= 2),
     "order": ("derivatives", "loglik", True, lambda v: v in (1, 2, 3)),
     "fd_step": ("derivatives", "check-derivs", False, _positive),
@@ -366,6 +395,24 @@ def _setting_config(tmp_path, settings):
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "variant, box, y0",
+    [
+        ("compact", (-6.0, 6.0), [-1.0, 1.0, 0.0]),
+        ("gaussian", None, [-1.0, 1.0, 0.0]),
+        ("compact", (-0.5, 0.5), [-0.5, 0.5, 0.0]),
+        ("compact", (5.0, 6.0), [5.0, 5.0, 5.0]),
+        ("compact", (-3.0, -2.0), [-2.0, -2.0, -2.0]),
+    ],
+)
+def test_ergodicity_starts_observe_inside_the_box(tmp_path, variant, box, y0):
+    text = fast_config(tmp_path) + f"[model]\nvariant = {variant}\n"
+    if box is not None:
+        text += f"obs_min = {box[0]}\nobs_max = {box[1]}\n"
+    model = build_model(load_config_text(text))
+    assert [y for _, y, _ in _ergodicity_starts(model, model.index_set())] == y0
 
 
 class TestEveryValueGetsAnExitCode:
@@ -406,8 +453,15 @@ class TestEveryValueGetsAnExitCode:
             # theta sits 5e-4 inside the box, nearer than the stencil's 2 * fd_step
             ("loglik", [("model", "theta", "0.2005 0.9")], "[derivatives] fd_step"),
             ("simulate", [("run", "outdir", "")], "[run] outdir"),
+            # the decay fit needs 20 steps at least
+            ("forgetting", [("experiment", "horizon", "10")], "[experiment] horizon"),
+            ("forgetting", [("experiment", "horizon", "19")], "[experiment] horizon"),
+            # the compact normalizer's quadrature has one fixed size
+            ("loglik", [("model", "obs_quad_cells", "161")], "[model] obs_quad_cells: unknown key"),
+            ("rml", [("model", "obs_quad_cells", "-3")], "[model] obs_quad_cells: unknown key"),
         ],
     )
     def test_setting_out_of_reach_exits_2(self, tmp_path, capsys, experiment, settings, named):
         assert run(experiment, _setting_config(tmp_path, settings)) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()

@@ -307,7 +307,7 @@ class TestBatchAborts:
         cache = KernelCache(BrokenObservation(gaussian_model), theta, uniform_l0.index_set)
         batch = np.repeat(uniform_l0.components[None], 3, axis=0)
         with pytest.raises(PredictiveMassError, match="at replica 1, observation index 4") as info:
-            filtering._step(cache, np.array([0.1, 1e7, 0.2]), batch, 4)
+            filtering._step(cache, cache.observation_vectors([0.1, 1e7, 0.2]), batch, 4)
         assert (info.value.replica, info.value.observation_index) == (1, 4)
 
     def test_l0_check_names_the_replica(self, model32, theta, uniform_l0):
@@ -315,7 +315,7 @@ class TestBatchAborts:
         batch = np.repeat(uniform_l0.components[None], 3, axis=0)
         batch[2, 0] *= 1.5
         with pytest.raises(ValueError, match="slot 0 must be a probability.* at replica 2, observation index 6"):
-            filtering._step(cache, np.zeros(3), batch, 6)
+            filtering._step(cache, cache.observation_vectors(np.zeros(3)), batch, 6)
 
     def test_mass_guard_names_the_replica(self, model32, uniform_l0):
         batch = np.repeat(uniform_l0.components[None], 3, axis=0)

@@ -78,7 +78,8 @@ def reference_avg_loglik_rate(model, theta, lam0, horizon, replicas, seed):
     components = np.repeat(measure.components[None], replicas, axis=0)
     totals = np.zeros((replicas, len(measure.index_set)))
     for j in range(horizon):
-        components, s_masses, predictive = _step(cache, observations[:, j], components, j + 1)
+        obs = cache.observation_vectors(observations[:, j])
+        components, s_masses, predictive = _step(cache, obs, components, j + 1)
         totals += jet_increments_from_scalars(s_masses, predictive, measure.index_set)
     rows = totals / horizon
     return rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(replicas)
@@ -93,7 +94,7 @@ def reference_forgetting_distances(model, theta, pairs, n_max, seed):
     distances = np.empty((len(pairs), n_max))
     for j in range(n_max):
         ys = np.full(len(members), traj.observations[j])
-        components = _step(cache, ys, components, j + 1)[0]
+        components = _step(cache, cache.observation_vectors(ys), components, j + 1)[0]
         distances[:, j] = vector_norms(components[0::2] - components[1::2], cache.grid)
     return distances
 
@@ -123,7 +124,7 @@ def reference_ergodicity(model, theta, phi, initial_conditions, record_ns, repli
             samples[:, t_idx, :] = np.reshape(values, (starts, replicas))
             t_idx += 1
         if n < n_max:
-            components = _step(cache, update_with[n], components, n + 1)[0]
+            components = _step(cache, cache.observation_vectors(update_with[n]), components, n + 1)[0]
     return samples.mean(axis=2), samples.std(axis=2, ddof=1) / math.sqrt(replicas)
 
 

@@ -81,6 +81,11 @@ class TestKernelMatrix:
 
 
 class TestTruncatedDensities:
+    def test_a_rejected_column_names_its_first_offending_observation(self, model32):
+        evaluate = model32.observation_grid_factory(THETA, model32.index_set())
+        with pytest.raises(ValueError, match=r"^observation 9\.5 is not finite or lies outside \[-6\.0, 6\.0\]$"):
+            evaluate(np.array([[0.1], [9.5], [np.nan]]))
+
     def test_transition_normalized_on_grid(self, model32, theta):
         dens = model32.transition_grid_jet(theta, enumerate_indices(2, 0))[0]
         masses = model32.grid.weights @ dens
@@ -397,7 +402,7 @@ class TestBuildMatchesReplacedBuild:
 
     @pytest.mark.parametrize("variant", ["compact", "gaussian"])
     def test_quadrature_nodes_are_not_constructor_arguments(self, variant):
-        # they follow obs_box and obs_quad_cells alone: none without a box
+        # they follow obs_box alone: none without a box
         model = _model(variant, 1)
         init = {f.name: f.init for f in dataclasses.fields(model)}
         assert not init["_obs_nodes"] and not init["_obs_weights"]
@@ -548,6 +553,36 @@ class TestAssumptionConstants:
         for record in (compact, unbounded):
             assert np.all(np.isfinite(record.psi_values))
             assert np.all(record.psi_values > 0.0)
+
+    @pytest.mark.parametrize("obs_box", [(-6.0, 6.0), (-2.0, 3.0)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_compact_density_min_is_the_order0_minimum_at_the_nodes(self, order, obs_box):
+        # eps1's observation half is slot 0 of the scan at the quadrature nodes,
+        # bit for bit the order-0 jet evaluated there
+        model = make_model(cells=24, order=order, obs_box=obs_box)
+        thetas = [THETA, np.array([0.5, 1.2])]
+        record = assumption_constants(model, thetas, np.linspace(-1.5, 1.5, 7))
+        nodes = model._obs_nodes[:, None]
+        q_min = min(float(model.observation_grid_factory(t, model.index_set(0))(nodes)[0].min()) for t in thetas)
+        p_min = min(float(model.transition_grid_jet(t, model.index_set())[0].min()) for t in thetas)
+        assert record.density_min == min(p_min, q_min)
+
+    @pytest.mark.parametrize(
+        "trans_scale, order, theta, named",
+        [
+            # eps2 = 1.0e-305: eps2 * eps2 underflows to 0
+            (0.118, 2, 1.0, r"psi_constant = 2\*k2\*k3/eps2\*\*2 leaves float range at .*eps2 = 1\.0097"),
+            (0.25, 3, 1.7738, r"score envelope to the power 3 leaves float range: .*psi_constant 3\.41"),
+        ],
+        ids=["eps2-squared-underflows", "envelope-cube-overflows"],
+    )
+    def test_a_constant_out_of_float_range_is_named(self, trans_scale, order, theta, named):
+        model = make_model(
+            cells=8, order=order, variant="gaussian", drift=("one",), obs=("linear",), trans_scale=trans_scale,
+            obs_scale=0.4338, state=(-0.91, 5.85), theta_box=((0.969, 3.031),),
+        )
+        with pytest.raises(ArithmeticError, match=named):
+            assumption_constants(model, [np.array([theta])], np.geomspace(5.0, 500.0, 6))
 
     def test_empty_samples_rejected(self, model32):
         with pytest.raises(ValueError):

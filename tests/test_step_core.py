@@ -114,14 +114,13 @@ def stacked_prediction_update(cache, ys, weighted):
     return update
 
 
-def slot_major_update(cache, ys, weighted, obs=None):
+def slot_major_update(cache, obs, weighted):
     """The slot-major update of a batch with one GEMM for every transition slot: (R, K, N).
 
     _prediction_update of one point at R > 1 before it skipped the
     all-zero slots; slot 0 is the factored obs[0] * moved[0].
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
-    obs = cache.observation_vectors(ys) if obs is None else obs
     replicas, _, size = weighted.shape
     slots = np.ascontiguousarray(weighted.transpose(1, 0, 2))
     moved = np.empty((sum(count for _, count in blocks), replicas, size))
@@ -222,7 +221,7 @@ def test_one_replica_equals_the_single_step_exactly(kind, cells, order, seed, y)
     cache = cached_kernel(kind, cells, order)
     measure = random_l0(cache.model, cache.index_set, np.random.default_rng(seed))
     ref, ref_masses, ref_predictive = single_step(cache, y, measure)
-    out, s_masses, predictive = _step(cache, np.array([y]), measure.components[None])
+    out, s_masses, predictive = _step(cache, cache.observation_vectors([y]), measure.components[None])
     assert np.array_equal(out[0], ref)
     assert np.array_equal(s_masses[0], ref_masses)
     assert predictive[0] == ref_predictive
@@ -251,7 +250,7 @@ def test_batched_core_equals_chained_single_steps(kind, cells, order, replicas, 
     ys = rng.uniform(-3.0, 3.0, size=(3, replicas))
     batch = np.stack([measure.components for measure in starts])
     for j, row in enumerate(ys):
-        batch, s_masses, predictive = _step(cache, row, batch, j + 1)
+        batch, s_masses, predictive = _step(cache, cache.observation_vectors(row), batch, j + 1)
     for r, measure in enumerate(starts):
         for y in ys[:, r]:
             measure, ref_masses, ref_predictive = filter_step_with_scalars(cache, y, measure)
@@ -269,7 +268,7 @@ def test_one_replica_keeps_its_bits_at_the_benchmark_shapes(cells, order, seed, 
     cache = cached_kernel("line", cells, order)
     measure = random_l0(cache.model, cache.index_set, np.random.default_rng(seed))
     ref = single_step(cache, y, measure)
-    out = _step(cache, np.array([y]), measure.components[None])
+    out = _step(cache, cache.observation_vectors([y]), measure.components[None])
     for got, want in zip(out, ref):
         assert np.array_equal(got[0], want)
 
@@ -283,8 +282,8 @@ def slot0_runs(model, order, ys, starts):
     return [
         filter_step(model, THETA, ys[0], first).components[0],
         filter_iterate(model, THETA, ys, first).components[0],
-        _step(cache, ys[:1], batch[:1])[0][0, 0],
-        _step(cache, ys, batch)[0][:, 0],
+        _step(cache, cache.observation_vectors(ys[:1]), batch[:1])[0][0, 0],
+        _step(cache, cache.observation_vectors(ys), batch)[0][:, 0],
     ]
 
 
@@ -311,7 +310,7 @@ def _assert_update_matches_stacked(cache, replicas, rng):
     starts = [random_l0(cache.model, cache.index_set, rng) for _ in range(replicas)]
     ys = rng.uniform(-3.0, 3.0, size=replicas)
     weighted = np.stack([m.components for m in starts]) * cache.grid.weights
-    got = _prediction_update(cache, ys, weighted)
+    got = _prediction_update(cache, cache.observation_vectors(ys), weighted)
     ref = stacked_prediction_update(cache, ys, weighted)
     if replicas == 1:
         assert np.array_equal(got, ref)
