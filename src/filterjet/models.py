@@ -57,26 +57,27 @@ _FEATURE_SCALARS = {
 }
 
 
-def _gauss_ratio_derivs(z: np.ndarray, order: int) -> np.ndarray:
-    """(order + 1, ...) ratios pdf^(k)(z) / pdf(z) for the standard normal.
+def _gauss_ratio_derivs(z: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(order + 1, ...) ratios pdf^(k)(z) / pdf(z) for the standard normal, in out if given.
 
     These are signed Hermite polynomials via the recurrence
     r_(k+1) = -z r_k - k r_(k-1); they stay representable even where
     the pdf itself underflows.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty((order + 1,) + z.shape)
+    if out is None:
+        out = np.empty((order + 1,) + z.shape)
     out[0] = 1.0
     for k in range(order):
-        out[k + 1] = -z * out[k]
+        np.multiply(-z, out[k], out=out[k + 1])
         if k:
             out[k + 1] -= k * out[k - 1]
     return out
 
 
-def _gauss_pdf_derivs(z: np.ndarray, order: int) -> np.ndarray:
-    """(order + 1, ...) derivatives of the standard normal pdf at z."""
-    out = _gauss_ratio_derivs(z, order)
+def _gauss_pdf_derivs(z: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(order + 1, ...) derivatives of the standard normal pdf at z, in out if given."""
+    out = _gauss_ratio_derivs(z, order, out)
     out *= np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / _SQRT_2PI
     return out
 
@@ -211,14 +212,19 @@ def _quotient_degrees(num: np.ndarray, den) -> np.ndarray:
 
 
 def _integrate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(D, M) sums over axis 1 of (D, N, M) values against (N,) weights.
+    """(D, M) sums over the last axis of C-contiguous (D, M, N) values against (N,) weights.
 
-    This is np.tensordot's BLAS matrix-vector product on the (D * M, N)
-    copy it reads for D > 1.  The normalizers never pass D = 1, whose
-    Fortran-order view BLAS sums in another order.
+    One BLAS matrix-vector product on a (D * M, N) row-major view, the matrix
+    np.tensordot sums for the tests' reference build.  BLAS rounds the last
+    rows of a product by its row count, so the normalizers pass D >= 2.
     """
-    d, n, m = values.shape
-    return np.dot(values.transpose(0, 2, 1).reshape(d * m, n), weights.reshape(n, 1)).reshape(d, m)
+    d, m, n = values.shape
+    return np.dot(values.reshape(d * m, n), weights.reshape(n, 1)).reshape(d, m)
+
+
+def _across_points(location: np.ndarray, points: np.ndarray, scale: float, order: int, out=None) -> np.ndarray:
+    """(order + 1, N, M) pdf derivatives at (points - location) / scale, the layout _integrate sums."""
+    return _gauss_pdf_derivs((points[None, :] - location[:, None]) / scale, order, out)
 
 
 def _location(tables, theta) -> np.ndarray:
@@ -409,7 +415,7 @@ class TruncatedNonlinearModel(ModelSpec):
         return np.stack([FEATURE_FUNCTIONS[n](x) for n in names])
 
     # -- kernel jets by degree on the grid -----------------------------------
-    def _location_jet(self, tables, scale, theta, index_set, ratios=False):
+    def _location_jet(self, tables, scale, location, index_set, ratios=False):
         """(evaluator, factors) for the jet of pdf((target - theta . features(x)) / scale).
 
         x runs over the grid states, and tables is the model's (features,
@@ -422,11 +428,10 @@ class TruncatedNonlinearModel(ModelSpec):
         ratios=True they are divided by the pdf itself, which stays
         finite arbitrarily far into the tails.
         """
-        location = _location(tables, theta)
         derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
 
-        def at(target, order=index_set.order):
-            return derivs((np.asarray(target, dtype=float) - location) / scale, order)
+        def at(target):
+            return derivs((np.asarray(target, dtype=float) - location) / scale, index_set.order)
 
         return at, tables[1][: len(index_set)]
 
@@ -442,13 +447,22 @@ class TruncatedNonlinearModel(ModelSpec):
         # The new states are the quadrature nodes, so one Gaussian evaluation on
         # the grid serves numerator and normalizer; two degrees at least, so an
         # order-0 jet is the slot-0 prefix of the order-1 jet (see _integrate).
-        at, factors = self._location_jet(self._drift_tables, self.trans_scale, theta, index_set)
-        order = index_set.order
-        on_grid = at(self.grid.axis(0)[:, None], max(order, 1))
-        den = _integrate(on_grid, self.grid.weights)[: order + 1]
+        # The build runs in the array it returns: a temporary that large would be
+        # unmapped after every build and page-fault in again at the next.  Its
+        # first slots hold the degrees as (old state, new state); the slots
+        # overwrite them from the last down, and slot k has degree at most k.
+        order, n, size = index_set.order, self.grid.size, len(index_set)
+        degrees = max(order, 1) + 1
+        out = np.empty((max(size, degrees), n, n))
+        location = _location(self._drift_tables, theta)
+        num = _across_points(location, self.grid.axis(0), self.trans_scale, degrees - 1, out[:degrees])
+        den = _integrate(num, self.grid.weights)[: order + 1]
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
-        return _expand_degrees(_quotient_degrees(on_grid[: order + 1], den), factors, index_set)
+        _quotient_degrees(num[: order + 1], den[:, :, None])
+        for k in reversed(range(size)):
+            np.multiply(num[index_set.degrees[k]].T, self._drift_tables[1][k], out=out[k])
+        return out[:size]
 
     def observation_grid_factory(self, theta, index_set):
         """Evaluator y -> observation-density jet at the grid states.
@@ -457,13 +471,15 @@ class TruncatedNonlinearModel(ModelSpec):
         then costs one Gaussian evaluation, the quotient recursion and
         the products with the slope powers.
         """
-        at, factors = self._location_jet(self._obs_tables, self.obs_scale, theta, index_set)
+        location = _location(self._obs_tables, theta)
+        at, factors = self._location_jet(self._obs_tables, self.obs_scale, location, index_set)
         if self.obs_box is None:
             # Lebesgue normalizer over the real line: constant in theta.
             den = [self.obs_scale]
         else:
             order = index_set.order
-            den = _integrate(at(self._obs_nodes[:, None], max(order, 1)), self._obs_weights)[: order + 1]
+            on_nodes = _across_points(location, self._obs_nodes, self.obs_scale, max(order, 1))
+            den = _integrate(on_nodes, self._obs_weights)[: order + 1]
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
 
@@ -648,7 +664,7 @@ def assumption_constants(
             obs_scores = obs / obs[0]
         else:
             at, factors = model._location_jet(
-                model._obs_tables, model.obs_scale, theta, iset, ratios=True
+                model._obs_tables, model.obs_scale, obs_locations, iset, ratios=True
             )
             obs_scores = _expand_degrees(at(y_scan[:, None]), factors, iset)
             # Smallest constant dominating |d^b q| / (q (1+|y|)^(2|b|)).

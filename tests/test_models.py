@@ -1,6 +1,11 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +173,7 @@ class TestTruncatedDensities:
 
 FEATURE_SETS = {
     "default": {},
+    "single": {"drift": ("tanh",), "obs": ("linear",), "theta_box": ((0.2, 1.5),)},
     "zero-one": {
         "drift": ("tanh", "one", "zero"),
         "obs": ("zero", "one", "linear"),
@@ -409,6 +415,114 @@ class TestBuildMatchesReplacedBuild:
         assert (model._obs_nodes is None) == (model._obs_weights is None) == (variant == "gaussian")
 
 
+def _unbuffered_pdf_derivs(z, order):
+    """_gauss_pdf_derivs as it was before it took an output buffer."""
+    out = np.empty((order + 1,) + z.shape)
+    out[0] = 1.0
+    for k in range(order):
+        out[k + 1] = -z * out[k]
+        if k:
+            out[k + 1] -= k * out[k - 1]
+    out *= np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+    return out
+
+
+def _transposed_integrate(values, weights):
+    """_integrate as it was: (D, N, M) values summed over axis 1 from a transposed (D * M, N) copy."""
+    d, n, m = values.shape
+    return np.dot(values.transpose(0, 2, 1).reshape(d * m, n), weights.reshape(n, 1)).reshape(d, m)
+
+
+def _unbuffered_transition_jet(model, theta, index_set):
+    """The transition build before it ran in its output buffer: Gaussians in
+    (degree, new state, old state) layout, then the transposed copy, the
+    quotient and a fresh (K, N, N) product array."""
+    order = index_set.order
+    location = models._location(model._drift_tables, theta)
+    x = model.grid.axis(0)
+    on_grid = _unbuffered_pdf_derivs((x[:, None] - location) / model.trans_scale, max(order, 1))
+    den = _transposed_integrate(on_grid, model.grid.weights)[: order + 1]
+    factors = model._drift_tables[1][: len(index_set)]
+    return models._expand_degrees(models._quotient_degrees(on_grid[: order + 1], den), factors, index_set)
+
+
+def _unbuffered_compact_normalizer(model, theta, order):
+    """The compact observation normalizer from (degree, node, state) Gaussians and the transposed copy."""
+    location = models._location(model._obs_tables, theta)
+    on_nodes = _unbuffered_pdf_derivs((model._obs_nodes[:, None] - location) / model.obs_scale, max(order, 1))
+    return _transposed_integrate(on_nodes, model._obs_weights)[: order + 1]
+
+
+class TestBuildInItsOutputBuffer:
+    """Building the transition jet inside the array it returns, and the
+    normalizers in the layout their BLAS product reads, changes no bit."""
+
+    @pytest.mark.parametrize("variant", ["compact", "gaussian"])
+    @pytest.mark.parametrize("features", ["single", "default", "zero-one"])
+    @pytest.mark.parametrize("cells", [8, 33, 64, 256])
+    @settings(max_examples=3, deadline=None)
+    @given(theta=THETAS, ys=OBSERVATIONS)
+    def test_jets_and_normalizers_are_bit_identical(self, variant, features, cells, theta, ys):
+        model = _model(variant, 3, cells, features)
+        theta = np.asarray(theta[: model.dim_theta])
+        column = np.asarray(ys)[:, None]
+        location = models._location(model._obs_tables, theta)
+        for order in range(4):
+            iset = model.index_set(order)
+            jet = model.transition_grid_jet(theta, iset)
+            assert jet.flags.c_contiguous
+            assert np.array_equal(jet, _unbuffered_transition_jet(model, theta, iset))
+            evaluate = model.observation_grid_factory(theta, iset)
+            if variant == "compact":
+                den = _unbuffered_compact_normalizer(model, theta, order)
+                on_nodes = models._across_points(location, model._obs_nodes, model.obs_scale, max(order, 1))
+                assert np.array_equal(models._integrate(on_nodes, model._obs_weights)[: order + 1], den)
+            else:
+                den = [model.obs_scale]
+            at, factors = model._location_jet(model._obs_tables, model.obs_scale, location, iset)
+            for y in ys + [column]:
+                expected = models._expand_degrees(models._quotient_degrees(at(y), den), factors, iset)
+                assert np.array_equal(evaluate(y), expected)
+        zero, one = model.index_set(0), model.index_set(1)
+        assert np.array_equal(model.transition_grid_jet(theta, zero), model.transition_grid_jet(theta, one)[:1])
+        evaluate, reference = model.observation_grid_factory(theta, zero), model.observation_grid_factory(theta, one)
+        for y in ys + [column]:
+            assert np.array_equal(evaluate(y), reference(y)[:1])
+
+
+_FAULT_PROBE = """
+import json, resource
+import numpy as np
+import filterjet as fj
+
+grid = fj.StateGrid.uniform([(-3.0, 3.0)], 256)
+model = fj.TruncatedNonlinearModel(
+    grid=grid, drift_features=("tanh", "zero"), obs_features=("zero", "linear"),
+    trans_scale=0.5, obs_scale=0.7, theta_box=((0.2, 1.5), (0.2, 1.5)), obs_box=(-6.0, 6.0), order=2,
+)
+lam0 = fj.GridMeasure.uniform(grid)
+ys = np.linspace(-2.0, 2.0, 40)
+faults = []
+for i in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fj.loglik_jet(model, np.array([0.6 + 0.05 * i, 0.9]), ys, lam0)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page-fault counts are read on Linux only")
+def test_a_large_grid_loglik_call_leaves_no_page_faults_behind():
+    # A fresh interpreter: earlier tests raise glibc's mmap and trim thresholds,
+    # which hides the faults of a build that frees its temporaries to the system.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    faults = json.loads(run.stdout.splitlines()[-1])
+    assert len(faults) == 4 and max(faults) < 100, faults
+
+
 class TestObservationScores:
     """The observation scores d^b q / q behind the assumption_constants score table."""
 
@@ -432,7 +546,7 @@ class TestObservationScores:
         model = _model("gaussian", order)
         iset = model.index_set()
         at, factors = model._location_jet(
-            model._obs_tables, model.obs_scale, THETA, iset, ratios=True
+            model._obs_tables, model.obs_scale, models._location(model._obs_tables, THETA), iset, ratios=True
         )
         density = model.observation_grid_factory(THETA, iset)
         ys = np.array([-6.0, -0.7, 0.3, 2.5, 6.0])[:, None]
