@@ -48,15 +48,13 @@ class PredictiveMassError(ArithmeticError):
 def _locate(row, rows: int, theta=None):
     """(replica, point) of the failing row of a step over `rows` rows.
 
-    The rows stack the replicas of each point of a (P, dim) theta in
-    turn; any other theta is one point.  replica is None when each point
-    has one replica, and point, (index, theta), when there is one point.
+    A (P, dim) theta of P > 1 points has one row per point, and point is
+    that row's (index, theta); otherwise the rows are the replicas of one
+    point.  replica is None for one replica, and point for one point.
     """
-    points = theta if theta is not None and theta.ndim == 2 else None
-    count = 1 if points is None else len(points)
-    replicas = rows // count
-    index, replica = divmod(int(row), replicas)
-    return (replica if replicas > 1 else None), ((index, points[index]) if count > 1 else None)
+    if theta is not None and theta.ndim == 2 and len(theta) > 1:
+        return None, (int(row), theta[row])
+    return (int(row) if rows > 1 else None), None
 
 
 def _where(replica: int | None, observation_index: int | None, point=None) -> str:
@@ -87,8 +85,8 @@ class KernelCache:
     slots by the Leibniz rule.
 
     theta may also be a (P, dim) stack of parameter points.  The cache
-    then holds a (P, K, N, N) transition stack and a step moves each
-    point's replicas through that point's kernels.  Points whose
+    then holds a (P, K, N, N) transition stack and a step moves one row
+    per point through that point's kernels.  Points whose
     model.kernel_keys agree share a factor, so the cache builds one
     transition jet and one observation evaluator per distinct key, in
     first-use order: for the shipped model, whose drift reads only
@@ -166,9 +164,9 @@ class KernelCache:
 def _update_plan(index_set: IndexSet):
     """Layout of the factored prediction-update: (blocks, obs_rows, moved_rows, coeff).
 
-    For (start, count) = blocks[q], rows start .. start + count of a
-    point's slot-major (M, R, N) moved array hold trans[q] @ weighted[b] for
-    the slots b with deg q + deg b <= order, a prefix in graded order.
+    For (start, count) = blocks[q], rows start .. start + count of the
+    slot-major moved array hold trans[q] @ weighted[b] for the slots b
+    with deg q + deg b <= order, a prefix in graded order.
     Row k of the update is coeff[k] @ (obs[obs_rows] * moved[moved_rows])
     over the flattened replica and grid axes: the Leibniz pairing nested
     twice, slot k pairing measure slot b with kernel slot g = k - b, and
@@ -195,80 +193,60 @@ def _update_plan(index_set: IndexSet):
 
 
 def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """(R, K, N) unnormalized prediction-update of R replicas' weighted slots.
+    """(rows, K, N) unnormalized prediction-update of the rows' weighted slots.
 
     Row k sums, over beta + q + b = k, the multinomial weight times
-    obs[beta] * (trans[q] @ weighted[b]), slot-major: one GEMM per
-    transition slot q moves every replica, one GEMM pairs the products,
-    and slot 0 of a batch is the factored obs[0] * moved[0].  Only one
-    replica assembles a kernel, for slot 0.  obs is the jet that
-    cache.observation_vectors(ys) returns at the R observations.  A
-    cache of P points takes (P·R, K, N) rows and runs _stacked_update;
-    one point keeps this 2-D path, because the stack's 4-D bookkeeping
-    cost rml-online 6-9% of its steps/s (BENCH_15.json).  A transition
-    slot that is zero on the whole grid moves nothing: its moved rows keep
-    the +0 its GEMM would write.  Returns a transposed view of (K, R, N)
-    memory.
+    obs[beta] * (trans[q] @ weighted[b]); obs is the jet that
+    cache.observation_vectors(ys) returns at the R observations.  One row
+    per parameter point runs _per_point_update.  R > 1 replicas of one
+    point run slot-major: one GEMM per transition slot q moves every
+    replica, one GEMM pairs the products, and slot 0 is the factored
+    obs[0] * moved[0], a transposed view of (K, R, N) memory.  A
+    transition slot that is zero on the whole grid moves nothing: its
+    moved rows keep the +0 its GEMM would write.
     """
     plan = _update_plan(cache.index_set)
-    if cache.theta.ndim == 2:
-        return _stacked_update(plan, cache._live, cache.trans, obs, weighted)
+    rows, slots, size = weighted.shape
+    trans = cache.trans.reshape(-1, slots, size, size)
+    if rows == len(trans):
+        return _per_point_update(plan, cache._live, trans, obs.reshape(rows, slots, size), weighted)
     blocks, obs_rows, moved_rows, coeff = plan
-    replicas, _, size = weighted.shape
-    slots = np.ascontiguousarray(weighted.transpose(1, 0, 2))
-    moved = np.zeros((sum(count for _, count in blocks), replicas, size))
+    obs = obs.reshape(slots, rows, size)
+    batch = np.ascontiguousarray(weighted.transpose(1, 0, 2))
+    moved = np.zeros((blocks[-1][0] + blocks[-1][1], rows, size))
     for q, (start, count) in enumerate(blocks):
         if cache._live[q]:
             out = moved[start : start + count].reshape(-1, size)
-            np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
+            np.matmul(batch[:count].reshape(-1, size), trans[0, q].T, out=out)
     terms = obs[obs_rows] * moved[moved_rows]
-    update = (coeff @ terms.reshape(len(terms), replicas * size)).reshape(-1, replicas, size)
-    if replicas == 1:
-        # One replica keeps the assembled slot-0 kernel: the perfbench references and
-        # test_factored_step_matches_assembled_kernels pin its bits until ROADMAP item 2's re-record.
-        update[0, 0] = (obs[0, 0][:, None] * cache.trans[0]) @ weighted[0, 0]
-    else:
-        update[0] = obs[0] * moved[0]
+    update = (coeff @ terms.reshape(len(terms), rows * size)).reshape(-1, rows, size)
+    update[0] = obs[0] * moved[0]
     return update.transpose(1, 0, 2)
 
 
-def _stacked_update(plan, live, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """_prediction_update over the (P, K, N, N) transition stack of P parameter points.
+def _per_point_update(plan, live, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """(P, K, N) prediction-update of one row per parameter point.
 
-    The (P·R, K, N) rows of weighted stack the R replicas of each point
-    in turn, and obs is (P, K, R, N).  Slot-major per point: one stacked
-    np.matmul per transition slot q moves every point's replicas through
-    that point's kernel, and one stacked GEMM pairs the products.  When
-    each point has one replica, each assembles its slot-0 kernel, in one
-    reused (N, N) buffer.  A stacked np.matmul runs each point's slice
-    through the GEMM of the one-point step, so every point keeps the bits
-    of its pass alone; a batch factors slot 0, as one point does.  Only
-    the live transition slots move, as in the one-point path.
+    trans is the (P, K, N, N) transition stack; obs and weighted are
+    (P, K, N).  One stacked np.matmul per live transition slot moves
+    every point's slots through that point's kernel, one pairs the
+    products, and each point's slot 0 applies its assembled kernel
+    (obs[0][:, None] * trans[0]) @ weighted[0], built in one reused
+    (N, N) buffer.  Each point's slice runs the BLAS call of a one-point
+    update, so every point keeps the bits of its pass alone.
     """
     blocks, obs_rows, moved_rows, coeff = plan
-    rows, _, size = weighted.shape
-    points = len(trans)
-    replicas = rows // points
-    slots = np.ascontiguousarray(weighted.reshape(points, replicas, -1, size).transpose(0, 2, 1, 3))
-    slots = slots.reshape(points, -1, size)
-    total = blocks[-1][0] + blocks[-1][1]
-    moved = np.zeros((points, total * replicas, size))
+    points, _, size = weighted.shape
+    moved = np.zeros((points, blocks[-1][0] + blocks[-1][1], size))
     for q, (start, count) in enumerate(blocks):
         if live[q]:
-            out = moved[:, start * replicas : (start + count) * replicas]
-            np.matmul(slots[:, : count * replicas], trans[:, q].transpose(0, 2, 1), out=out)
-    moved = moved.reshape(points, total, replicas, size)
-    terms = obs[:, obs_rows] * moved[:, moved_rows]
-    update = np.matmul(coeff, terms.reshape(points, len(obs_rows), replicas * size))
-    update = update.reshape(points, -1, replicas, size)
-    if replicas == 1:
-        kernel = np.empty((size, size))
-        for p in range(points):
-            np.multiply(obs[p, 0, 0, :, None], trans[p, 0], out=kernel)
-            np.matmul(kernel, weighted[p, 0], out=update[p, 0, 0])
-    else:
-        update[:, 0] = obs[:, 0] * moved[:, 0]
-    return update.transpose(0, 2, 1, 3).reshape(rows, -1, size)
+            np.matmul(weighted[:, :count], trans[:, q].transpose(0, 2, 1), out=moved[:, start : start + count])
+    update = np.matmul(coeff, obs[:, obs_rows] * moved[:, moved_rows])
+    kernel = np.empty((size, size))
+    for p in range(points):
+        np.multiply(obs[p, 0, :, None], trans[p, 0], out=kernel)
+        np.matmul(kernel, weighted[p, 0], out=update[p, 0])
+    return update
 
 
 def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=None) -> None:
@@ -288,13 +266,12 @@ def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=
 def _normalized_update(cache: KernelCache, obs, components, observation_index=None):
     """Prediction-update of every slot divided by the slot-0 predictive mass, per row.
 
-    obs and components (P·R, K, N) are as for _prediction_update;
-    returns the (P·R, K, N) update and the (P·R,) predictive masses.
-    Raises ValueError unless every slot 0 is a probability, and
+    obs and components (rows, K, N) are as for _step; returns the
+    (rows, K, N) update and the (rows,) predictive masses.  Raises
+    ValueError unless every slot 0 is a probability, and
     PredictiveMassError when a predictive mass is not above
     PREDICTIVE_FLOOR; both name the first failing row's parameter point
-    (when there is more than one), its replica (when its point has more
-    than one) and the observation index.
+    or replica, when there is more than one, and the observation index.
     """
     grid = cache.grid
     _check_l0(components, grid, observation_index, cache.theta)
@@ -310,11 +287,11 @@ def _normalized_update(cache: KernelCache, obs, components, observation_index=No
 def _step(cache: KernelCache, obs, components, observation_index=None):
     """One filter step of every row of a kernel cache; every filter pass runs it.
 
-    The rows of components (P·R, K, N) are R replicas for each of the
-    cache's P parameter points, point by point, and replica r updates
-    with the observation ys[r]: obs is cache.observation_vectors(ys),
-    the observation jet at the (R,) ys.  Returns (components, s_masses
-    (P·R, K), predictive (P·R,)): s_masses[i, k] is the total mass of
+    The rows of components (rows, K, N) are the R replicas of a one-point
+    cache or, at R = 1, one per parameter point; replica r updates with
+    ys[r]: obs is cache.observation_vectors(ys), the observation jet at
+    the (R,) ys.  Returns (components, s_masses (rows, K), predictive
+    (rows,)): s_masses[i, k] is the total mass of
     the k-th normalized prediction-update of row i and predictive[i] the
     unnormalized slot-0 mass that normalizes it.  Slot 0 becomes the
     Bayes-updated probability; each higher slot is its prediction-update
@@ -419,20 +396,23 @@ def _fold(cache: KernelCache, observations: np.ndarray, starts):
     """Fold the step core over a (T, R) observation block, yielding after each step.
 
     starts is one VectorMeasure for every row or a sequence of R, one per
-    row, each checked once.  The (P·R, K, N) rows are R rows per point of
-    the cache, point by point; row r takes observations[j, r] at step j.
-    A call evaluates the jets of at most JET_BLOCK observations, that is
+    row, each checked once.  The rows are the R replicas of a one-point
+    cache, or one per point of a stack, which takes R = 1 (ValueError
+    otherwise); row r takes observations[j, r] at step j.  A call
+    evaluates the jets of at most JET_BLOCK observations, that is
     max(1, JET_BLOCK // R) steps.  Yields _step's (components, s_masses,
     predictive).  Aborts name observation index j + 1 as _step's do; a
     rejected observation names its replica too when R > 1.
     """
     steps, replicas = observations.shape
+    points = len(np.atleast_2d(cache.theta))
+    if points > 1 and replicas > 1:
+        raise ValueError(f"a stack of {points} parameter points steps one replica per point, got {replicas}")
     starts = [starts] if isinstance(starts, VectorMeasure) else starts
     for measure in dict.fromkeys(starts):
         _check_measure(measure, cache.index_set, cache.grid)
     rows = np.stack([measure.components for measure in starts])
-    points = len(np.atleast_2d(cache.theta))
-    components = np.broadcast_to(rows, (points, replicas) + rows.shape[1:]).reshape((-1,) + rows.shape[1:])
+    components = np.broadcast_to(rows, (points * replicas,) + rows.shape[1:])
     span = max(1, JET_BLOCK // replicas)
     for first in range(0, steps, span):
         ys = observations[first : first + span]

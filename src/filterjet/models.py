@@ -660,6 +660,10 @@ def assumption_constants(
         # the normalizer is constant in theta, so they are pure Hermite
         # ratios and stay finite in the far tails where q underflows.
         if compact:
+            if not obs[0].min() > 0.0:
+                j, i = np.unravel_index(np.argmin(obs[0]), obs[0].shape)
+                where = f"at y = {float(y_scan[j])!r}, grid state x = {float(x[i])!r}"
+                raise ArithmeticError(f"observation density underflows to 0 {where}; mixing assumption fails there")
             q_min = min(q_min, float(obs[0, y_values.size :].min()))
             obs_scores = obs / obs[0]
         else:
@@ -684,8 +688,6 @@ def assumption_constants(
 
     if compact:
         eps1 = min(p_min, q_min)
-        if eps1 <= 0.0:
-            raise ValueError("zero kernel encountered; mixing assumption fails on the grid")
         k1 = max(p_deriv_max, q_all_max)
         epsilon = min(eps1 * eps1, 1.0 / (k1 * k1))
         psi_constant = _envelope_constant("2*k1**2/eps1**2", 2.0 * k1 * k1, eps1, k1=k1, eps1=eps1)
@@ -695,8 +697,6 @@ def assumption_constants(
         deriv_max = k1
     else:
         eps2 = p_min
-        if eps2 <= 0.0:
-            raise ValueError("zero kernel encountered; mixing assumption fails on the grid")
         k2 = p_deriv_max
         k3 = max(q_max, q_scaled_ratio, 1.0)
         epsilon = min(eps2, 1.0 / k2)

@@ -190,6 +190,21 @@ class TestRun:
         assert run("assumptions", str(cfg)) == 3
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("obs_scale", ["0.2", "0.1", "0.05"])
+    def test_an_underflowing_compact_observation_density_is_named(self, tmp_path, capsys, obs_scale):
+        # the shipped compact config with a narrower observation noise: q(y | x)
+        # underflows to 0 far from the observation map, where d^b q / q was 0/0
+        cfg = tmp_path / "narrow-noise.cfg"
+        cfg.write_text(
+            f"[run]\nseed = 20260808\noutdir = {tmp_path / 'out'}\n[model]\nvariant = compact\n"
+            f"obs_scale = {obs_scale}\n[grid]\ncells = 48\n[derivatives]\norder = 2\n[experiment]\ny_samples = 25\n"
+        )
+        assert run("assumptions", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert "observation density underflows to 0 at y = " in err
+        assert "grid state x = " in err and "mixing assumption fails there" in err
+        assert "invalid value" not in err
+
     def test_single_y_sample_exits_2(self, tmp_path, capsys):
         # one sample gives no log-log slope, so the Gaussian growth
         # exponent could not be measured, let alone judged

@@ -10,6 +10,8 @@ rounding for a batch, whose slot 0 is factored rather than assembled.
 An order-0 step must run and keep the slot 0 of the higher orders.
 A transition slot that is zero on the whole grid must never be read,
 and skipping it must keep every byte of the steps that run its GEMM.
+A one-point stack must step as its point does, byte for byte, and a
+stack of several points takes one replica per point.
 """
 from functools import lru_cache
 
@@ -449,3 +451,27 @@ def test_a_stack_skips_a_slot_only_when_it_is_zero_at_every_point():
         assert KernelCache(model, thetas, iset)._live == (True,) * len(iset)
         for theta, state in zip(thetas, filter_iterate(model, thetas, ys, start)):
             assert state.components.tobytes() == serial_fold(model, theta, ys, start).tobytes()
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_a_one_point_stack_steps_as_its_point_byte_for_byte(order, replicas):
+    # a (1, dim) stack reads its transition jet through the (P, K, N, N) view of the stack
+    model = feature_model("mixed", 33)
+    iset = model.index_set(order)
+    rng = np.random.default_rng(10 * order + replicas)
+    batch = np.stack([random_l0(model, iset, rng).components for _ in range(replicas)])
+    ys = rng.uniform(-2.5, 2.5, size=replicas)
+    point, stack = KernelCache(model, THETA, iset), KernelCache(model, [THETA], iset)
+    got = _step(stack, stack.observation_vectors(ys), batch, 1)
+    want = _step(point, point.observation_vectors(ys), batch, 1)
+    assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+
+
+def test_a_stack_of_points_takes_one_replica_each():
+    model = feature_model("shipped", 33)
+    iset = model.index_set(1)
+    cache = KernelCache(model, [THETA, [0.5, 1.2]], iset)
+    start = random_l0(model, iset, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="a stack of 2 parameter points steps one replica per point, got 2"):
+        next(_fold(cache, np.zeros((4, 2)), start))
