@@ -1,9 +1,12 @@
 """Command-line front door: config in, CSV plus pass/fail summary out.
 
-Each subcommand runs one experiment from a config file and writes
-results.csv, summary.txt, and the resolved config echo into the output
-directory.  Exit status: 0 when all thresholds pass, 1 when a threshold
-fails, 2 on config errors, 3 on numerical aborts.
+Each subcommand's runner is a pure function of the config that returns
+its tables and checks; `run` alone writes files.  It writes the resolved
+config echo (resolved.cfg) first, and the tables (results.csv, fits.csv,
+derivatives.csv) and summary.txt only when the run completes.  Exit
+status: 0 when all thresholds pass, 1 when a threshold fails, 2 on config
+errors, an output file that cannot be written included (the error names
+the file), 3 on numerical aborts.
 """
 from __future__ import annotations
 
@@ -29,12 +32,11 @@ from .experiments import (
     ergodicity_experiment,
     forgetting_experiment,
 )
-from .filtering import MassInvariantError, PredictiveMassError
 from .grid import GridMeasure, VectorMeasure, embed
 from .loglik import loglik_jet, rml_demo
 from .models import assumption_constants, simulate
 from .oracle import FDScheme, fd_derivatives, stencil_points
-from .reporting import Check, ensure_outdir, format_value, write_csv, write_summary
+from .reporting import Check, csv_text, format_value, summarize
 from .seeding import labeled_rng, labeled_seed
 
 OUTDIR_ENV = "FILTERJET_OUTDIR"
@@ -67,23 +69,22 @@ def _random_l0(model, index_set, rng) -> VectorMeasure:
     return VectorMeasure(components, index_set, grid)
 
 
-def _run_simulate(cfg: RunConfig, outdir: str) -> list[Check]:
+def _run_simulate(cfg: RunConfig) -> tuple[dict, list[Check]]:
     model = build_model(cfg)
     theta = reference_theta(cfg)
     lam0 = GridMeasure.uniform(model.grid)
     traj = simulate(model, theta, lam0, cfg.experiment.horizon, labeled_seed(cfg.seed, "simulate"))
     rows = [(0, traj.states[0], "")]
     rows += [(k + 1, traj.states[k + 1], traj.observations[k]) for k in range(len(traj))]
-    write_csv(os.path.join(outdir, "results.csv"), ["step", "state", "observation"], rows)
     lo, hi = model.grid.bounds[0]
     inside = bool(np.all(traj.states >= lo) and np.all(traj.states <= hi))
-    return [
+    return {"results.csv": (["step", "state", "observation"], rows)}, [
         Check("trajectory-length", f"{len(traj)} == {cfg.experiment.horizon}", len(traj) == cfg.experiment.horizon),
         Check("states-in-box", f"all states within [{lo}, {hi}]", inside),
     ]
 
 
-def _run_check_derivs(cfg: RunConfig, outdir: str) -> list[Check]:
+def _run_check_derivs(cfg: RunConfig) -> tuple[dict, list[Check]]:
     model = build_model(cfg)
     thetas = _theta_draws(cfg, model, cfg.experiment.theta_draws)
     report = derivative_identity_sweep(
@@ -100,12 +101,7 @@ def _run_check_derivs(cfg: RunConfig, outdir: str) -> list[Check]:
         (c.theta_index, " ".join(map(str, c.alpha)), c.max_abs_error, c.scaled_error)
         for c in report.cells
     ]
-    write_csv(
-        os.path.join(outdir, "results.csv"),
-        ["theta_index", "alpha", "max_abs_error", "scaled_error"],
-        rows,
-    )
-    return [
+    return {"results.csv": (["theta_index", "alpha", "max_abs_error", "scaled_error"], rows)}, [
         Check(
             "derivative-identity",
             f"worst scaled error {format_value(report.worst_scaled)} <= {format_value(report.rel_tol)}",
@@ -114,7 +110,7 @@ def _run_check_derivs(cfg: RunConfig, outdir: str) -> list[Check]:
     ]
 
 
-def _run_forgetting(cfg: RunConfig, outdir: str) -> list[Check]:
+def _run_forgetting(cfg: RunConfig) -> tuple[dict, list[Check]]:
     if cfg.experiment.horizon < _FORGETTING_MIN_HORIZON:
         need = f"at least {_FORGETTING_MIN_HORIZON} for forgetting"
         raise ConfigError(f"[experiment] horizon: must be {need}, got {cfg.experiment.horizon}")
@@ -143,15 +139,13 @@ def _run_forgetting(cfg: RunConfig, outdir: str) -> list[Check]:
     for idx, curve in enumerate(curves):
         for n, dist in zip(curve.horizon, curve.distance):
             rows.append((idx, n, dist))
-    write_csv(os.path.join(outdir, "results.csv"), ["pair", "n", "distance"], rows)
     fit_rows = [
         (i, c.slope, c.rate, c.r_squared, c.fit_start, c.fit_stop) for i, c in enumerate(curves)
     ]
-    write_csv(
-        os.path.join(outdir, "fits.csv"),
-        ["pair", "slope", "rate", "r_squared", "fit_start", "fit_stop"],
-        fit_rows,
-    )
+    tables = {
+        "results.csv": (["pair", "n", "distance"], rows),
+        "fits.csv": (["pair", "slope", "rate", "r_squared", "fit_start", "fit_stop"], fit_rows),
+    }
     checks = []
     for i, c in enumerate(curves):
         if c.degenerate:
@@ -165,7 +159,7 @@ def _run_forgetting(cfg: RunConfig, outdir: str) -> list[Check]:
                 ok,
             )
         )
-    return checks
+    return tables, checks
 
 
 def _ergodicity_starts(model, iset):
@@ -181,7 +175,7 @@ def _ergodicity_starts(model, iset):
     ]
 
 
-def _run_ergodicity(cfg: RunConfig, outdir: str) -> list[Check]:
+def _run_ergodicity(cfg: RunConfig) -> tuple[dict, list[Check]]:
     model = build_model(cfg)
     theta = reference_theta(cfg)
     iset = model.index_set()
@@ -209,17 +203,12 @@ def _run_ergodicity(cfg: RunConfig, outdir: str) -> list[Check]:
                 )
         for t_idx, n in enumerate(probe.record_ns):
             rows.append((chain, "spread", int(n), probe.spreads[t_idx], 0.0))
-    write_csv(
-        os.path.join(outdir, "results.csv"),
-        ["chain", "start", "n", "estimate", "stderr"],
-        rows,
-    )
     aligned, shifted = probes["aligned"], probes["shifted"]
     first, last = aligned.spreads[0], aligned.spreads[-1]
     shrink = first / last if last > 0.0 else np.inf
     gap = abs(aligned.estimates[:, -1].mean() - shifted.estimates[:, -1].mean())
     band = 3.0 * np.sqrt(aligned.stderr[:, -1].max() ** 2 + shifted.stderr[:, -1].max() ** 2)
-    return [
+    return {"results.csv": (["chain", "start", "n", "estimate", "stderr"], rows)}, [
         Check(
             "spread-shrink",
             f"spread factor {format_value(float(shrink))} >= 5 from n={int(aligned.record_ns[0])} to n={int(aligned.record_ns[-1])}",
@@ -233,7 +222,7 @@ def _run_ergodicity(cfg: RunConfig, outdir: str) -> list[Check]:
     ]
 
 
-def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
+def _run_loglik(cfg: RunConfig) -> tuple[dict, list[Check]]:
     model = build_model(cfg)
     theta = reference_theta(cfg)
     scheme = _scheme(cfg)
@@ -253,7 +242,6 @@ def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
         tuple([k + 1] + [jet.increments[k, s] for s in range(len(iset))])
         for k in range(jet.increments.shape[0])
     ]
-    write_csv(os.path.join(outdir, "results.csv"), header, rows)
 
     # The difference passes read slot 0 only, which an order-0 build of the
     # model computes as the same float, in one pass over the stencil points.
@@ -266,12 +254,11 @@ def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
         rel = abs(jet.value(alpha) - fd) / max(abs(fd), cfg.experiment.abs_floor / cfg.experiment.rel_tol)
         worst = max(worst, rel)
         deriv_rows.append((" ".join(map(str, alpha)), jet.value(alpha), fd, rel))
-    write_csv(
-        os.path.join(outdir, "derivatives.csv"),
-        ["alpha", "jet", "finite_difference", "rel_error"],
-        deriv_rows,
-    )
-    return [
+    tables = {
+        "results.csv": (header, rows),
+        "derivatives.csv": (["alpha", "jet", "finite_difference", "rel_error"], deriv_rows),
+    }
+    return tables, [
         Check(
             "jet-vs-fd",
             f"worst relative error {format_value(worst)} <= {format_value(cfg.experiment.rel_tol)}",
@@ -280,7 +267,7 @@ def _run_loglik(cfg: RunConfig, outdir: str) -> list[Check]:
     ]
 
 
-def _run_rml(cfg: RunConfig, outdir: str) -> list[Check]:
+def _run_rml(cfg: RunConfig) -> tuple[dict, list[Check]]:
     model = build_model(cfg)
     truth = reference_theta(cfg)
     init = np.asarray(cfg.experiment.rml_init, dtype=float)
@@ -297,7 +284,6 @@ def _run_rml(cfg: RunConfig, outdir: str) -> list[Check]:
         tuple([k] + list(trace.thetas[k])) for k in range(trace.thetas.shape[0])
     ]
     header = ["step"] + [f"theta_{i+1}" for i in range(trace.thetas.shape[1])]
-    write_csv(os.path.join(outdir, "results.csv"), header, rows)
     tail = trace.thetas[-500:].mean(axis=0)
     tail_dist = float(np.linalg.norm(tail - truth))
     init_dist = float(np.linalg.norm(init - truth))
@@ -310,13 +296,13 @@ def _run_rml(cfg: RunConfig, outdir: str) -> list[Check]:
         statement = (
             f"tail distance {format_value(tail_dist)} < initial distance {format_value(init_dist)}"
         )
-    return [
+    return {"results.csv": (header, rows)}, [
         Check("estimate-improves", statement, ok),
         Check("projections", f"{trace.projections} boundary projections", True),
     ]
 
 
-def _run_assumptions(cfg: RunConfig, outdir: str) -> list[Check]:
+def _run_assumptions(cfg: RunConfig) -> tuple[dict, list[Check]]:
     model = build_model(cfg)
     thetas = [reference_theta(cfg)] + _theta_draws(cfg, model, 2)
     if model.compact_observations:
@@ -327,7 +313,6 @@ def _run_assumptions(cfg: RunConfig, outdir: str) -> list[Check]:
         ys = np.geomspace(5.0, 500.0, cfg.experiment.y_samples)
     constants = assumption_constants(model, thetas, ys)
     rows = list(zip(constants.y_values, constants.psi_values))
-    write_csv(os.path.join(outdir, "results.csv"), ["y", "psi"], rows)
     checks = [
         Check(
             "mixing-ratio",
@@ -348,7 +333,7 @@ def _run_assumptions(cfg: RunConfig, outdir: str) -> list[Check]:
                 1.8 <= constants.growth_exponent <= 2.2,
             )
         )
-    return checks
+    return {"results.csv": (["y", "psi"], rows)}, checks
 
 
 _RUNNERS = {
@@ -362,6 +347,21 @@ _RUNNERS = {
 }
 
 
+def _write(outdir: str, source: str, files: dict[str, str]) -> bool:
+    """Write each named text into outdir, creating it; an OSError is a config error naming the file."""
+    path = outdir
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(outdir, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as err:
+        print(f"config error: {source}: cannot write {path!r}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
+
+
 def run(experiment: str, config_path: str) -> int:
     """Load the config, run one experiment, write artifacts, return exit status."""
     try:
@@ -371,30 +371,26 @@ def run(experiment: str, config_path: str) -> int:
         return 2
     from_env = os.environ.get(OUTDIR_ENV)
     outdir = from_env or cfg.outdir
+    source = OUTDIR_ENV if from_env else "[run] outdir"
     resolved = render_config(cfg)
-    try:
-        ensure_outdir(outdir)
-        with open(os.path.join(outdir, "resolved.cfg"), "w", encoding="utf-8") as fh:
-            fh.write(resolved)
-    except OSError as err:
-        source = OUTDIR_ENV if from_env else "[run] outdir"
-        print(f"config error: {source}: cannot write to {outdir!r}: {err.strerror or err}", file=sys.stderr)
+    if not _write(outdir, source, {"resolved.cfg": resolved}):
         return 2
     sys.stdout.write(resolved)
     try:
         # a floating-point fault aborts the same way under every warning filter
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            checks = _RUNNERS[experiment](cfg, outdir)
+            tables, checks = _RUNNERS[experiment](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (PredictiveMassError, MassInvariantError, ArithmeticError, ValueError) as err:
+    except (ArithmeticError, ValueError) as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3
-    ok = write_summary(os.path.join(outdir, "summary.txt"), checks)
-    for c in checks:
-        print(f"{c.name}: {c.statement} -> {'PASS' if c.passed else 'FAIL'}")
-    print(f"overall: {'PASS' if ok else 'FAIL'}")
+    ok, summary = summarize(checks)
+    files = {name: csv_text(header, rows) for name, (header, rows) in tables.items()}
+    if not _write(outdir, source, {**files, "summary.txt": summary}):
+        return 2
+    sys.stdout.write(summary)
     return 0 if ok else 1
 
 

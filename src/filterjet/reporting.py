@@ -1,7 +1,6 @@
 """CSV and summary emission with reproducible formatting."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -14,12 +13,9 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def csv_text(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -31,17 +27,9 @@ class Check:
     passed: bool
 
 
-def write_summary(path, checks) -> bool:
+def summarize(checks) -> tuple[bool, str]:
+    """(all passed, the summary text): one PASS/FAIL line per check, then the overall verdict."""
     ok = all(c.passed for c in checks)
-    lines = [
-        f"{c.name}: {c.statement} -> {'PASS' if c.passed else 'FAIL'}" for c in checks
-    ]
+    lines = [f"{c.name}: {c.statement} -> {'PASS' if c.passed else 'FAIL'}" for c in checks]
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return ok
-
-
-def ensure_outdir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+    return ok, "\n".join(lines) + "\n"

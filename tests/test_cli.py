@@ -1,13 +1,19 @@
 import configparser
+import contextlib
+import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from filterjet import FDScheme, GridMeasure, fd_derivative, loglik_jet, simulate
-from filterjet.cli import _ergodicity_starts, main, run
+from filterjet import FDScheme, GridMeasure, fd_derivative, loglik_jet, models, simulate
+from filterjet.cli import _RUNNERS, _ergodicity_starts, main, run
 from filterjet.config import (
+    VARIANTS,
     ConfigError,
     RunConfig,
     build_grid,
@@ -16,8 +22,12 @@ from filterjet.config import (
     reference_theta,
     render_config,
 )
+from filterjet.experiments import PHI_BUILTINS
+from filterjet.models import FEATURE_FUNCTIONS
 from filterjet.reporting import format_value
 from filterjet.seeding import labeled_seed
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 FAST = """
 [run]
@@ -350,6 +360,29 @@ class TestRun:
             want = fd_derivative(slot0, tuple(map(int, alpha.split())), theta, scheme)
             assert float(fd) == want
 
+    @pytest.mark.parametrize("name", ["results.csv", "summary.txt"])
+    def test_an_output_file_that_cannot_be_written_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        # a directory in the way of the file makes its open raise IsADirectoryError
+        outdir = tmp_path / "blocked"
+        (outdir / name).mkdir(parents=True)
+        monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
+        assert run("simulate", os.path.join(CONFIGS, "simulate.cfg")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: FILTERJET_OUTDIR: cannot write ")
+        assert repr(str(outdir / name)) in err
+
+    def test_an_aborted_loglik_run_leaves_only_its_resolved_config(self, tmp_path, monkeypatch, capsys):
+        # the jet pass has completed when the difference passes abort
+        def abort(*args, **kwargs):
+            raise ArithmeticError("difference pass aborted")
+
+        monkeypatch.setattr("filterjet.cli.fd_derivatives", abort)
+        outdir = tmp_path / "out"
+        monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
+        assert run("loglik", os.path.join(CONFIGS, "loglik.cfg")) == 3
+        assert capsys.readouterr().err == "numerical abort: difference pass aborted\n"
+        assert os.listdir(outdir) == ["resolved.cfg"]
+
     def test_failing_threshold_exits_1(self, tmp_path):
         # an absurdly tight tolerance forces a FAIL verdict
         cfg = tmp_path / "tight.cfg"
@@ -480,3 +513,94 @@ class TestEveryValueGetsAnExitCode:
         assert run(experiment, _setting_config(tmp_path, settings)) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def _floats(draw, lo, hi, count):
+    return [draw(st.floats(lo, hi)) for _ in range(count)]
+
+
+@st.composite
+def in_domain_configs(draw):
+    """INI text of a random in-domain config at desk scale, with an {outdir} field."""
+    d = draw(st.integers(1, 3))
+    features = st.lists(st.sampled_from(sorted(FEATURE_FUNCTIONS)), min_size=d, max_size=d)
+    theta_min = _floats(draw, -2.0, 1.0, d)
+    theta_max = [lo + w for lo, w in zip(theta_min, _floats(draw, 0.5, 3.0, d))]
+
+    def inside():
+        return [lo + u * (hi - lo) for lo, hi, u in zip(theta_min, theta_max, _floats(draw, 0.05, 0.95, d))]
+
+    state_min, obs_min = draw(st.floats(-4.0, 1.0)), draw(st.floats(-8.0, 2.0))
+    sections = {
+        "run": {"seed": draw(st.integers(0, 2**31 - 1)), "outdir": "{outdir}"},
+        "model": {
+            "variant": draw(st.sampled_from(VARIANTS)),
+            "drift_features": draw(features),
+            "obs_features": draw(features),
+            "trans_scale": draw(st.floats(0.1, 3.0)),
+            "obs_scale": draw(st.floats(0.1, 3.0)),
+            "state_min": state_min,
+            "state_max": state_min + draw(st.floats(0.5, 8.0)),
+            "obs_min": obs_min,
+            "obs_max": obs_min + draw(st.floats(1.0, 12.0)),
+            "theta_min": theta_min,
+            "theta_max": theta_max,
+            "theta": inside(),
+        },
+        "grid": {"cells": draw(st.integers(2, 20))},
+        "derivatives": {
+            "order": draw(st.integers(1, 3)),
+            "fd_step": draw(st.floats(1e-4, 1e-2)),
+            "fd_levels": draw(st.integers(1, 2)),
+        },
+        "experiment": {
+            "horizon": draw(st.integers(1, 8) | st.integers(20, 30)),
+            "replicas": draw(st.integers(2, 6)),
+            "theta_draws": draw(st.integers(1, 2)),
+            "pairs": draw(st.integers(1, 3)),
+            "record_ns": draw(st.lists(st.integers(0, 8), min_size=1, max_size=3)),
+            "phi": draw(st.sampled_from(sorted(PHI_BUILTINS))),
+            "rml_steps": draw(st.integers(1, 30)),
+            "rml_init": inside(),
+            "y_samples": draw(st.integers(2, 6)),
+        },
+    }
+    text = ""
+    for section, keys in sections.items():
+        text += f"[{section}]\n"
+        for key, value in keys.items():
+            words = value if isinstance(value, list) else [value]
+            text += f"{key} = {' '.join(map(format_value, words))}\n"
+    return text
+
+
+def _run_in_process(experiment, path):
+    """(exit code, stderr) of one in-process run; stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(experiment, path)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("experiment", sorted(_RUNNERS))
+@settings(max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=in_domain_configs())
+def test_every_in_domain_config_gets_a_truthful_exit(tmp_path_factory, monkeypatch, experiment, text):
+    # exit 2 names its key, exit 3 names its cause, and a completed run repeats byte for byte;
+    # a tenth of the sampler cap keeps an unreachable observation box at 40 ms, not 0.4 s
+    monkeypatch.delenv("FILTERJET_OUTDIR", raising=False)
+    monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 10**5)
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "fuzz.cfg"
+    path.write_text(text.format(outdir=root / "out"))
+    code, err = _run_in_process(experiment, str(path))
+    assert code in (0, 1, 2, 3), err
+    if code == 2:
+        assert re.search(r"\[(run|model|grid|derivatives|experiment)\] \w+", err), err
+    if code == 3:
+        assert err.startswith("numerical abort: "), err
+        assert "division by zero" not in err and "encountered in" not in err, err
+    if code in (0, 1):
+        first = [(root / "out" / name).read_bytes() for name in ("results.csv", "summary.txt")]
+        assert _run_in_process(experiment, str(path)) == (code, "")
+        assert [(root / "out" / name).read_bytes() for name in ("results.csv", "summary.txt")] == first
