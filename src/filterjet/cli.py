@@ -11,6 +11,7 @@ the file), 3 on numerical aborts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -348,15 +349,22 @@ _RUNNERS = {
 
 
 def _write(outdir: str, source: str, files: dict[str, str]) -> bool:
-    """Write each named text into outdir, creating it; an OSError is a config error naming the file."""
-    path = outdir
+    """Write each named text into outdir, creating it; an OSError is a config error naming the file.
+
+    A call that fails removes the files it opened, so it leaves none of them behind.
+    """
+    path, opened = outdir, []
     try:
         os.makedirs(outdir, exist_ok=True)
         for name, text in files.items():
             path = os.path.join(outdir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(path)
                 fh.write(text)
     except OSError as err:
+        for done in opened:
+            with contextlib.suppress(OSError):
+                os.remove(done)
         print(f"config error: {source}: cannot write {path!r}: {err.strerror or err}", file=sys.stderr)
         return False
     return True

@@ -148,10 +148,11 @@ class KernelCache:
 
         One observation goes to a one-point cache's evaluator as a float,
         whose domain check and grid broadcast skip NumPy's general path:
-        12% of an R = 1 step at N = 32, order 1 (BENCH_6.json,
-        `r1_branches`).  A cache of a (P, dim) stack returns (P, K, R, N),
-        point by point: each distinct evaluator runs once, on the (R, 1)
-        column, and its points share its jet.
+        2-12% of a filter_step_with_scalars step and 2-10% of an
+        rml-online op (BENCH_24.json, `r1_branches`).  A cache of a
+        (P, dim) stack returns (P, K, R, N), point by point: each distinct
+        evaluator runs once, on the (R, 1) column, and its points share
+        its jet.
         """
         ys = np.asarray(ys, dtype=float)
         if self.theta.ndim == 2:
@@ -197,56 +198,41 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
 
     Row k sums, over beta + q + b = k, the multinomial weight times
     obs[beta] * (trans[q] @ weighted[b]); obs is the jet that
-    cache.observation_vectors(ys) returns at the R observations.  One row
-    per parameter point runs _per_point_update.  R > 1 replicas of one
-    point run slot-major: one GEMM per transition slot q moves every
-    replica, one GEMM pairs the products, and slot 0 is the factored
-    obs[0] * moved[0], a transposed view of (K, R, N) memory.  A
-    transition slot that is zero on the whole grid moves nothing: its
-    moved rows keep the +0 its GEMM would write.
+    cache.observation_vectors(ys) returns at the R observations.  The
+    rows are R replicas of each of the cache's P points, laid out
+    (P, K, R, N): one stacked GEMM per transition slot q moves every
+    replica of every point through that point's kernel, and one stacked
+    GEMM pairs the products.  A transition slot that is zero on the
+    whole grid moves nothing: its moved rows keep the +0 its GEMM would
+    write.  Slot 0 of R > 1 replicas is the factored obs[0] * moved[0];
+    with one row per point it applies each point's assembled kernel
+    (obs[0][:, None] * trans[0]) @ weighted[0], built in one reused
+    (N, N) buffer, so every point keeps the bits of its pass alone.
     """
-    plan = _update_plan(cache.index_set)
+    blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     rows, slots, size = weighted.shape
     trans = cache.trans.reshape(-1, slots, size, size)
-    if rows == len(trans):
-        return _per_point_update(plan, cache._live, trans, obs.reshape(rows, slots, size), weighted)
-    blocks, obs_rows, moved_rows, coeff = plan
-    obs = obs.reshape(slots, rows, size)
-    batch = np.ascontiguousarray(weighted.transpose(1, 0, 2))
-    moved = np.zeros((blocks[-1][0] + blocks[-1][1], rows, size))
+    points = len(trans)
+    replicas = rows // points
+    obs = obs.reshape(points, slots, replicas, size)
+    batch = np.ascontiguousarray(weighted.reshape(points, replicas, slots, size).transpose(0, 2, 1, 3))
+    moved = np.zeros((points, blocks[-1][0] + blocks[-1][1], replicas, size))
     for q, (start, count) in enumerate(blocks):
         if cache._live[q]:
-            out = moved[start : start + count].reshape(-1, size)
-            np.matmul(batch[:count].reshape(-1, size), trans[0, q].T, out=out)
-    terms = obs[obs_rows] * moved[moved_rows]
-    update = (coeff @ terms.reshape(len(terms), rows * size)).reshape(-1, rows, size)
-    update[0] = obs[0] * moved[0]
-    return update.transpose(1, 0, 2)
-
-
-def _per_point_update(plan, live, trans: np.ndarray, obs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    """(P, K, N) prediction-update of one row per parameter point.
-
-    trans is the (P, K, N, N) transition stack; obs and weighted are
-    (P, K, N).  One stacked np.matmul per live transition slot moves
-    every point's slots through that point's kernel, one pairs the
-    products, and each point's slot 0 applies its assembled kernel
-    (obs[0][:, None] * trans[0]) @ weighted[0], built in one reused
-    (N, N) buffer.  Each point's slice runs the BLAS call of a one-point
-    update, so every point keeps the bits of its pass alone.
-    """
-    blocks, obs_rows, moved_rows, coeff = plan
-    points, _, size = weighted.shape
-    moved = np.zeros((points, blocks[-1][0] + blocks[-1][1], size))
-    for q, (start, count) in enumerate(blocks):
-        if live[q]:
-            np.matmul(weighted[:, :count], trans[:, q].transpose(0, 2, 1), out=moved[:, start : start + count])
-    update = np.matmul(coeff, obs[:, obs_rows] * moved[:, moved_rows])
-    kernel = np.empty((size, size))
-    for p in range(points):
-        np.multiply(obs[p, 0, :, None], trans[p, 0], out=kernel)
-        np.matmul(kernel, weighted[p, 0], out=update[p, 0])
-    return update
+            out = moved[:, start : start + count].reshape(points, -1, size)
+            np.matmul(batch[:, :count].reshape(points, -1, size), trans[:, q].transpose(0, 2, 1), out=out)
+    # take gathers on axis 1 in half the time of fancy indexing there: 3 against 6 us at N = 32, order 1.
+    terms = obs.take(obs_rows, 1) * moved.take(moved_rows, 1)
+    terms = terms.reshape(points, len(obs_rows), replicas * size)
+    update = np.matmul(coeff, terms).reshape(points, slots, replicas, size)
+    if replicas > 1:
+        update[:, 0] = obs[:, 0] * moved[:, 0]
+    else:
+        kernel = np.empty((size, size))
+        for p in range(points):
+            np.multiply(obs[p, 0, 0, :, None], trans[p, 0], out=kernel)
+            np.matmul(kernel, weighted[p, 0], out=update[p, 0, 0])
+    return update.transpose(0, 2, 1, 3).reshape(rows, slots, size)
 
 
 def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=None) -> None:
@@ -287,29 +273,25 @@ def _normalized_update(cache: KernelCache, obs, components, observation_index=No
 def _step(cache: KernelCache, obs, components, observation_index=None):
     """One filter step of every row of a kernel cache; every filter pass runs it.
 
-    The rows of components (rows, K, N) are the R replicas of a one-point
-    cache or, at R = 1, one per parameter point; replica r updates with
-    ys[r]: obs is cache.observation_vectors(ys), the observation jet at
-    the (R,) ys.  Returns (components, s_masses (rows, K), predictive
-    (rows,)): s_masses[i, k] is the total mass of
-    the k-th normalized prediction-update of row i and predictive[i] the
-    unnormalized slot-0 mass that normalizes it.  Slot 0 becomes the
-    Bayes-updated probability; each higher slot is its prediction-update
-    minus the binomial-weighted recentering by lower slots, evaluated in
-    increasing degree.  Aborts name the parameter point (when P > 1),
-    the replica (when R > 1) and observation_index.
+    The rows of components (rows, K, N) are the R replicas of each of
+    the cache's P points, point-major; replica r updates with ys[r]: obs
+    is cache.observation_vectors(ys), the observation jet at the (R,)
+    ys.  Returns (components, s_masses (rows, K), predictive (rows,)):
+    s_masses[i, k] is the total mass of the k-th normalized
+    prediction-update of row i and predictive[i] the unnormalized slot-0
+    mass that normalizes it.  Slot 0 becomes the Bayes-updated
+    probability; each higher slot is its prediction-update minus the
+    binomial-weighted recentering by lower slots, evaluated in
+    increasing degree on slot-major views of every row at once.  Aborts
+    name the parameter point (when P > 1), the replica (when R > 1) and
+    observation_index.
     """
     f_dens, predictive = _normalized_update(cache, obs, components, observation_index)
     s_masses = f_dens @ cache.grid.weights
     # Recenter in place in increasing degree, so every slot b < k is final;
     # the last pair of each row is b == k itself.  Slot-major views let
-    # each pair update every row at once; one row uses 1-D slots and
-    # scalar masses, the same products in the same order, which saves
-    # 5% of an R = 1 step at N = 64, order 3 (BENCH_6.json, `r1_branches`).
-    if len(f_dens) == 1:
-        slots, masses = f_dens[0], s_masses[0]
-    else:
-        slots, masses = f_dens.transpose(1, 0, 2), s_masses.T[:, :, None]
+    # each pair update every row at once.
+    slots, masses = f_dens.transpose(1, 0, 2), s_masses.T[:, :, None]
     for k, pairs in enumerate(pair_table(cache.index_set)):
         for coeff, b_slot, g_slot in pairs[:-1]:
             slots[k] -= coeff * slots[b_slot] * masses[g_slot]

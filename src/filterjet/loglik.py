@@ -193,8 +193,8 @@ def rml_demo(
     trace[0] = current
     projections = 0
     for k, y in enumerate(traj.observations):
-        cache = KernelCache(model, current, iset)
         try:
+            cache = KernelCache(model, current, iset)
             measure, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
         except PredictiveMassError as err:
             raise PredictiveMassError(err.mass, observation_index=k + 1) from err

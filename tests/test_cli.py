@@ -371,6 +371,15 @@ class TestRun:
         assert err.startswith("config error: FILTERJET_OUTDIR: cannot write ")
         assert repr(str(outdir / name)) in err
 
+    @pytest.mark.parametrize("experiment, name", [("simulate", "summary.txt"), ("loglik", "derivatives.csv")])
+    def test_a_failed_write_leaves_no_table_behind(self, tmp_path, monkeypatch, experiment, name):
+        # results.csv is written before the blocked file
+        outdir = tmp_path / "blocked"
+        (outdir / name).mkdir(parents=True)
+        monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
+        assert run(experiment, os.path.join(CONFIGS, f"{experiment}.cfg")) == 2
+        assert sorted(os.listdir(outdir)) == sorted(["resolved.cfg", name])
+
     def test_an_aborted_loglik_run_leaves_only_its_resolved_config(self, tmp_path, monkeypatch, capsys):
         # the jet pass has completed when the difference passes abort
         def abort(*args, **kwargs):

@@ -290,6 +290,22 @@ class TestRmlDemo:
         box = np.asarray(small.parameter_box)
         assert np.all(trace.thetas > box[:, 0]) and np.all(trace.thetas < box[:, 1])
 
+    def test_a_kernel_build_abort_names_the_observation_index(self, small, theta, monkeypatch):
+        # every step builds its own cache, so the fifth build is that of step 5
+        build = type(small).transition_grid_jet
+        calls = []
+
+        def fifth_build_fails(model, point, index_set):
+            calls.append(point)
+            if len(calls) == 5:
+                raise ValueError("transition normalizer vanished on the grid")
+            return build(model, point, index_set)
+
+        monkeypatch.setattr(type(small), "transition_grid_jet", fifth_build_fails)
+        with pytest.raises(ValueError) as info:
+            rml_demo(small, theta, theta, step_a=3.0, step_b=300.0, n_steps=6, seed=1)
+        assert str(info.value) == "transition normalizer vanished on the grid at observation index 5"
+
     def test_abort_names_the_observation_index(self, gaussian_model, theta):
         # the fourth simulated observation has vanishing density
         broken = BrokenObservation(gaussian_model, outlier_from=4)

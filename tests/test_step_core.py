@@ -11,7 +11,9 @@ An order-0 step must run and keep the slot 0 of the higher orders.
 A transition slot that is zero on the whole grid must never be read,
 and skipping it must keep every byte of the steps that run its GEMM.
 A one-point stack must step as its point does, byte for byte, and a
-stack of several points takes one replica per point.
+stack of several points takes one replica per point.  The one update
+over points and replicas must keep the bytes of the per-point update
+and of the slot-major replica update it replaced.
 """
 from functools import lru_cache
 
@@ -116,23 +118,50 @@ def stacked_prediction_update(cache, ys, weighted):
     return update
 
 
-def slot_major_update(cache, obs, weighted):
-    """The slot-major update of a batch with one GEMM for every transition slot: (R, K, N).
+def slot_major_update(cache, obs, weighted, skip=False):
+    """The slot-major update of R replicas of one point: (R, K, N).
 
-    _prediction_update of one point at R > 1 before it skipped the
-    all-zero slots; slot 0 is the factored obs[0] * moved[0].
+    Without skip it runs one GEMM for every transition slot, as
+    _prediction_update did before it skipped the all-zero slots; with
+    skip those slots move nothing, as its R > 1 branch did before it
+    merged with per_point_update.  Slot 0 is the factored
+    obs[0] * moved[0].
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     replicas, _, size = weighted.shape
     slots = np.ascontiguousarray(weighted.transpose(1, 0, 2))
-    moved = np.empty((sum(count for _, count in blocks), replicas, size))
+    moved = np.zeros((sum(count for _, count in blocks), replicas, size))
     for q, (start, count) in enumerate(blocks):
+        if skip and not cache._live[q]:
+            continue
         out = moved[start : start + count].reshape(-1, size)
         np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
     terms = obs[obs_rows] * moved[moved_rows]
     update = (coeff @ terms.reshape(len(terms), replicas * size)).reshape(-1, replicas, size)
     update[0] = obs[0] * moved[0]
     return update.transpose(1, 0, 2)
+
+
+def per_point_update(cache, obs, weighted):
+    """The update of one row per parameter point, before it merged with the slot-major one: (P, K, N).
+
+    One stacked GEMM per live transition slot, one pairing GEMM, and each
+    point's slot 0 from its assembled kernel in one reused (N, N) buffer.
+    """
+    blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
+    points, slots, size = weighted.shape
+    trans = cache.trans.reshape(-1, slots, size, size)
+    obs = obs.reshape(points, slots, size)
+    moved = np.zeros((points, sum(count for _, count in blocks), size))
+    for q, (start, count) in enumerate(blocks):
+        if cache._live[q]:
+            np.matmul(weighted[:, :count], trans[:, q].transpose(0, 2, 1), out=moved[:, start : start + count])
+    update = np.matmul(coeff, obs[:, obs_rows] * moved[:, moved_rows])
+    kernel = np.empty((size, size))
+    for p in range(points):
+        np.multiply(obs[p, 0, :, None], trans[p, 0], out=kernel)
+        np.matmul(kernel, weighted[p, 0], out=update[p, 0])
+    return update
 
 
 def serial_fold(model, theta, ys, start):
@@ -335,9 +364,9 @@ def test_slot_major_update_matches_the_stacked_one_at_criterion_7s_batch():
 
 
 @lru_cache(maxsize=None)
-def feature_model(features, cells):
+def feature_model(features, cells, variant="compact"):
     drift, obs = FEATURES[features]
-    return make_model(cells=cells, order=3, drift=drift, obs=obs)
+    return make_model(cells=cells, order=3, variant=variant, drift=drift, obs=obs)
 
 
 def fold_bytes(cache, ys, starts):
@@ -405,6 +434,36 @@ def test_a_skipping_stacked_pass_equals_serial_passes_byte_for_byte(features, or
     ys = rng.uniform(-2.5, 2.5, size=5)
     for theta, state in zip(thetas, filter_iterate(model, thetas, ys, start)):
         assert state.components.tobytes() == serial_fold(model, theta, ys, start).tobytes()
+
+
+# (points, replicas) of the rows one update moves
+UPDATE_LAYOUTS = {"R=1": (1, 1), "R=2": (1, 2), "R=7": (1, 7), "R=60": (1, 60), "P=2": (2, 1), "P=28": (28, 1)}
+
+
+@pytest.mark.parametrize("layout", list(UPDATE_LAYOUTS))
+@pytest.mark.parametrize("cells", [8, 33, 64])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("variant", ["compact", "gaussian"])
+@pytest.mark.parametrize("features", ["shipped", "mixed"])
+def test_one_update_keeps_the_bytes_of_the_per_point_and_slot_major_ones(features, variant, order, cells, layout):
+    # the shipped features skip dead slots from order 1 on; the mixed ones have none
+    points, replicas = UPDATE_LAYOUTS[layout]
+    model = feature_model(features, cells, variant)
+    iset = model.index_set(order)
+    rng = np.random.default_rng([order, cells, points, replicas])
+    theta = THETA if points == 1 else rng.uniform(0.3, 1.4, size=(points, 2))
+    cache = KernelCache(model, theta, iset)
+    rows = np.stack([random_l0(model, iset, rng).components for _ in range(points * replicas)])
+    weighted = rows * model.grid.weights
+    obs = cache.observation_vectors(rng.uniform(-2.5, 2.5, size=replicas))
+    got = _prediction_update(cache, obs, weighted)
+    if replicas == 1:
+        want = per_point_update(cache, obs, weighted)
+    else:
+        want = slot_major_update(cache, obs, weighted, skip=True)
+    assert np.array_equal(got, want)
+    # tobytes, unlike array_equal, tells -0 from +0
+    assert got.tobytes() == want.tobytes()
 
 
 SHIPPED_DEAD_SLOTS = {0: [], 1: [1], 2: [1, 3, 4], 3: [1, 3, 4, 6, 7, 8]}
