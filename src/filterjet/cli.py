@@ -1,12 +1,12 @@
 """Command-line front door: config in, CSV plus pass/fail summary out.
 
 Each subcommand's runner is a pure function of the config that returns
-its tables and checks; `run` alone writes files.  It writes the resolved
-config echo (resolved.cfg) first, and the tables (results.csv, fits.csv,
-derivatives.csv) and summary.txt only when the run completes.  Exit
-status: 0 when all thresholds pass, 1 when a threshold fails, 2 on config
-errors, an output file that cannot be written included (the error names
-the file), 3 on numerical aborts.
+its tables and checks; `run` alone writes files.  It removes an earlier
+run's outputs, writes the config echo (resolved.cfg), and writes the
+tables (results.csv, fits.csv, derivatives.csv) and summary.txt only when
+the run completes.  Exit status: 0 when all thresholds pass, 1 when a
+threshold fails, 2 on config errors, an output file that cannot be
+written included (the error names the file), 3 on numerical aborts.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .reporting import Check, csv_text, format_value, summarize
 from .seeding import labeled_rng, labeled_seed
 
 OUTDIR_ENV = "FILTERJET_OUTDIR"
+_OUTPUT_NAMES = ("results.csv", "fits.csv", "derivatives.csv", "summary.txt")
 
 
 def _scheme(cfg: RunConfig) -> FDScheme:
@@ -348,14 +349,18 @@ _RUNNERS = {
 }
 
 
-def _write(outdir: str, source: str, files: dict[str, str]) -> bool:
-    """Write each named text into outdir, creating it; an OSError is a config error naming the file.
+def _write(outdir: str, source: str, files: dict[str, str], stale=()) -> bool:
+    """Write each named text into outdir, creating it, once the stale files there are removed.
 
-    A call that fails removes the files it opened, so it leaves none of them behind.
+    An OSError is a config error naming the file.  A call that fails removes the files it opened;
+    a directory in a stale name's way is no run's output, and stays for the write of that name to fail.
     """
     path, opened = outdir, []
     try:
         os.makedirs(outdir, exist_ok=True)
+        for name in stale:
+            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                os.remove(path := os.path.join(outdir, name))
         for name, text in files.items():
             path = os.path.join(outdir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -381,7 +386,7 @@ def run(experiment: str, config_path: str) -> int:
     outdir = from_env or cfg.outdir
     source = OUTDIR_ENV if from_env else "[run] outdir"
     resolved = render_config(cfg)
-    if not _write(outdir, source, {"resolved.cfg": resolved}):
+    if not _write(outdir, source, {"resolved.cfg": resolved}, _OUTPUT_NAMES):
         return 2
     sys.stdout.write(resolved)
     try:

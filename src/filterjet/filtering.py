@@ -4,9 +4,9 @@ One filter step maps a vector measure whose slot 0 is a probability
 measure to another such vector measure.  Slot 0 receives the plain
 Bayes prediction-update; higher slots receive the mixed parameter
 derivatives of the updated filter, computed by a single forward pass in
-index degree.  After every step, slot 0 has mass one and each higher
-slot has signed mass zero; those invariants are asserted, not enforced,
-so drift is a regression signal rather than silently hidden.
+index degree.  After every step, slot 0 is a probability and each
+higher slot has signed mass zero; those invariants are asserted, not
+enforced, so drift is a regression signal rather than silently hidden.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .multiindex import IndexSet, count_upto, pair_table
 
 MASS_TOL = 1e-10
 PREDICTIVE_FLOOR = 1e-300
+_L0_TOL = 1e-8  # slot 0 in the recursion state space: densities >= -_L0_TOL, mass within _L0_TOL of 1
 # Observations whose jets _fold evaluates in one call, steps times rows
 # (one step at least), bounding the (P, K, JET_BLOCK, N) block it holds.
 JET_BLOCK = 256
@@ -236,12 +237,11 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
 
 
 def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=None) -> None:
-    """Slot 0 of every row must be a probability (tolerance 1e-8)."""
+    """Slot 0 of every row must be a probability (tolerance _L0_TOL)."""
     slot0 = components[:, 0]
-    drift = np.abs(np.matmul(slot0[:, None], grid.weights)[:, 0] - 1.0)
-    # NaN fails both comparisons, as it propagates through min and max.
-    if not (slot0.min() >= -1e-8 and drift.max() <= 1e-8):
-        ok = np.all(slot0 >= -1e-8, axis=1) & (drift <= 1e-8)
+    # NaN fails both comparisons.
+    ok = np.all(slot0 >= -_L0_TOL, axis=1) & (np.abs(slot0 @ grid.weights - 1.0) <= _L0_TOL)
+    if not ok.all():
         replica, point = _locate(np.argmin(ok), len(ok), theta)
         raise ValueError(
             "vector measure is not in the recursion state space (slot 0 must be a probability)"
@@ -249,44 +249,30 @@ def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=
         )
 
 
-def _normalized_update(cache: KernelCache, obs, components, observation_index=None):
-    """Prediction-update of every slot divided by the slot-0 predictive mass, per row.
-
-    obs and components (rows, K, N) are as for _step; returns the
-    (rows, K, N) update and the (rows,) predictive masses.  Raises
-    ValueError unless every slot 0 is a probability, and
-    PredictiveMassError when a predictive mass is not above
-    PREDICTIVE_FLOOR; both name the first failing row's parameter point
-    or replica, when there is more than one, and the observation index.
-    """
-    grid = cache.grid
-    _check_l0(components, grid, observation_index, cache.theta)
-    update = _prediction_update(cache, obs, components * grid.weights)
-    predictive = np.matmul(update[:, None, 0], grid.weights)[:, 0]
-    if not predictive.min() > PREDICTIVE_FLOOR:
-        row = int(np.argmin(predictive > PREDICTIVE_FLOOR))
-        replica, point = _locate(row, len(predictive), cache.theta)
-        raise PredictiveMassError(float(predictive[row]), observation_index, replica, point)
-    return update / predictive[:, None, None], predictive
-
-
 def _step(cache: KernelCache, obs, components, observation_index=None):
     """One filter step of every row of a kernel cache; every filter pass runs it.
 
     The rows of components (rows, K, N) are the R replicas of each of
-    the cache's P points, point-major; replica r updates with ys[r]: obs
-    is cache.observation_vectors(ys), the observation jet at the (R,)
-    ys.  Returns (components, s_masses (rows, K), predictive (rows,)):
-    s_masses[i, k] is the total mass of the k-th normalized
+    the cache's P points, point-major, each with a probability in slot 0,
+    which the entry points check (_check_l0); replica r updates with
+    ys[r]: obs is cache.observation_vectors(ys), the observation jet at
+    the (R,) ys.  Returns (components, s_masses (rows, K), predictive
+    (rows,)): s_masses[i, k] is the total mass of the k-th normalized
     prediction-update of row i and predictive[i] the unnormalized slot-0
     mass that normalizes it.  Slot 0 becomes the Bayes-updated
     probability; each higher slot is its prediction-update minus the
     binomial-weighted recentering by lower slots, evaluated in
-    increasing degree on slot-major views of every row at once.  Aborts
-    name the parameter point (when P > 1), the replica (when R > 1) and
-    observation_index.
+    increasing degree on slot-major views of every row at once, and
+    _check_masses checks the result.  Aborts name the parameter point
+    (when P > 1), the replica (when R > 1) and observation_index.
     """
-    f_dens, predictive = _normalized_update(cache, obs, components, observation_index)
+    update = _prediction_update(cache, obs, components * cache.grid.weights)
+    predictive = np.matmul(update[:, None, 0], cache.grid.weights)[:, 0]
+    if not predictive.min() > PREDICTIVE_FLOOR:
+        row = int(np.argmin(predictive > PREDICTIVE_FLOOR))
+        replica, point = _locate(row, len(predictive), cache.theta)
+        raise PredictiveMassError(float(predictive[row]), observation_index, replica, point)
+    f_dens = update / predictive[:, None, None]
     s_masses = f_dens @ cache.grid.weights
     # Recenter in place in increasing degree, so every slot b < k is final;
     # the last pair of each row is b == k itself.  Slot-major views let
@@ -300,27 +286,36 @@ def _step(cache: KernelCache, obs, components, observation_index=None):
 
 
 def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=None, theta=None) -> None:
-    """Slot 0 of every row must have mass one and every other slot mass zero.
+    """Slot 0 of every row must have mass one and no density below -_L0_TOL, every other slot mass zero.
 
-    Raises MassInvariantError naming the first failing row, located by
-    _locate among the points of theta, and slot.
-    The tolerance is MASS_TOL times the slot's TV norm where that exceeds
-    one: rounding in a slot's mass grows with the slot's size, so an
-    absolute bound would abort on valid inputs whose derivative slots are
-    large, while unit-scale slots keep the absolute MASS_TOL.  A slot
-    that is not finite fails too: its drift is NaN or infinite.
+    Raises MassInvariantError naming the first row and slot whose mass
+    drifts, else the first row whose slot 0 is negative, with its lowest
+    density; _locate finds the row among the points of theta.  The mass
+    tolerance is MASS_TOL times the slot's TV norm where that exceeds one:
+    rounding in a slot's mass grows with the slot's size, so an absolute
+    bound would abort on valid inputs whose derivative slots are large,
+    while unit-scale slots keep MASS_TOL.  A slot that is not finite
+    fails too: its drift is NaN or infinite.
     """
     drift = components @ grid.weights
     drift[:, 0] -= 1.0
+    slot0 = components[:, 0]
+    # Each tolerance is at least MASS_TOL, so a pass needs no TV norm; a NaN drift fails here and below.
+    if np.abs(drift).max() < MASS_TOL and slot0.min() >= -_L0_TOL:
+        return
     tols = MASS_TOL * np.maximum(1.0, np.abs(components) @ grid.weights)
     ok = np.abs(drift) < tols
+    lowest = slot0.min(axis=1)
     if not ok.all():
         row, k = np.unravel_index(np.argmin(ok), ok.shape)
-        replica, point = _locate(row, len(ok), theta)
-        raise MassInvariantError(
-            f"slot {k} mass drifts by {float(drift[row, k])!r}, beyond {float(tols[row, k])!r}"
-            + _where(replica, observation_index, point)
-        )
+        fault = f"slot {k} mass drifts by {float(drift[row, k])!r}, beyond {float(tols[row, k])!r}"
+    elif lowest.min() < -_L0_TOL:
+        row = np.argmax(lowest < -_L0_TOL)
+        fault = f"slot 0 is negative: density {float(lowest[row])!r} below {-_L0_TOL!r}"
+    else:
+        return
+    replica, point = _locate(row, len(ok), theta)
+    raise MassInvariantError(fault + _where(replica, observation_index, point))
 
 
 def _check_measure(measure: VectorMeasure, index_set: IndexSet, grid: StateGrid) -> None:
@@ -344,6 +339,7 @@ def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
     if cache.theta.ndim != 1:
         raise ValueError("a single step needs the kernel cache of one parameter point")
     _check_measure(measure, cache.index_set, cache.grid)
+    _check_l0(measure.components[None], cache.grid, None, cache.theta)
     ys = np.asarray(y, dtype=float)
     if ys.ndim != 0:
         raise ValueError(f"y must be a scalar observation, got shape {ys.shape}")
@@ -378,13 +374,13 @@ def _fold(cache: KernelCache, observations: np.ndarray, starts):
     """Fold the step core over a (T, R) observation block, yielding after each step.
 
     starts is one VectorMeasure for every row or a sequence of R, one per
-    row, each checked once.  The rows are the R replicas of a one-point
-    cache, or one per point of a stack, which takes R = 1 (ValueError
-    otherwise); row r takes observations[j, r] at step j.  A call
-    evaluates the jets of at most JET_BLOCK observations, that is
-    max(1, JET_BLOCK // R) steps.  Yields _step's (components, s_masses,
-    predictive).  Aborts name observation index j + 1 as _step's do; a
-    rejected observation names its replica too when R > 1.
+    row, each checked once, slot 0 at observation index 1 if a step runs.
+    The rows are the R replicas of a one-point cache, or one per point of
+    a stack, which takes R = 1 (ValueError otherwise); row r takes
+    observations[j, r] at step j.  A call evaluates the jets of at most
+    JET_BLOCK observations, max(1, JET_BLOCK // R) steps.  Yields _step's
+    (components, s_masses, predictive).  Aborts name observation index
+    j + 1 as _step's do, a rejected observation its replica when R > 1.
     """
     steps, replicas = observations.shape
     points = len(np.atleast_2d(cache.theta))
@@ -395,6 +391,8 @@ def _fold(cache: KernelCache, observations: np.ndarray, starts):
         _check_measure(measure, cache.index_set, cache.grid)
     rows = np.stack([measure.components for measure in starts])
     components = np.broadcast_to(rows, (points * replicas,) + rows.shape[1:])
+    if steps:
+        _check_l0(components, cache.grid, 1, cache.theta)
     span = max(1, JET_BLOCK // replicas)
     for first in range(0, steps, span):
         ys = observations[first : first + span]

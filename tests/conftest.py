@@ -72,10 +72,16 @@ def kernel_updates(model, theta, y, lam):
     return {tuple(alpha): GridMeasure(row, lam.grid) for alpha, row in zip(iset.indices, update)}
 
 
+def normalized_update(cache, y, measure):
+    """(K, N) S^alpha at y: the step core's prediction-update of every slot over its slot-0 mass, before recentering."""
+    weighted = measure.components[None] * measure.grid.weights
+    update = filtering._prediction_update(cache, cache.observation_vectors([y]), weighted)[0]
+    return update / (update[0] @ measure.grid.weights)
+
+
 def normalized_updates(model, theta, y, measure):
-    """{alpha: S^alpha} at y: the step core's normalized update of every slot, before recentering."""
-    cache = KernelCache(model, theta, measure.index_set)
-    update = filtering._normalized_update(cache, cache.observation_vectors([y]), measure.components[None])[0][0]
+    """{alpha: S^alpha} at y, the rows of normalized_update."""
+    update = normalized_update(KernelCache(model, theta, measure.index_set), y, measure)
     return {tuple(alpha): GridMeasure(row, measure.grid) for alpha, row in zip(measure.index_set.indices, update)}
 
 

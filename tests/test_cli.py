@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from filterjet import FDScheme, GridMeasure, fd_derivative, loglik_jet, models, simulate
-from filterjet.cli import _RUNNERS, _ergodicity_starts, main, run
+from filterjet.cli import _OUTPUT_NAMES, _RUNNERS, _ergodicity_starts, main, run
 from filterjet.config import (
     VARIANTS,
     ConfigError,
@@ -379,6 +379,40 @@ class TestRun:
         monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
         assert run(experiment, os.path.join(CONFIGS, f"{experiment}.cfg")) == 2
         assert sorted(os.listdir(outdir)) == sorted(["resolved.cfg", name])
+
+    def test_a_run_removes_the_outputs_an_earlier_run_left(self, tmp_path, monkeypatch):
+        # the edge theta is a config error the run finds after writing resolved.cfg
+        outdir = tmp_path / "reuse"
+        outdir.mkdir()
+        for name in ("results.csv", "fits.csv", "derivatives.csv", "summary.txt"):
+            (outdir / name).write_text("an earlier run's output\n")
+        cfg = tmp_path / "edge-theta.cfg"
+        with open(os.path.join(CONFIGS, "loglik.cfg"), encoding="utf-8") as fh:
+            cfg.write_text("[model]\ntheta = 0.2005 0.9\n\n" + fh.read())
+        monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
+        assert run("loglik", str(cfg)) == 2
+        assert os.listdir(outdir) == ["resolved.cfg"]
+
+    def test_a_stale_output_that_cannot_be_removed_exits_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "results.csv").write_text("an earlier run's output\n")
+        monkeypatch.setattr(os, "remove", refuse)
+        monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
+        assert run("simulate", os.path.join(CONFIGS, "simulate.cfg")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: FILTERJET_OUTDIR: cannot write ")
+        assert repr(str(outdir / "results.csv")) in err
+        assert os.listdir(outdir) == ["results.csv"]
+
+    @pytest.mark.parametrize("experiment", sorted(_RUNNERS))
+    def test_every_table_a_runner_returns_is_an_output_name(self, tmp_path, experiment):
+        # a run removes only these names first, so a table outside them could outlive its run
+        tables, _ = _RUNNERS[experiment](load_config_text(fast_config(tmp_path / "out", horizon=25)))
+        assert set(tables) | {"summary.txt"} <= set(_OUTPUT_NAMES)
 
     def test_an_aborted_loglik_run_leaves_only_its_resolved_config(self, tmp_path, monkeypatch, capsys):
         # the jet pass has completed when the difference passes abort

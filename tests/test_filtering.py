@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterjet import (
     FDScheme,
@@ -7,6 +9,7 @@ from filterjet import (
     KernelCache,
     MassInvariantError,
     PredictiveMassError,
+    StateGrid,
     VectorMeasure,
     assumption_constants,
     embed,
@@ -103,7 +106,7 @@ class TestNormalizedUpdate:
     def test_requires_l0(self, model32, theta, iset):
         comps = np.ones((len(iset), model32.grid.size))
         with pytest.raises(ValueError):
-            normalized_updates(model32, theta, 0.5, VectorMeasure(comps, iset, model32.grid))
+            filter_step_with_scalars(KernelCache(model32, theta, iset), 0.5, VectorMeasure(comps, iset, model32.grid))
 
     def test_norm_bounded_by_score_envelope(self, model32, theta, iset):
         # Direct evaluation against the computed envelope: the constant is
@@ -312,10 +315,11 @@ class TestBatchAborts:
 
     def test_l0_check_names_the_replica(self, model32, theta, uniform_l0):
         cache = KernelCache(model32, theta, uniform_l0.index_set)
-        batch = np.repeat(uniform_l0.components[None], 3, axis=0)
-        batch[2, 0] *= 1.5
-        with pytest.raises(ValueError, match="slot 0 must be a probability.* at replica 2, observation index 6"):
-            filtering._step(cache, cache.observation_vectors(np.zeros(3)), batch, 6)
+        components = uniform_l0.components.copy()
+        components[0] *= 1.5
+        starts = [uniform_l0, uniform_l0, VectorMeasure(components, uniform_l0.index_set, uniform_l0.grid)]
+        with pytest.raises(ValueError, match="slot 0 must be a probability.* at replica 2, observation index 1"):
+            next(filtering._fold(cache, np.zeros((1, 3)), starts))
 
     def test_mass_guard_names_the_replica(self, model32, uniform_l0):
         batch = np.repeat(uniform_l0.components[None], 3, axis=0)
@@ -330,8 +334,114 @@ class TestBatchAborts:
             filtering._check_masses(batch, model32.grid)
 
 
+# A uniform grid whose weights are powers of two, so a drift set on one cell lands where it is aimed.
+CHECK_GRID = StateGrid.uniform([(-1.0, 1.0)], 8)
+DRIFTS = {
+    "zero": lambda tv: 0.0,
+    "below MASS_TOL": lambda tv: 0.5 * filtering.MASS_TOL,
+    "above MASS_TOL": lambda tv: 2.0 * filtering.MASS_TOL,
+    "below the TV tolerance": lambda tv: 0.999 * filtering.MASS_TOL * max(1.0, tv),
+    "above the TV tolerance": lambda tv: 1.001 * filtering.MASS_TOL * max(1.0, tv),
+    "nan": lambda tv: np.nan,
+    "inf": lambda tv: np.inf,
+    "-inf": lambda tv: -np.inf,
+}
+PASSING_DRIFTS = ["zero", "below MASS_TOL", "below the TV tolerance"]
+
+
+def parent_check_masses(components, grid, observation_index=None, theta=None):
+    """_check_masses before it checked the sign of slot 0 and skipped the TV norms of a pass."""
+    drift = components @ grid.weights
+    drift[:, 0] -= 1.0
+    tols = filtering.MASS_TOL * np.maximum(1.0, np.abs(components) @ grid.weights)
+    ok = np.abs(drift) < tols
+    if not ok.all():
+        row, k = np.unravel_index(np.argmin(ok), ok.shape)
+        replica, point = filtering._locate(row, len(ok), theta)
+        raise MassInvariantError(
+            f"slot {k} mass drifts by {float(drift[row, k])!r}, beyond {float(tols[row, k])!r}"
+            + filtering._where(replica, observation_index, point)
+        )
+
+
+def first_negative_row(components):
+    """The sign half of _check_l0: the first row whose slot 0 has a density below -1e-8, else None."""
+    ok = np.all(components[:, 0] >= -1e-8, axis=1)
+    return None if ok.all() else int(np.argmin(ok))
+
+
+@st.composite
+def slot_arrays(draw):
+    """(rows, K, 8) outputs of a step with drawn faults.
+
+    Slot 0 starts as a positive probability and every higher slot, of a
+    drawn scale, with mass zero.  Then each slot gets a drift that passes,
+    and up to two get any drift: either side of MASS_TOL and of the TV
+    tolerance, NaN or infinite.  Up to two slot-0 densities go around -1e-8.
+    """
+    rows, slots = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = CHECK_GRID.weights
+    components = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((rows, slots, 8))
+    components[:, 0] = rng.uniform(0.5, 1.5, (rows, 8))
+    components[:, 0] /= (components[:, 0] @ weights)[:, None]
+    row_slots = st.tuples(st.integers(0, rows - 1), st.integers(0, slots - 1))
+    negatives = st.sampled_from([-2e-8, -1.0000001e-8, -1e-8, -0.9999999e-8, 0.0])
+    for (row, _), value in draw(st.lists(st.tuples(row_slots, negatives), max_size=2)):
+        components[row, 0, 0] = value
+    drifts = {(i, k): draw(st.sampled_from(PASSING_DRIFTS)) for i in range(rows) for k in range(slots)}
+    drifts.update(draw(st.lists(st.tuples(row_slots, st.sampled_from(sorted(DRIFTS))), max_size=2)))
+    for (i, k), kind in drifts.items():
+        components[i, k, -1] -= (components[i, k] @ weights - float(k == 0)) / weights[-1]
+        drift = DRIFTS[kind](np.abs(components[i, k]) @ weights)
+        if np.isfinite(drift):
+            components[i, k, -1] += drift / weights[-1]
+        else:
+            components[i, k, 3] = drift
+    return components
+
+
+@settings(max_examples=400, deadline=None)
+@given(components=slot_arrays())
+def test_check_masses_keeps_the_parent_verdict_and_adds_the_sign_of_slot_0(components):
+    # the parent check first, then the sign half of _check_l0, as one step's output would meet them
+    try:
+        parent_check_masses(components, CHECK_GRID, 3)
+        expected = None
+    except MassInvariantError as err:
+        expected = str(err)
+    negative = first_negative_row(components) if expected is None else None
+    try:
+        filtering._check_masses(components, CHECK_GRID, 3)
+        got = None
+    except MassInvariantError as err:
+        got = str(err)
+    if negative is None:
+        assert got == expected
+    else:
+        lowest = float(components[negative, 0].min())
+        assert got == f"slot 0 is negative: density {lowest!r} below -1e-08 at replica {negative}, observation index 3"
+
+
+class NegativeTransition(BrokenObservation):
+    """Delegating model whose slot-0 transition row 5 is pushed below zero, so the filter's slot 0 goes negative."""
+
+    def transition_grid_jet(self, theta, index_set):
+        jet = self.inner.transition_grid_jet(theta, index_set).copy()
+        jet[0, 5] -= 0.5 * jet[0, 5].max() + 1.0
+        return jet
+
+
 class TestSerialFoldAborts:
     """The serial folds name the observation of every abort, as the batched step does."""
+
+    @pytest.mark.parametrize("ys", [[0.1], [0.1, 0.2, 0.3]])
+    def test_a_negative_slot_0_aborts_at_the_step_that_made_it(self, ys):
+        model = NegativeTransition(make_model(32))
+        start = embed(GridMeasure.uniform(model.grid), model.index_set())
+        message = r"^slot 0 is negative: density -0\.04\d+ below -1e-08 at observation index 1$"
+        with pytest.raises(MassInvariantError, match=message):
+            filter_iterate(model, THETA, ys, start)
 
     def test_non_probability_start_names_the_first_observation(self, model32, theta, uniform_l0):
         components = uniform_l0.components.copy()
