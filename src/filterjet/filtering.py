@@ -263,8 +263,9 @@ def _step(cache: KernelCache, obs, components, observation_index=None):
     probability; each higher slot is its prediction-update minus the
     binomial-weighted recentering by lower slots, evaluated in
     increasing degree on slot-major views of every row at once, and
-    _check_masses checks the result.  Aborts name the parameter point
-    (when P > 1), the replica (when R > 1) and observation_index.
+    _check_masses checks the result, given s_masses and the pair table
+    that sized the recentering.  Aborts name the parameter point (when
+    P > 1), the replica (when R > 1) and observation_index.
     """
     update = _prediction_update(cache, obs, components * cache.grid.weights)
     predictive = np.matmul(update[:, None, 0], cache.grid.weights)[:, 0]
@@ -278,24 +279,26 @@ def _step(cache: KernelCache, obs, components, observation_index=None):
     # the last pair of each row is b == k itself.  Slot-major views let
     # each pair update every row at once.
     slots, masses = f_dens.transpose(1, 0, 2), s_masses.T[:, :, None]
-    for k, pairs in enumerate(pair_table(cache.index_set)):
-        for coeff, b_slot, g_slot in pairs[:-1]:
+    pairs = pair_table(cache.index_set)
+    for k, slot_pairs in enumerate(pairs):
+        for coeff, b_slot, g_slot in slot_pairs[:-1]:
             slots[k] -= coeff * slots[b_slot] * masses[g_slot]
-    _check_masses(f_dens, cache.grid, observation_index, cache.theta)
+    _check_masses(f_dens, s_masses, pairs, cache.grid, observation_index, cache.theta)
     return f_dens, s_masses, predictive
 
 
-def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=None, theta=None) -> None:
+def _check_masses(components: np.ndarray, s_masses, pairs, grid: StateGrid, observation_index=None, theta=None):
     """Slot 0 of every row must have mass one and no density below -_L0_TOL, every other slot mass zero.
 
     Raises MassInvariantError naming the first row and slot whose mass
     drifts, else the first row whose slot 0 is negative, with its lowest
-    density; _locate finds the row among the points of theta.  The mass
-    tolerance is MASS_TOL times the slot's TV norm where that exceeds one:
-    rounding in a slot's mass grows with the slot's size, so an absolute
-    bound would abort on valid inputs whose derivative slots are large,
-    while unit-scale slots keep MASS_TOL.  A slot that is not finite
-    fails too: its drift is NaN or infinite.
+    density; _locate finds the row among the points of theta.  Rounding in
+    a sum scales with its terms, not its result, so slot k's tolerance is
+    MASS_TOL times max(1, TV(F_k) + sum |c| TV(F_b) |m_g|) over its
+    recentering pairs (c, b, g) with b != k, where F is components and m
+    the update masses s_masses: a bound on what the recentering summed.
+    Where that sum cancels 10^6 times, a drift below its rounding goes
+    unseen.  A slot that is not finite fails: its drift is NaN or infinite.
     """
     drift = components @ grid.weights
     drift[:, 0] -= 1.0
@@ -303,7 +306,14 @@ def _check_masses(components: np.ndarray, grid: StateGrid, observation_index=Non
     # Each tolerance is at least MASS_TOL, so a pass needs no TV norm; a NaN drift fails here and below.
     if np.abs(drift).max() < MASS_TOL and slot0.min() >= -_L0_TOL:
         return
-    tols = MASS_TOL * np.maximum(1.0, np.abs(components) @ grid.weights)
+    tv = np.abs(components) @ grid.weights
+    summed = tv.copy()
+    # 0 * inf in a later slot's bound is no fault: a slot that is not finite fails on its own drift.
+    with np.errstate(invalid="ignore"):
+        for k, slot_pairs in enumerate(pairs):
+            for coeff, b_slot, g_slot in slot_pairs[:-1]:
+                summed[:, k] += abs(coeff) * tv[:, b_slot] * np.abs(s_masses[:, g_slot])
+    tols = MASS_TOL * np.maximum(1.0, summed)
     ok = np.abs(drift) < tols
     lowest = slot0.min(axis=1)
     if not ok.all():

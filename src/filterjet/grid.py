@@ -17,7 +17,8 @@ PROBABILITY_TOL = 1e-12
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(arr, dtype=float))
+    """A read-only C-contiguous float copy of arr: a grid or measure shares no memory with its caller."""
+    out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

@@ -214,17 +214,14 @@ def _quotient_degrees(num: np.ndarray, den) -> np.ndarray:
 def _integrate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(D, M) sums over the last axis of C-contiguous (D, M, N) values against (N,) weights.
 
+    The normalizers pass (degree, state, node) Gaussian derivatives at
+    (nodes[None, :] - location[:, None]) / scale and sum over the nodes.
     One BLAS matrix-vector product on a (D * M, N) row-major view, the matrix
     np.tensordot sums for the tests' reference build.  BLAS rounds the last
     rows of a product by its row count, so the normalizers pass D >= 2.
     """
     d, m, n = values.shape
     return np.dot(values.reshape(d * m, n), weights.reshape(n, 1)).reshape(d, m)
-
-
-def _across_points(location: np.ndarray, points: np.ndarray, scale: float, order: int, out=None) -> np.ndarray:
-    """(order + 1, N, M) pdf derivatives at (points - location) / scale, the layout _integrate sums."""
-    return _gauss_pdf_derivs((points[None, :] - location[:, None]) / scale, order, out)
 
 
 def _location(tables, theta) -> np.ndarray:
@@ -334,6 +331,10 @@ class TruncatedNonlinearModel(ModelSpec):
     states only.  order, the highest derivative degree, is 0 to 3; an
     order-0 build computes slot 0 alone, to the bit of a higher order.
 
+    Both locations theta . features(x) are affine in theta, so slot a of a
+    jet is pdf^(|a|) at (target - location) / scale times factors[a], the
+    product of the slopes -features / scale raised to the entries of a.
+
     Their work splits by what it depends on.  Per model: the feature
     values on the grid and the slope powers of every index (the
     (features, factors) tables).  Per theta: the locations, the whole
@@ -414,27 +415,6 @@ class TruncatedNonlinearModel(ModelSpec):
         x = np.asarray(x, dtype=float)
         return np.stack([FEATURE_FUNCTIONS[n](x) for n in names])
 
-    # -- kernel jets by degree on the grid -----------------------------------
-    def _location_jet(self, tables, scale, location, index_set, ratios=False):
-        """(evaluator, factors) for the jet of pdf((target - theta . features(x)) / scale).
-
-        x runs over the grid states, and tables is the model's (features,
-        factors) of the drift or of the observation map.  The location is
-        affine in theta, so the mixed derivative for index a is
-        pdf^(|a|) times factors[a], the product of the per-coordinate
-        slopes raised to the entries of a.  Only the order + 1 Gaussian
-        derivatives depend on the target; the evaluator returns them by
-        degree, with the target broadcast against the states.  With
-        ratios=True they are divided by the pdf itself, which stays
-        finite arbitrarily far into the tails.
-        """
-        derivs = _gauss_ratio_derivs if ratios else _gauss_pdf_derivs
-
-        def at(target):
-            return derivs((np.asarray(target, dtype=float) - location) / scale, index_set.order)
-
-        return at, tables[1][: len(index_set)]
-
     def kernel_keys(self, theta) -> tuple[bytes, bytes]:
         """The bytes of the drift and the observation location, the arrays the jets are computed from.
 
@@ -455,7 +435,8 @@ class TruncatedNonlinearModel(ModelSpec):
         degrees = max(order, 1) + 1
         out = np.empty((max(size, degrees), n, n))
         location = _location(self._drift_tables, theta)
-        num = _across_points(location, self.grid.axis(0), self.trans_scale, degrees - 1, out[:degrees])
+        z = (self.grid.axis(0)[None, :] - location[:, None]) / self.trans_scale
+        num = _gauss_pdf_derivs(z, degrees - 1, out[:degrees])
         den = _integrate(num, self.grid.weights)[: order + 1]
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
@@ -467,25 +448,26 @@ class TruncatedNonlinearModel(ModelSpec):
     def observation_grid_factory(self, theta, index_set):
         """Evaluator y -> observation-density jet at the grid states.
 
-        This builds the location and the truncation normalizer; each y
-        then costs one Gaussian evaluation, the quotient recursion and
-        the products with the slope powers.
+        This builds the location and the truncation normalizer (summed by
+        _integrate); each y then costs one Gaussian evaluation at (y -
+        location) / obs_scale, the quotient recursion and the slope powers.
         """
         location = _location(self._obs_tables, theta)
-        at, factors = self._location_jet(self._obs_tables, self.obs_scale, location, index_set)
+        factors = self._obs_tables[1][: len(index_set)]
         if self.obs_box is None:
             # Lebesgue normalizer over the real line: constant in theta.
             den = [self.obs_scale]
         else:
             order = index_set.order
-            on_nodes = _across_points(location, self._obs_nodes, self.obs_scale, max(order, 1))
-            den = _integrate(on_nodes, self._obs_weights)[: order + 1]
+            z = (self._obs_nodes[None, :] - location[:, None]) / self.obs_scale
+            den = _integrate(_gauss_pdf_derivs(z, max(order, 1)), self._obs_weights)[: order + 1]
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
 
         def evaluate(y):
             self._check_obs_domain(y)
-            return _expand_degrees(_quotient_degrees(at(y), den), factors, index_set)
+            at_y = _gauss_pdf_derivs((np.asarray(y, dtype=float) - location) / self.obs_scale, index_set.order)
+            return _expand_degrees(_quotient_degrees(at_y, den), factors, index_set)
 
         return evaluate
 
@@ -667,10 +649,8 @@ def assumption_constants(
             q_min = min(q_min, float(obs[0, y_values.size :].min()))
             obs_scores = obs / obs[0]
         else:
-            at, factors = model._location_jet(
-                model._obs_tables, model.obs_scale, obs_locations, iset, ratios=True
-            )
-            obs_scores = _expand_degrees(at(y_scan[:, None]), factors, iset)
+            ratios = _gauss_ratio_derivs((y_scan[:, None] - obs_locations) / model.obs_scale, iset.order)
+            obs_scores = _expand_degrees(ratios, model._obs_tables[1], iset)
             # Smallest constant dominating |d^b q| / (q (1+|y|)^(2|b|)).
             growth = (1.0 + np.abs(y_scan))[:, None]
             for k in range(1, len(iset)):

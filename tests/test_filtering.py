@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +23,15 @@ from filterjet import (
     loglik_jet,
     measure_distance,
     oracle_filter,
+    oracle_log_likelihood,
     rml_demo,
     simulate,
     tv_norm,
 )
 from filterjet import filtering
 from filterjet.experiments import log_linear_fit
-from filterjet.multiindex import enumerate_indices
+from filterjet.multiindex import enumerate_indices, pair_table
+from filterjet.oracle import fd_derivatives
 
 from conftest import THETA, BrokenObservation, kernel_updates, make_model, normalized_updates, random_l0
 
@@ -324,14 +328,23 @@ class TestBatchAborts:
     def test_mass_guard_names_the_replica(self, model32, uniform_l0):
         batch = np.repeat(uniform_l0.components[None], 3, axis=0)
         batch[1, 0] *= 1.0 + 1e-6
+        pairs = pair_table(uniform_l0.index_set)
         with pytest.raises(MassInvariantError, match="slot 0 .* at replica 1, observation index 7"):
-            filtering._check_masses(batch, model32.grid, 7)
+            filtering._check_masses(batch, unit_masses(batch), pairs, model32.grid, 7)
 
     def test_mass_guard_rejects_an_infinite_slot(self, model32, uniform_l0):
         batch = np.array(uniform_l0.components[None])
         batch[0, 1, 3] = np.inf
+        pairs = pair_table(uniform_l0.index_set)
         with pytest.raises(MassInvariantError, match="slot 1"):
-            filtering._check_masses(batch, model32.grid)
+            filtering._check_masses(batch, unit_masses(batch), pairs, model32.grid)
+
+
+def unit_masses(components):
+    """(rows, K) update masses one in slot 0 and zero elsewhere: no recentering term adds to a mass tolerance."""
+    masses = np.zeros(components.shape[:2])
+    masses[:, 0] = 1.0
+    return masses
 
 
 # A uniform grid whose weights are powers of two, so a drift set on one cell lands where it is aimed.
@@ -411,8 +424,9 @@ def test_check_masses_keeps_the_parent_verdict_and_adds_the_sign_of_slot_0(compo
     except MassInvariantError as err:
         expected = str(err)
     negative = first_negative_row(components) if expected is None else None
+    pairs = pair_table(enumerate_indices(1, components.shape[1] - 1))
     try:
-        filtering._check_masses(components, CHECK_GRID, 3)
+        filtering._check_masses(components, unit_masses(components), pairs, CHECK_GRID, 3)
         got = None
     except MassInvariantError as err:
         got = str(err)
@@ -421,6 +435,127 @@ def test_check_masses_keeps_the_parent_verdict_and_adds_the_sign_of_slot_0(compo
     else:
         lowest = float(components[negative, 0].min())
         assert got == f"slot 0 is negative: density {lowest!r} below -1e-08 at replica {negative}, observation index 3"
+
+
+def recentered_bounds(components, s_masses, index_set, grid):
+    """(rows, K) mass tolerances of a recentered step output F with update masses m.
+
+    Slot k's is MASS_TOL times max(1, TV(F_k) + sum |c| TV(F_b) |m_g|) over
+    slot k's pairs (c, b, g) with b != k: a bound on the TV norm of what
+    the recentering summed.
+    """
+    tv = np.abs(components) @ grid.weights
+    total = tv.copy()
+    with np.errstate(invalid="ignore"):
+        for k, pairs in enumerate(pair_table(index_set)):
+            for coeff, b_slot, g_slot in pairs[:-1]:
+                total[:, k] += abs(coeff) * tv[:, b_slot] * np.abs(s_masses[:, g_slot])
+    return filtering.MASS_TOL * np.maximum(1.0, total)
+
+
+# Drifts by (TV tolerance, recentered bound): either side of each, NaN or infinite.
+BOUND_DRIFTS = {
+    "zero": lambda old, new: 0.0,
+    "below MASS_TOL": lambda old, new: 0.5 * filtering.MASS_TOL,
+    "below the TV tolerance": lambda old, new: -0.999 * old,
+    "above the TV tolerance": lambda old, new: 1.001 * old,
+    "below the bound": lambda old, new: 0.999 * new,
+    "above the bound": lambda old, new: -1.001 * new,
+    "nan": lambda old, new: np.nan,
+    "inf": lambda old, new: np.inf,
+}
+PASSING_BOUND_DRIFTS = ["zero", "below MASS_TOL", "below the TV tolerance", "below the bound"]
+
+
+@st.composite
+def recentered_outputs(draw):
+    """(components, s_masses, index_set): a step output with nonzero update masses and drawn drifts.
+
+    Slot 0 is a positive probability and every higher slot, of a drawn
+    scale, has mass zero; the update masses of the derivative slots have
+    a drawn scale up to 1e6.  Then, in increasing slot order, each slot
+    gets a drift that passes and up to two get any drift, relative to the
+    slot's TV tolerance and to its recentered bound.
+    """
+    index_set = enumerate_indices(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    rows, slots = draw(st.integers(2, 3)), len(index_set)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = CHECK_GRID.weights
+    components = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((rows, slots, 8))
+    components[:, 0] = rng.uniform(0.5, 1.5, (rows, 8))
+    components[:, 0] /= (components[:, 0] @ weights)[:, None]
+    s_masses = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6])) * rng.standard_normal((rows, slots))
+    s_masses[:, 0] = 1.0
+    drifts = {(i, k): draw(st.sampled_from(PASSING_BOUND_DRIFTS)) for i in range(rows) for k in range(slots)}
+    row_slots = st.tuples(st.integers(0, rows - 1), st.integers(0, slots - 1))
+    drifts.update(draw(st.lists(st.tuples(row_slots, st.sampled_from(sorted(BOUND_DRIFTS))), max_size=2)))
+    for (i, k), kind in sorted(drifts.items(), key=lambda item: item[0][::-1]):
+        components[i, k, -1] -= (components[i, k] @ weights - float(k == 0)) / weights[-1]
+        old = filtering.MASS_TOL * max(1.0, np.abs(components[i, k]) @ weights)
+        drift = BOUND_DRIFTS[kind](old, recentered_bounds(components, s_masses, index_set, CHECK_GRID)[i, k])
+        if np.isfinite(drift):
+            components[i, k, -1] += drift / weights[-1]
+        else:
+            components[i, k, 3] = drift
+    return components, s_masses, index_set
+
+
+@settings(max_examples=400, deadline=None)
+@given(output=recentered_outputs())
+def test_check_masses_judges_a_slot_on_what_its_recentering_summed(output):
+    components, s_masses, index_set = output
+    drift = components @ CHECK_GRID.weights
+    drift[:, 0] -= 1.0
+    tols = recentered_bounds(components, s_masses, index_set, CHECK_GRID)
+    ok = np.abs(drift) < tols
+    negative = first_negative_row(components)
+    if not ok.all():
+        row, k = np.unravel_index(np.argmin(ok), ok.shape)
+        expected = (
+            f"slot {k} mass drifts by {float(drift[row, k])!r}, beyond {float(tols[row, k])!r}"
+            f" at replica {row}, observation index 3"
+        )
+    elif negative is not None:
+        lowest = float(components[negative, 0].min())
+        expected = f"slot 0 is negative: density {lowest!r} below -1e-08 at replica {negative}, observation index 3"
+    else:
+        expected = None
+    try:
+        filtering._check_masses(components, s_masses, pair_table(index_set), CHECK_GRID, 3)
+        got = None
+    except MassInvariantError as err:
+        got = str(err)
+    assert got == expected
+    # The bound is never below the TV tolerance: what the parent check passes still passes.
+    try:
+        parent_check_masses(components, CHECK_GRID, 3)
+    except MassInvariantError:
+        return
+    assert got is None or negative is not None
+
+
+class TestRecenteringBound:
+    """A slot mass is judged on the size of what the step's recentering summed."""
+
+    def test_an_order_3_recentering_that_cancels_does_not_abort(self):
+        # The normalized update's slot masses reach 7.5e5 at observation index 1, so
+        # slot 3's recentering subtracts terms about 10^6 times larger than the slot it
+        # leaves, whose TV norm is below one; its mass drifts by 2e-10, beyond MASS_TOL.
+        model = make_model(
+            cells=16, order=3, drift=("one",), obs=("linear",), trans_scale=0.2269, obs_scale=0.0605,
+            theta_box=((-2.0, 2.0),),
+        )
+        theta, ys = np.array([1.7027]), [2.7159, 2.2031, 2.6577, 2.8632, 2.4004]
+        lam0 = GridMeasure.uniform(model.grid)
+        jet = loglik_jet(model, theta, ys, lam0)
+        assert abs(jet.values[0] - oracle_log_likelihood(model, theta, ys, lam0)) <= 1e-9
+        order0 = replace(model, order=0)
+        slot0 = lambda stack: [j.values[0] for j in loglik_jet(order0, stack, ys, lam0)]  # noqa: E731
+        alphas = [(1,), (2,), (3,)]
+        fds = fd_derivatives(slot0, alphas, theta, jet.values[0], FDScheme(1e-3, 2), model.parameter_box)
+        # Measured: 3.5e-12, 1.3e-11 and 9.7e-5 relative; the last is order-3 FD noise.
+        for alpha, fd, tol in zip(alphas, fds, [1e-10, 1e-9, 1e-3]):
+            assert abs(jet.value(alpha) - fd) <= tol * abs(fd)
 
 
 class NegativeTransition(BrokenObservation):

@@ -146,3 +146,32 @@ class TestMeasureDistance:
         ]
         a, b, c = vms
         assert measure_distance(a, c) <= measure_distance(a, b) + measure_distance(b, c) + 1e-12
+
+
+class TestOwnCopies:
+    """A grid or measure holds its own copy of its arrays: it neither freezes nor follows the caller's."""
+
+    def test_building_a_measure_leaves_the_callers_array_writable(self):
+        grid = StateGrid.uniform([(-1.0, 1.0)], 4)
+        density = np.full(4, 0.5)
+        measure = GridMeasure(density, grid)
+        density[0] = 2.0
+        assert measure.density[0] == 0.5
+        assert not np.shares_memory(measure.density, density)
+
+    def test_a_measure_does_not_follow_the_array_under_its_view(self):
+        grid = StateGrid.uniform([(-1.0, 1.0)], 4)
+        buf = np.zeros((2, 4))
+        buf[0] = 0.5
+        measure = VectorMeasure(buf[:], enumerate_indices(1, 1), grid)
+        buf[0] = 9.0
+        assert measure.masses().tolist() == [1.0, 0.0]
+        assert not np.shares_memory(measure.components, buf)
+
+    def test_a_grid_shares_no_memory_with_its_inputs(self):
+        points, weights, bounds = np.array([[0.25], [0.75]]), np.array([0.5, 0.5]), np.array([[0.0, 1.0]])
+        grid = StateGrid(points, weights, bounds)
+        points[0, 0], weights[0], bounds[0, 0] = 0.5, 2.0, -1.0
+        assert grid.points[0, 0] == 0.25 and grid.weights[0] == 0.5 and grid.bounds[0, 0] == 0.0
+        for own, given_array in [(grid.points, points), (grid.weights, weights), (grid.bounds, bounds)]:
+            assert not np.shares_memory(own, given_array)

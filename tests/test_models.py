@@ -475,13 +475,15 @@ class TestBuildInItsOutputBuffer:
             evaluate = model.observation_grid_factory(theta, iset)
             if variant == "compact":
                 den = _unbuffered_compact_normalizer(model, theta, order)
-                on_nodes = models._across_points(location, model._obs_nodes, model.obs_scale, max(order, 1))
+                z = (model._obs_nodes[None, :] - location[:, None]) / model.obs_scale
+                on_nodes = models._gauss_pdf_derivs(z, max(order, 1))
                 assert np.array_equal(models._integrate(on_nodes, model._obs_weights)[: order + 1], den)
             else:
                 den = [model.obs_scale]
-            at, factors = model._location_jet(model._obs_tables, model.obs_scale, location, iset)
+            factors = model._obs_tables[1][: len(iset)]
             for y in ys + [column]:
-                expected = models._expand_degrees(models._quotient_degrees(at(y), den), factors, iset)
+                at_y = models._gauss_pdf_derivs((np.asarray(y, dtype=float) - location) / model.obs_scale, order)
+                expected = models._expand_degrees(models._quotient_degrees(at_y, den), factors, iset)
                 assert np.array_equal(evaluate(y), expected)
         zero, one = model.index_set(0), model.index_set(1)
         assert np.array_equal(model.transition_grid_jet(theta, zero), model.transition_grid_jet(theta, one)[:1])
@@ -545,9 +547,11 @@ class TestObservationScores:
     def test_gaussian_scores_are_hermite_ratios_finite_where_the_density_underflows(self, order):
         model = _model("gaussian", order)
         iset = model.index_set()
-        at, factors = model._location_jet(
-            model._obs_tables, model.obs_scale, models._location(model._obs_tables, THETA), iset, ratios=True
-        )
+        location, factors = models._location(model._obs_tables, THETA), model._obs_tables[1]
+
+        def at(y):
+            return models._gauss_ratio_derivs((np.asarray(y, dtype=float) - location) / model.obs_scale, order)
+
         density = model.observation_grid_factory(THETA, iset)
         ys = np.array([-6.0, -0.7, 0.3, 2.5, 6.0])[:, None]
         scores = models._expand_degrees(at(ys), factors, iset)
