@@ -46,15 +46,15 @@ class PredictiveMassError(ArithmeticError):
         )
 
 
-def _locate(row, rows: int, theta=None):
+def _locate(row, points, rows: int):
     """(replica, point) of the failing row of a step over `rows` rows.
 
-    A (P, dim) theta of P > 1 points has one row per point, and point is
+    With P > 1 parameter points there is one row per point, and point is
     that row's (index, theta); otherwise the rows are the replicas of one
     point.  replica is None for one replica, and point for one point.
     """
-    if theta is not None and theta.ndim == 2 and len(theta) > 1:
-        return None, (int(row), theta[row])
+    if points is not None and len(points) > 1:
+        return None, (int(row), points[row])
     return (int(row) if rows > 1 else None), None
 
 
@@ -85,28 +85,29 @@ class KernelCache:
     the observation jet at its y and pairs it with the transition-moved
     slots by the Leibniz rule.
 
-    theta may also be a (P, dim) stack of parameter points.  The cache
-    then holds a (P, K, N, N) transition stack and a step moves one row
-    per point through that point's kernels.  Points whose
-    model.kernel_keys agree share a factor, so the cache builds one
-    transition jet and one observation evaluator per distinct key, in
-    first-use order: for the shipped model, whose drift reads only
-    theta[0] and whose observation map only theta[1], the 28 order-3
-    stencil points of a sweep take 7 + 7 builds.  A failed build names the first
-    point with its key when there is more than one point.  The build records
-    the transition slots nonzero anywhere (at any point of a stack): a step
-    moves only those.
+    theta may also be a (P, dim) stack of parameter points, and a (dim,)
+    theta is the stack of one: `points` is (P, dim) either way, and a
+    step moves one row per point through that point's kernels.  One loop
+    builds one transition jet and one observation evaluator per distinct
+    model.kernel_keys key, in first-use order: for the shipped model,
+    whose drift reads only theta[0] and whose observation map only
+    theta[1], the 28 order-3 stencil points of a sweep take 7 + 7 builds.
+    One point computes no key and keeps, as trans, the very (K, N, N)
+    array its build returned; a stack's trans stacks its points' jets.  A
+    failed build names the first of several points with its key.  The
+    build records the transition slots nonzero anywhere (at any point of
+    a stack): a step moves only those.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
         self.model = model
-        stacked = np.ndim(theta) == 2
-        if stacked:
+        if np.ndim(theta) == 2:
             if not len(theta):
                 raise ValueError("a stack of parameter points needs at least one point")
-            self.theta = np.stack([model.validate_theta(t) for t in theta])
+            self.theta = self.points = np.stack([model.validate_theta(t) for t in theta])
         else:
             self.theta = model.validate_theta(theta)
+            self.points = self.theta[None]
         self.index_set = model.index_set() if index_set is None else index_set
         if self.index_set.dimension != model.dim_theta:
             raise ValueError(
@@ -115,30 +116,21 @@ class KernelCache:
             )
         model.validate_order(self.index_set.order)
         self.grid = model.grid
+        # Per distinct key, its transition jet and its observation evaluator; per point, its keys.
+        jets, self._obs_at, self._keys = {}, {}, []
+        for p, point in enumerate(self.points):
+            trans_key, obs_key = model.kernel_keys(point) if len(self.points) > 1 else (None, None)
+            try:
+                if trans_key not in jets:
+                    jets[trans_key] = model.transition_grid_jet(point, self.index_set)
+                if obs_key not in self._obs_at:
+                    self._obs_at[obs_key] = model.observation_grid_factory(point, self.index_set)
+            except ValueError as err:
+                failing = _locate(p, self.points, len(self.points))[1]
+                raise ValueError(f"{err}{_where(None, None, failing)}") from err
+            self._keys.append((trans_key, obs_key))
         # (K, N, N), or (P, K, N, N) for a stack: slot k holds the transition jet row on the grid.
-        if stacked:
-            size = self.grid.size
-            self.trans = np.empty((len(self.theta), len(self.index_set), size, size))
-            # Per key, the first point that has it; per point, its evaluator's index in _obs_at.
-            firsts, evaluators, self._obs_at, self._obs_index = {}, {}, [], []
-            for p, point in enumerate(self.theta):
-                trans_key, obs_key = model.kernel_keys(point)
-                try:
-                    if trans_key in firsts:
-                        self.trans[p] = self.trans[firsts[trans_key]]
-                    else:
-                        firsts[trans_key] = p
-                        self.trans[p] = model.transition_grid_jet(point, self.index_set)
-                    if obs_key not in evaluators:
-                        evaluators[obs_key] = len(self._obs_at)
-                        self._obs_at.append(model.observation_grid_factory(point, self.index_set))
-                except ValueError as err:
-                    failing = _locate(p, len(self.theta), self.theta)[1]
-                    raise ValueError(f"{err}{_where(None, None, failing)}") from err
-                self._obs_index.append(evaluators[obs_key])
-        else:
-            self.trans = model.transition_grid_jet(self.theta, self.index_set)
-            self._obs_at = model.observation_grid_factory(self.theta, self.index_set)
+        self.trans = np.stack([jets[key] for key, _ in self._keys]) if self.theta.ndim == 2 else jets[None]
         # Slot 0 always counts as live, so an order-0 cache scans nothing.  The bare
         # ufunc reduce skips np.any's wrapper: 2 of 7 us at N = 32, order 1.
         jet = self.trans.reshape((-1,) + self.trans.shape[-3:])
@@ -147,19 +139,17 @@ class KernelCache:
     def observation_vectors(self, ys) -> np.ndarray:
         """(K, R, N) observation-density jet on the grid at the (R,) observations ys.
 
-        One observation goes to a one-point cache's evaluator as a float,
-        whose domain check and grid broadcast skip NumPy's general path:
-        2-12% of a filter_step_with_scalars step and 2-10% of an
-        rml-online op (BENCH_24.json, `r1_branches`).  A cache of a
-        (P, dim) stack returns (P, K, R, N), point by point: each distinct
-        evaluator runs once, on the (R, 1) column, and its points share
-        its jet.
+        Each distinct evaluator runs once.  One observation goes to it as
+        a float, whose domain check and grid broadcast skip NumPy's
+        general path (2-12% of a filter_step_with_scalars step, 2-10% of
+        an rml-online op: BENCH_24.json, `r1_branches`), and several as
+        one (R, 1) column.  A cache of a (P, dim) stack returns
+        (P, K, R, N): its points share their evaluator's jet.
         """
         ys = np.asarray(ys, dtype=float)
-        if self.theta.ndim == 2:
-            jets = [at(ys.reshape(-1, 1)) for at in self._obs_at]
-            return np.stack([jets[i] for i in self._obs_index])
-        return self._obs_at(ys.item())[:, None] if ys.size == 1 else self._obs_at(ys[:, None])
+        one = ys.size == 1
+        jets = {k: at(ys.item())[:, None] if one else at(ys.reshape(-1, 1)) for k, at in self._obs_at.items()}
+        return np.stack([jets[key] for _, key in self._keys]) if self.theta.ndim == 2 else jets[None]
 
 
 @lru_cache(maxsize=None)
@@ -236,13 +226,13 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     return update.transpose(0, 2, 1, 3).reshape(rows, slots, size)
 
 
-def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, theta=None) -> None:
+def _check_l0(components: np.ndarray, grid: StateGrid, observation_index, points) -> None:
     """Slot 0 of every row must be a probability (tolerance _L0_TOL)."""
     slot0 = components[:, 0]
     # NaN fails both comparisons.
     ok = np.all(slot0 >= -_L0_TOL, axis=1) & (np.abs(slot0 @ grid.weights - 1.0) <= _L0_TOL)
     if not ok.all():
-        replica, point = _locate(np.argmin(ok), len(ok), theta)
+        replica, point = _locate(np.argmin(ok), points, len(ok))
         raise ValueError(
             "vector measure is not in the recursion state space (slot 0 must be a probability)"
             + _where(replica, observation_index, point)
@@ -271,7 +261,7 @@ def _step(cache: KernelCache, obs, components, observation_index=None):
     predictive = np.matmul(update[:, None, 0], cache.grid.weights)[:, 0]
     if not predictive.min() > PREDICTIVE_FLOOR:
         row = int(np.argmin(predictive > PREDICTIVE_FLOOR))
-        replica, point = _locate(row, len(predictive), cache.theta)
+        replica, point = _locate(row, cache.points, len(predictive))
         raise PredictiveMassError(float(predictive[row]), observation_index, replica, point)
     f_dens = update / predictive[:, None, None]
     s_masses = f_dens @ cache.grid.weights
@@ -283,16 +273,16 @@ def _step(cache: KernelCache, obs, components, observation_index=None):
     for k, slot_pairs in enumerate(pairs):
         for coeff, b_slot, g_slot in slot_pairs[:-1]:
             slots[k] -= coeff * slots[b_slot] * masses[g_slot]
-    _check_masses(f_dens, s_masses, pairs, cache.grid, observation_index, cache.theta)
+    _check_masses(f_dens, s_masses, pairs, cache.grid, observation_index, cache.points)
     return f_dens, s_masses, predictive
 
 
-def _check_masses(components: np.ndarray, s_masses, pairs, grid: StateGrid, observation_index=None, theta=None):
+def _check_masses(components: np.ndarray, s_masses, pairs, grid: StateGrid, observation_index=None, points=None):
     """Slot 0 of every row must have mass one and no density below -_L0_TOL, every other slot mass zero.
 
     Raises MassInvariantError naming the first row and slot whose mass
     drifts, else the first row whose slot 0 is negative, with its lowest
-    density; _locate finds the row among the points of theta.  Rounding in
+    density; _locate finds the row among the parameter points.  Rounding in
     a sum scales with its terms, not its result, so slot k's tolerance is
     MASS_TOL times max(1, TV(F_k) + sum |c| TV(F_b) |m_g|) over its
     recentering pairs (c, b, g) with b != k, where F is components and m
@@ -324,7 +314,7 @@ def _check_masses(components: np.ndarray, s_masses, pairs, grid: StateGrid, obse
         fault = f"slot 0 is negative: density {float(lowest[row])!r} below {-_L0_TOL!r}"
     else:
         return
-    replica, point = _locate(row, len(ok), theta)
+    replica, point = _locate(row, points, len(ok))
     raise MassInvariantError(fault + _where(replica, observation_index, point))
 
 
@@ -349,7 +339,7 @@ def filter_step_with_scalars(cache: KernelCache, y, measure: VectorMeasure):
     if cache.theta.ndim != 1:
         raise ValueError("a single step needs the kernel cache of one parameter point")
     _check_measure(measure, cache.index_set, cache.grid)
-    _check_l0(measure.components[None], cache.grid, None, cache.theta)
+    _check_l0(measure.components[None], cache.grid, None, cache.points)
     ys = np.asarray(y, dtype=float)
     if ys.ndim != 0:
         raise ValueError(f"y must be a scalar observation, got shape {ys.shape}")
@@ -393,7 +383,7 @@ def _fold(cache: KernelCache, observations: np.ndarray, starts):
     j + 1 as _step's do, a rejected observation its replica when R > 1.
     """
     steps, replicas = observations.shape
-    points = len(np.atleast_2d(cache.theta))
+    points = len(cache.points)
     if points > 1 and replicas > 1:
         raise ValueError(f"a stack of {points} parameter points steps one replica per point, got {replicas}")
     starts = [starts] if isinstance(starts, VectorMeasure) else starts
@@ -402,7 +392,7 @@ def _fold(cache: KernelCache, observations: np.ndarray, starts):
     rows = np.stack([measure.components for measure in starts])
     components = np.broadcast_to(rows, (points * replicas,) + rows.shape[1:])
     if steps:
-        _check_l0(components, cache.grid, 1, cache.theta)
+        _check_l0(components, cache.grid, 1, cache.points)
     span = max(1, JET_BLOCK // replicas)
     for first in range(0, steps, span):
         ys = observations[first : first + span]
@@ -440,5 +430,5 @@ def filter_iterate(
             pass
         measures = tuple(VectorMeasure(c, measure.index_set, measure.grid) for c in components)
     else:
-        measures = (measure,) * len(np.atleast_2d(cache.theta))
+        measures = (measure,) * len(cache.points)
     return measures if cache.theta.ndim == 2 else measures[0]

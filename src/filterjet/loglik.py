@@ -71,10 +71,10 @@ def loglik_jet(model: ModelSpec, theta, observations, lam0: GridMeasure) -> LogL
         raise ValueError("at least one observation is required")
     iset = model.index_set()
     cache = KernelCache(model, theta, iset)
-    points = len(np.atleast_2d(cache.theta))
+    points = len(cache.points)
     # One point takes the scalar path of jet_increments_from_scalars: 5 us
     # against 10 us for a one-row batch at order 2.
-    rows = slice(None) if cache.theta.ndim == 2 else 0
+    rows = slice(None) if points > 1 else 0
     steps = np.empty((points, observations.shape[0], len(iset)))
     totals = np.zeros((points, len(iset)))
     for j, (_, s_masses, predictive) in enumerate(_fold(cache, observations[:, None], embed(lam0, iset))):

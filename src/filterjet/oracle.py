@@ -39,8 +39,16 @@ class FDScheme:
             raise ValueError(f"Richardson levels must be an integer of at least 1, got {levels!r}")
 
 
-def _path_sum_matrix(model: ModelSpec, theta, observations) -> np.ndarray:
-    """(N, N) matrix of the n-step kernel product r(y_1..y_n, x | x')."""
+def _path_sum(model: ModelSpec, theta, observations, lam: GridMeasure):
+    """(raw, mass, log_scale): the n-step kernel product r(y_1..y_n, x | x') applied to lam, and its mass.
+
+    Both are their true values over exp(log_scale): after every step the
+    running (N, N) product is divided by its largest entry, whose logs
+    log_scale sums, so a likelihood far below the smallest double neither
+    underflows nor loses precision.  ArithmeticError unless mass > 0.
+    """
+    if not lam.grid.compatible(model.grid):
+        raise ValueError("initial measure grid differs from the model grid")
     observations = _observation_block(observations)
     n = observations.shape[0]
     grid = model.grid
@@ -53,22 +61,19 @@ def _path_sum_matrix(model: ModelSpec, theta, observations) -> np.ndarray:
             f"path-sum oracle limited to {ORACLE_MAX_POINTS} grid points, got {grid.size}"
         )
     zero = MultiIndex.zero(model.dim_theta)
-    mat = kernel_matrix(model, zero, theta, observations[0])
-    for y in observations[1:]:
+    mat, log_scale = None, 0.0
+    for y in observations:
         step = kernel_matrix(model, zero, theta, y)
-        mat = step @ (grid.weights[:, None] * mat)
-    return mat
-
-
-def _path_sum(model: ModelSpec, theta, observations, lam: GridMeasure):
-    """(raw, mass): the path-sum matrix applied to lam, and its positive total mass."""
-    if not lam.grid.compatible(model.grid):
-        raise ValueError("initial measure grid differs from the model grid")
-    raw = _path_sum_matrix(model, theta, observations) @ (lam.density * lam.grid.weights)
+        mat = step if mat is None else step @ (grid.weights[:, None] * mat)
+        scale = float(mat.max())
+        if not scale > 0.0:
+            raise ArithmeticError("path-sum mass is not positive")
+        mat, log_scale = mat / scale, log_scale + math.log(scale)
+    raw = mat @ (lam.density * lam.grid.weights)
     mass = float(np.dot(raw, lam.grid.weights))
     if not mass > 0.0:
         raise ArithmeticError("path-sum mass is not positive")
-    return raw, mass
+    return raw, mass, log_scale
 
 
 def oracle_filter(model: ModelSpec, theta, observations, lam: GridMeasure) -> GridMeasure:
@@ -78,13 +83,14 @@ def oracle_filter(model: ModelSpec, theta, observations, lam: GridMeasure) -> Gr
     block, applies the initial measure, and normalizes; scaling lam by
     any positive constant leaves the result unchanged.
     """
-    raw, mass = _path_sum(model, theta, observations, lam)
+    raw, mass, _ = _path_sum(model, theta, observations, lam)
     return GridMeasure(raw / mass, lam.grid)
 
 
 def oracle_log_likelihood(model: ModelSpec, theta, observations, lam: GridMeasure) -> float:
     """log of the joint observation density by explicit path-sum quadrature."""
-    return float(np.log(_path_sum(model, theta, observations, lam)[1]))
+    _, mass, log_scale = _path_sum(model, theta, observations, lam)
+    return math.log(mass) + log_scale
 
 
 _STENCILS = {

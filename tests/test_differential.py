@@ -21,9 +21,6 @@ from conftest import make_model
 BOX = (-2.0, 2.0)
 # Criterion 6: slot 0 against the path-sum log-likelihood, absolute.
 SLOT0_TOL = 1e-9
-# The path sum is an unscaled product: below the smallest normal double its
-# mass loses precision, and below exp(-745) it underflows to 0.
-TINY_LOG = math.log(np.finfo(float).tiny)
 # `filterjet loglik` divides a slot's gap by max(|FD|, abs_floor / rel_tol) at its defaults.
 FD_FLOOR = 1e-6 / 1e-4
 # Per derivative order, the scheme whose differences are most accurate at
@@ -100,20 +97,13 @@ def oracle_gaps(model, theta, ys):
     """(slot-0 gap to the path sum, {order: worst scaled gap to FD}) of loglik_jet at theta.
 
     Each order's FD runs its own scheme over one order-0 stacked pass, as
-    `filterjet loglik` differences slot 0.  Where the path sum's mass is
-    not a normal double, it resolves only that the likelihood lies below
-    the normal range: the slot-0 gap is 0 if slot 0 does too, else inf.
+    `filterjet loglik` differences slot 0.  The path sum rescales its
+    running product, so the slot-0 gap is two-sided at every likelihood,
+    also below the smallest normal double.
     """
     lam0 = GridMeasure.uniform(model.grid)
     jet = loglik_jet(model, theta, ys, lam0)
-    try:
-        reference = oracle_log_likelihood(model, theta, ys, lam0)
-    except ArithmeticError:  # the path-sum mass underflowed to 0
-        reference = -math.inf
-    if reference > TINY_LOG:
-        slot0_gap = abs(jet.values[0] - reference)
-    else:
-        slot0_gap = 0.0 if jet.values[0] < TINY_LOG + SLOT0_TOL else math.inf
+    slot0_gap = abs(jet.values[0] - oracle_log_likelihood(model, theta, ys, lam0))
     order0 = replace(model, order=0)
     slot0 = lambda stack: [j.values[0] for j in loglik_jet(order0, stack, ys, lam0)]  # noqa: E731
     worst = {}

@@ -370,7 +370,7 @@ def parent_check_masses(components, grid, observation_index=None, theta=None):
     ok = np.abs(drift) < tols
     if not ok.all():
         row, k = np.unravel_index(np.argmin(ok), ok.shape)
-        replica, point = filtering._locate(row, len(ok), theta)
+        replica, point = filtering._locate(row, theta, len(ok))
         raise MassInvariantError(
             f"slot {k} mass drifts by {float(drift[row, k])!r}, beyond {float(tols[row, k])!r}"
             + filtering._where(replica, observation_index, point)

@@ -10,6 +10,7 @@ from filterjet import (
     enumerate_indices,
     fd_derivative,
     filter_step,
+    loglik_jet,
     oracle_filter,
     oracle_log_likelihood,
     simulate,
@@ -188,6 +189,21 @@ class TestOracleFilter:
             oracle_filter(model32, theta, np.zeros(3), GridMeasure.uniform(model32.grid))
         with pytest.raises(ValueError):
             oracle_log_likelihood(model8, theta, [], lam8)
+
+    @pytest.mark.parametrize("steps", [4, 5])
+    def test_a_likelihood_below_the_smallest_double_matches_the_filter(self, steps):
+        # Unscaled, the path sum lost precision at 4 steps (log-likelihood near -731)
+        # and underflowed to 0 at 5 (near -803).
+        model = make_model(
+            cells=7, order=1, variant="gaussian", drift=("one", "one"), obs=("linear", "linear"),
+            trans_scale=1.0, obs_scale=0.0605, theta_box=((-2.0, 2.0),) * 2,
+        )
+        theta = np.array([-1.8048, -1.4434])
+        ys = np.array([9.691, 9.661, 7.638, 9.527, 7.620])[:steps]
+        lam = GridMeasure.uniform(model.grid)
+        want = loglik_jet(model, theta, ys, lam).values[0]
+        assert want < math.log(np.finfo(float).tiny)
+        assert abs(oracle_log_likelihood(model, theta, ys, lam) - want) <= 1e-9
 
 
 class TestStationaryLaw:

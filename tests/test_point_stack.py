@@ -8,7 +8,8 @@ which assembles the slot-0 kernel) and the serial per-point sweep built
 on them.  So a stacked pass that rounds its slot 0 another way, such as
 the factored obs[0] * moved[0] of a batch, fails them.  A stacked cache
 builds one kernel factor per distinct model.kernel_keys key; its factors
-are checked against one-point caches, and its builds are counted.
+are checked against one-point caches, and its builds are counted.  A
+one-point cache computes no key and keeps the transition jet it built.
 """
 from functools import lru_cache
 
@@ -205,6 +206,11 @@ def count_builds(monkeypatch, cls):
 @pytest.mark.parametrize("variant", ["compact", "gaussian"])
 @pytest.mark.parametrize("features", ["shipped", "mixed"])
 def test_stacked_cache_factors_equal_one_point_caches(features, variant, order, stack):
+    """Each point of a stack gets the factors of its one-point cache.
+
+    The single observation ys[3] reaches every evaluator as a float, as it
+    does a one-point cache's, and the block ys as one (R, 1) column.
+    """
     model = line_model(variant, 33, features)
     iset = model.index_set(order)
     thetas = STACKS[stack](model)
@@ -245,6 +251,39 @@ def test_the_default_keys_build_once_per_point(monkeypatch, stack):
         alone = KernelCache(model, theta, model.index_set(0))
         assert np.array_equal(cache.trans[p], alone.trans)
         assert np.array_equal(block[p], alone.observation_vectors(ys))
+
+
+class RecordsTransition(BrokenObservation):
+    """Delegating model that keeps every transition jet its build returns."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.built = []
+
+    def transition_grid_jet(self, theta, index_set):
+        self.built.append(super().transition_grid_jet(theta, index_set))
+        return self.built[-1]
+
+
+@pytest.mark.parametrize("theta", [THETA, THETA[None]], ids=["point", "stack of one"])
+def test_a_one_point_cache_computes_no_key(monkeypatch, theta):
+    def no_keys(self, point):
+        raise AssertionError("a one-point cache computes no kernel key")
+
+    monkeypatch.setattr(TruncatedNonlinearModel, "kernel_keys", no_keys)
+    model = line_model("gaussian", 33)
+    KernelCache(model, theta, model.index_set())
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_a_one_point_cache_keeps_the_transition_jet_it_built(order):
+    """No copy: the large-grid build stays free of page faults only if its buffer is the cache's."""
+    model = RecordsTransition(line_model("gaussian", 33))
+    iset = model.index_set(order)
+    cache = KernelCache(model, THETA, iset)
+    [built] = model.built
+    assert cache.trans.shape == (len(iset), 33, 33)
+    assert np.shares_memory(cache.trans, built)
 
 
 class FailsAt(BrokenObservation):
