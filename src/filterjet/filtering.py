@@ -88,15 +88,15 @@ class KernelCache:
     theta may also be a (P, dim) stack of parameter points, and a (dim,)
     theta is the stack of one: `points` is (P, dim) either way, and a
     step moves one row per point through that point's kernels.  One loop
-    builds one transition jet and one observation evaluator per distinct
-    model.kernel_keys key, in first-use order: for the shipped model,
-    whose drift reads only theta[0] and whose observation map only
-    theta[1], the 28 order-3 stencil points of a sweep take 7 + 7 builds.
-    One point computes no key and keeps, as trans, the very (K, N, N)
-    array its build returned; a stack's trans stacks its points' jets.  A
-    failed build names the first of several points with its key.  The
-    build records the transition slots nonzero anywhere (at any point of
-    a stack): a step moves only those.
+    builds one set of transition factors and one observation evaluator
+    per distinct model.kernel_keys key, in first-use order: for the
+    shipped model, whose drift reads only theta[0] and whose observation
+    map only theta[1], the 28 order-3 stencil points of a sweep take
+    7 + 7 builds.  It keeps bases (P, M, N, N), base_of (K,) and scales
+    (P, K, N); one point computes no key and keeps the very bases array
+    its build returned.  A failed build names the first of several points
+    with its key.  A slot is live where its scales are nonzero at some
+    point: a step moves only those.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -116,25 +116,25 @@ class KernelCache:
             )
         model.validate_order(self.index_set.order)
         self.grid = model.grid
-        # Per distinct key, its transition jet and its observation evaluator; per point, its keys.
-        jets, self._obs_at, self._keys = {}, {}, []
+        # Per distinct key, its transition factors and its observation evaluator; per point, its keys.
+        factors, self._obs_at, self._keys = {}, {}, []
         for p, point in enumerate(self.points):
             trans_key, obs_key = model.kernel_keys(point) if len(self.points) > 1 else (None, None)
             try:
-                if trans_key not in jets:
-                    jets[trans_key] = model.transition_grid_jet(point, self.index_set)
+                # The observation build's temporaries are gone before the bases take the heap.
                 if obs_key not in self._obs_at:
                     self._obs_at[obs_key] = model.observation_grid_factory(point, self.index_set)
+                if trans_key not in factors:
+                    factors[trans_key] = model.transition_grid_factors(point, self.index_set)
             except ValueError as err:
                 failing = _locate(p, self.points, len(self.points))[1]
                 raise ValueError(f"{err}{_where(None, None, failing)}") from err
             self._keys.append((trans_key, obs_key))
-        # (K, N, N), or (P, K, N, N) for a stack: slot k holds the transition jet row on the grid.
-        self.trans = np.stack([jets[key] for key, _ in self._keys]) if self.theta.ndim == 2 else jets[None]
-        # Slot 0 always counts as live, so an order-0 cache scans nothing.  The bare
-        # ufunc reduce skips np.any's wrapper: 2 of 7 us at N = 32, order 1.
-        jet = self.trans.reshape((-1,) + self.trans.shape[-3:])
-        self._live = (True, *np.logical_or.reduce(jet[:, 1:], axis=(0, 2, 3)).tolist())
+        bases, base_of, scales = zip(*(factors[key] for key, _ in self._keys))
+        self.bases = np.stack(bases) if len(bases) > 1 else bases[0][None]
+        self.base_of, self.scales = base_of[0], np.stack(scales)
+        # Slot 0 always counts as live; the bare ufunc reduce skips np.any's wrapper.
+        self._live = (True, *np.logical_or.reduce(self.scales[:, 1:], axis=(0, 2)).tolist())
 
     def observation_vectors(self, ys) -> np.ndarray:
         """(K, R, N) observation-density jet on the grid at the (R,) observations ys.
@@ -193,17 +193,19 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     rows are R replicas of each of the cache's P points, laid out
     (P, K, R, N): one stacked GEMM per transition slot q moves every
     replica of every point through that point's kernel, and one stacked
-    GEMM pairs the products.  A transition slot that is zero on the
-    whole grid moves nothing: its moved rows keep the +0 its GEMM would
-    write.  Slot 0 of R > 1 replicas is the factored obs[0] * moved[0];
-    with one row per point it applies each point's assembled kernel
+    GEMM pairs the products.  The kernel stays in factors: trans[q] @ w
+    is bases[base_of[q]] @ (scales[q] * w), and slot 0's scales are ones,
+    so its GEMM reads the rows as they are.  A slot whose scales are zero
+    moves nothing: its moved rows keep the +0 its GEMM would write.  Slot
+    0 of R > 1 replicas is the factored obs[0] * moved[0]; with one row
+    per point it applies each point's assembled kernel
     (obs[0][:, None] * trans[0]) @ weighted[0], built in one reused
     (N, N) buffer, so every point keeps the bits of its pass alone.
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     rows, slots, size = weighted.shape
-    trans = cache.trans.reshape(-1, slots, size, size)
-    points = len(trans)
+    bases, base_of, scales = cache.bases, cache.base_of, cache.scales
+    points = len(bases)
     replicas = rows // points
     obs = obs.reshape(points, slots, replicas, size)
     batch = np.ascontiguousarray(weighted.reshape(points, replicas, slots, size).transpose(0, 2, 1, 3))
@@ -211,7 +213,8 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     for q, (start, count) in enumerate(blocks):
         if cache._live[q]:
             out = moved[:, start : start + count].reshape(points, -1, size)
-            np.matmul(batch[:, :count].reshape(points, -1, size), trans[:, q].transpose(0, 2, 1), out=out)
+            moving = batch[:, :count] if q == 0 else batch[:, :count] * scales[:, q, None, None]
+            np.matmul(moving.reshape(points, -1, size), bases[:, base_of[q]].transpose(0, 2, 1), out=out)
     # take gathers on axis 1 in half the time of fancy indexing there: 3 against 6 us at N = 32, order 1.
     terms = obs.take(obs_rows, 1) * moved.take(moved_rows, 1)
     terms = terms.reshape(points, len(obs_rows), replicas * size)
@@ -221,7 +224,7 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     else:
         kernel = np.empty((size, size))
         for p in range(points):
-            np.multiply(obs[p, 0, 0, :, None], trans[p, 0], out=kernel)
+            np.multiply(obs[p, 0, 0, :, None], bases[p, base_of[0]], out=kernel)
             np.matmul(kernel, weighted[p, 0], out=update[p, 0, 0])
     return update.transpose(0, 2, 1, 3).reshape(rows, slots, size)
 

@@ -1,7 +1,7 @@
 """Parametric state-space models with analytic parameter derivatives.
 
-ModelSpec is the contract the filter consumes: the transition jet and
-an observation-jet evaluator tabulated on the model grid, plus the
+ModelSpec is the contract the filter consumes: the factored transition
+jet and an observation-jet evaluator tabulated on the model grid, plus the
 samplers that simulation draws from, one state at a time and over rows.
 
 The concrete family is a nonlinear Gaussian model truncated to a box:
@@ -31,6 +31,8 @@ from .multiindex import (
 from .seeding import NormalStreams
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# exp below this exponent leaves the normal doubles.
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 # Rejection trials a truncated sampler makes before it gives up.
 SAMPLER_MAX_TRIALS = 10**6
@@ -75,9 +77,9 @@ def _gauss_ratio_derivs(z: np.ndarray, order: int, out: np.ndarray | None = None
     return out
 
 
-def _gauss_pdf_derivs(z: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(order + 1, ...) derivatives of the standard normal pdf at z, in out if given."""
-    out = _gauss_ratio_derivs(z, order, out)
+def _gauss_pdf_derivs(z: np.ndarray, order: int) -> np.ndarray:
+    """(order + 1, ...) derivatives of the standard normal pdf at z."""
+    out = _gauss_ratio_derivs(z, order)
     out *= np.exp(-0.5 * np.asarray(z, dtype=float) ** 2) / _SQRT_2PI
     return out
 
@@ -109,7 +111,8 @@ class ModelSpec(abc.ABC):
     derivative jets of both factors tabulated on the model grid and
     pairs them by the Leibniz rule itself; simulation consumes the two
     samplers.  A subclass sets ``grid`` and provides the nine abstract
-    members; the checks, index set and kernel keys come with the base.
+    members; the checks, index set, kernel keys and transition_grid_jet
+    come with the base.
     """
 
     grid: StateGrid
@@ -127,9 +130,12 @@ class ModelSpec(abc.ABC):
     def parameter_box(self) -> tuple[tuple[float, float], ...]: ...
 
     @abc.abstractmethod
-    def transition_grid_jet(self, theta, index_set: IndexSet) -> np.ndarray:
-        """(K, N, N) transition jet on the grid: slot, new state, old state.
+    def transition_grid_factors(self, theta, index_set: IndexSet):
+        """(bases (M, N, N), base_of (K,), scales (K, N)) of the transition jet.
 
+        Slot k is bases[base_of[k]] (new state, old state) with column j
+        times scales[k, j].  scales[0] is ones; no step reads a slot whose
+        scales are zero.  M and base_of follow index_set alone.
         theta is a (dim_theta,) array that validate_theta has passed,
         and index_set's order is within max_order.  The callers
         (KernelCache, kernel_matrix, assumption_constants) check both
@@ -137,6 +143,11 @@ class ModelSpec(abc.ABC):
         sweep differences slot 0 of order-0 passes; a model whose slot 0
         depends on the order gets the same sweep verdict, to rounding.
         """
+
+    def transition_grid_jet(self, theta, index_set: IndexSet) -> np.ndarray:
+        """(K, N, N) transition jet (slot, new state, old state): bases[base_of[k]] * scales[k]."""
+        bases, base_of, scales = self.transition_grid_factors(theta, index_set)
+        return bases[base_of] * scales[:, None, :]
 
     @abc.abstractmethod
     def observation_grid_factory(self, theta, index_set: IndexSet):
@@ -147,7 +158,7 @@ class ModelSpec(abc.ABC):
         once per kernel_keys observation key and the evaluator once per
         step: build everything that depends only on theta here, and
         everything that depends on neither theta nor y once per model.
-        theta and index_set come checked, as for transition_grid_jet.
+        theta and index_set come checked, as for transition_grid_factors.
         """
 
     @abc.abstractmethod
@@ -195,20 +206,22 @@ class ModelSpec(abc.ABC):
         return enumerate_indices(self.dim_theta, self.max_order if order is None else order)
 
 
-def _quotient_degrees(num: np.ndarray, den) -> np.ndarray:
+def _quotient_degrees(num: np.ndarray, den, out=None) -> np.ndarray:
     """Derivatives 0..order of num / den in one variable, from those of num and den.
 
     Solves the Leibniz rule N_d = sum_j C(d, j) G_j D_(d-j) for G_d in
-    increasing degree, overwriting num with the G_d.  den may list fewer
+    increasing degree, into out[d] (default num[d]), which may share memory
+    with num[j <= d] only.  den may list fewer
     derivatives than num; the missing ones are zero.
     """
+    out = num if out is None else out
     inv = 1.0 / den[0]
     scaled = [d_k * inv for d_k in den]
-    for d, acc in enumerate(num):
-        acc *= inv
+    for d in range(len(num)):
+        acc = np.multiply(num[d], inv, out=out[d])
         for j in range(max(0, d + 1 - len(den)), d):
-            acc -= (math.comb(d, j) * scaled[d - j]) * num[j]
-    return num
+            acc -= (math.comb(d, j) * scaled[d - j]) * out[j]
+    return out
 
 
 def _integrate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -227,6 +240,29 @@ def _integrate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _location(tables, theta) -> np.ndarray:
     """(N,) theta . features on the grid, as np.tensordot sums it: a (1, dim) row times the table."""
     return np.dot(np.reshape(theta, (1, -1)), tables[0]).reshape(-1)
+
+
+def _gauss_table(targets, location, scale: float, order: int, shift: bool = False) -> np.ndarray:
+    """(max(order, 1) + 1, M, T) Gaussian derivatives at (targets[t] - location[m]) / scale.
+
+    Two degrees at least: order 0 sums like order 1 (see _integrate).  z
+    turns into the Gaussian in place, so no second temporary as large
+    grows the heap past glibc's trim threshold.  With shift, a row whose
+    Gaussians all underflow is scaled by exp(min z**2 / 2), which its
+    quotients do not see; a zero shift is exact.
+    """
+    z = np.subtract(targets[None, :], location[:, None])
+    z /= scale
+    out = _gauss_ratio_derivs(z, max(order, 1))
+    gauss = np.square(z, out=z)
+    gauss *= -0.5
+    if shift and gauss.min() < _LOG_TINY:
+        top = gauss.max(axis=1)
+        gauss -= np.where(top < _LOG_TINY, top, 0.0)[:, None]
+    np.exp(gauss, out=gauss)
+    gauss /= _SQRT_2PI
+    out *= gauss
+    return out
 
 
 def _expand_degrees(by_degree, factors: np.ndarray, index_set: IndexSet) -> np.ndarray:
@@ -337,9 +373,9 @@ class TruncatedNonlinearModel(ModelSpec):
 
     Their work splits by what it depends on.  Per model: the feature
     values on the grid and the slope powers of every index (the
-    (features, factors) tables).  Per theta: the locations, the whole
-    transition jet and the observation normalizer.  Per observation: the
-    Gaussian derivatives at y, the quotient recursion and the products
+    (features, factors) tables).  Per theta: the locations, the transition
+    quotients by degree and the observation normalizer.  Per observation:
+    the Gaussian derivatives at y, the quotient recursion and the products
     with the slope powers.
     """
 
@@ -423,27 +459,22 @@ class TruncatedNonlinearModel(ModelSpec):
         """
         return _location(self._drift_tables, theta).tobytes(), _location(self._obs_tables, theta).tobytes()
 
-    def transition_grid_jet(self, theta, index_set) -> np.ndarray:
-        # The new states are the quadrature nodes, so one Gaussian evaluation on
-        # the grid serves numerator and normalizer; two degrees at least, so an
-        # order-0 jet is the slot-0 prefix of the order-1 jet (see _integrate).
-        # The build runs in the array it returns: a temporary that large would be
-        # unmapped after every build and page-fault in again at the next.  Its
-        # first slots hold the degrees as (old state, new state); the slots
-        # overwrite them from the last down, and slot k has degree at most k.
-        order, n, size = index_set.order, self.grid.size, len(index_set)
-        degrees = max(order, 1) + 1
-        out = np.empty((max(size, degrees), n, n))
-        location = _location(self._drift_tables, theta)
-        z = (self.grid.axis(0)[None, :] - location[:, None]) / self.trans_scale
-        num = _gauss_pdf_derivs(z, degrees - 1, out[:degrees])
+    def transition_grid_factors(self, theta, index_set):
+        """The order + 1 quotient degrees as bases; slot a scales degree |a| by factors[a].
+
+        The new states are the quadrature nodes, so one Gaussian table
+        serves numerator and normalizer.  Degree d lands transposed over
+        slab d of it (NumPy copies the overlapping input), so the bases are
+        the table itself: an array that large per build would page-fault in.
+        """
+        order = index_set.order
+        num = _gauss_table(self.grid.axis(0), _location(self._drift_tables, theta), self.trans_scale, order, True)
         den = _integrate(num, self.grid.weights)[: order + 1]
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
-        _quotient_degrees(num[: order + 1], den[:, :, None])
-        for k in reversed(range(size)):
-            np.multiply(num[index_set.degrees[k]].T, self._drift_tables[1][k], out=out[k])
-        return out[:size]
+        bases = num[: order + 1]
+        _quotient_degrees(bases, den[:, :, None], bases.transpose(0, 2, 1))
+        return bases, np.array(index_set.degrees), self._drift_tables[1][: len(index_set)]
 
     def observation_grid_factory(self, theta, index_set):
         """Evaluator y -> observation-density jet at the grid states.
@@ -459,8 +490,7 @@ class TruncatedNonlinearModel(ModelSpec):
             den = [self.obs_scale]
         else:
             order = index_set.order
-            z = (self._obs_nodes[None, :] - location[:, None]) / self.obs_scale
-            den = _integrate(_gauss_pdf_derivs(z, max(order, 1)), self._obs_weights)[: order + 1]
+            den = _integrate(_gauss_table(self._obs_nodes, location, self.obs_scale, order), self._obs_weights)[: order + 1]
             if np.any(den[0] <= 0.0):
                 raise ValueError("observation normalizer vanished on the quadrature")
 

@@ -57,6 +57,11 @@ def random_l0(model, index_set, rng, derivative_scale=1.0):
     return VectorMeasure(components, index_set, grid)
 
 
+def transition_jets(cache):
+    """(P, K, N, N) transition jet of each point of a kernel cache, expanded from its factors as transition_grid_jet expands them."""
+    return cache.bases[:, cache.base_of] * cache.scales[:, :, None, :]
+
+
 def kernel_updates(model, theta, y, lam):
     """{alpha: R^alpha lam} at y over the model's index set.
 
@@ -138,8 +143,8 @@ class BrokenObservation(ModelSpec):
     def parameter_box(self):
         return self.inner.parameter_box
 
-    def transition_grid_jet(self, theta, index_set):
-        return self.inner.transition_grid_jet(theta, index_set)
+    def transition_grid_factors(self, theta, index_set):
+        return self.inner.transition_grid_factors(theta, index_set)
 
     def observation_grid_factory(self, theta, index_set):
         inner = self.inner.observation_grid_factory(theta, index_set)

@@ -125,3 +125,23 @@ def test_loglik_jet_agrees_with_its_oracles_on_random_models(case):
     assert slot0_gap <= SLOT0_TOL
     for order, scaled in worst.items():
         assert scaled <= FD_TOL[order], (order, scaled)
+
+
+def underflow_model():
+    """A drawn model whose drift takes the old states +-2.5 so far out that every new state's Gaussian underflows."""
+    model = make_model(
+        cells=6, order=3, drift=("tanh", "linear"), obs=("one", "one"), trans_scale=0.0515, obs_scale=1.0,
+        theta_box=(BOX,) * 2,
+    )
+    return model, np.array([0.0620, -1.9331])
+
+
+def test_an_old_state_whose_transition_gaussians_all_underflow_agrees_with_its_oracles():
+    # it aborted with "transition normalizer vanished on the grid" before its column was shifted
+    model, theta = underflow_model()
+    ys = path_observations(model, theta, 4, np.random.default_rng(1))
+    slot0_gap, worst = oracle_gaps(model, theta, ys)
+    assert slot0_gap <= SLOT0_TOL
+    assert sorted(worst) == [1, 2, 3]
+    for order, scaled in worst.items():
+        assert scaled <= FD_TOL[order], (order, scaled)

@@ -561,10 +561,11 @@ class TestRecenteringBound:
 class NegativeTransition(BrokenObservation):
     """Delegating model whose slot-0 transition row 5 is pushed below zero, so the filter's slot 0 goes negative."""
 
-    def transition_grid_jet(self, theta, index_set):
-        jet = self.inner.transition_grid_jet(theta, index_set).copy()
-        jet[0, 5] -= 0.5 * jet[0, 5].max() + 1.0
-        return jet
+    def transition_grid_factors(self, theta, index_set):
+        bases, base_of, scales = self.inner.transition_grid_factors(theta, index_set)
+        bases = bases.copy()
+        bases[base_of[0], 5] -= 0.5 * bases[base_of[0], 5].max() + 1.0
+        return bases, base_of, scales
 
 
 class TestSerialFoldAborts:

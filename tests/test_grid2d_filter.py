@@ -57,7 +57,8 @@ class PlanarTanhModel(ModelSpec):
         pdf = _gauss_pdf_derivs(z, order)
         return [pdf[k] * slope**k for k in range(order + 1)]
 
-    def transition_grid_jet(self, theta, index_set):
+    def transition_grid_factors(self, theta, index_set):
+        # every slot its own base, at unit scales
         theta = self.validate_theta(theta)
         pts = self.grid.points
         new = (pts[:, None, 0], pts[:, None, 1])
@@ -77,7 +78,8 @@ class PlanarTanhModel(ModelSpec):
         )
         den = np.tensordot(node_jet, self.grid.weights, axes=([1], [0]))
         assert np.all(den[0] > 0.0)
-        return kslot_quotient_jet(num, den, index_set)
+        jet = kslot_quotient_jet(num, den, index_set)
+        return jet, np.arange(len(jet)), np.ones(jet.shape[:2])
 
     def observation_grid_factory(self, theta, index_set):
         theta = self.validate_theta(theta)

@@ -57,8 +57,8 @@ class _ScaledKernel(ModelSpec):
     def parameter_box(self):
         return self.inner.parameter_box
 
-    def transition_grid_jet(self, theta, index_set):
-        return self.inner.transition_grid_jet(theta, index_set)
+    def transition_grid_factors(self, theta, index_set):
+        return self.inner.transition_grid_factors(theta, index_set)
 
     def observation_grid_factory(self, theta, index_set):
         inner = self.inner.observation_grid_factory(theta, index_set)
@@ -292,7 +292,7 @@ class TestRmlDemo:
 
     def test_a_kernel_build_abort_names_the_observation_index(self, small, theta, monkeypatch):
         # every step builds its own cache, so the fifth build is that of step 5
-        build = type(small).transition_grid_jet
+        build = type(small).transition_grid_factors
         calls = []
 
         def fifth_build_fails(model, point, index_set):
@@ -301,7 +301,7 @@ class TestRmlDemo:
                 raise ValueError("transition normalizer vanished on the grid")
             return build(model, point, index_set)
 
-        monkeypatch.setattr(type(small), "transition_grid_jet", fifth_build_fails)
+        monkeypatch.setattr(type(small), "transition_grid_factors", fifth_build_fails)
         with pytest.raises(ValueError) as info:
             rml_demo(small, theta, theta, step_a=3.0, step_b=300.0, n_steps=6, seed=1)
         assert str(info.value) == "transition normalizer vanished on the grid at observation index 5"

@@ -187,9 +187,16 @@ STACKS = {
 }
 
 
+def assert_same_factors(cache, p, alone):
+    """Point p of a stacked cache holds the transition factors of its one-point cache alone."""
+    assert np.array_equal(cache.bases[p], alone.bases[0])
+    assert np.array_equal(cache.base_of, alone.base_of)
+    assert np.array_equal(cache.scales[p], alone.scales[0])
+
+
 def count_builds(monkeypatch, cls):
     """{factor name: calls} of cls's two kernel-factor methods, counted from now on."""
-    counts = {"transition_grid_jet": 0, "observation_grid_factory": 0}
+    counts = {"transition_grid_factors": 0, "observation_grid_factory": 0}
     for name in counts:
         build = getattr(cls, name)
 
@@ -219,7 +226,7 @@ def test_stacked_cache_factors_equal_one_point_caches(features, variant, order, 
     block, single = cache.observation_vectors(ys), cache.observation_vectors(ys[3])
     for p, theta in enumerate(thetas):
         alone = KernelCache(model, theta, iset)
-        assert np.array_equal(cache.trans[p], alone.trans)
+        assert_same_factors(cache, p, alone)
         assert np.array_equal(block[p], alone.observation_vectors(ys))
         assert np.array_equal(single[p], alone.observation_vectors(ys[3]))
 
@@ -234,7 +241,7 @@ def test_an_order3_stencil_builds_one_factor_per_distinct_location(monkeypatch, 
     assert len(thetas) == 28
     counts = count_builds(monkeypatch, TruncatedNonlinearModel)
     KernelCache(model, thetas, model.index_set(0))
-    assert (counts["transition_grid_jet"], counts["observation_grid_factory"]) == builds
+    assert (counts["transition_grid_factors"], counts["observation_grid_factory"]) == builds
 
 
 @pytest.mark.parametrize("stack", ["stencil-3", "duplicates"])
@@ -244,24 +251,24 @@ def test_the_default_keys_build_once_per_point(monkeypatch, stack):
     counts = count_builds(monkeypatch, BrokenObservation)
     cache = KernelCache(model, thetas, model.index_set(0))
     distinct = len(np.unique(thetas, axis=0))
-    assert counts == {"transition_grid_jet": distinct, "observation_grid_factory": distinct}
+    assert counts == {"transition_grid_factors": distinct, "observation_grid_factory": distinct}
     ys = np.array([0.3, 2e6, -1.0])
     block = cache.observation_vectors(ys)
     for p, theta in enumerate(thetas):
         alone = KernelCache(model, theta, model.index_set(0))
-        assert np.array_equal(cache.trans[p], alone.trans)
+        assert_same_factors(cache, p, alone)
         assert np.array_equal(block[p], alone.observation_vectors(ys))
 
 
 class RecordsTransition(BrokenObservation):
-    """Delegating model that keeps every transition jet its build returns."""
+    """Delegating model that keeps the transition factors of every build."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.built = []
 
-    def transition_grid_jet(self, theta, index_set):
-        self.built.append(super().transition_grid_jet(theta, index_set))
+    def transition_grid_factors(self, theta, index_set):
+        self.built.append(super().transition_grid_factors(theta, index_set))
         return self.built[-1]
 
 
@@ -276,14 +283,14 @@ def test_a_one_point_cache_computes_no_key(monkeypatch, theta):
 
 
 @pytest.mark.parametrize("order", [0, 1, 3])
-def test_a_one_point_cache_keeps_the_transition_jet_it_built(order):
+def test_a_one_point_cache_keeps_the_transition_bases_it_built(order):
     """No copy: the large-grid build stays free of page faults only if its buffer is the cache's."""
     model = RecordsTransition(line_model("gaussian", 33))
     iset = model.index_set(order)
     cache = KernelCache(model, THETA, iset)
-    [built] = model.built
-    assert cache.trans.shape == (len(iset), 33, 33)
-    assert np.shares_memory(cache.trans, built)
+    [(bases, _, _)] = model.built
+    assert cache.bases.shape == (1, order + 1, 33, 33)
+    assert np.shares_memory(cache.bases, bases)
 
 
 class FailsAt(BrokenObservation):
@@ -293,10 +300,10 @@ class FailsAt(BrokenObservation):
         super().__init__(inner)
         self.factor, self.bad = factor, np.asarray(bad, dtype=float)
 
-    def transition_grid_jet(self, theta, index_set):
+    def transition_grid_factors(self, theta, index_set):
         if self.factor == "transition" and np.array_equal(theta, self.bad):
             raise ValueError("transition normalizer vanished on the grid")
-        return super().transition_grid_jet(theta, index_set)
+        return super().transition_grid_factors(theta, index_set)
 
     def observation_grid_factory(self, theta, index_set):
         if self.factor == "observation" and np.array_equal(theta, self.bad):

@@ -8,12 +8,15 @@ must equal chained calls of the core bit for bit.  The core's replica
 axis must reproduce the single step: exactly at one replica, and to
 rounding for a batch, whose slot 0 is factored rather than assembled.
 An order-0 step must run and keep the slot 0 of the higher orders.
-A transition slot that is zero on the whole grid must never be read,
-and skipping it must keep every byte of the steps that run its GEMM.
+A transition slot whose scales are zero must never be read, and
+skipping it must keep every byte of the steps that run its GEMM.
 A one-point stack must step as its point does, byte for byte, and a
 stack of several points takes one replica per point.  The one update
 over points and replicas must keep the bytes of the per-point update
-and of the slot-major replica update it replaced.
+and of the slot-major replica update it replaced.  The test-local
+updates move slot q through the cache's factors as the core does,
+(rows * scales[q]) @ bases[base_of[q]].T; tests/test_factored_transition.py
+holds the core against the full transition jet.
 """
 from functools import lru_cache
 
@@ -38,7 +41,7 @@ from filterjet.filtering import _fold, _prediction_update, _step, _update_plan
 from filterjet.loglik import jet_increments_from_scalars
 from filterjet.multiindex import pair_table
 
-from conftest import THETA, BrokenObservation, make_model, normalized_update, random_l0
+from conftest import THETA, BrokenObservation, make_model, normalized_update, random_l0, transition_jets
 from test_grid2d_filter import PlanarTanhModel
 
 SLOT_RTOL = 1e-12
@@ -47,15 +50,26 @@ SLOT_RTOL = 1e-12
 FEATURES = {"shipped": (("tanh", "zero"), ("zero", "linear")), "mixed": (("tanh", "sin"), ("linear", "one"))}
 
 
+def moving(rows, cache, q, p=0):
+    """The rows as the GEMM of transition slot q of point p reads them: times the slot's scales, but slot 0's ones."""
+    return rows if q == 0 else rows * cache.scales[p, q]
+
+
+def base(cache, q, p=0):
+    """The (N, N) base of transition slot q of point p."""
+    return cache.bases[p, cache.base_of[q]]
+
+
 def reference_step(cache, y, measure):
     """Assembled-matrix step: (components, s_masses, predictive)."""
     iset, grid = cache.index_set, cache.grid
     pairs = pair_table(iset)
     obs = cache.observation_vectors([y])[:, 0]
-    mats = np.zeros_like(cache.trans)
+    trans = transition_jets(cache)[0]
+    mats = np.zeros_like(trans)
     for k, row in enumerate(pairs):
         for coeff, b_slot, g_slot in row:
-            mats[k] += coeff * obs[b_slot][:, None] * cache.trans[g_slot]
+            mats[k] += coeff * obs[b_slot][:, None] * trans[g_slot]
     weighted = measure.components * grid.weights
     n_slots = len(iset)
     r_update = {}
@@ -89,9 +103,9 @@ def single_step(cache, y, measure):
     obs = cache.observation_vectors([y])[:, 0]
     moved = np.empty((sum(count for _, count in blocks), grid.size))
     for q, (start, count) in enumerate(blocks):
-        np.matmul(weighted[:count], cache.trans[q].T, out=moved[start : start + count])
+        np.matmul(moving(weighted[:count], cache, q), base(cache, q).T, out=moved[start : start + count])
     update = coeff @ (obs[obs_rows] * moved[moved_rows])
-    update[0] = (obs[0][:, None] * cache.trans[0]) @ weighted[0]
+    update[0] = (obs[0][:, None] * base(cache, 0)) @ weighted[0]
     predictive = float(np.dot(update[0], grid.weights))
     f_dens = update / predictive
     s_masses = f_dens @ grid.weights
@@ -111,9 +125,9 @@ def stacked_prediction_update(cache, ys, weighted):
     obs = cache.observation_vectors(ys)
     moved = np.empty((weighted.shape[0], sum(count for _, count in blocks), weighted.shape[2]))
     for q, (start, count) in enumerate(blocks):
-        np.matmul(weighted[:, :count], cache.trans[q].T, out=moved[:, start : start + count])
+        np.matmul(moving(weighted[:, :count], cache, q), base(cache, q).T, out=moved[:, start : start + count])
     update = np.matmul(coeff, obs[obs_rows].transpose(1, 0, 2) * moved[:, moved_rows])
-    kernels = obs[0][:, :, None] * cache.trans[0]
+    kernels = obs[0][:, :, None] * base(cache, 0)
     update[:, 0] = np.matmul(kernels, weighted[:, 0, :, None])[..., 0]
     return update
 
@@ -135,7 +149,7 @@ def slot_major_update(cache, obs, weighted, skip=False):
         if skip and not cache._live[q]:
             continue
         out = moved[start : start + count].reshape(-1, size)
-        np.matmul(slots[:count].reshape(-1, size), cache.trans[q].T, out=out)
+        np.matmul(moving(slots[:count], cache, q).reshape(-1, size), base(cache, q).T, out=out)
     terms = obs[obs_rows] * moved[moved_rows]
     update = (coeff @ terms.reshape(len(terms), replicas * size)).reshape(-1, replicas, size)
     update[0] = obs[0] * moved[0]
@@ -150,16 +164,17 @@ def per_point_update(cache, obs, weighted):
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     points, slots, size = weighted.shape
-    trans = cache.trans.reshape(-1, slots, size, size)
     obs = obs.reshape(points, slots, size)
     moved = np.zeros((points, sum(count for _, count in blocks), size))
     for q, (start, count) in enumerate(blocks):
         if cache._live[q]:
-            np.matmul(weighted[:, :count], trans[:, q].transpose(0, 2, 1), out=moved[:, start : start + count])
+            rows = weighted[:, :count] if q == 0 else weighted[:, :count] * cache.scales[:, q, None]
+            bases = cache.bases[:, cache.base_of[q]].transpose(0, 2, 1)
+            np.matmul(rows, bases, out=moved[:, start : start + count])
     update = np.matmul(coeff, obs[:, obs_rows] * moved[:, moved_rows])
     kernel = np.empty((size, size))
     for p in range(points):
-        np.multiply(obs[p, 0, :, None], trans[p, 0], out=kernel)
+        np.multiply(obs[p, 0, :, None], base(cache, 0, p), out=kernel)
         np.matmul(kernel, weighted[p, 0], out=update[p, 0])
     return update
 
@@ -422,8 +437,11 @@ def test_all_zero_transition_slots_are_never_read(order, layout):
     theta, replicas = LAYOUTS[layout]
     dead = theta2_slots(iset)
     clean, poisoned = KernelCache(model, theta, iset), KernelCache(model, theta, iset)
-    assert not clean.trans[..., dead, :, :].any()
-    poisoned.trans[..., dead, :, :] = np.nan
+    assert not clean.scales[:, dead].any()
+    # the dead slots read a base of NaN: a GEMM over their zero-scaled rows would write NaN
+    poisoned.bases = np.concatenate([poisoned.bases, np.full_like(poisoned.bases[:, :1], np.nan)], axis=1)
+    poisoned.base_of = poisoned.base_of.copy()
+    poisoned.base_of[dead] = poisoned.bases.shape[1] - 1
     rng = np.random.default_rng(order)
     starts = [random_l0(model, iset, rng) for _ in range(replicas)]
     ys = rng.uniform(-2.5, 2.5, size=(5, replicas))
@@ -516,17 +534,18 @@ def test_the_live_slots_are_the_nonzero_transition_slots(features, order):
 
 
 class ZeroSlotAt(BrokenObservation):
-    """Delegating model whose transition jet has slot `slot` zeroed at the parameter point `at` only."""
+    """Delegating model whose transition slot `slot` has zero scales at the parameter point `at` only."""
 
     def __init__(self, inner, slot, at):
         super().__init__(inner)
         self.slot, self.at = slot, np.asarray(at, dtype=float)
 
-    def transition_grid_jet(self, theta, index_set):
-        jet = super().transition_grid_jet(theta, index_set)
+    def transition_grid_factors(self, theta, index_set):
+        bases, base_of, scales = super().transition_grid_factors(theta, index_set)
         if np.array_equal(theta, self.at):
-            jet[self.slot] = 0.0
-        return jet
+            scales = scales.copy()
+            scales[self.slot] = 0.0
+        return bases, base_of, scales
 
 
 def test_a_stack_skips_a_slot_only_when_it_is_zero_at_every_point():
