@@ -399,11 +399,11 @@ def derivative_identity_sweep(
     7 transition jets and 7 observation evaluators for the bundled
     model's shipped features, whose drift and observation map each read
     one coordinate.  The difference passes run on the order-0 index set
-    (1 slot instead of 10 at dimension 2, order 3).  For the bundled
-    model an order-0 jet is the slot-0 prefix of the order-1 jet, as both
-    normalizers sum a stack of at least two degrees, and slot 0 does not
-    depend on the order from 1 up; so the report is the one full-order
-    passes give, bit for bit.  rel_tol must be finite and positive and
+    (1 slot instead of 10 at dimension 2, order 3).  Their slot 0 applies
+    the assembled slot-0 kernel, and the full-order slot 0 is the
+    factored obs[0] * moved[0]; the two differ in the last bits, so the
+    report is the one full-order passes give to that rounding, amplified
+    by the differences.  rel_tol must be finite and positive and
     abs_floor finite and non-negative (ValueError otherwise).
     """
     if not 0.0 < rel_tol < math.inf:

@@ -197,10 +197,10 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     is bases[base_of[q]] @ (scales[q] * w), and slot 0's scales are ones,
     so its GEMM reads the rows as they are.  A slot whose scales are zero
     moves nothing: its moved rows keep the +0 its GEMM would write.  Slot
-    0 of R > 1 replicas is the factored obs[0] * moved[0]; with one row
-    per point it applies each point's assembled kernel
-    (obs[0][:, None] * trans[0]) @ weighted[0], built in one reused
-    (N, N) buffer, so every point keeps the bits of its pass alone.
+    0 is the factored obs[0] * moved[0]; an order-0 step with one row
+    per point runs no transition GEMM and applies each point's assembled
+    kernel (obs[0][:, None] * trans[0]) @ weighted[0], built in one
+    reused (N, N) buffer.  A point keeps the bits of its pass alone.
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     rows, slots, size = weighted.shape
@@ -208,6 +208,12 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     points = len(bases)
     replicas = rows // points
     obs = obs.reshape(points, slots, replicas, size)
+    if slots == replicas == 1:
+        update, kernel = np.empty((rows, 1, size)), np.empty((size, size))
+        for p in range(points):
+            np.multiply(obs[p, 0, 0, :, None], bases[p, base_of[0]], out=kernel)
+            np.matmul(kernel, weighted[p, 0], out=update[p, 0])
+        return update
     batch = np.ascontiguousarray(weighted.reshape(points, replicas, slots, size).transpose(0, 2, 1, 3))
     moved = np.zeros((points, blocks[-1][0] + blocks[-1][1], replicas, size))
     for q, (start, count) in enumerate(blocks):
@@ -219,13 +225,7 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     terms = obs.take(obs_rows, 1) * moved.take(moved_rows, 1)
     terms = terms.reshape(points, len(obs_rows), replicas * size)
     update = np.matmul(coeff, terms).reshape(points, slots, replicas, size)
-    if replicas > 1:
-        update[:, 0] = obs[:, 0] * moved[:, 0]
-    else:
-        kernel = np.empty((size, size))
-        for p in range(points):
-            np.multiply(obs[p, 0, 0, :, None], bases[p, base_of[0]], out=kernel)
-            np.matmul(kernel, weighted[p, 0], out=update[p, 0, 0])
+    update[:, 0] = obs[:, 0] * moved[:, 0]
     return update.transpose(0, 2, 1, 3).reshape(rows, slots, size)
 
 

@@ -140,8 +140,8 @@ class ModelSpec(abc.ABC):
         and index_set's order is within max_order.  The callers
         (KernelCache, kernel_matrix, assumption_constants) check both
         once, so the model does not check them again.  The derivative
-        sweep differences slot 0 of order-0 passes; a model whose slot 0
-        depends on the order gets the same sweep verdict, to rounding.
+        sweep differences slot 0 of order-0 passes, which rounds unlike
+        the full-order slot 0: its verdict holds to that rounding.
         """
 
     def transition_grid_jet(self, theta, index_set: IndexSet) -> np.ndarray:

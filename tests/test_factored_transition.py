@@ -55,7 +55,7 @@ def per_slot_update(cache, obs, weighted):
     terms = obs.take(obs_rows, 1) * moved.take(moved_rows, 1)
     terms = terms.reshape(points, len(obs_rows), replicas * size)
     update = np.matmul(coeff, terms).reshape(points, slots, replicas, size)
-    if replicas > 1:
+    if slots > 1 or replicas > 1:
         update[:, 0] = obs[:, 0] * moved[:, 0]
     else:
         for p in range(points):
