@@ -246,10 +246,10 @@ def _run_loglik(cfg: RunConfig) -> tuple[dict, list[Check]]:
     ]
 
     # The difference passes read slot 0 only, which an order-0 build of the
-    # model computes to rounding, in one pass over the stencil points.
+    # model computes to rounding, in one pass over the stencil points, theta first.
     order0 = replace(model, order=0)
     slot0 = lambda stack: [j.values[0] for j in loglik_jet(order0, stack, traj.observations, lam0)]  # noqa: E731
-    fds = fd_derivatives(slot0, differenced, theta, jet.values[0], scheme, model.parameter_box)
+    fds = fd_derivatives(slot0, differenced, theta, scheme, model.parameter_box)
     worst = 0.0
     deriv_rows = []
     for alpha, fd in zip(differenced, fds):

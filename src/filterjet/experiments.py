@@ -388,22 +388,21 @@ def derivative_identity_sweep(
     scaled error compares directly against rel_tol.
 
     The finite differences of one parameter point come from
-    fd_derivatives, seeded with slot 0 of the full-order pass: it runs
-    one filter_iterate pass over the stack of the other stencil points,
-    each of which equals its serial pass bit for bit.  So at dimension 2,
-    order 3 and the default two Richardson levels a parameter point
-    costs 1 full-order pass and 1 pass over 28 stencil points, where
-    differencing each alpha on its own, from its own pass at theta,
-    costs 94 passes.  That pass builds
-    one kernel factor per distinct model.kernel_keys key, not per point:
-    7 transition jets and 7 observation evaluators for the bundled
-    model's shipped features, whose drift and observation map each read
-    one coordinate.  The difference passes run on the order-0 index set
-    (1 slot instead of 10 at dimension 2, order 3).  Their slot 0 applies
-    the assembled slot-0 kernel, and the full-order slot 0 is the
-    factored obs[0] * moved[0]; the two differ in the last bits, so the
-    report is the one full-order passes give to that rounding, amplified
-    by the differences.  rel_tol must be finite and positive and
+    fd_derivatives: it runs one filter_iterate pass on the order-0 index
+    set (1 slot instead of 10 at dimension 2, order 3) over the stack of
+    the stencil points, theta first, each of which equals its serial
+    pass bit for bit.  So at dimension 2, order 3 and the default two
+    Richardson levels a parameter point costs 1 full-order pass and 1
+    pass over 29 points, where differencing each alpha on its own, from
+    its own pass at theta, costs 94 passes.  That pass builds one kernel
+    factor per distinct model.kernel_keys key, not per point: 7
+    transition jets and 7 observation evaluators for the bundled model's
+    shipped features, whose drift and observation map each read one
+    coordinate.  Every difference reads order-0 passes only, so none
+    mixes their assembled slot 0 with the full-order pass's factored
+    obs[0] * moved[0]; the two differ in the last bits, so the report is
+    the one full-order passes give to that rounding, amplified by the
+    differences.  rel_tol must be finite and positive and
     abs_floor finite and non-negative (ValueError otherwise).
     """
     if not 0.0 < rel_tol < math.inf:
@@ -433,7 +432,7 @@ def derivative_identity_sweep(
         measure = filter_iterate(model, theta, traj.observations, embed(lam0, index_set))
         slot_masses = measure.components * weights
         references = [slot_masses[0]] + fd_derivatives(
-            zero_slot_masses, differenced, theta, slot_masses[0], scheme, model.parameter_box
+            zero_slot_masses, differenced, theta, scheme, model.parameter_box
         )
         for k, (alpha, reference) in enumerate(zip(index_set.indices, references)):
             gap = np.abs(slot_masses[k] - reference)

@@ -8,9 +8,11 @@ oracles stay cheap enough to trust.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,112 +102,173 @@ _STENCILS = {
 }
 
 
-def _stencil_eval(f, theta, axis, order, h):
-    """Second-order central stencil for one coordinate, one derivative order."""
-    acc = None
-    for offset, coeff in _STENCILS[order]:
-        point = np.array(theta, dtype=float)
-        point[axis] += offset * h
-        val = coeff * f(point)
-        acc = val if acc is None else acc + val
-    return acc / h**order
+@lru_cache(maxsize=None)
+def _fd_plan(alphas, dim, scheme):
+    """The nested differences of alphas as a program: (offsets, touched, reach, groups, outputs, rows).
+
+    One run of the recursion on symbolic points: coordinates are
+    differenced in axis order, each by a central stencil (_STENCILS) at
+    h = base_step / 2**level, and the levels combined by Richardson
+    extrapolation.  Point p, in first-use order, is theta + offsets[p]
+    where touched[p] and theta elsewhere; reach[i] is the largest order
+    of coordinate i.  Row p of the value table is f at point p, and each
+    later row a node, shared by every alpha that reaches its (point,
+    remaining orders): (c_0 x_0 + c_1 x_1 + ...) / h**order, summed left
+    to right, or Richardson's (factor * x_1 - x_0) / (factor - 1.0).
+    A group (kind, start, children (n, arity), coefficients, divisors)
+    of one (height, kind, arity) writes rows start .. start + n from
+    earlier rows.  outputs[j] is the row of alphas[j].
+    """
+    alphas = [MultiIndex(alpha) for alpha in alphas]
+    if any(len(alpha) != dim for alpha in alphas):
+        raise ValueError("alpha and theta dimensions differ")
+    points, nodes, memo = [], [], {}
+
+    def node(kind, children, coeffs=(), divisor=1.0):
+        height = 1 + max((nodes[c][0] for c in children), default=-1)
+        nodes.append((height, kind, len(children), children, coeffs, divisor))
+        return len(nodes) - 1
+
+    def derive(point, remaining):
+        key = (point, remaining)
+        if key not in memo:
+            memo[key] = differenced(point, remaining)
+        return memo[key]
+
+    def differenced(point, remaining):
+        axis = next((i for i, r in enumerate(remaining) if r), None)
+        if axis is None:
+            points.append(point)
+            return node("point", ())
+        order = remaining[axis]
+        rest = remaining[:axis] + (0,) + remaining[axis + 1 :]
+        shifts, coeffs = zip(*_STENCILS[order])
+        table = []
+        for level in range(scheme.richardson_levels):
+            h = scheme.base_step / 2.0**level
+            children = [derive(point[:axis] + (shift * h,) + point[axis + 1 :], rest) for shift in shifts]
+            table.append(node("stencil", children, coeffs, h**order))
+        level = 1
+        while len(table) > 1:
+            factor = 4.0**level
+            table = [node("richardson", [a, b], factor, factor - 1.0) for a, b in zip(table, table[1:])]
+            level += 1
+        return table[0]
+
+    roots = [derive((None,) * dim, tuple(alpha)) for alpha in alphas]
+    # A stable sort: the points, of height 0, come first and in first-use order.
+    order = sorted(range(len(nodes)), key=lambda k: nodes[k][:3])
+    row = {ref: pos for pos, ref in enumerate(order)}
+    groups, start = [], len(points)
+    for (_, kind, _), members in itertools.groupby((nodes[k] for k in order[start:]), key=lambda n: n[:3]):
+        members = list(members)
+        children = np.array([[row[c] for c in n[3]] for n in members], dtype=np.intp)
+        arrays = (children, np.array([n[4] for n in members]), np.array([n[5] for n in members]))
+        groups.append((kind, start) + arrays)
+        start += len(members)
+    offsets = np.array([[0.0 if s is None else s for s in p] for p in points], dtype=float).reshape(-1, dim)
+    touched = np.array([[s is not None for s in p] for p in points], dtype=bool).reshape(-1, dim)
+    reach = [max(column) for column in zip(*alphas)]
+    outputs = np.array([row[r] for r in roots], dtype=np.intp)
+    for arr in (offsets, touched, outputs, *(a for g in groups for a in g[2:])):
+        arr.flags.writeable = False
+    return offsets, touched, reach, tuple(groups), outputs, start
 
 
-def _richardson(samples):
-    """Extrapolate a sequence D(h), D(h/2), ... with error series in h^2."""
-    table = list(samples)
-    level = 1
-    while len(table) > 1:
-        factor = 4.0**level
-        table = [(factor * b - a) / (factor - 1.0) for a, b in zip(table, table[1:])]
-        level += 1
-    return table[0]
+def _plan_points(alphas, theta, scheme, bounds):
+    """(plan, points, keys): _fd_plan of alphas, its (P, dim) points at theta and their bytes.
+
+    Each differenced coordinate of a point is theta_i + offset * h and
+    every other one is theta_i itself.  ValueError when an alpha and
+    theta differ in dimension, when bounds does not give one (lo, hi)
+    per coordinate, or when a stencil would come within 2 * alpha_i *
+    base_step of a bound.
+    """
+    theta = np.asarray(theta, dtype=float)
+    plan = _fd_plan(tuple(map(tuple, alphas)), theta.shape[0], scheme)
+    offsets, touched, reach = plan[:3]
+    if bounds is not None:
+        if len(bounds) != theta.shape[0]:
+            raise ValueError(f"bounds has {len(bounds)} (lo, hi) pairs for {theta.shape[0]} parameters")
+        for t, a, (lo, hi) in zip(theta, reach, bounds):
+            margin = 2.0 * a * scheme.base_step
+            if not (lo + margin < t < hi - margin):
+                raise ValueError("finite-difference stencil would leave the parameter box")
+    points = np.where(touched, theta + offsets, theta)
+    return plan, points, [point.tobytes() for point in points]
 
 
 def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
     """Mixed parameter derivative of f by nested central differences.
 
     Coordinates are differenced one at a time following the entries of
-    alpha, each with Richardson extrapolation by step halving.  f
-    returns a float or an ndarray; the result has the same shape.
-    Every evaluation of f is memoized by the bytes of its parameter
-    point, so a repeated stencil point costs one call.
+    alpha, each with Richardson extrapolation by step halving (_fd_plan).
+    f returns a float or an ndarray; the result has the same shape.  f
+    runs once per distinct parameter point, compared by its bytes.
+    alpha may also be a sequence of multi-indices, which share their
+    evaluations: the result is then the list of their derivatives.
     """
-    alpha = MultiIndex(alpha)
-    theta = np.asarray(theta, dtype=float)
-    if len(alpha) != theta.shape[0]:
-        raise ValueError("alpha and theta dimensions differ")
-    if bounds is not None:
-        for t, a, (lo, hi) in zip(theta, alpha, bounds):
-            margin = 2.0 * a * scheme.base_step
-            if not (lo + margin < t < hi - margin):
-                raise ValueError("finite-difference stencil would leave the parameter box")
-
+    many = not len(alpha) or np.ndim(alpha[0]) > 0
+    plan, points, keys = _plan_points(alpha if many else [alpha], theta, scheme, bounds)
+    groups, outputs, rows = plan[3:]
+    if not keys:
+        return []
     memo = {}
-
-    def derive(point, remaining):
-        for axis in range(len(remaining)):
-            if remaining[axis] > 0:
-                break
+    for point, key in zip(points, keys):
+        if key not in memo:
+            memo[key] = np.asarray(f(point.copy()), dtype=float)
+    shape = memo[keys[0]].shape
+    table = np.empty((rows,) + shape)
+    table[: len(keys)] = [memo[key] for key in keys]
+    tail = (1,) * len(shape)
+    for kind, start, children, coeffs, divisors in groups:
+        # the recursion's IEEE operations, elementwise and in its order
+        x = table[children]
+        if kind == "stencil":
+            terms = coeffs.reshape(coeffs.shape + tail) * x
+            acc = terms[:, 0]
+            for j in range(1, terms.shape[1]):
+                acc = acc + terms[:, j]
         else:
-            key = point.tobytes()
-            if key not in memo:
-                memo[key] = np.asarray(f(point.copy()), dtype=float)
-            return memo[key]
-        order = remaining[axis]
-        rest = list(remaining)
-        rest[axis] = 0
-        inner = lambda q: derive(q, rest)  # noqa: E731 - tiny closure
-        levels = []
-        for level in range(scheme.richardson_levels):
-            h = scheme.base_step / 2.0**level
-            levels.append(_stencil_eval(inner, point, axis, order, h))
-        return _richardson(levels)
-
-    return derive(theta, list(alpha))
+            acc = coeffs.reshape((-1,) + tail) * x[:, 1] - x[:, 0]
+        table[start : start + len(children)] = acc / divisors.reshape((-1,) + tail)
+    results = list(table[outputs])
+    return results if many else results[0]
 
 
 def stencil_points(alphas, theta, scheme: FDScheme = FDScheme(), bounds=None) -> list[np.ndarray]:
     """theta, then the other distinct points at which fd_derivative evaluates f for alphas at theta.
 
-    Runs fd_derivative itself over the alphas with a recording f, so the
-    points after theta, in first-use order, are those of its stencils
-    exactly.  Raises fd_derivative's ValueError when a stencil would
-    leave the bounds.
+    The points after theta are those of the alphas' plan, in first-use
+    order, each listed once by its bytes.  Raises fd_derivative's
+    ValueError when a stencil would leave the bounds.
     """
+    _, points, keys = _plan_points(alphas, theta, scheme, bounds)
     theta = np.asarray(theta, dtype=float)
-    points = {theta.tobytes(): theta}
-
-    def record(point):
-        points.setdefault(point.tobytes(), point)
-        return 0.0
-
-    for alpha in alphas:
-        fd_derivative(record, alpha, theta, scheme, bounds)
-    return list(points.values())
+    unique = {theta.tobytes(): theta}
+    for point, key in zip(points, keys):
+        unique.setdefault(key, point)
+    return list(unique.values())
 
 
-def fd_derivatives(f, alphas, theta, at_theta, scheme: FDScheme = FDScheme(), bounds=None) -> list:
+def fd_derivatives(f, alphas, theta, scheme: FDScheme = FDScheme(), bounds=None) -> list:
     """fd_derivative of every alpha at theta, from one call of f on a stack of points.
 
-    at_theta is f's value at theta, which the caller already has.  f
-    takes the (P, dim) stack of the other stencil_points and returns
-    their P values in order.  It runs once, inside the first
-    fd_derivative that needs a point other than theta, and each result
-    equals that of fd_derivative with f evaluated point by point,
-    provided f gives each point of a stack the value it gives the point
-    alone.
+    f takes the (P, dim) stack of stencil_points, theta first, and
+    returns their P values in order.  It runs once, inside the one
+    fd_derivative call over all alphas, and each result equals that of
+    fd_derivative with f evaluated point by point, provided f gives each
+    point of a stack the value it gives the point alone.
     """
     points = stencil_points(alphas, theta, scheme, bounds)
-    values = {points[0].tobytes(): at_theta}
+    values = {}
 
     def lookup(point):
-        key = point.tobytes()
-        if key not in values:
-            values.update(zip((p.tobytes() for p in points[1:]), f(np.stack(points[1:]))))
-        return values[key]
+        if not values:
+            values.update(zip((p.tobytes() for p in points), f(np.stack(points))))
+        return values[point.tobytes()]
 
-    return [fd_derivative(lookup, alpha, theta, scheme, bounds) for alpha in alphas]
+    return fd_derivative(lookup, alphas, theta, scheme, bounds)
 
 
 @dataclass(frozen=True, eq=False)

@@ -347,9 +347,9 @@ class TestRun:
 
     def test_loglik_fd_column_equals_per_alpha_differences(self, tmp_path):
         # The memo the alphas share must not move a bit of derivatives.csv: per
-        # alpha, difference the full-order slot 0 at theta and order-0 passes
-        # elsewhere, as the run does.  Full-order passes everywhere round slot 0
-        # another way, which the differences amplify by 1/h^|alpha|.
+        # alpha, difference order-0 passes, theta included, as the run does.
+        # Full-order passes round slot 0 another way, which the differences
+        # amplify by 1/h^|alpha|.
         cfg_path = tmp_path / "ll.cfg"
         outdir = tmp_path / "out"
         cfg_path.write_text(fast_config(outdir, horizon=5).replace("order = 1", "order = 2"))
@@ -363,17 +363,16 @@ class TestRun:
         def slot0(th, build=model):
             return loglik_jet(build, th, traj.observations, lam0).values[0]
 
-        order0, at_theta = replace(model, order=0), slot0(theta)
-        memo = lambda th: at_theta if np.array_equal(th, theta) else slot0(th, order0)  # noqa: E731
+        order0 = replace(model, order=0)
         scheme = FDScheme(cfg.derivatives.fd_step, cfg.derivatives.fd_levels)
         lines = (outdir / "derivatives.csv").read_text().splitlines()[1:]
         assert len(lines) == len(model.index_set()) - 1
         for line in lines:
             alpha, _, fd, _ = line.split(",")
             alpha = tuple(map(int, alpha.split()))
-            assert float(fd) == fd_derivative(memo, alpha, theta, scheme)
+            assert float(fd) == fd_derivative(lambda th: slot0(th, order0), alpha, theta, scheme)
             gap = abs(float(fd) - fd_derivative(slot0, alpha, theta, scheme))
-            assert gap <= FD_ROUNDING * abs(at_theta) * scheme.base_step ** -sum(alpha)
+            assert gap <= FD_ROUNDING * abs(slot0(theta)) * scheme.base_step ** -sum(alpha)
 
     @pytest.mark.parametrize("name", ["results.csv", "summary.txt"])
     def test_an_output_file_that_cannot_be_written_exits_2(self, tmp_path, monkeypatch, capsys, name):

@@ -110,7 +110,7 @@ def oracle_gaps(model, theta, ys):
     for order, scheme in SCHEMES.items():
         alphas = [alpha for alpha in model.index_set().indices if alpha.degree == order]
         if alphas:
-            fds = fd_derivatives(slot0, alphas, theta, jet.values[0], scheme, model.parameter_box)
+            fds = fd_derivatives(slot0, alphas, theta, scheme, model.parameter_box)
             worst[order] = max(abs(jet.value(a) - fd) / max(abs(fd), FD_FLOOR) for a, fd in zip(alphas, fds))
     return slot0_gap, worst
 

@@ -7,9 +7,11 @@ of the log-likelihood depends on the order only at rounding, and the
 sweep reports what the plain per-alpha sweep with full-order passes
 reports, to that rounding amplified by the differences, with 2 passes
 instead of 94 at dimension 2 and order 3: one full-order pass and one
-order-0 pass over the stack of 28 stencil points.  An order-0 pass
-applies the assembled slot-0 kernel; from order 1 on slot 0 is the
-factored obs[0] * moved[0], whose GEMM's row count moves its last bits.
+order-0 pass over the stack of 29 stencil points, theta first.  An
+order-0 pass applies the assembled slot-0 kernel; from order 1 on slot 0
+is the factored obs[0] * moved[0], whose GEMM's row count moves its last
+bits.  Every difference, the stencil's centre included, reads the
+order-0 pass, so no difference mixes the two roundings.
 """
 from functools import lru_cache
 
@@ -151,7 +153,7 @@ def test_memoized_sweep_equals_the_per_alpha_sweep(variant, order, cells, theta,
     assert report.worst_abs == max(c.max_abs_error for c in report.cells)
 
 
-def test_one_full_pass_and_one_order0_pass_over_28_points(monkeypatch):
+def test_one_full_pass_and_one_order0_pass_over_29_points(monkeypatch):
     model = line_model("compact", 12)
     passes = []
 
@@ -162,11 +164,11 @@ def test_one_full_pass_and_one_order0_pass_over_28_points(monkeypatch):
 
     monkeypatch.setattr(experiments, "filter_iterate", counted)
     derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
-    assert passes == [(3, None), (0, 28)]
+    assert passes == [(3, None), (0, 29)]
 
     # The same sweep without the shared stencil: each alpha on its own memo,
     # which holds a pass at theta and one pass per point of that alpha's stencil.
-    def per_alpha_fds(f, alphas, theta, at_theta, scheme, bounds):
+    def per_alpha_fds(f, alphas, theta, scheme, bounds):
         def differenced(alpha):
             memo = {theta.tobytes(): f(theta[None])[0]}
 

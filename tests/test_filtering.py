@@ -552,7 +552,7 @@ class TestRecenteringBound:
         order0 = replace(model, order=0)
         slot0 = lambda stack: [j.values[0] for j in loglik_jet(order0, stack, ys, lam0)]  # noqa: E731
         alphas = [(1,), (2,), (3,)]
-        fds = fd_derivatives(slot0, alphas, theta, jet.values[0], FDScheme(1e-3, 2), model.parameter_box)
+        fds = fd_derivatives(slot0, alphas, theta, FDScheme(1e-3, 2), model.parameter_box)
         # Measured: 3.5e-12, 1.3e-11 and 9.7e-5 relative; the last is order-3 FD noise.
         for alpha, fd, tol in zip(alphas, fds, [1e-10, 1e-9, 1e-3]):
             assert abs(jet.value(alpha) - fd) <= tol * abs(fd)

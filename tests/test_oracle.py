@@ -131,18 +131,18 @@ class TestFdDerivatives:
             calls.append(stack.copy())
             return [self.f(point) for point in stack]
 
-        got = fd_derivatives(on_stack, alphas, theta, self.f(theta), scheme, bounds)
+        got = fd_derivatives(on_stack, alphas, theta, scheme, bounds)
         assert len(calls) == 1
-        assert np.array_equal(calls[0], np.stack(stencil_points(alphas, theta, scheme, bounds)[1:]))
+        assert np.array_equal(calls[0], np.stack(stencil_points(alphas, theta, scheme, bounds)))
         assert len(got) == len(alphas)
         for alpha, value in zip(alphas, got):
             assert np.array_equal(value, fd_derivative(self.f, alpha, theta, scheme, bounds))
 
-    def test_theta_takes_the_given_value(self):
-        # (2, 0) reads theta; f is never asked for it
+    def test_theta_takes_the_first_value_of_the_stack(self):
+        # (2, 0) reads theta, the first row of the stack
         at_theta = np.array([5.0, -1.0])
         got = fd_derivatives(
-            lambda stack: [self.f(p) for p in stack], [(2, 0)], np.array([0.7, 0.4]), at_theta
+            lambda stack: [at_theta] + [self.f(p) for p in stack[1:]], [(2, 0)], np.array([0.7, 0.4])
         )[0]
         want = fd_derivative(
             lambda th: at_theta if np.array_equal(th, [0.7, 0.4]) else self.f(th), (2, 0), np.array([0.7, 0.4])
@@ -161,7 +161,7 @@ class TestFdDerivatives:
             raise AssertionError("f must not run")
 
         with pytest.raises(ValueError, match="parameter box"):
-            fd_derivatives(on_stack, [(1,)], np.array([0.2001]), 0.0, FDScheme(1e-3, 2), ((0.2, 1.5),))
+            fd_derivatives(on_stack, [(1,)], np.array([0.2001]), FDScheme(1e-3, 2), ((0.2, 1.5),))
 
 
 class TestOracleFilter:

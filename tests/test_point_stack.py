@@ -81,7 +81,7 @@ def serial_sweep(model, thetas, horizon, seed, scheme=FDScheme(), rel_tol=1e-4, 
     fd_start = embed(lam0, model.index_set(0))
 
     def zero_slot_masses(theta_point):
-        # One memo for every alpha of a parameter point, seeded with its full-order slot 0.
+        # One memo for every alpha of a parameter point; theta, too, gets its order-0 pass.
         key = theta_point.tobytes()
         if key not in memo:
             memo[key] = serial_fold(model, theta_point, traj.observations, fd_start)[0] * weights
@@ -90,7 +90,7 @@ def serial_sweep(model, thetas, horizon, seed, scheme=FDScheme(), rel_tol=1e-4, 
     cells = []
     for t_idx, theta in enumerate(thetas):
         slot_masses = serial_fold(model, theta, traj.observations, embed(lam0, index_set)) * weights
-        memo = {theta.tobytes(): slot_masses[0]}
+        memo = {}
         for k, alpha in enumerate(index_set.indices):
             if alpha.degree == 0:
                 reference = slot_masses[0]
@@ -171,7 +171,7 @@ def test_stack_edge_cases():
 
 
 def stencil_stack(model, order, theta=THETA):
-    """The points of the sweep's stacked pass at theta up to order: its stencil points but theta."""
+    """The stencil points at theta up to order, theta left out."""
     alphas = [alpha for alpha in model.index_set(order).indices if alpha.degree > 0]
     return np.stack(stencil_points(alphas, theta, bounds=model.parameter_box)[1:])
 
@@ -240,6 +240,16 @@ def test_an_order3_stencil_builds_one_factor_per_distinct_location(monkeypatch, 
     counts = count_builds(monkeypatch, TruncatedNonlinearModel)
     KernelCache(model, thetas, model.index_set(0))
     assert (counts["transition_grid_factors"], counts["observation_grid_factory"]) == builds
+
+
+@pytest.mark.parametrize("variant", ["compact", "gaussian"])
+def test_theta_adds_no_build_to_the_shipped_stencil(monkeypatch, variant):
+    # The sweep's stacked pass puts theta first; the stencil already holds its keys.
+    model = line_model(variant, 33, "shipped")
+    thetas = np.vstack([THETA, stencil_stack(model, 3)])
+    counts = count_builds(monkeypatch, TruncatedNonlinearModel)
+    KernelCache(model, thetas, model.index_set(0))
+    assert (counts["transition_grid_factors"], counts["observation_grid_factory"]) == (7, 7)
 
 
 @pytest.mark.parametrize("stack", ["stencil-3", "duplicates"])
