@@ -168,7 +168,7 @@ def _fd_plan(alphas, dim, scheme):
         start += len(members)
     offsets = np.array([[0.0 if s is None else s for s in p] for p in points], dtype=float).reshape(-1, dim)
     touched = np.array([[s is not None for s in p] for p in points], dtype=bool).reshape(-1, dim)
-    reach = [max(column) for column in zip(*alphas)]
+    reach = tuple(max(column) for column in zip(*alphas))
     outputs = np.array([row[r] for r in roots], dtype=np.intp)
     for arr in (offsets, touched, outputs, *(a for g in groups for a in g[2:])):
         arr.flags.writeable = False
