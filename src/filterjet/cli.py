@@ -6,7 +6,8 @@ run's outputs, writes the config echo (resolved.cfg), and writes the
 tables (results.csv, fits.csv, derivatives.csv) and summary.txt only when
 the run completes.  Exit status: 0 when all thresholds pass, 1 when a
 threshold fails, 2 on config errors, an output file that cannot be
-written included (the error names the file), 3 on numerical aborts.
+written included (the error names the file), 3 on numerical aborts,
+whose line names the subcommand.
 """
 from __future__ import annotations
 
@@ -397,7 +398,7 @@ def run(experiment: str, config_path: str) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError) as err:
-        print(f"numerical abort: {err}", file=sys.stderr)
+        print(f"numerical abort in {experiment}: {err}", file=sys.stderr)
         return 3
     ok, summary = summarize(checks)
     files = {name: csv_text(header, rows) for name, (header, rows) in tables.items()}

@@ -104,75 +104,64 @@ _STENCILS = {
 
 @lru_cache(maxsize=None)
 def _fd_plan(alphas, dim, scheme):
-    """The nested differences of alphas as a program: (offsets, touched, reach, groups, outputs, rows).
+    """The stencil points of alphas and each alpha's grid of them: (offsets, touched, reach, folds).
 
-    One run of the recursion on symbolic points: coordinates are
-    differenced in axis order, each by a central stencil (_STENCILS) at
-    h = base_step / 2**level, and the levels combined by Richardson
-    extrapolation.  Point p, in first-use order, is theta + offsets[p]
-    where touched[p] and theta elsewhere; reach[i] is the largest order
-    of coordinate i.  Row p of the value table is f at point p, and each
-    later row a node, shared by every alpha that reaches its (point,
-    remaining orders): (c_0 x_0 + c_1 x_1 + ...) / h**order, summed left
-    to right, or Richardson's (factor * x_1 - x_0) / (factor - 1.0).
-    A group (kind, start, children (n, arity), coefficients, divisors)
-    of one (height, kind, arity) writes rows start .. start + n from
-    earlier rows.  outputs[j] is the row of alphas[j].
+    The nested difference of alpha runs one central stencil (_STENCILS)
+    per differenced coordinate, in axis order, at h = base_step /
+    2**level for each Richardson level, so its points are the product
+    of each coordinate's (level, shift) offsets shift * h, levels outer.
+    Point p, in the recursion's first-use order and listed once, is
+    theta + offsets[p] where touched[p] and theta elsewhere; reach[i] is
+    the largest order of coordinate i.  folds[j] = (orders, rows) holds
+    alphas[j]'s grid of point indices with the innermost differenced
+    coordinate's axis first, and the orders of its coordinates in that
+    order, as _difference takes them.
     """
     alphas = [MultiIndex(alpha) for alpha in alphas]
     if any(len(alpha) != dim for alpha in alphas):
         raise ValueError("alpha and theta dimensions differ")
-    points, nodes, memo = [], [], {}
-
-    def node(kind, children, coeffs=(), divisor=1.0):
-        height = 1 + max((nodes[c][0] for c in children), default=-1)
-        nodes.append((height, kind, len(children), children, coeffs, divisor))
-        return len(nodes) - 1
-
-    def derive(point, remaining):
-        key = (point, remaining)
-        if key not in memo:
-            memo[key] = differenced(point, remaining)
-        return memo[key]
-
-    def differenced(point, remaining):
-        axis = next((i for i, r in enumerate(remaining) if r), None)
-        if axis is None:
-            points.append(point)
-            return node("point", ())
-        order = remaining[axis]
-        rest = remaining[:axis] + (0,) + remaining[axis + 1 :]
-        shifts, coeffs = zip(*_STENCILS[order])
-        table = []
-        for level in range(scheme.richardson_levels):
-            h = scheme.base_step / 2.0**level
-            children = [derive(point[:axis] + (shift * h,) + point[axis + 1 :], rest) for shift in shifts]
-            table.append(node("stencil", children, coeffs, h**order))
-        level = 1
-        while len(table) > 1:
-            factor = 4.0**level
-            table = [node("richardson", [a, b], factor, factor - 1.0) for a, b in zip(table, table[1:])]
-            level += 1
-        return table[0]
-
-    roots = [derive((None,) * dim, tuple(alpha)) for alpha in alphas]
-    # A stable sort: the points, of height 0, come first and in first-use order.
-    order = sorted(range(len(nodes)), key=lambda k: nodes[k][:3])
-    row = {ref: pos for pos, ref in enumerate(order)}
-    groups, start = [], len(points)
-    for (_, kind, _), members in itertools.groupby((nodes[k] for k in order[start:]), key=lambda n: n[:3]):
-        members = list(members)
-        children = np.array([[row[c] for c in n[3]] for n in members], dtype=np.intp)
-        arrays = (children, np.array([n[4] for n in members]), np.array([n[5] for n in members]))
-        groups.append((kind, start) + arrays)
-        start += len(members)
-    offsets = np.array([[0.0 if s is None else s for s in p] for p in points], dtype=float).reshape(-1, dim)
-    touched = np.array([[s is not None for s in p] for p in points], dtype=bool).reshape(-1, dim)
+    steps = [scheme.base_step / 2.0**level for level in range(scheme.richardson_levels)]
+    index, folds = {}, []
+    for alpha in alphas:
+        axes = [i for i, order in enumerate(alpha) if order]
+        shifts = [[shift * h for h in steps for shift, _ in _STENCILS[alpha[i]]] for i in axes]
+        rows = [
+            index.setdefault(tuple(dict(zip(axes, point)).get(i) for i in range(dim)), len(index))
+            for point in itertools.product(*shifts)
+        ]
+        rows = np.array(rows, dtype=np.intp).reshape([len(s) for s in shifts]).T
+        folds.append((tuple(alpha[i] for i in reversed(axes)), rows))
+    offsets = np.array([[0.0 if s is None else s for s in p] for p in index], dtype=float).reshape(-1, dim)
+    touched = np.array([[s is not None for s in p] for p in index], dtype=bool).reshape(-1, dim)
     reach = tuple(max(column) for column in zip(*alphas))
-    outputs = np.array([row[r] for r in roots], dtype=np.intp)
-    for arr in (offsets, touched, outputs, *(a for g in groups for a in g[2:])):
+    for arr in (offsets, touched, *(rows for _, rows in folds)):
         arr.flags.writeable = False
-    return offsets, touched, reach, tuple(groups), outputs, start
+    return offsets, touched, reach, tuple(folds)
+
+
+def _difference(values, orders, scheme):
+    """The nested differences of values along their leading axes, one per order, innermost first.
+
+    Axis 0 holds a coordinate's points, levels outer and stencil shifts
+    inner.  Each fold forms the stencil's terms, sums them left to right,
+    divides each level by h**order and combines the levels by Richardson
+    extrapolation: the recursion's IEEE operations in its order, so the
+    bits are the recursion's.  Returns the remaining axes, flattened
+    once a fold has run.
+    """
+    levels = scheme.richardson_levels
+    for order in orders:
+        weights = np.array([weight for _, weight in _STENCILS[order]])
+        terms = weights[:, None] * values.reshape(levels, len(weights), -1)
+        acc = terms[:, 0]
+        for j in range(1, len(weights)):
+            acc = acc + terms[:, j]
+        table = acc / np.array([(scheme.base_step / 2.0**level) ** order for level in range(levels)])[:, None]
+        for level in range(1, levels):
+            factor = 4.0**level
+            table = (factor * table[1:] - table[:-1]) / (factor - 1.0)
+        values = table[0]
+    return values
 
 
 def _plan_points(alphas, theta, scheme, bounds):
@@ -202,15 +191,16 @@ def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
     """Mixed parameter derivative of f by nested central differences.
 
     Coordinates are differenced one at a time following the entries of
-    alpha, each with Richardson extrapolation by step halving (_fd_plan).
-    f returns a float or an ndarray; the result has the same shape.  f
-    runs once per distinct parameter point, compared by its bytes.
-    alpha may also be a sequence of multi-indices, which share their
-    evaluations: the result is then the list of their derivatives.
+    alpha, each with Richardson extrapolation by step halving: f's
+    values on alpha's grid of stencil points (_fd_plan) are folded one
+    coordinate at a time, the innermost first (_difference).  f returns
+    a float or an ndarray; the result has the same shape.  f runs once
+    per distinct parameter point, compared by its bytes.  alpha may also
+    be a sequence of multi-indices, which share their evaluations: the
+    result is then the list of their derivatives.
     """
     many = not len(alpha) or np.ndim(alpha[0]) > 0
     plan, points, keys = _plan_points(alpha if many else [alpha], theta, scheme, bounds)
-    groups, outputs, rows = plan[3:]
     if not keys:
         return []
     memo = {}
@@ -218,30 +208,18 @@ def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
         if key not in memo:
             memo[key] = np.asarray(f(point.copy()), dtype=float)
     shape = memo[keys[0]].shape
-    table = np.empty((rows,) + shape)
-    table[: len(keys)] = [memo[key] for key in keys]
-    tail = (1,) * len(shape)
-    for kind, start, children, coeffs, divisors in groups:
-        # the recursion's IEEE operations, elementwise and in its order
-        x = table[children]
-        if kind == "stencil":
-            terms = coeffs.reshape(coeffs.shape + tail) * x
-            acc = terms[:, 0]
-            for j in range(1, terms.shape[1]):
-                acc = acc + terms[:, j]
-        else:
-            acc = coeffs.reshape((-1,) + tail) * x[:, 1] - x[:, 0]
-        table[start : start + len(children)] = acc / divisors.reshape((-1,) + tail)
-    results = list(table[outputs])
+    table = np.array([memo[key] for key in keys])
+    results = list(np.array([_difference(table[rows], orders, scheme).reshape(shape) for orders, rows in plan[3]]))
     return results if many else results[0]
 
 
 def stencil_points(alphas, theta, scheme: FDScheme = FDScheme(), bounds=None) -> list[np.ndarray]:
     """theta, then the other distinct points at which fd_derivative evaluates f for alphas at theta.
 
-    The points after theta are those of the alphas' plan, in first-use
-    order, each listed once by its bytes.  Raises fd_derivative's
-    ValueError when a stencil would leave the bounds.
+    The points after theta are those of the alphas' grids (_fd_plan), in
+    the order the nested differences first use them, each listed once by
+    its bytes.  Raises fd_derivative's ValueError when a stencil would
+    leave the bounds.
     """
     _, points, keys = _plan_points(alphas, theta, scheme, bounds)
     theta = np.asarray(theta, dtype=float)

@@ -437,8 +437,19 @@ class TestRun:
         outdir = tmp_path / "out"
         monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
         assert run("loglik", os.path.join(CONFIGS, "loglik.cfg")) == 3
-        assert capsys.readouterr().err == "numerical abort: difference pass aborted\n"
+        assert capsys.readouterr().err == "numerical abort in loglik: difference pass aborted\n"
         assert os.listdir(outdir) == ["resolved.cfg"]
+
+    @pytest.mark.parametrize("experiment", sorted(_RUNNERS))
+    def test_every_numerical_abort_names_its_subcommand(self, tmp_path, monkeypatch, capsys, experiment):
+        def abort(cfg):
+            raise ArithmeticError("step 7 aborted")
+
+        monkeypatch.setitem(_RUNNERS, experiment, abort)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(fast_config(tmp_path / "out"))
+        assert run(experiment, str(cfg)) == 3
+        assert capsys.readouterr().err == f"numerical abort in {experiment}: step 7 aborted\n"
 
     def test_failing_threshold_exits_1(self, tmp_path):
         # an absurdly tight tolerance forces a FAIL verdict
@@ -655,7 +666,7 @@ def test_every_in_domain_config_gets_a_truthful_exit(tmp_path_factory, monkeypat
     if code == 2:
         assert re.search(r"\[(run|model|grid|derivatives|experiment)\] \w+", err), err
     if code == 3:
-        assert err.startswith("numerical abort: "), err
+        assert err.startswith(f"numerical abort in {experiment}: "), err
         assert "division by zero" not in err and "encountered in" not in err, err
     if code in (0, 1):
         first = [(root / "out" / name).read_bytes() for name in ("results.csv", "summary.txt")]

@@ -1,19 +1,21 @@
-"""The finite-difference plan against the recursion it replaced.
+"""The finite-difference fold against the recursion it replaced.
 
-fd_derivative builds the nested central differences with Richardson
-extrapolation once per (alphas, dim, scheme) as a fixed program and
-replays it on the values of f at the plan's points.  The reference here
-is a test-local copy of the recursion that ran before: a memo of f by
-the bytes of its point, one stencil per coordinate in axis order, and
-the Richardson table over step halvings.  The plan must give its bits
-for every alpha, list its points in the same order, and call f once per
-distinct point.
+fd_derivative evaluates f once per distinct stencil point and folds each
+alpha's grid of values one differenced coordinate at a time, innermost
+first: the stencil sums, the division by h**order and the Richardson
+table over step halvings.  The reference here is a test-local copy of
+the recursion that ran before: a memo of f by the bytes of its point,
+one stencil per coordinate in axis order, and the Richardson table.  The
+fold must give its bits for every alpha, list its points in the same
+order, and call f once per distinct point.  The shapes the program runs
+(dimension 2, orders 2 and 3, FDScheme(1e-3, 2)) are explicit examples,
+so they are checked on every run, not only when a draw hits them.
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filterjet import FDScheme, fd_derivative
@@ -114,8 +116,19 @@ def cases(draw):
     return alphas, theta, scheme, draw(st.sampled_from([vector_f, scalar_f]))
 
 
+def shipped(order, theta, f, scheme=FDScheme(1e-3, 2)):
+    return list(enumerate_indices(2, order).indices), np.array(theta), scheme, f
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=cases())
+@example(case=shipped(2, (0.8, 0.9), vector_f))
+@example(case=shipped(3, (0.8, 0.9), vector_f))
+@example(case=shipped(3, (0.8, 0.9), scalar_f))
+@example(case=shipped(3, (-0.0, 0.9), vector_f))
+@example(case=shipped(2, (0.8, -0.0), scalar_f))
+# at base step 1e-3 these stencils sum exactly in any order, at 0.05 they do not
+@example(case=shipped(3, (0.8, 0.9), vector_f, FDScheme(0.05, 2)))
 def test_the_plan_gives_the_bits_of_the_recursion(case):
     alphas, theta, scheme, f = case
     want = [recursive_fd(f, alpha, theta, scheme) for alpha in alphas]
