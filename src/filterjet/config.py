@@ -210,6 +210,15 @@ def validate_config(cfg: RunConfig) -> None:
         for t, lo, hi in zip(values, m.theta_min, m.theta_max):
             if not lo < t < hi:
                 raise ConfigError(f"{name}: {t} not strictly inside theta_min..theta_max ({lo}, {hi})")
+    # the finest Richardson step must move every theta in the box, hence its end of largest magnitude
+    finest = math.ldexp(cfg.derivatives.fd_step, 1 - cfg.derivatives.fd_levels)
+    for lo, hi in zip(m.theta_min, m.theta_max):
+        end, key = (lo, "theta_min") if abs(lo) > abs(hi) else (hi, "theta_max")
+        if end + finest == end:
+            raise ConfigError(
+                f"[derivatives] fd_levels: the finest step fd_step / 2**(fd_levels - 1) = {finest!r} "
+                f"leaves [model] {key} {end!r} unchanged"
+            )
 
 
 def render_config(cfg: RunConfig) -> str:

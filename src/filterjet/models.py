@@ -59,16 +59,15 @@ _FEATURE_SCALARS = {
 }
 
 
-def _gauss_ratio_derivs(z: np.ndarray, order: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(order + 1, ...) ratios pdf^(k)(z) / pdf(z) for the standard normal, in out if given.
+def _gauss_ratio_derivs(z: np.ndarray, order: int) -> np.ndarray:
+    """(order + 1, ...) ratios pdf^(k)(z) / pdf(z) for the standard normal.
 
     These are signed Hermite polynomials via the recurrence
     r_(k+1) = -z r_k - k r_(k-1); they stay representable even where
     the pdf itself underflows.
     """
     z = np.asarray(z, dtype=float)
-    if out is None:
-        out = np.empty((order + 1,) + z.shape)
+    out = np.empty((order + 1,) + z.shape)
     out[0] = 1.0
     for k in range(order):
         np.multiply(-z, out[k], out=out[k + 1])
@@ -578,7 +577,8 @@ def simulate(model: ModelSpec, theta, lam0: GridMeasure, n: int, seed: int) -> T
     """Sample a trajectory of the model dynamics, deterministic given the seed.
 
     X_0 is drawn from lam0 restricted to the grid nodes; each later step
-    draws the state transition and then the observation.
+    draws the state transition and then the observation.  A sampler's
+    ArithmeticError is re-raised with "at step k" appended, k from 1.
     """
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
@@ -594,8 +594,11 @@ def simulate(model: ModelSpec, theta, lam0: GridMeasure, n: int, seed: int) -> T
     observations = np.empty(n)
     states[0] = lam0.grid.axis(0)[rng.choice(lam0.grid.size, p=pmf)]
     for k in range(n):
-        states[k + 1] = model.transition_sample(theta, states[k], rng)
-        observations[k] = model.observation_sample(theta, states[k + 1], rng)
+        try:
+            states[k + 1] = model.transition_sample(theta, states[k], rng)
+            observations[k] = model.observation_sample(theta, states[k + 1], rng)
+        except ArithmeticError as err:
+            raise type(err)(f"{err} at step {k + 1}") from err
     return Trajectory(states=states, observations=observations, seed=seed)
 
 

@@ -40,10 +40,6 @@ class MultiIndex(tuple):
     def degree(self) -> int:
         return sum(self)
 
-    @property
-    def dimension(self) -> int:
-        return len(self)
-
     def __add__(self, other) -> "MultiIndex":
         _check_dimensions(self, other)
         return MultiIndex(a + b for a, b in zip(self, other))
@@ -126,9 +122,6 @@ class IndexSet:
 
     def __iter__(self) -> Iterator[MultiIndex]:
         return iter(self.indices)
-
-    def __contains__(self, alpha) -> bool:
-        return alpha in self.position
 
     def __eq__(self, other) -> bool:
         return (

@@ -104,23 +104,23 @@ _STENCILS = {
 
 @lru_cache(maxsize=None)
 def _fd_plan(alphas, dim, scheme):
-    """The stencil points of alphas and each alpha's grid of them: (offsets, touched, reach, folds).
+    """The stencil points of alphas and each alpha's grid of them: (offsets, touched, reach, steps, folds).
 
     The nested difference of alpha runs one central stencil (_STENCILS)
-    per differenced coordinate, in axis order, at h = base_step /
-    2**level for each Richardson level, so its points are the product
-    of each coordinate's (level, shift) offsets shift * h, levels outer.
-    Point p, in the recursion's first-use order and listed once, is
-    theta + offsets[p] where touched[p] and theta elsewhere; reach[i] is
-    the largest order of coordinate i.  folds[j] = (orders, rows) holds
-    alphas[j]'s grid of point indices with the innermost differenced
-    coordinate's axis first, and the orders of its coordinates in that
-    order, as _difference takes them.
+    per differenced coordinate, in axis order, at h = steps[level] =
+    base_step / 2**level for each Richardson level, so its points are
+    the product of each coordinate's (level, shift) offsets shift * h,
+    levels outer.  Point p, in the recursion's first-use order and
+    listed once, is theta + offsets[p] where touched[p] and theta
+    elsewhere; reach[i] is the largest order of coordinate i.
+    folds[j] = (orders, rows) holds alphas[j]'s grid of point indices
+    with the innermost differenced coordinate's axis first, and the
+    orders of its coordinates in that order, as _difference takes them.
     """
     alphas = [MultiIndex(alpha) for alpha in alphas]
     if any(len(alpha) != dim for alpha in alphas):
         raise ValueError("alpha and theta dimensions differ")
-    steps = [scheme.base_step / 2.0**level for level in range(scheme.richardson_levels)]
+    steps = tuple(math.ldexp(scheme.base_step, -level) for level in range(scheme.richardson_levels))
     index, folds = {}, []
     for alpha in alphas:
         axes = [i for i, order in enumerate(alpha) if order]
@@ -136,28 +136,27 @@ def _fd_plan(alphas, dim, scheme):
     reach = tuple(max(column) for column in zip(*alphas))
     for arr in (offsets, touched, *(rows for _, rows in folds)):
         arr.flags.writeable = False
-    return offsets, touched, reach, tuple(folds)
+    return offsets, touched, reach, steps, tuple(folds)
 
 
-def _difference(values, orders, scheme):
+def _difference(values, orders, steps):
     """The nested differences of values along their leading axes, one per order, innermost first.
 
     Axis 0 holds a coordinate's points, levels outer and stencil shifts
     inner.  Each fold forms the stencil's terms, sums them left to right,
-    divides each level by h**order and combines the levels by Richardson
-    extrapolation: the recursion's IEEE operations in its order, so the
-    bits are the recursion's.  Returns the remaining axes, flattened
-    once a fold has run.
+    divides each level by steps[level]**order and combines the levels by
+    Richardson extrapolation: the recursion's IEEE operations in its
+    order, so the bits are the recursion's.  Returns the remaining axes,
+    flattened once a fold has run.
     """
-    levels = scheme.richardson_levels
     for order in orders:
         weights = np.array([weight for _, weight in _STENCILS[order]])
-        terms = weights[:, None] * values.reshape(levels, len(weights), -1)
+        terms = weights[:, None] * values.reshape(len(steps), len(weights), -1)
         acc = terms[:, 0]
         for j in range(1, len(weights)):
             acc = acc + terms[:, j]
-        table = acc / np.array([(scheme.base_step / 2.0**level) ** order for level in range(levels)])[:, None]
-        for level in range(1, levels):
+        table = acc / np.array([h**order for h in steps])[:, None]
+        for level in range(1, len(steps)):
             factor = 4.0**level
             table = (factor * table[1:] - table[:-1]) / (factor - 1.0)
         values = table[0]
@@ -165,17 +164,18 @@ def _difference(values, orders, scheme):
 
 
 def _plan_points(alphas, theta, scheme, bounds):
-    """(plan, points, keys): _fd_plan of alphas, its (P, dim) points at theta and their bytes.
+    """(points, steps, folds): the distinct stencil points of alphas at theta, the steps, and each alpha's fold.
 
     Each differenced coordinate of a point is theta_i + offset * h and
-    every other one is theta_i itself.  ValueError when an alpha and
-    theta differ in dimension, when bounds does not give one (lo, hi)
-    per coordinate, or when a stencil would come within 2 * alpha_i *
-    base_step of a bound.
+    every other one is theta_i itself.  points lists them once by their
+    bytes, in first-use order, and each fold's rows index into points.
+    ValueError when an alpha and theta differ in dimension, when bounds
+    does not give one (lo, hi) per coordinate, when a stencil would come
+    within 2 * alpha_i * base_step of a bound, or when the finest step
+    is 0.0 or a nonzero offset leaves its coordinate of theta unchanged.
     """
     theta = np.asarray(theta, dtype=float)
-    plan = _fd_plan(tuple(map(tuple, alphas)), theta.shape[0], scheme)
-    offsets, touched, reach = plan[:3]
+    offsets, touched, reach, steps, folds = _fd_plan(tuple(map(tuple, alphas)), theta.shape[0], scheme)
     if bounds is not None:
         if len(bounds) != theta.shape[0]:
             raise ValueError(f"bounds has {len(bounds)} (lo, hi) pairs for {theta.shape[0]} parameters")
@@ -183,8 +183,16 @@ def _plan_points(alphas, theta, scheme, bounds):
             margin = 2.0 * a * scheme.base_step
             if not (lo + margin < t < hi - margin):
                 raise ValueError("finite-difference stencil would leave the parameter box")
+    # every nonzero offset is at least h and rounding is monotone, so if theta_i +- h moves, all do
+    h = steps[-1]
+    if h == 0.0 or any(a and (t + h == t or t - h == t) for t, a in zip(theta.tolist(), reach)):
+        raise ValueError(f"finite-difference step {h!r} cannot move theta {tuple(theta.tolist())}")
     points = np.where(touched, theta + offsets, theta)
-    return plan, points, [point.tobytes() for point in points]
+    index = {}
+    rows = np.array([index.setdefault(point.tobytes(), len(index)) for point in points], dtype=np.intp)
+    # the keys are the distinct points' bytes, in first-use order
+    points = np.frombuffer(b"".join(index)).reshape(-1, theta.shape[0])
+    return points, steps, [(orders, rows[grid]) for orders, grid in folds]
 
 
 def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
@@ -195,21 +203,14 @@ def fd_derivative(f, alpha, theta, scheme: FDScheme = FDScheme(), bounds=None):
     values on alpha's grid of stencil points (_fd_plan) are folded one
     coordinate at a time, the innermost first (_difference).  f returns
     a float or an ndarray; the result has the same shape.  f runs once
-    per distinct parameter point, compared by its bytes.  alpha may also
-    be a sequence of multi-indices, which share their evaluations: the
-    result is then the list of their derivatives.
+    per distinct parameter point, compared by its bytes (_plan_points).
+    alpha may also be a sequence of multi-indices, which share their
+    evaluations: the result is then the list of their derivatives.
     """
     many = not len(alpha) or np.ndim(alpha[0]) > 0
-    plan, points, keys = _plan_points(alpha if many else [alpha], theta, scheme, bounds)
-    if not keys:
-        return []
-    memo = {}
-    for point, key in zip(points, keys):
-        if key not in memo:
-            memo[key] = np.asarray(f(point.copy()), dtype=float)
-    shape = memo[keys[0]].shape
-    table = np.array([memo[key] for key in keys])
-    results = list(np.array([_difference(table[rows], orders, scheme).reshape(shape) for orders, rows in plan[3]]))
+    points, steps, folds = _plan_points(alpha if many else [alpha], theta, scheme, bounds)
+    table = np.array([np.asarray(f(point.copy()), dtype=float) for point in points])
+    results = list(np.array([_difference(table[rows], orders, steps).reshape(table.shape[1:]) for orders, rows in folds]))
     return results if many else results[0]
 
 
@@ -218,15 +219,13 @@ def stencil_points(alphas, theta, scheme: FDScheme = FDScheme(), bounds=None) ->
 
     The points after theta are those of the alphas' grids (_fd_plan), in
     the order the nested differences first use them, each listed once by
-    its bytes.  Raises fd_derivative's ValueError when a stencil would
-    leave the bounds.
+    its bytes (_plan_points).  Raises fd_derivative's ValueError when a
+    stencil would leave the bounds or its finest step cannot move theta.
     """
-    _, points, keys = _plan_points(alphas, theta, scheme, bounds)
+    points = _plan_points(alphas, theta, scheme, bounds)[0]
     theta = np.asarray(theta, dtype=float)
-    unique = {theta.tobytes(): theta}
-    for point, key in zip(points, keys):
-        unique.setdefault(key, point)
-    return list(unique.values())
+    key = theta.tobytes()
+    return [theta] + [point for point in points if point.tobytes() != key]
 
 
 def fd_derivatives(f, alphas, theta, scheme: FDScheme = FDScheme(), bounds=None) -> list:

@@ -100,6 +100,14 @@ class TestConfigParsing:
         cfg = load_config_text("[grid]\ncells = 32  # refinement\n")
         assert cfg.grid.cells == 32
 
+    def test_the_finest_step_must_move_the_theta_box(self):
+        # at fd_step 1e-3 the finest step of 44 levels still moves 1.5, that of 45 does not
+        assert load_config_text("[derivatives]\nfd_levels = 44\n").derivatives.fd_levels == 44
+        with pytest.raises(ConfigError, match=r"\[derivatives\] fd_levels: .* theta_max 1\.5 "):
+            load_config_text("[derivatives]\nfd_levels = 45\n")
+        with pytest.raises(ConfigError, match=r"\[derivatives\] fd_levels: .* theta_min -2\.0 "):
+            load_config_text("[model]\ntheta_min = -2 0.2\n[derivatives]\nfd_levels = 45\n")
+
 
 class TestBuilders:
     def test_grid_and_model_follow_config(self):
@@ -346,7 +354,7 @@ class TestRun:
         assert len(body) == 5
 
     def test_loglik_fd_column_equals_per_alpha_differences(self, tmp_path):
-        # The memo the alphas share must not move a bit of derivatives.csv: per
+        # The evaluations the alphas share must not move a bit of derivatives.csv: per
         # alpha, difference order-0 passes, theta included, as the run does.
         # Full-order passes round slot 0 another way, which the differences
         # amplify by 1/h^|alpha|.
@@ -421,6 +429,22 @@ class TestRun:
         assert err.startswith("config error: FILTERJET_OUTDIR: cannot write ")
         assert repr(str(outdir / "results.csv")) in err
         assert os.listdir(outdir) == ["results.csv"]
+
+    @pytest.mark.parametrize("levels", [60, 1100])
+    @pytest.mark.parametrize("experiment", ["check-derivs", "loglik"])
+    def test_a_schedule_whose_finest_step_cannot_move_theta_exits_2(
+        self, tmp_path, monkeypatch, capsys, experiment, levels
+    ):
+        # at 60 levels theta + h == theta, and at 1100 h underflows to 0.0; the config
+        # fails to load, so the run writes nothing, resolved.cfg included
+        cfg = tmp_path / f"{experiment}.cfg"
+        with open(os.path.join(CONFIGS, f"{experiment}.cfg"), encoding="utf-8") as fh:
+            cfg.write_text(fh.read().replace("fd_levels = 2", f"fd_levels = {levels}"))
+        outdir = tmp_path / "out"
+        monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
+        assert run(experiment, str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("config error: [derivatives] fd_levels: ")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("experiment", sorted(_RUNNERS))
     def test_every_table_a_runner_returns_is_an_output_name(self, tmp_path, experiment):

@@ -630,6 +630,12 @@ class TestSimulate:
         with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0"):
             model.observation_samples(theta, np.array([0.0, 0.5]), rows)
 
+    def test_a_sampler_cap_abort_names_its_step(self, theta, monkeypatch):
+        monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 1000)
+        model = make_model(obs_box=(5.0, 6.0), obs_scale=0.1)
+        with pytest.raises(ArithmeticError, match=r"^no draw inside \[5\.0, 6\.0\] .* at step 1$"):
+            simulate(model, theta, GridMeasure.uniform(model.grid), 5, seed=1)
+
     def test_requires_probability_initial_law(self, model32, theta):
         bad = GridMeasure(np.full(model32.grid.size, 2.0), model32.grid)
         with pytest.raises(ValueError):

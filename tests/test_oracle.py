@@ -112,6 +112,15 @@ class TestFdDerivative:
         with pytest.raises(ValueError):
             fd_derivative(lambda th: th[0], (1, 0), np.array([0.5]))
 
+    @pytest.mark.parametrize("levels", [60, 1100])
+    def test_a_finest_step_that_cannot_move_theta_is_refused(self, levels):
+        # at 60 levels theta + h == theta, and at 1100 h underflows to 0.0
+        def never(_):
+            raise AssertionError("f must not run")
+
+        with pytest.raises(ValueError, match="cannot move theta"):
+            fd_derivative(never, (1, 0), np.array([0.8, 0.9]), FDScheme(1e-3, levels))
+
 
 class TestFdDerivatives:
     @staticmethod
