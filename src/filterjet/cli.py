@@ -4,10 +4,11 @@ Each subcommand's runner is a pure function of the config that returns
 its tables and checks; `run` alone writes files.  It removes an earlier
 run's outputs, writes the config echo (resolved.cfg), and writes the
 tables (results.csv, fits.csv, derivatives.csv) and summary.txt only when
-the run completes.  Exit status: 0 when all thresholds pass, 1 when a
-threshold fails, 2 on config errors, an output file that cannot be
-written included (the error names the file), 3 on numerical aborts,
-whose line names the subcommand.
+the run completes.  A config that fails to load removes the outputs and
+the echo from an existing FILTERJET_OUTDIR directory and writes nothing.
+Exit status: 0 when all thresholds pass, 1 when a threshold fails, 2 on
+config errors, an output file that cannot be written included (the error
+names the file), 3 on numerical aborts, whose line names the subcommand.
 """
 from __future__ import annotations
 
@@ -378,12 +379,15 @@ def _write(outdir: str, source: str, files: dict[str, str], stale=()) -> bool:
 
 def run(experiment: str, config_path: str) -> int:
     """Load the config, run one experiment, write artifacts, return exit status."""
+    from_env = os.environ.get(OUTDIR_ENV)
     try:
         cfg = load_config(config_path)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        # an outdir named in the config is unknown, and a missing directory stays missing
+        if from_env and os.path.isdir(from_env):
+            _write(from_env, OUTDIR_ENV, {}, ("resolved.cfg", *_OUTPUT_NAMES))
         return 2
-    from_env = os.environ.get(OUTDIR_ENV)
     outdir = from_env or cfg.outdir
     source = OUTDIR_ENV if from_env else "[run] outdir"
     resolved = render_config(cfg)

@@ -94,9 +94,10 @@ class KernelCache:
     map only theta[1], the 28 order-3 stencil points of a sweep take
     7 + 7 builds.  It keeps bases (P, M, N, N), base_of (K,) and scales
     (P, K, N); one point computes no key and keeps the very bases array
-    its build returned.  A failed build names the first of several points
-    with its key.  A slot is live where its scales are nonzero at some
-    point: a step moves only those.
+    its build returned, and np.stack keeps each point's strides, so a
+    stacked point's GEMMs round as its pass alone does.  A failed build
+    names the first of several points with its key.  A slot is live
+    where its scales are nonzero at some point: a step moves only those.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -195,12 +196,15 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     replica of every point through that point's kernel, and one stacked
     GEMM pairs the products.  The kernel stays in factors: trans[q] @ w
     is bases[base_of[q]] @ (scales[q] * w), and slot 0's scales are ones,
-    so its GEMM reads the rows as they are.  A slot whose scales are zero
-    moves nothing: its moved rows keep the +0 its GEMM would write.  Slot
-    0 is the factored obs[0] * moved[0]; an order-0 step with one row
-    per point runs no transition GEMM and applies each point's assembled
-    kernel (obs[0][:, None] * trans[0]) @ weighted[0], built in one
-    reused (N, N) buffer.  A point keeps the bits of its pass alone.
+    so its GEMM reads the rows as they are.  The GEMM's right operand is
+    bases[base_of[q]].T, which the shipped model's (degree, old, new)
+    table hands over C-contiguous from order 1 on.  A slot whose scales
+    are zero moves nothing: its moved rows keep the +0 its GEMM would
+    write.  Slot 0 is the factored obs[0] * moved[0]; an order-0 step
+    with one row per point runs no transition GEMM and applies each
+    point's assembled kernel (obs[0][:, None] * trans[0]) @ weighted[0],
+    built in one reused (N, N) buffer from the C-contiguous order-0
+    bases.  A point keeps the bits of its pass alone.
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     rows, slots, size = weighted.shape

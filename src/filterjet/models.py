@@ -134,7 +134,10 @@ class ModelSpec(abc.ABC):
 
         Slot k is bases[base_of[k]] (new state, old state) with column j
         times scales[k, j].  scales[0] is ones; no step reads a slot whose
-        scales are zero.  M and base_of follow index_set alone.
+        scales are zero.  M and base_of follow index_set alone.  bases
+        may have any strides: a step's GEMM reads bases[d].T, so the
+        transposed view of a C-contiguous (degree, old, new) table takes
+        BLAS's no-transpose path, and a step rounds with the layout.
         theta is a (dim_theta,) array that validate_theta has passed,
         and index_set's order is within max_order.  The callers
         (KernelCache, kernel_matrix, assumption_constants) check both
@@ -144,9 +147,9 @@ class ModelSpec(abc.ABC):
         """
 
     def transition_grid_jet(self, theta, index_set: IndexSet) -> np.ndarray:
-        """(K, N, N) transition jet (slot, new state, old state): bases[base_of[k]] * scales[k]."""
+        """(K, N, N) C-contiguous transition jet (slot, new state, old state): bases[base_of[k]] * scales[k]."""
         bases, base_of, scales = self.transition_grid_factors(theta, index_set)
-        return bases[base_of] * scales[:, None, :]
+        return np.multiply(bases[base_of], scales[:, None, :], order="C")
 
     @abc.abstractmethod
     def observation_grid_factory(self, theta, index_set: IndexSet):
@@ -462,9 +465,14 @@ class TruncatedNonlinearModel(ModelSpec):
         """The order + 1 quotient degrees as bases; slot a scales degree |a| by factors[a].
 
         The new states are the quadrature nodes, so one Gaussian table
-        serves numerator and normalizer.  Degree d lands transposed over
-        slab d of it (NumPy copies the overlapping input), so the bases are
-        the table itself: an array that large per build would page-fault in.
+        (degree, old state, new state) serves numerator and normalizer,
+        and the quotients overwrite it in place: an array that large per
+        build would page-fault in.  From order 1 on, the bases are its
+        transposed view, so a step's GEMM reads bases[d].T C-contiguous.
+        At order 0, degree 0 lands transposed over its slab (NumPy copies
+        the overlapping input) and the bases are C-contiguous, so the
+        assembled order-0 kernel keeps its bytes; this case goes with
+        that branch of _prediction_update.
         """
         order = index_set.order
         num = _gauss_table(self.grid.axis(0), _location(self._drift_tables, theta), self.trans_scale, order, True)
@@ -472,7 +480,10 @@ class TruncatedNonlinearModel(ModelSpec):
         if np.any(den[0] <= 0.0):
             raise ValueError("transition normalizer vanished on the grid")
         bases = num[: order + 1]
-        _quotient_degrees(bases, den[:, :, None], bases.transpose(0, 2, 1))
+        if order:
+            bases = _quotient_degrees(bases, den[:, :, None]).transpose(0, 2, 1)
+        else:
+            _quotient_degrees(bases, den[:, :, None], bases.transpose(0, 2, 1))
         return bases, np.array(index_set.degrees), self._drift_tables[1][: len(index_set)]
 
     def observation_grid_factory(self, theta, index_set):

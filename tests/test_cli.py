@@ -446,6 +446,20 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error: [derivatives] fd_levels: ")
         assert not outdir.exists()
 
+    def test_a_config_that_fails_to_load_removes_an_earlier_runs_outputs(self, tmp_path, monkeypatch, capsys):
+        # a reused FILTERJET_OUTDIR must not show an earlier run's PASS beside a failed load
+        outdir = tmp_path / "reuse"
+        outdir.mkdir()
+        for name in ("resolved.cfg", *_OUTPUT_NAMES, "notes.txt"):
+            (outdir / name).write_text("an earlier run's output\n")
+        cfg = tmp_path / "deep-levels.cfg"
+        with open(os.path.join(CONFIGS, "loglik.cfg"), encoding="utf-8") as fh:
+            cfg.write_text(fh.read().replace("fd_levels = 2", "fd_levels = 60"))
+        monkeypatch.setenv("FILTERJET_OUTDIR", str(outdir))
+        assert run("loglik", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("config error: [derivatives] fd_levels: ")
+        assert os.listdir(outdir) == ["notes.txt"]
+
     @pytest.mark.parametrize("experiment", sorted(_RUNNERS))
     def test_every_table_a_runner_returns_is_an_output_name(self, tmp_path, experiment):
         # a run removes only these names first, so a table outside them could outlive its run
