@@ -17,7 +17,7 @@ import numpy as np
 
 from .filtering import KernelCache, _fold, filter_iterate
 from .grid import GridMeasure, StateGrid, VectorMeasure, embed, measure_distance, vector_norms
-from .models import ModelSpec, simulate
+from .models import ModelSpec, _draw_paths, simulate
 from .multiindex import IndexSet, MultiIndex
 from .oracle import FDScheme, fd_derivatives
 from .seeding import NormalStreams, labeled_rng, labeled_seed
@@ -292,17 +292,11 @@ def ergodicity_experiment(
     rows = starts * replicas
 
     # (steps, rows) paths of (x, y); row s * replicas + r reads stream r.
-    normals = NormalStreams(
-        [labeled_rng(seed, "ergodicity", r) for r in range(replicas)],
-        np.tile(np.arange(replicas), starts),
-    )
-    xs = np.empty((n_max + 1, rows))
-    ys = np.empty_like(xs)
-    xs[0] = np.repeat([float(x0) for x0, _, _ in initial_conditions], replicas)
-    ys[0] = np.repeat([float(y0) for _, y0, _ in initial_conditions], replicas)
-    for n in range(1, n_max + 1):
-        xs[n] = model.transition_samples(theta, xs[n - 1], normals)
-        ys[n] = model.observation_samples(theta, xs[n], normals)
+    generators = [labeled_rng(seed, "ergodicity", r) for r in range(replicas)]
+    normals = NormalStreams(generators, np.tile(np.arange(replicas), starts))
+    x0, y0 = (np.repeat([float(start[i]) for start in initial_conditions], replicas) for i in (0, 1))
+    xs, drawn = _draw_paths(model, theta, x0, normals, n_max)
+    ys = np.concatenate([y0[None], drawn])
     # The aligned chain updates with the fresh observation, the shifted one
     # with the observation already in the state.
     update_with = ys[1:] if chain == "aligned" else ys[:-1]

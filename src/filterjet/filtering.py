@@ -96,8 +96,8 @@ class KernelCache:
     (P, K, N); one point computes no key and keeps the very bases array
     its build returned, and np.stack keeps each point's strides, so a
     stacked point's GEMMs round as its pass alone does.  A failed build
-    names the first of several points with its key.  A slot is live
-    where its scales are nonzero at some point: a step moves only those.
+    names its theta, and of several points the first with its index.  A
+    slot is live where its scales are nonzero at some point: a step moves only those.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -129,7 +129,8 @@ class KernelCache:
                     factors[trans_key] = model.transition_grid_factors(point, self.index_set)
             except ValueError as err:
                 failing = _locate(p, self.points, len(self.points))[1]
-                raise ValueError(f"{err}{_where(None, None, failing)}") from err
+                where = _where(None, None, failing) if failing else f" at theta {point.tolist()}"
+                raise ValueError(f"{err}{where}") from err
             self._keys.append((trans_key, obs_key))
         bases, base_of, scales = zip(*(factors[key] for key, _ in self._keys))
         self.bases = np.stack(bases) if len(bases) > 1 else bases[0][None]

@@ -16,7 +16,7 @@ import numpy as np
 from .filtering import KernelCache, MassInvariantError, PredictiveMassError, filter_step_with_scalars
 from .filtering import _fold, _observation_block, _where
 from .grid import GridMeasure, embed
-from .models import ModelSpec, simulate
+from .models import ModelSpec, _simulate_rows, simulate
 from .multiindex import IndexSet, MultiIndex, enumerate_indices, shifted_pair_table
 from .seeding import labeled_seed
 
@@ -122,15 +122,12 @@ def avg_loglik_rate(
     theta = model.validate_theta(theta)
     data_theta = theta if data_theta is None else model.validate_theta(data_theta)
     data_lam0 = lam0 if data_lam0 is None else data_lam0
-    paths = [
-        simulate(model, data_theta, data_lam0, horizon, seed=labeled_seed(seed, "rate-replica", r))
-        for r in range(replicas)
-    ]
-    observations = np.stack([traj.observations for traj in paths])
+    seeds = [labeled_seed(seed, "rate-replica", r) for r in range(replicas)]
+    observations = _simulate_rows(model, data_theta, data_lam0, horizon, seeds)[1]
     measure = embed(lam0, model.index_set())
     cache = KernelCache(model, theta, measure.index_set)
     totals = np.zeros((replicas, len(measure.index_set)))
-    for _, s_masses, predictive in _fold(cache, observations.T, measure):
+    for _, s_masses, predictive in _fold(cache, observations, measure):
         totals += jet_increments_from_scalars(s_masses, predictive, measure.index_set)
     rows = totals / horizon
     mean = rows.mean(axis=0)

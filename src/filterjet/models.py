@@ -2,7 +2,9 @@
 
 ModelSpec is the contract the filter consumes: the factored transition
 jet and an observation-jet evaluator tabulated on the model grid, plus the
-samplers that simulation draws from, one state at a time and over rows.
+two samplers that draw every simulated path, row by row over a batch of
+states.  One path drawer steps them for simulate, the log-likelihood
+rate estimate and the ergodicity probe.
 
 The concrete family is a nonlinear Gaussian model truncated to a box:
 the next state is drift(x) plus scaled noise, the observation is an
@@ -109,7 +111,7 @@ class ModelSpec(abc.ABC):
     observation, given the new state).  The filter consumes the whole
     derivative jets of both factors tabulated on the model grid and
     pairs them by the Leibniz rule itself; simulation consumes the two
-    samplers.  A subclass sets ``grid`` and provides the nine abstract
+    samplers.  A subclass sets ``grid`` and provides the seven abstract
     members; the checks, index set, kernel keys and transition_grid_jet
     come with the base.
     """
@@ -164,22 +166,16 @@ class ModelSpec(abc.ABC):
         """
 
     @abc.abstractmethod
-    def transition_sample(self, theta, x: float, rng: np.random.Generator) -> float: ...
-
-    @abc.abstractmethod
-    def observation_sample(self, theta, x: float, rng: np.random.Generator) -> float: ...
-
-    @abc.abstractmethod
     def transition_samples(self, theta, xs: np.ndarray, normals: NormalStreams) -> np.ndarray:
         """(R,) next states of the (R,) states xs; row i reads row i of normals.
 
-        Row i's draw and the normals it consumes equal those of
-        transition_sample at xs[i] with row i's stream as the generator.
+        Row i draws, and consumes the normals, that a one-row call at xs[i]
+        on row i's stream does.  A draw that cannot be made raises ArithmeticError.
         """
 
     @abc.abstractmethod
     def observation_samples(self, theta, xs: np.ndarray, normals: NormalStreams) -> np.ndarray:
-        """(R,) observations of the (R,) states xs, row for row as observation_sample."""
+        """(R,) observations of the (R,) states xs, row by row as transition_samples."""
 
     def kernel_keys(self, theta) -> tuple[bytes, bytes]:
         """(transition_key, observation_key) of a checked theta.
@@ -287,22 +283,22 @@ def _slope_powers(slopes: np.ndarray, index_set: IndexSet) -> np.ndarray:
     return out
 
 
-def _trials_exhausted(box, loc: float, scale: float) -> ArithmeticError:
+def _trials_exhausted(box, loc: float, scale: float, where: str = "") -> ArithmeticError:
     lo, hi = box
     return ArithmeticError(
         f"no draw inside [{lo}, {hi}] after {SAMPLER_MAX_TRIALS} trials "
-        f"from location {loc!r} with scale {scale!r}"
+        f"from location {loc!r} with scale {scale!r}{where}"
     )
 
 
-def _truncated_normal(loc: float, scale: float, box, rng: np.random.Generator) -> float:
-    """Rejection draw of loc + scale * N(0, 1) in the box, one normal per trial.
+def _truncated_normal(loc: float, scale: float, box, normals: NormalStreams) -> float:
+    """Rejection draw of loc + scale * N(0, 1) in the box from one-row normals, one per trial.
 
     The trials are capped, so a box far in the tail raises instead of hanging.
     """
     lo, hi = box
     for _ in range(SAMPLER_MAX_TRIALS):
-        draw = loc + scale * rng.standard_normal()
+        draw = loc + scale * normals.next(0)
         if lo <= draw <= hi:
             return draw
     raise _trials_exhausted(box, loc, scale)
@@ -330,8 +326,8 @@ def _truncated_normals(locs: np.ndarray, scale: float, box, normals: NormalStrea
 
     Row i draws locs[i] + scale * z over row i's normals z, so it accepts
     the draw and consumes the normals that the scalar loop does, and it
-    gives up after the same number of trials with the same error.  The
-    pending rows read blocks of 1, 2, 4, ..., 32 normals together; rows
+    gives up after as many trials, its error naming row i as replica i.
+    Pending rows read blocks of 1, 2, 4, ..., 32 normals together; rows
     still pending sit in a tail and go on one stream at a time.  So in a
     box no row reaches, the first stream's rows raise after their own
     trials, and no block of every stuck row is wider than 32.
@@ -348,7 +344,7 @@ def _truncated_normals(locs: np.ndarray, scale: float, box, normals: NormalStrea
         group, spent = rows[streams == stream], trials
         while group.size:
             if spent == SAMPLER_MAX_TRIALS:
-                raise _trials_exhausted(box, float(locs[group[0]]), scale)
+                raise _trials_exhausted(box, float(locs[group[0]]), scale, f" for replica {group[0]}")
             width = min(_ROUND_WIDTH_MAX, SAMPLER_MAX_TRIALS - spent)
             group = _rejection_round(locs, scale, box, normals, group, width, out)
             spent += width
@@ -502,7 +498,9 @@ class TruncatedNonlinearModel(ModelSpec):
             order = index_set.order
             den = _integrate(_gauss_table(self._obs_nodes, location, self.obs_scale, order), self._obs_weights)[: order + 1]
             if np.any(den[0] <= 0.0):
-                raise ValueError("observation normalizer vanished on the quadrature")
+                (lo, hi), x = self.obs_box, float(self.grid.axis(0)[np.argmax(den[0] <= 0.0)])
+                where = f"over obs_box [{lo}, {hi}] at grid state x = {x!r}"
+                raise ValueError(f"observation normalizer vanished on the quadrature {where}")
 
         def evaluate(y):
             self._check_obs_domain(y)
@@ -541,28 +539,23 @@ class TruncatedNonlinearModel(ModelSpec):
             loc += t * np.fromiter(map(f, xs), float, len(xs))
         return loc
 
-    def transition_sample(self, theta, x, rng) -> float:
-        loc = self._scalar_location(self._drift_scalars, theta, float(x))
-        return _truncated_normal(loc, self.trans_scale, self.grid.bounds[0], rng)
+    def _samples(self, features, scale: float, box, theta, xs, normals) -> np.ndarray:
+        """theta . features(x) + scale * N(0, 1) drawn in the box at each of the (R,) states xs.
 
-    def observation_sample(self, theta, x, rng) -> float:
-        loc = self._scalar_location(self._obs_scalars, theta, float(x))
-        if self.obs_box is None:
-            return loc + self.obs_scale * rng.standard_normal()
-        return _truncated_normal(loc, self.obs_scale, self.obs_box, rng)
+        One row (simulate's) runs the scalar code at a fraction of NumPy's
+        per-call cost, more rows the vectorized rounds: the same bits.
+        """
+        if len(xs) == 1:
+            loc = self._scalar_location(features, theta, float(xs[0]))
+            return np.array([_truncated_normal(loc, scale, box, normals)])
+        return _truncated_normals(self._row_locations(features, theta, xs), scale, box, normals)
 
     def transition_samples(self, theta, xs, normals) -> np.ndarray:
-        locs = self._row_locations(self._drift_scalars, theta, xs)
-        return _truncated_normals(locs, self.trans_scale, self.grid.bounds[0], normals)
+        return self._samples(self._drift_scalars, self.trans_scale, self.grid.bounds[0], theta, xs, normals)
 
     def observation_samples(self, theta, xs, normals) -> np.ndarray:
-        locs = self._row_locations(self._obs_scalars, theta, xs)
-        if self.obs_box is None:
-            rows = np.arange(locs.size)
-            draws = locs + self.obs_scale * normals.peek(rows, 1)[:, 0]
-            normals.advance(rows, 1)
-            return draws
-        return _truncated_normals(locs, self.obs_scale, self.obs_box, normals)
+        box = self.obs_box or (-math.inf, math.inf)
+        return self._samples(self._obs_scalars, self.obs_scale, box, theta, xs, normals)
 
 
 def kernel_matrix(model: ModelSpec, alpha, theta, y) -> np.ndarray:
@@ -584,13 +577,23 @@ def kernel_matrix(model: ModelSpec, alpha, theta, y) -> np.ndarray:
     return out
 
 
-def simulate(model: ModelSpec, theta, lam0: GridMeasure, n: int, seed: int) -> Trajectory:
-    """Sample a trajectory of the model dynamics, deterministic given the seed.
+def _draw_paths(model: ModelSpec, theta, x0, normals: NormalStreams, n: int):
+    """(n + 1, R) states from the (R,) starts x0 and (n, R) observations; row i reads row i of normals.
 
-    X_0 is drawn from lam0 restricted to the grid nodes; each later step
-    draws the state transition and then the observation.  A sampler's
-    ArithmeticError is re-raised with "at step k" appended, k from 1.
+    A sampler's ArithmeticError is re-raised with " at step k" appended, k from 1.
     """
+    states, observations = [np.asarray(x0, dtype=float)], []
+    for k in range(n):
+        try:
+            states.append(model.transition_samples(theta, states[k], normals))
+            observations.append(model.observation_samples(theta, states[k + 1], normals))
+        except ArithmeticError as err:
+            raise type(err)(f"{err} at step {k + 1}") from err
+    return np.array(states), np.array(observations).reshape(n, len(x0))
+
+
+def _simulate_rows(model: ModelSpec, theta, lam0: GridMeasure, n: int, seeds):
+    """_draw_paths, one row per seed: row i draws X_0 from lam0, then its path, from default_rng(seeds[i])."""
     if n < 1:
         raise ValueError("trajectory length must be >= 1")
     theta = model.validate_theta(theta)
@@ -598,19 +601,23 @@ def simulate(model: ModelSpec, theta, lam0: GridMeasure, n: int, seed: int) -> T
         raise ValueError("initial law must be a probability measure")
     if not lam0.grid.compatible(model.grid):
         raise ValueError("initial law grid differs from the model grid")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     pmf = np.clip(lam0.density * lam0.grid.weights, 0.0, None)
     pmf = pmf / pmf.sum()
-    states = np.empty(n + 1)
-    observations = np.empty(n)
-    states[0] = lam0.grid.axis(0)[rng.choice(lam0.grid.size, p=pmf)]
-    for k in range(n):
-        try:
-            states[k + 1] = model.transition_sample(theta, states[k], rng)
-            observations[k] = model.observation_sample(theta, states[k + 1], rng)
-        except ArithmeticError as err:
-            raise type(err)(f"{err} at step {k + 1}") from err
-    return Trajectory(states=states, observations=observations, seed=seed)
+    x0 = lam0.grid.axis(0)[[rng.choice(lam0.grid.size, p=pmf) for rng in rngs]]
+    return _draw_paths(model, theta, x0, NormalStreams(rngs, np.arange(len(rngs))), n)
+
+
+def simulate(model: ModelSpec, theta, lam0: GridMeasure, n: int, seed: int) -> Trajectory:
+    """Sample a trajectory of the model dynamics, deterministic given the seed.
+
+    X_0 is drawn from lam0 restricted to the grid nodes; each later step
+    draws the state transition and then the observation, one row of the
+    batched samplers.  A sampler's ArithmeticError is re-raised with
+    "at step k" appended, k from 1.
+    """
+    states, observations = _simulate_rows(model, theta, lam0, n, [seed])
+    return Trajectory(states=states[:, 0], observations=observations[:, 0], seed=seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,14 +34,15 @@ class NormalStreams:
     Row i reads stream ``streams[i]`` from the stream's start, so rows that
     share a stream see the same numbers however many each consumes: the
     common random numbers of rows that share a replica.  Each stream's
-    normals are drawn in blocks into its segment of one flat buffer; a
-    block draw continues a Generator's scalar ``standard_normal()`` stream
-    exactly, so a row reads what scalar draws from its generator give.  A
-    segment keeps the normals from its rearmost row's cursor on and grows
-    only when its rows need more at once.
+    normals are drawn in blocks, the first on construction, into its segment
+    of one flat buffer; a block draw continues a Generator's scalar
+    ``standard_normal()`` stream exactly, so a row reads what scalar draws
+    from its generator give.  A segment keeps the normals from its rearmost
+    row's cursor on and grows only when its rows need more at once.
 
-    ``peek`` reads a block from the cursors of distinct rows without
-    moving them; ``advance`` moves them past what the rows consumed.
+    ``peek`` reads a block from distinct rows' cursors and leaves them;
+    ``advance`` moves them past what the rows consumed; ``next`` reads one
+    row's normal and moves past it, the read of a one-row loop.
     """
 
     def __init__(self, generators, streams):
@@ -53,11 +54,11 @@ class NormalStreams:
         self._rows_of = [np.nonzero(self.streams == s)[0] for s in range(count)]
         self._capacity = np.full(count, _STREAM_BLOCK, dtype=np.intp)
         self._start = np.arange(count, dtype=np.intp) * _STREAM_BLOCK
-        self._fill = np.zeros(count, dtype=np.intp)
-        self._buffer = np.empty(count * _STREAM_BLOCK)
+        self._fill = self._capacity.copy()
+        self._buffer = np.array([g.standard_normal(_STREAM_BLOCK) for g in self._generators]).ravel()
         # Per row: the buffer index of its cursor and the end of its segment's normals.
         self._pos = self._start[self.streams]
-        self._end = self._pos.copy()
+        self._end = self._pos + _STREAM_BLOCK
 
     def peek(self, rows: np.ndarray, width: int) -> np.ndarray:
         """(len(rows), width) normals from each row's cursor on; the cursors stay."""
@@ -68,6 +69,15 @@ class NormalStreams:
         if width == 1:
             return self._buffer[pos][:, None]
         return self._buffer[pos[:, None] + np.arange(width)]
+
+    def next(self, row: int) -> float:
+        """The normal at one row's cursor, which moves past it; a refill is peek's."""
+        pos = self._pos.item(row)
+        if pos >= self._end.item(row):
+            self._refill(np.array([row]), 1)
+            pos = self._pos.item(row)
+        self._pos[row] = pos + 1
+        return self._buffer.item(pos)
 
     def advance(self, rows: np.ndarray, counts) -> None:
         """Move distinct rows' cursors past the normals they consumed."""

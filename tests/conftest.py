@@ -154,16 +154,6 @@ class BrokenObservation(ModelSpec):
 
         return at
 
-    def transition_sample(self, theta, x, rng):
-        return self.inner.transition_sample(theta, x, rng)
-
-    def observation_sample(self, theta, x, rng):
-        self.draws += 1
-        y = self.inner.observation_sample(theta, x, rng)
-        if self.outlier_from is not None and self.draws >= self.outlier_from:
-            return 1e7
-        return y
-
     def transition_samples(self, theta, xs, normals):
         return self.inner.transition_samples(theta, xs, normals)
 

@@ -2,10 +2,11 @@
 
 The ergodicity experiment draws every start x replica row of a step in
 one call and scores phi over all rows at once.  Each piece must give
-the bits the scalar code gives: the normal streams against scalar
-standard_normal() draws, the batched samplers against loops over the
-scalar samplers, the phi rows against the per-measure formulas, and the
-whole probe against a copy of the row-major loop it replaced.
+the bits the one-at-a-time code gives: the normal streams against scalar
+standard_normal() draws, multi-row sampler calls against one-row calls
+(the samplers' scalar branch) on per-row streams, the phi rows against
+the per-measure formulas, and the whole probe against a copy of the
+row-major loop it replaced.
 """
 import math
 
@@ -65,6 +66,25 @@ def test_stream_blocks_equal_scalar_draws(streams, reads):
         cursors[row] += consumed
 
 
+@settings(max_examples=40, deadline=None)
+@given(reads=st.lists(st.tuples(st.sampled_from(["next", "peek", "skip"]), st.integers(1, 300)), min_size=1, max_size=25))
+def test_scalar_reads_continue_the_scalar_draws(reads):
+    # next, the one-row loop's read, between block peeks and advances past
+    # normals never peeked; the reads cross the refills and the growth
+    expected = scalar_normals(4, 8000)
+    normals = NormalStreams([np.random.default_rng(4)], [0])
+    cursor = 0
+    for kind, count in reads:
+        if kind == "next":
+            assert [normals.next(0) for _ in range(count)] == expected[cursor : cursor + count].tolist()
+        elif kind == "peek":
+            assert np.array_equal(normals.peek(np.array([0]), count)[0], expected[cursor : cursor + count])
+            normals.advance(np.array([0]), count)
+        else:
+            normals.advance(np.array([0]), count)
+        cursor += count
+
+
 def test_all_rows_read_their_streams_in_one_block():
     normals = NormalStreams([np.random.default_rng(seed) for seed in range(2)], [0, 1, 0])
     normals.advance(np.array([2]), 5)
@@ -78,8 +98,15 @@ def test_streams_must_index_the_generators():
         NormalStreams([np.random.default_rng(0)], [0, 1])
 
 
-def batched_and_scalar_paths(model, xs0, streams, skips, steps, seed=11):
-    """Paths drawn by the batched samplers and by the scalar ones, row by row."""
+def one_row_streams(seed, stream, skip=0):
+    """A one-row NormalStreams on its own generator of the stream, moved on by skip normals."""
+    row = NormalStreams([np.random.default_rng([seed, stream])], [0])
+    row.advance(np.array([0]), skip)
+    return row
+
+
+def batched_and_one_row_paths(model, xs0, streams, skips, steps, seed=11):
+    """Paths drawn by multi-row sampler calls and by one-row calls, row by row on per-row streams."""
     generators = [np.random.default_rng([seed, s]) for s in range(max(streams) + 1)]
     normals = NormalStreams(generators, streams)
     normals.advance(np.arange(len(streams)), skips)
@@ -88,21 +115,15 @@ def batched_and_scalar_paths(model, xs0, streams, skips, steps, seed=11):
         xs = model.transition_samples(THETA, xs, normals)
         ys = model.observation_samples(THETA, xs, normals)
         batched.append((xs, ys))
-    scalar = []
-    rngs = []
-    for stream, skip in zip(streams, skips):
-        rng = np.random.default_rng([seed, stream])
-        for _ in range(skip):
-            rng.standard_normal()
-        rngs.append(rng)
-    xs = [float(x) for x in xs0]
+    rows = [one_row_streams(seed, stream, skip) for stream, skip in zip(streams, skips)]
+    one_row, xs = [], [np.array([x], dtype=float) for x in xs0]
     for _ in range(steps):
-        xs = [model.transition_sample(THETA, x, rng) for x, rng in zip(xs, rngs)]
-        ys = [model.observation_sample(THETA, x, rng) for x, rng in zip(xs, rngs)]
-        scalar.append((np.array(xs), np.array(ys)))
-    # the next normal of each row is the next scalar draw of its generator
+        xs = [model.transition_samples(THETA, x, row) for x, row in zip(xs, rows)]
+        ys = [model.observation_samples(THETA, x, row) for x, row in zip(xs, rows)]
+        one_row.append((np.concatenate(xs), np.concatenate(ys)))
+    # the next normal of each row is the next normal of its one-row stream
     after = normals.peek(np.arange(len(streams)), 1)[:, 0]
-    return batched, scalar, after, np.array([rng.standard_normal() for rng in rngs])
+    return batched, one_row, after, np.array([row.next(0) for row in rows])
 
 
 @pytest.mark.parametrize(
@@ -123,8 +144,8 @@ def test_batched_samplers_equal_scalar_loops(model_kwargs):
     streams = [0, 1, 0, 2, 0]
     skips = [0, 3, 7, 0, 1]
     xs0 = [-2.9, 0.0, 1.5, 2.9, -0.4]
-    batched, scalar, after, expected_after = batched_and_scalar_paths(model, xs0, streams, skips, 30)
-    for (bx, by), (sx, sy) in zip(batched, scalar):
+    batched, one_row, after, expected_after = batched_and_one_row_paths(model, xs0, streams, skips, 30)
+    for (bx, by), (sx, sy) in zip(batched, one_row):
         assert np.array_equal(bx, sx)
         assert np.array_equal(by, sy)
     assert np.array_equal(after, expected_after)
@@ -136,13 +157,15 @@ def test_batched_cap_counts_trials_as_the_scalar_loop(monkeypatch):
     monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 1500)
     model = make_model(cells=16, order=1, obs_box=(-0.002, 0.002), obs_scale=2.0)
     xs = np.linspace(-2.5, 2.5, 40)
-    with pytest.raises(ArithmeticError) as scalar:
-        for r, x in enumerate(xs):
-            model.observation_sample(THETA, x, np.random.default_rng([5, r]))
+    with pytest.raises(ArithmeticError) as one_row:
+        for r in range(xs.size):
+            model.observation_samples(THETA, xs[r : r + 1], one_row_streams(5, r))
+    assert r > 0
     normals = NormalStreams([np.random.default_rng([5, r]) for r in range(xs.size)], np.arange(xs.size))
     with pytest.raises(ArithmeticError) as batched:
         model.observation_samples(THETA, xs, normals)
-    assert str(batched.value) == str(scalar.value)
+    # the first row to give up is named as its replica
+    assert str(batched.value) == f"{one_row.value} for replica {r}"
 
 
 def test_stuck_rows_of_several_streams_read_at_most_32_normals_each(monkeypatch):
@@ -215,7 +238,7 @@ def test_phi_rows_equal_the_per_measure_formulas(grid):
 
 
 def row_major_ergodicity(model, theta, phi_name, starts, record_ns, replicas, seed, chain):
-    """The experiment as it ran row by row: draws per row, phi per measure view."""
+    """The experiment as it ran row by row: one-row draws per row, phi per measure view."""
     formula = PER_MEASURE[phi_name]
     cache = KernelCache(model, theta, starts[0][2].index_set)
     n_max = record_ns[-1]
@@ -224,14 +247,14 @@ def row_major_ergodicity(model, theta, phi_name, starts, record_ns, replicas, se
     ys = np.empty_like(xs)
     for z_idx, (x0, y0, _) in enumerate(starts):
         for r in range(replicas):
-            rng = labeled_rng(seed, "ergodicity", r)
+            normals = NormalStreams([labeled_rng(seed, "ergodicity", r)], [0])
             row = z_idx * replicas + r
-            x, y = float(x0), float(y0)
-            xs[row, 0], ys[row, 0] = x, y
+            x = np.array([float(x0)])
+            xs[row, 0], ys[row, 0] = x[0], float(y0)
             for n in range(1, n_max + 1):
-                x = model.transition_sample(theta, x, rng)
-                y = model.observation_sample(theta, x, rng)
-                xs[row, n], ys[row, n] = x, y
+                x = model.transition_samples(theta, x, normals)
+                y = model.observation_samples(theta, x, normals)
+                xs[row, n], ys[row, n] = x[0], y[0]
     update_with = ys[:, 1:] if chain == "aligned" else ys[:, :-1]
     components = np.repeat([m.components for _, _, m in starts], replicas, axis=0)
     samples = np.empty((len(starts), len(record_ns), replicas))

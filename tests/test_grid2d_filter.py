@@ -100,12 +100,6 @@ class PlanarTanhModel(ModelSpec):
 
         return at
 
-    def transition_sample(self, theta, x, rng):
-        raise NotImplementedError
-
-    def observation_sample(self, theta, x, rng):
-        raise NotImplementedError
-
     def transition_samples(self, theta, xs, normals):
         raise NotImplementedError
 

@@ -64,12 +64,6 @@ class _ScaledKernel(ModelSpec):
         inner = self.inner.observation_grid_factory(theta, index_set)
         return lambda y: self.factor * inner(y)
 
-    def transition_sample(self, theta, x, rng):
-        return self.inner.transition_sample(theta, x, rng)
-
-    def observation_sample(self, theta, x, rng):
-        return self.inner.observation_sample(theta, x, rng)
-
     def transition_samples(self, theta, xs, normals):
         return self.inner.transition_samples(theta, xs, normals)
 
@@ -304,7 +298,8 @@ class TestRmlDemo:
         monkeypatch.setattr(type(small), "transition_grid_factors", fifth_build_fails)
         with pytest.raises(ValueError) as info:
             rml_demo(small, theta, theta, step_a=3.0, step_b=300.0, n_steps=6, seed=1)
-        assert str(info.value) == "transition normalizer vanished on the grid at observation index 5"
+        where = f"at theta {calls[4].tolist()} at observation index 5"
+        assert str(info.value) == f"transition normalizer vanished on the grid {where}"
 
     def test_abort_names_the_observation_index(self, gaussian_model, theta):
         # the fourth simulated observation has vanishing density

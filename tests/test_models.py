@@ -609,25 +609,38 @@ class TestSimulate:
         tv = 0.5 * np.sum(np.abs(empirical - pi_cells))
         assert tv <= 0.05
 
-    def test_accepted_draws_follow_the_rejection_stream(self, model32, theta):
-        # one standard normal per trial, first accepted draw returned
-        rng, replay = np.random.default_rng(3), np.random.default_rng(3)
-        lo, hi = model32.grid.bounds[0]
-        for x in np.linspace(-3.0, 3.0, 25):
-            loc = model32._scalar_location(model32._drift_scalars, theta, float(x))
+    def test_accepted_draws_follow_the_rejection_stream(self, theta):
+        # one standard normal per trial, first accepted draw returned: a
+        # one-row call, then all 25 states as rows of one call, each row on
+        # a copy of the stream moved to where the one-row calls left it;
+        # noise this wide rejects some trials
+        model = make_model(trans_scale=2.5)
+        one_row, replay = NormalStreams([np.random.default_rng(3)], [0]), np.random.default_rng(3)
+        lo, hi = model.grid.bounds[0]
+        xs, accepted, starts, count = np.linspace(-3.0, 3.0, 25), [], [], 0
+        for x in xs:
+            starts.append(count)
+            loc = model._scalar_location(model._drift_scalars, theta, float(x))
             while True:
-                expected = loc + model32.trans_scale * replay.standard_normal()
+                expected = loc + model.trans_scale * replay.standard_normal()
+                count += 1
                 if lo <= expected <= hi:
                     break
-            assert model32.transition_sample(theta, x, rng) == expected
+            assert model.transition_samples(theta, np.array([x]), one_row)[0] == expected
+            accepted.append(expected)
+        assert count > xs.size
+        rows = NormalStreams([np.random.default_rng(3)], np.zeros(xs.size, dtype=int))
+        rows.advance(np.arange(xs.size), starts)
+        assert np.array_equal(model.transition_samples(theta, xs, rows), accepted)
 
     def test_sampler_cap_names_box_and_location(self, theta, monkeypatch):
         monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 1000)
         model = make_model(obs_box=(5.0, 6.0), obs_scale=0.1)
-        with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0"):
-            model.observation_sample(theta, 0.0, np.random.default_rng(0))
+        one_row = NormalStreams([np.random.default_rng(0)], [0])
+        with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0 with scale 0\.1$"):
+            model.observation_samples(theta, np.array([0.0]), one_row)
         rows = NormalStreams([np.random.default_rng(0)], [0, 0])
-        with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0"):
+        with pytest.raises(ArithmeticError, match=r"\[5\.0, 6\.0\].*location 0\.0 with scale 0\.1 for replica 0$"):
             model.observation_samples(theta, np.array([0.0, 0.5]), rows)
 
     def test_a_sampler_cap_abort_names_its_step(self, theta, monkeypatch):

@@ -334,6 +334,6 @@ def test_a_failed_build_in_a_stack_names_its_point(factor, message):
     start = embed(GridMeasure.uniform(model.grid), model.index_set())
     with pytest.raises(ValueError, match=named):
         filter_iterate(model, thetas, [0.1], start)
-    with pytest.raises(ValueError, match=rf"^{message}$"):
+    with pytest.raises(ValueError, match=rf"^{message} at theta \[0\.7, 1\.1\]$"):
         KernelCache(model, bad)
     KernelCache(model, thetas[:2])

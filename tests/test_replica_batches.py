@@ -13,6 +13,7 @@ import pytest
 from filterjet import (
     GridMeasure,
     KernelCache,
+    NormalStreams,
     avg_loglik_rate,
     bounded_lipschitz_phi,
     component_tv_phi,
@@ -41,13 +42,13 @@ def assert_close(got, ref):
 
 
 def ergodicity_samples_one_by_one(model, theta, phi, starts, record_ns, replicas, seed, chain):
-    """(starts, times, replicas) samples, drawing and stepping each replica alone."""
+    """(starts, times, replicas) samples, drawing each replica alone by one-row sampler calls and stepping it alone."""
     cache = KernelCache(model, theta, starts[0][2].index_set)
     n_max = record_ns[-1]
     samples = np.empty((len(starts), len(record_ns), replicas))
     for z_idx, (x0, y0, measure0) in enumerate(starts):
         for r in range(replicas):
-            rng = labeled_rng(seed, "ergodicity", r)
+            normals = NormalStreams([labeled_rng(seed, "ergodicity", r)], [0])
             x, y, measure = float(x0), float(y0), measure0
             t_idx = 0
             for n in range(n_max + 1):
@@ -56,8 +57,8 @@ def ergodicity_samples_one_by_one(model, theta, phi, starts, record_ns, replicas
                     t_idx += 1
                 if n == n_max:
                     break
-                x_new = model.transition_sample(theta, x, rng)
-                y_new = model.observation_sample(theta, x_new, rng)
+                x_new = float(model.transition_samples(theta, np.array([x]), normals)[0])
+                y_new = float(model.observation_samples(theta, np.array([x_new]), normals)[0])
                 update_with = y_new if chain == "aligned" else y
                 measure = filter_step_with_scalars(cache, update_with, measure)[0]
                 x, y = x_new, y_new
