@@ -19,6 +19,7 @@ import numpy as np
 
 from .experiments import PHI_BUILTINS
 from .grid import StateGrid
+from .loglik import PROJECTION_MARGIN
 from .models import FEATURE_FUNCTIONS, TruncatedNonlinearModel
 from .reporting import format_value
 
@@ -218,6 +219,13 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"[derivatives] fd_levels: the finest step fd_step / 2**(fd_levels - 1) = {finest!r} "
                 f"leaves [model] {key} {end!r} unchanged"
+            )
+    # rml_demo refuses a start its projection would move
+    for t, lo, hi in zip(e.rml_init, m.theta_min, m.theta_max):
+        margin = PROJECTION_MARGIN * (hi - lo)
+        if not lo + margin <= t <= hi - margin:
+            raise ConfigError(
+                f"[experiment] rml_init: {t} outside the projection interior [{lo + margin!r}, {hi - margin!r}]"
             )
 
 

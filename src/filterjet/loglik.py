@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import KernelCache, MassInvariantError, PredictiveMassError, filter_step_with_scalars
-from .filtering import _fold, _observation_block, _where
+from .filtering import KernelCache, _fold, _observation_block, _step, _where
 from .grid import GridMeasure, embed
 from .models import ModelSpec, _simulate_rows, simulate
 from .multiindex import IndexSet, MultiIndex, enumerate_indices, shifted_pair_table
 from .seeding import labeled_seed
+
+# Share of each parameter-box width that rml_demo's projection keeps clear at either end.
+PROJECTION_MARGIN = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +165,14 @@ def rml_demo(
 ) -> RmlTrace:
     """Online parameter estimation by stochastic gradient ascent.
 
-    One long trajectory is simulated at theta_true; at each step the
-    degree-1 jet increments at the current estimate serve as the
+    One long trajectory is simulated at theta_true; each step runs the
+    step core on a kernel cache built at the current estimate, and its
+    degree-1 update masses (the degree-1 jet increments) serve as the
     gradient estimate, with decreasing steps a / (b + k).  Estimates
-    that leave the parameter box are pulled back to its interior and
-    counted.  Every abort of a step names its observation index.
+    that leave the projection interior (the box shrunk by
+    PROJECTION_MARGIN of its width at each end) are pulled back onto it
+    and counted; theta_init must lie in it (ValueError otherwise).
+    Every abort of a step names its observation index.
     """
     if model.max_order < 1:
         raise ValueError("gradient ascent needs derivative order >= 1")
@@ -178,29 +183,31 @@ def rml_demo(
         )
     theta_true = model.validate_theta(theta_true)
     current = model.validate_theta(theta_init).copy()
+    box = np.asarray(model.parameter_box, dtype=float)
+    margin = PROJECTION_MARGIN * (box[:, 1] - box[:, 0])
+    lo, hi = box[:, 0] + margin, box[:, 1] - margin
+    if not np.all((lo <= current) & (current <= hi)):
+        raise ValueError(
+            f"theta_init {current.tolist()} lies outside the projection interior {list(zip(lo.tolist(), hi.tolist()))}"
+        )
     lam0 = GridMeasure.uniform(model.grid) if lam0 is None else lam0
     iset = enumerate_indices(model.dim_theta, 1)
     grad_slots = [iset.slot(MultiIndex.unit(model.dim_theta, i)) for i in range(model.dim_theta)]
-    box = np.asarray(model.parameter_box, dtype=float)
-    margin = 1e-3 * (box[:, 1] - box[:, 0])
 
     traj = simulate(model, theta_true, lam0, n_steps, seed=labeled_seed(seed, "rml-path"))
-    measure = embed(lam0, iset)
+    components = embed(lam0, iset).components[None]
     trace = np.empty((n_steps + 1, model.dim_theta))
     trace[0] = current
     projections = 0
     for k, y in enumerate(traj.observations):
         try:
             cache = KernelCache(model, current, iset)
-            measure, s_masses, predictive = filter_step_with_scalars(cache, y, measure)
-        except PredictiveMassError as err:
-            raise PredictiveMassError(err.mass, observation_index=k + 1) from err
-        except (ValueError, MassInvariantError) as err:
-            raise type(err)(f"{err}{_where(None, k + 1)}") from err
-        increments = jet_increments_from_scalars(s_masses, predictive, iset)
-        gradient = increments[grad_slots]
-        current = current + (step_a / (step_b + k)) * gradient
-        clipped = np.clip(current, box[:, 0] + margin, box[:, 1] - margin)
+            obs = cache.observation_vectors(y)
+        except ValueError as err:
+            raise ValueError(f"{err}{_where(None, k + 1)}") from err
+        components, s_masses, _ = _step(cache, obs, components, k + 1)
+        current = current + (step_a / (step_b + k)) * s_masses[0, grad_slots]
+        clipped = np.clip(current, lo, hi)
         if not np.array_equal(clipped, current):
             projections += 1
             current = clipped

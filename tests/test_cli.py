@@ -170,6 +170,9 @@ class TestRun:
             ("check-derivs", "experiment", "rel_tol", "-1e-4"),
             ("rml", "experiment", "rml_init", "5.0 1.25"),
             ("rml", "experiment", "rml_init", "0.2 1.25"),
+            # inside the box but within a thousandth of its width of an edge, where the projection would move it
+            ("rml", "experiment", "rml_init", "0.20013 1.25"),
+            ("rml", "experiment", "rml_init", "0.45 1.4999"),
             ("simulate", "experiment", "phi", "median"),
         ],
     )

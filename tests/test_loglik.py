@@ -306,4 +306,5 @@ class TestRmlDemo:
         broken = BrokenObservation(gaussian_model, outlier_from=4)
         with pytest.raises(PredictiveMassError) as info:
             rml_demo(broken, theta, theta, step_a=3.0, step_b=300.0, n_steps=6, seed=1)
-        assert info.value.observation_index == 4
+        assert (info.value.observation_index, info.value.replica, info.value.point) == (4, None, None)
+        assert str(info.value) == "predictive mass 0.0 below 1e-300 at observation index 4"
