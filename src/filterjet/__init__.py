@@ -20,6 +20,7 @@ from .grid import (
 from .models import (
     AssumptionConstants,
     ModelSpec,
+    SamplerAbort,
     Trajectory,
     TruncatedNonlinearModel,
     assumption_constants,

@@ -24,6 +24,9 @@ _L0_TOL = 1e-8  # slot 0 in the recursion state space: densities >= -_L0_TOL, ma
 # Observations whose jets _fold evaluates in one call, steps times rows
 # (one step at least), bounding the (P, K, JET_BLOCK, N) block it holds.
 JET_BLOCK = 256
+# Bytes of the reused buffer in which an order-0 step with one row per
+# point assembles the slot-0 kernels of a chunk of points: 8 at N = 64.
+SLOT0_CHUNK_BYTES = 256 * 1024
 
 
 class PredictiveMassError(ArithmeticError):
@@ -74,6 +77,20 @@ class MassInvariantError(ArithmeticError):
     """A filter-step output violated the slot-mass invariants."""
 
 
+def _checked_points(model: ModelSpec, theta) -> np.ndarray:
+    """(P, dim) float copy of a stack of parameter points, checked against the box in one pass.
+
+    A bad stack raises the ValueError that validate_theta gives its
+    first bad point.
+    """
+    points = np.array(theta, dtype=float)
+    box = np.asarray(model.parameter_box, dtype=float)
+    if points.shape[1] != model.dim_theta or not ((box[:, 0] < points) & (points < box[:, 1])).all():
+        for point in points:
+            model.validate_theta(point)
+    return points
+
+
 class KernelCache:
     """Per-(model, theta) kernel jets reused across filter steps.
 
@@ -97,7 +114,9 @@ class KernelCache:
     its build returned, and np.stack keeps each point's strides, so a
     stacked point's GEMMs round as its pass alone does.  A failed build
     names its theta, and of several points the first with its index.  A
-    slot is live where its scales are nonzero at some point: a step moves only those.
+    stack is checked against the box in one pass, and a bad one raises
+    what validate_theta raises for its first bad point.  A slot is live
+    where its scales are nonzero at some point: a step moves only those.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -105,7 +124,7 @@ class KernelCache:
         if np.ndim(theta) == 2:
             if not len(theta):
                 raise ValueError("a stack of parameter points needs at least one point")
-            self.theta = self.points = np.stack([model.validate_theta(t) for t in theta])
+            self.theta = self.points = _checked_points(model, theta)
         else:
             self.theta = model.validate_theta(theta)
             self.points = self.theta[None]
@@ -203,9 +222,11 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     are zero moves nothing: its moved rows keep the +0 its GEMM would
     write.  Slot 0 is the factored obs[0] * moved[0]; an order-0 step
     with one row per point runs no transition GEMM and applies each
-    point's assembled kernel (obs[0][:, None] * trans[0]) @ weighted[0],
-    built in one reused (N, N) buffer from the C-contiguous order-0
-    bases.  A point keeps the bits of its pass alone.
+    point's assembled kernel (obs[0][:, None] * trans[0]) @ weighted[0].
+    It builds the kernels of as many points as SLOT0_CHUNK_BYTES holds
+    in one reused (chunk, N, N) buffer from the C-contiguous order-0
+    bases, and one stacked matmul applies them: the one-point GEMV on
+    each slice.  A point keeps the bits of its pass alone.
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     rows, slots, size = weighted.shape
@@ -214,10 +235,14 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     replicas = rows // points
     obs = obs.reshape(points, slots, replicas, size)
     if slots == replicas == 1:
-        update, kernel = np.empty((rows, 1, size)), np.empty((size, size))
-        for p in range(points):
-            np.multiply(obs[p, 0, 0, :, None], bases[p, base_of[0]], out=kernel)
-            np.matmul(kernel, weighted[p, 0], out=update[p, 0])
+        kernels0 = bases[:, base_of[0]]
+        chunk = max(1, SLOT0_CHUNK_BYTES // (size * size * 8))
+        update, kernels = np.empty((rows, 1, size)), np.empty((min(chunk, points), size, size))
+        for first in range(0, points, chunk):
+            part = slice(first, first + chunk)
+            kernel = kernels[: min(chunk, points - first)]
+            np.multiply(obs[part, 0, 0, :, None], kernels0[part], out=kernel)
+            np.matmul(kernel, weighted[part, 0, :, None], out=update[part, 0, :, None])
         return update
     batch = np.ascontiguousarray(weighted.reshape(points, replicas, slots, size).transpose(0, 2, 1, 3))
     moved = np.zeros((points, blocks[-1][0] + blocks[-1][1], replicas, size))

@@ -283,11 +283,25 @@ def _slope_powers(slopes: np.ndarray, index_set: IndexSet) -> np.ndarray:
     return out
 
 
-def _trials_exhausted(box, loc: float, scale: float, where: str = "") -> ArithmeticError:
+class SamplerAbort(ArithmeticError):
+    """A truncated sampler gave up after SAMPLER_MAX_TRIALS trials.
+
+    step is the path step that aborted, counted from 1, and replica the
+    row of a batched draw; each is None where unknown.
+    """
+
+    def __init__(self, message: str, step: int | None = None, replica: int | None = None):
+        super().__init__(message)
+        self.step, self.replica = step, replica
+
+
+def _trials_exhausted(box, loc: float, scale: float, replica: int | None = None) -> SamplerAbort:
     lo, hi = box
-    return ArithmeticError(
+    where = "" if replica is None else f" for replica {replica}"
+    return SamplerAbort(
         f"no draw inside [{lo}, {hi}] after {SAMPLER_MAX_TRIALS} trials "
-        f"from location {loc!r} with scale {scale!r}{where}"
+        f"from location {loc!r} with scale {scale!r}{where}",
+        replica=replica,
     )
 
 
@@ -344,7 +358,7 @@ def _truncated_normals(locs: np.ndarray, scale: float, box, normals: NormalStrea
         group, spent = rows[streams == stream], trials
         while group.size:
             if spent == SAMPLER_MAX_TRIALS:
-                raise _trials_exhausted(box, float(locs[group[0]]), scale, f" for replica {group[0]}")
+                raise _trials_exhausted(box, float(locs[group[0]]), scale, int(group[0]))
             width = min(_ROUND_WIDTH_MAX, SAMPLER_MAX_TRIALS - spent)
             group = _rejection_round(locs, scale, box, normals, group, width, out)
             spent += width
@@ -391,6 +405,8 @@ class TruncatedNonlinearModel(ModelSpec):
     _obs_scalars: tuple = field(init=False, repr=False)
     _drift_tables: tuple = field(init=False, repr=False)
     _obs_tables: tuple = field(init=False, repr=False)
+    _drift_reads: np.ndarray = field(init=False, repr=False)
+    _obs_reads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.dim != 1:
@@ -427,6 +443,9 @@ class TruncatedNonlinearModel(ModelSpec):
         ):
             feats = self._features(names, self.grid.axis(0))
             object.__setattr__(self, attr, (feats, _slope_powers(-feats / scale, full)))
+        # The theta coordinates whose feature row is not zero on every grid state.
+        object.__setattr__(self, "_drift_reads", np.flatnonzero(self._drift_tables[0].any(axis=1)))
+        object.__setattr__(self, "_obs_reads", np.flatnonzero(self._obs_tables[0].any(axis=1)))
 
     @property
     def dim_theta(self) -> int:
@@ -450,12 +469,15 @@ class TruncatedNonlinearModel(ModelSpec):
         return np.stack([FEATURE_FUNCTIONS[n](x) for n in names])
 
     def kernel_keys(self, theta) -> tuple[bytes, bytes]:
-        """The bytes of the drift and the observation location, the arrays the jets are computed from.
+        """The bytes of the theta coordinates that the drift and the observation map read.
 
-        The shipped drift and observation map each read one coordinate of
-        theta, so their keys repeat along a finite-difference stencil.
+        A coordinate whose feature row is zero on every grid state adds only
+        +-0 terms to its location, so points that agree on the read
+        coordinates get bit-identical jets.  The shipped drift and
+        observation map each read one coordinate, so their keys repeat along
+        a finite-difference stencil.
         """
-        return _location(self._drift_tables, theta).tobytes(), _location(self._obs_tables, theta).tobytes()
+        return theta[self._drift_reads].tobytes(), theta[self._obs_reads].tobytes()
 
     def transition_grid_factors(self, theta, index_set):
         """The order + 1 quotient degrees as bases; slot a scales degree |a| by factors[a].
@@ -580,13 +602,16 @@ def kernel_matrix(model: ModelSpec, alpha, theta, y) -> np.ndarray:
 def _draw_paths(model: ModelSpec, theta, x0, normals: NormalStreams, n: int):
     """(n + 1, R) states from the (R,) starts x0 and (n, R) observations; row i reads row i of normals.
 
-    A sampler's ArithmeticError is re-raised with " at step k" appended, k from 1.
+    A sampler's ArithmeticError is re-raised with " at step k" appended,
+    k from 1; a SamplerAbort also keeps its replica and takes step k.
     """
     states, observations = [np.asarray(x0, dtype=float)], []
     for k in range(n):
         try:
             states.append(model.transition_samples(theta, states[k], normals))
             observations.append(model.observation_samples(theta, states[k + 1], normals))
+        except SamplerAbort as err:
+            raise SamplerAbort(f"{err} at step {k + 1}", k + 1, err.replica) from err
         except ArithmeticError as err:
             raise type(err)(f"{err} at step {k + 1}") from err
     return np.array(states), np.array(observations).reshape(n, len(x0))

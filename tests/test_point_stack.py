@@ -170,6 +170,32 @@ def test_stack_edge_cases():
         filter_step_with_scalars(KernelCache(model, point_stack(2, 0)), 0.1, start)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[0.2, 0.9], [0.8, 1.5], [0.1, 1.7], [0.8, np.nan], [np.inf, 0.9]],
+    ids=["at-lo", "at-hi", "both", "nan", "inf"],
+)
+def test_a_bad_point_in_a_stack_gets_the_message_of_validate_theta(bad):
+    # the stack is checked at once; the first bad point and component are named as validate_theta names them
+    model = line_model("compact", 12)
+    stack = np.array([THETA, [0.5, 1.2], bad, [0.3, 0.05]])
+    with pytest.raises(ValueError) as alone:
+        model.validate_theta(bad)
+    with pytest.raises(ValueError) as stacked:
+        KernelCache(model, stack)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError) as wide:
+        KernelCache(model, np.hstack([stack, stack[:, :1]]))
+    assert str(wide.value) == "theta must have shape (2,), got (3,)"
+
+
+def test_a_stacked_cache_copies_its_points():
+    stack = point_stack(3, 2)
+    cache = KernelCache(line_model("compact", 12), stack)
+    stack[1] = 0.5
+    assert np.array_equal(cache.points, point_stack(3, 2))
+
+
 def stencil_stack(model, order, theta=THETA):
     """The stencil points at theta up to order, theta left out."""
     alphas = [alpha for alpha in model.index_set(order).indices if alpha.degree > 0]

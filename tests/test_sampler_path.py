@@ -4,7 +4,8 @@ simulate draws one row, whose samplers run the scalar rejection loop on
 the one-row stream; avg_loglik_rate draws its replicas as the rows of one
 call, and ergodicity_experiment its start x replica rows.  The paths keep
 the bits of the scalar samplers that the one-row branch replaced, and a
-sampler abort names the step and, over several rows, the replica.
+sampler abort names the step and, over several rows, the replica, in its
+message and as its step and replica attributes.
 """
 import hashlib
 import re
@@ -17,6 +18,7 @@ from filterjet import (
     GridMeasure,
     KernelCache,
     NormalStreams,
+    SamplerAbort,
     avg_loglik_rate,
     embed,
     ergodicity_experiment,
@@ -86,18 +88,20 @@ def test_a_rate_sampler_abort_names_its_step_and_replica(monkeypatch):
     monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 3000)
     model = make_model(cells=16, order=1, **MODELS["tight-box"])
     lam0 = GridMeasure.uniform(model.grid)
-    with pytest.raises(ArithmeticError) as info:
+    with pytest.raises(SamplerAbort) as info:
         avg_loglik_rate(model, THETA, lam0, 30, 6, seed=5)
     failures = []
     for r in range(6):
         try:
             simulate(model, THETA, lam0, 30, seed=labeled_seed(5, "rate-replica", r))
-        except ArithmeticError as err:
+        except SamplerAbort as err:
             message, step = str(err).rsplit(" at step ", 1)
+            assert (err.step, err.replica) == (int(step), None)
             failures.append((int(step), r, message))
     step, r, message = min(failures)
     assert step > 1 and len(failures) > 1
     assert str(info.value) == f"{message} for replica {r} at step {step}"
+    assert (info.value.step, info.value.replica) == (step, r)
 
 
 def test_an_ergodicity_sampler_abort_names_its_step_and_replica(monkeypatch):
@@ -110,17 +114,19 @@ def test_an_ergodicity_sampler_abort_names_its_step_and_replica(monkeypatch):
         (1.5, 0.0, embed(GridMeasure.uniform(grid), iset)),
     ]
     replicas = 3
-    with pytest.raises(ArithmeticError) as info:
+    with pytest.raises(SamplerAbort) as info:
         ergodicity_experiment(model, THETA, posterior_mean_phi(model), starts, [0, 40], replicas, seed=5)
     named = re.fullmatch(r"(no draw inside \[-0\.002, 0\.002\] .*) for replica (\d+) at step (\d+)", str(info.value))
     assert named, str(info.value)
     row, step = int(named[2]), int(named[3])
     assert step > 1
+    assert (info.value.step, info.value.replica) == (step, row)
     start, replica = divmod(row, replicas)
     alone = NormalStreams([labeled_rng(5, "ergodicity", replica)], [0])
-    with pytest.raises(ArithmeticError) as one_row:
+    with pytest.raises(SamplerAbort) as one_row:
         models._draw_paths(model, THETA, np.array([starts[start][0]]), alone, 40)
     assert str(one_row.value) == f"{named[1]} at step {step}"
+    assert (one_row.value.step, one_row.value.replica) == (step, None)
 
 
 def test_a_vanished_compact_normalizer_names_the_box_the_state_and_theta():

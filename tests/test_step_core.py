@@ -526,12 +526,13 @@ def test_one_update_keeps_the_bytes_of_the_per_point_and_slot_major_ones(feature
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("points", [1, 2, 28])
+@pytest.mark.parametrize("points", [1, 2, 7, 8, 9, 17, 28, 29])
 @pytest.mark.parametrize("cells", [5, 33, 64, 129, 256])
 @pytest.mark.parametrize("variant", ["compact", "gaussian"])
 def test_order0_passes_keep_the_bytes_of_the_assembled_update(monkeypatch, variant, cells, points):
     # The finite-difference passes run at order 0 with one row per point, and
     # fd-check-order3's recorded references difference their bits at 1/h^3.
+    # The step assembles the kernels of 8 points at a time at N = 64, of one from N = 129 on.
     model = feature_model("shipped", cells, variant)
     iset = model.index_set(0)
     rng = np.random.default_rng([cells, points])
