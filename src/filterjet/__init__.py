@@ -20,7 +20,6 @@ from .grid import (
 from .models import (
     AssumptionConstants,
     ModelSpec,
-    SamplerAbort,
     Trajectory,
     TruncatedNonlinearModel,
     assumption_constants,

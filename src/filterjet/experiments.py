@@ -382,24 +382,23 @@ def derivative_identity_sweep(
     scaled error compares directly against rel_tol.
 
     The finite differences of one parameter point come from
-    fd_derivatives: it folds the step core once (_fold on a stacked
-    KernelCache) on the order-0 index set (1 slot instead of 10 at
-    dimension 2, order 3) over the stack of the stencil points, theta
-    first, and reads slot 0 of the last rows, wrapping no point in a
-    measure; each row equals its serial pass bit for bit.  So at
-    dimension 2, order 3 and the default two Richardson levels a
-    parameter point costs 1 full-order pass and 1 pass over 29 points,
-    where differencing each alpha on its own, from its own pass at
-    theta, costs 94 passes.  That pass builds one kernel factor per
-    distinct model.kernel_keys key, not per point: 7
+    fd_derivatives: it runs one filter_iterate pass on the order-0 index
+    set (1 slot instead of 10 at dimension 2, order 3) over the stack of
+    the stencil points, theta first, each of which equals its serial
+    pass bit for bit.  So at dimension 2, order 3 and the default two
+    Richardson levels a parameter point costs 1 full-order pass and 1
+    pass over 29 points, where differencing each alpha on its own, from
+    its own pass at theta, costs 94 passes.  That pass builds one kernel
+    factor per distinct model.kernel_keys key, not per point: 7
     transition jets and 7 observation evaluators for the bundled model's
     shipped features, whose drift and observation map each read one
-    coordinate of theta, the coordinate the key holds.  Every difference reads order-0 passes only, so none
-    mixes their assembled slot 0 with the full-order pass's factored
-    obs[0] * moved[0]; the two differ in the last bits, so the report is
-    the one full-order passes give to that rounding, amplified by the
-    differences.  rel_tol must be finite and positive and
-    abs_floor finite and non-negative (ValueError otherwise).
+    coordinate of theta, the coordinate the key holds.  Every difference
+    reads order-0 passes only, so none mixes their assembled slot 0 with
+    the full-order pass's factored obs[0] * moved[0]; the two differ in
+    the last bits, so the report is the one full-order passes give to
+    that rounding, amplified by the differences.  rel_tol must be finite
+    and positive and abs_floor finite and non-negative (ValueError
+    otherwise).
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol!r}")
@@ -420,10 +419,7 @@ def derivative_identity_sweep(
     fd_start = embed(lam0, model.index_set(0))
 
     def zero_slot_masses(stack):
-        cache = KernelCache(model, stack, fd_start.index_set)
-        for components, _, _ in _fold(cache, traj.observations[:, None], fd_start):
-            pass
-        return components[:, 0] * weights
+        return [m.components[0] * weights for m in filter_iterate(model, stack, traj.observations, fd_start)]
 
     differenced = [alpha for alpha in index_set.indices if alpha.degree > 0]
     cells = []

@@ -77,20 +77,6 @@ class MassInvariantError(ArithmeticError):
     """A filter-step output violated the slot-mass invariants."""
 
 
-def _checked_points(model: ModelSpec, theta) -> np.ndarray:
-    """(P, dim) float copy of a stack of parameter points, checked against the box in one pass.
-
-    A bad stack raises the ValueError that validate_theta gives its
-    first bad point.
-    """
-    points = np.array(theta, dtype=float)
-    box = np.asarray(model.parameter_box, dtype=float)
-    if points.shape[1] != model.dim_theta or not ((box[:, 0] < points) & (points < box[:, 1])).all():
-        for point in points:
-            model.validate_theta(point)
-    return points
-
-
 class KernelCache:
     """Per-(model, theta) kernel jets reused across filter steps.
 
@@ -114,9 +100,9 @@ class KernelCache:
     its build returned, and np.stack keeps each point's strides, so a
     stacked point's GEMMs round as its pass alone does.  A failed build
     names its theta, and of several points the first with its index.  A
-    stack is checked against the box in one pass, and a bad one raises
-    what validate_theta raises for its first bad point.  A slot is live
-    where its scales are nonzero at some point: a step moves only those.
+    stack is checked in one validate_theta pass, which names its first
+    bad point.  A slot is live where its scales are nonzero at some
+    point: a step moves only those.
     """
 
     def __init__(self, model: ModelSpec, theta, index_set: IndexSet | None = None):
@@ -124,7 +110,7 @@ class KernelCache:
         if np.ndim(theta) == 2:
             if not len(theta):
                 raise ValueError("a stack of parameter points needs at least one point")
-            self.theta = self.points = _checked_points(model, theta)
+            self.theta = self.points = model.validate_theta(np.array(theta, dtype=float), stack=True)
         else:
             self.theta = model.validate_theta(theta)
             self.points = self.theta[None]

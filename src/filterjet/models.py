@@ -187,13 +187,23 @@ class ModelSpec(abc.ABC):
         key = theta.tobytes()
         return key, key
 
-    def validate_theta(self, theta) -> np.ndarray:
+    def validate_theta(self, theta, stack: bool = False) -> np.ndarray:
+        """theta as a float array inside the open parameter box.
+
+        With stack=True theta is a (P, dim) stack of points, checked in one
+        pass over its per-component extremes (a NaN reaches both); a bad
+        stack raises what its first bad point alone raises, naming the
+        first bad component.
+        """
         arr = np.asarray(theta, dtype=float)
-        if arr.shape != (self.dim_theta,):
-            raise ValueError(f"theta must have shape ({self.dim_theta},), got {arr.shape}")
-        for t, (lo, hi) in zip(arr, self.parameter_box):
-            if not lo < t < hi:
-                raise ValueError(f"theta component {t} outside the open box ({lo}, {hi})")
+        points = arr if stack else arr[None]
+        if points.ndim != 2 or points.shape[1] != self.dim_theta:
+            raise ValueError(f"theta must have shape ({self.dim_theta},), got {arr.shape[stack:]}")
+        box = self.parameter_box
+        lows, highs = (points.min(axis=0), points.max(axis=0)) if stack else (arr, arr)
+        if not all(lo < a and b < hi for a, b, (lo, hi) in zip(lows, highs, box)):
+            t, (lo, hi) = next((t, b) for point in points for t, b in zip(point, box) if not b[0] < t < b[1])
+            raise ValueError(f"theta component {t} outside the open box ({lo}, {hi})")
         return arr
 
     def validate_order(self, degree: int) -> None:

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filterjet.experiments as experiments
-import filterjet.filtering as filtering
 from filterjet import (
     FDScheme,
     GridMeasure,
@@ -155,19 +154,15 @@ def test_memoized_sweep_equals_the_per_alpha_sweep(variant, order, cells, theta,
 
 
 def test_one_full_pass_and_one_order0_pass_over_29_points(monkeypatch):
-    # Every pass folds the step core once: filter_iterate's full-order pass
-    # through filtering._fold, the stacked difference pass through the sweep's.
     model = line_model("compact", 12)
     passes = []
-    fold = filtering._fold
 
-    def counted(cache, observations, starts):
-        points = len(cache.points) if cache.theta.ndim == 2 else None
-        passes.append((cache.index_set.order, points))
-        return fold(cache, observations, starts)
+    def counted(model, theta, observations, measure, *args, **kwargs):
+        points = len(theta) if np.ndim(theta) == 2 else None
+        passes.append((measure.index_set.order, points))
+        return filter_iterate(model, theta, observations, measure, *args, **kwargs)
 
-    monkeypatch.setattr(filtering, "_fold", counted)
-    monkeypatch.setattr(experiments, "_fold", counted)
+    monkeypatch.setattr(experiments, "filter_iterate", counted)
     derivative_identity_sweep(model, [THETA], horizon=3, seed=5)
     assert passes == [(3, None), (0, 29)]
 

@@ -176,7 +176,7 @@ def test_stack_edge_cases():
     ids=["at-lo", "at-hi", "both", "nan", "inf"],
 )
 def test_a_bad_point_in_a_stack_gets_the_message_of_validate_theta(bad):
-    # the stack is checked at once; the first bad point and component are named as validate_theta names them
+    # validate_theta checks the stack at once and names its first bad point and component as it names the point alone
     model = line_model("compact", 12)
     stack = np.array([THETA, [0.5, 1.2], bad, [0.3, 0.05]])
     with pytest.raises(ValueError) as alone:
@@ -184,6 +184,9 @@ def test_a_bad_point_in_a_stack_gets_the_message_of_validate_theta(bad):
     with pytest.raises(ValueError) as stacked:
         KernelCache(model, stack)
     assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError) as checked:
+        model.validate_theta(stack, stack=True)
+    assert str(checked.value) == str(alone.value)
     with pytest.raises(ValueError) as wide:
         KernelCache(model, np.hstack([stack, stack[:, :1]]))
     assert str(wide.value) == "theta must have shape (2,), got (3,)"

@@ -18,7 +18,6 @@ from filterjet import (
     GridMeasure,
     KernelCache,
     NormalStreams,
-    SamplerAbort,
     avg_loglik_rate,
     embed,
     ergodicity_experiment,
@@ -88,13 +87,13 @@ def test_a_rate_sampler_abort_names_its_step_and_replica(monkeypatch):
     monkeypatch.setattr(models, "SAMPLER_MAX_TRIALS", 3000)
     model = make_model(cells=16, order=1, **MODELS["tight-box"])
     lam0 = GridMeasure.uniform(model.grid)
-    with pytest.raises(SamplerAbort) as info:
+    with pytest.raises(models.SamplerAbort) as info:
         avg_loglik_rate(model, THETA, lam0, 30, 6, seed=5)
     failures = []
     for r in range(6):
         try:
             simulate(model, THETA, lam0, 30, seed=labeled_seed(5, "rate-replica", r))
-        except SamplerAbort as err:
+        except models.SamplerAbort as err:
             message, step = str(err).rsplit(" at step ", 1)
             assert (err.step, err.replica) == (int(step), None)
             failures.append((int(step), r, message))
@@ -114,7 +113,7 @@ def test_an_ergodicity_sampler_abort_names_its_step_and_replica(monkeypatch):
         (1.5, 0.0, embed(GridMeasure.uniform(grid), iset)),
     ]
     replicas = 3
-    with pytest.raises(SamplerAbort) as info:
+    with pytest.raises(models.SamplerAbort) as info:
         ergodicity_experiment(model, THETA, posterior_mean_phi(model), starts, [0, 40], replicas, seed=5)
     named = re.fullmatch(r"(no draw inside \[-0\.002, 0\.002\] .*) for replica (\d+) at step (\d+)", str(info.value))
     assert named, str(info.value)
@@ -123,7 +122,7 @@ def test_an_ergodicity_sampler_abort_names_its_step_and_replica(monkeypatch):
     assert (info.value.step, info.value.replica) == (step, row)
     start, replica = divmod(row, replicas)
     alone = NormalStreams([labeled_rng(5, "ergodicity", replica)], [0])
-    with pytest.raises(SamplerAbort) as one_row:
+    with pytest.raises(models.SamplerAbort) as one_row:
         models._draw_paths(model, THETA, np.array([starts[start][0]]), alone, 40)
     assert str(one_row.value) == f"{named[1]} at step {step}"
     assert (one_row.value.step, one_row.value.replica) == (step, None)
