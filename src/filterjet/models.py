@@ -52,13 +52,9 @@ FEATURE_FUNCTIONS = {
     "sin": np.sin,
 }
 
-_FEATURE_SCALARS = {
-    "zero": lambda x: 0.0,
-    "one": lambda x: 1.0,
-    "linear": float,
-    "tanh": math.tanh,
-    "sin": math.sin,
-}
+# The samplers' nonlinear features: np.tanh and np.sin differ from these in
+# the last bit, and the sampled paths keep the bits of these.
+_FEATURE_SCALARS = {"tanh": math.tanh, "sin": math.sin}
 
 
 def _gauss_ratio_derivs(z: np.ndarray, order: int) -> np.ndarray:
@@ -351,13 +347,22 @@ def _truncated_normals(locs: np.ndarray, scale: float, box, normals: NormalStrea
     Row i draws locs[i] + scale * z over row i's normals z, so it accepts
     the draw and consumes the normals that the scalar loop does, and it
     gives up after as many trials, its error naming row i as replica i.
-    Pending rows read blocks of 1, 2, 4, ..., 32 normals together; rows
-    still pending sit in a tail and go on one stream at a time.  So in a
-    box no row reaches, the first stream's rows raise after their own
-    trials, and no block of every stuck row is wider than 32.
+    The first round is every row's first trial: each row reads the normal
+    at its cursor and moves past it, with no index arrays.  The rows it
+    rejects read blocks of 2, 4, ..., 32 normals together; rows still
+    pending sit in a tail and go on one stream at a time.  So in a box no
+    row reaches, the first stream's rows raise after their own trials, and
+    no block of every stuck row is wider than 32.
     """
-    out = np.empty(locs.shape)
-    rows, trials, width = np.arange(locs.size), 0, 1
+    lo, hi = box
+    # Added in place, so streams of another row count raise instead of broadcasting.
+    out = scale * normals.next_all()
+    out += locs
+    # A pending row's entry is a rejected draw until a later round overwrites it.
+    inside = (lo <= out) & (out <= hi)
+    if inside.all():
+        return out
+    rows, trials, width = np.nonzero(~inside)[0], 1, 2
     while rows.size and width <= _SHARED_WIDTH_MAX and trials < SAMPLER_MAX_TRIALS:
         width = min(width, SAMPLER_MAX_TRIALS - trials)
         rows = _rejection_round(locs, scale, box, normals, rows, width, out)
@@ -411,8 +416,8 @@ class TruncatedNonlinearModel(ModelSpec):
     order: int = 2
     _obs_nodes: np.ndarray | None = field(default=None, init=False, repr=False)
     _obs_weights: np.ndarray | None = field(default=None, init=False, repr=False)
-    _drift_scalars: tuple = field(init=False, repr=False)
-    _obs_scalars: tuple = field(init=False, repr=False)
+    _drift_plan: tuple = field(init=False, repr=False)
+    _obs_plan: tuple = field(init=False, repr=False)
     _drift_tables: tuple = field(init=False, repr=False)
     _obs_tables: tuple = field(init=False, repr=False)
     _drift_reads: np.ndarray = field(init=False, repr=False)
@@ -441,8 +446,11 @@ class TruncatedNonlinearModel(ModelSpec):
             nodes, weights = lo + h * (np.arange(_OBS_QUAD_CELLS) + 0.5), np.full(_OBS_QUAD_CELLS, h)
         object.__setattr__(self, "_obs_nodes", nodes)
         object.__setattr__(self, "_obs_weights", weights)
-        for attr, names in (("_drift_scalars", self.drift_features), ("_obs_scalars", self.obs_features)):
-            object.__setattr__(self, attr, tuple(_FEATURE_SCALARS[n] for n in names))
+        # The samplers' (theta coordinate, feature) terms of each location.  A
+        # zero feature's term t * 0.0 is +-0, which leaves a sum that starts
+        # at +0.0 as it is: such a sum is never -0.0, as x + (-x) = +0.0.
+        for attr, names in (("_drift_plan", self.drift_features), ("_obs_plan", self.obs_features)):
+            object.__setattr__(self, attr, tuple((i, n) for i, n in enumerate(names) if n != "zero"))
         # (features, factors) on the grid states: the feature values and, per
         # index of the full index set, the slope powers.  Index sets are
         # graded, so a lower-order set's factors are a prefix of these.
@@ -556,38 +564,52 @@ class TruncatedNonlinearModel(ModelSpec):
         raise ValueError(f"observation {y!r} is not finite or lies outside [{lo}, {hi}]")
 
     # -- sampling ---------------------------------------------------------------
-    def _scalar_location(self, features, theta, x: float) -> float:
-        """theta . features(x) for one state, summed left to right as Python floats."""
-        loc = 0.0
-        for t, f in zip(np.asarray(theta, dtype=float).tolist(), features):
-            loc += t * f(x)
+    def _scalar_location(self, plan, theta, x: float) -> float:
+        """theta . features(x) for one state: the plan's terms, summed left to right as Python floats."""
+        theta, loc = np.asarray(theta, dtype=float).tolist(), 0.0
+        for i, name in plan:
+            if name == "one":
+                loc += theta[i]
+            else:
+                loc += theta[i] * (x if name == "linear" else _FEATURE_SCALARS[name](x))
         return loc
 
-    def _row_locations(self, features, theta, xs) -> np.ndarray:
-        """_scalar_location of every row: the same feature floats, summed in the same order."""
-        xs = np.asarray(xs, dtype=float).tolist()
-        loc = np.zeros(len(xs))
-        for t, f in zip(np.asarray(theta, dtype=float).tolist(), features):
-            loc += t * np.fromiter(map(f, xs), float, len(xs))
+    def _row_locations(self, plan, theta, xs) -> np.ndarray:
+        """_scalar_location of every row: the same terms, summed in the same order.
+
+        A feature costs by its kind: one adds theta_i itself, linear
+        multiplies the states as an array (NumPy's float64 product rounds
+        as Python's does), and tanh and sin map their scalar functions over
+        the states.  Zero features are not in the plan.
+        """
+        theta, xs = np.asarray(theta, dtype=float).tolist(), np.asarray(xs, dtype=float)
+        loc = np.zeros(xs.size)
+        for i, name in plan:
+            if name == "one":
+                loc += theta[i]
+            elif name == "linear":
+                loc += theta[i] * xs
+            else:
+                loc += theta[i] * np.fromiter(map(_FEATURE_SCALARS[name], xs.tolist()), float, xs.size)
         return loc
 
-    def _samples(self, features, scale: float, box, theta, xs, normals) -> np.ndarray:
+    def _samples(self, plan, scale: float, box, theta, xs, normals) -> np.ndarray:
         """theta . features(x) + scale * N(0, 1) drawn in the box at each of the (R,) states xs.
 
         One row (simulate's) runs the scalar code at a fraction of NumPy's
         per-call cost, more rows the vectorized rounds: the same bits.
         """
         if len(xs) == 1:
-            loc = self._scalar_location(features, theta, float(xs[0]))
+            loc = self._scalar_location(plan, theta, float(xs[0]))
             return np.array([_truncated_normal(loc, scale, box, normals)])
-        return _truncated_normals(self._row_locations(features, theta, xs), scale, box, normals)
+        return _truncated_normals(self._row_locations(plan, theta, xs), scale, box, normals)
 
     def transition_samples(self, theta, xs, normals) -> np.ndarray:
-        return self._samples(self._drift_scalars, self.trans_scale, self.grid.bounds[0], theta, xs, normals)
+        return self._samples(self._drift_plan, self.trans_scale, self.grid.bounds[0], theta, xs, normals)
 
     def observation_samples(self, theta, xs, normals) -> np.ndarray:
         box = self.obs_box or (-math.inf, math.inf)
-        return self._samples(self._obs_scalars, self.obs_scale, box, theta, xs, normals)
+        return self._samples(self._obs_plan, self.obs_scale, box, theta, xs, normals)
 
 
 def kernel_matrix(model: ModelSpec, alpha, theta, y) -> np.ndarray:

@@ -42,16 +42,17 @@ class NormalStreams:
 
     ``peek`` reads a block from distinct rows' cursors and leaves them;
     ``advance`` moves them past what the rows consumed; ``next`` reads one
-    row's normal and moves past it, the read of a one-row loop.
+    row's normal and moves past it, the read of a one-row loop, and
+    ``next_all`` every row's, the first trial of a multi-row sampler.
     """
 
     def __init__(self, generators, streams):
         self._generators = tuple(generators)
-        self.streams = np.asarray(streams, dtype=np.intp)
+        self.streams = streams = np.asarray(streams, dtype=np.intp)
         count = len(self._generators)
-        if self.streams.ndim != 1 or np.any((self.streams < 0) | (self.streams >= count)):
+        if streams.ndim != 1 or streams.size and not (0 <= streams.min() <= streams.max() < count):
             raise ValueError("streams must be a 1-D array of generator indices")
-        self._rows_of = [np.nonzero(self.streams == s)[0] for s in range(count)]
+        self._rows_of = None  # each stream's rows, found by the first refill that drops normals
         self._capacity = np.full(count, _STREAM_BLOCK, dtype=np.intp)
         self._start = np.arange(count, dtype=np.intp) * _STREAM_BLOCK
         self._fill = self._capacity.copy()
@@ -66,8 +67,6 @@ class NormalStreams:
         if np.any(pos + width > self._end[rows]):
             self._refill(rows, width)
             pos = self._pos[rows]
-        if width == 1:
-            return self._buffer[pos][:, None]
         return self._buffer[pos[:, None] + np.arange(width)]
 
     def next(self, row: int) -> float:
@@ -79,6 +78,14 @@ class NormalStreams:
         self._pos[row] = pos + 1
         return self._buffer.item(pos)
 
+    def next_all(self) -> np.ndarray:
+        """The normal at every row's cursor; each cursor moves past it.  A refill is peek's."""
+        if (self._pos >= self._end).any():
+            self._refill(np.arange(self.streams.size), 1)
+        out = self._buffer[self._pos]
+        self._pos += 1
+        return out
+
     def advance(self, rows: np.ndarray, counts) -> None:
         """Move distinct rows' cursors past the normals they consumed."""
         self._pos[rows] += counts
@@ -89,6 +96,8 @@ class NormalStreams:
         need = np.zeros(count, dtype=np.intp)
         np.maximum.at(need, self.streams[rows], offsets[rows] + width)
         short = np.nonzero(need > self._fill)[0]
+        if short.size and self._rows_of is None:
+            self._rows_of = [np.nonzero(self.streams == s)[0] for s in range(count)]
         # Drop what every row of a short stream has read, grow the segments
         # that still cannot hold their rows' blocks, then fill them up.
         for s in short:

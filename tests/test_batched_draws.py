@@ -46,18 +46,24 @@ def scalar_normals(seed, count):
 @given(
     streams=st.lists(st.integers(0, 2), min_size=1, max_size=6),
     reads=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(1, 300), st.integers(0, 300)),
+        st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(1, 300), st.integers(0, 300))),
         min_size=1, max_size=25,
     ),
 )
 def test_stream_blocks_equal_scalar_draws(streams, reads):
     # each read peeks a block of one row, then moves its cursor on, into
-    # the block or past it; the reads cross the 256-normal refills, the
-    # segment growth and normals that every row of a stream skipped
+    # the block or past it, or (None) reads the next normal of every row;
+    # the reads cross the 256-normal refills, the segment growth and
+    # normals that every row of a stream skipped
     expected = [scalar_normals(seed, 8000) for seed in range(3)]
     normals = NormalStreams([np.random.default_rng(seed) for seed in range(3)], streams)
     cursors = [0] * len(streams)
-    for row, width, consumed in reads:
+    for read in reads:
+        if read is None:
+            assert np.array_equal(normals.next_all(), [expected[s][c] for s, c in zip(streams, cursors)])
+            cursors = [c + 1 for c in cursors]
+            continue
+        row, width, consumed = read
         row = row % len(streams)
         block = normals.peek(np.array([row]), width)[0]
         start = cursors[row]
@@ -96,6 +102,13 @@ def test_all_rows_read_their_streams_in_one_block():
 def test_streams_must_index_the_generators():
     with pytest.raises(ValueError, match="generator indices"):
         NormalStreams([np.random.default_rng(0)], [0, 1])
+
+
+def test_rows_must_match_the_stream_rows():
+    # a one-row stream under three states must not hand its normal to every row
+    model = make_model(cells=16, order=1)
+    with pytest.raises(ValueError):
+        model.transition_samples(THETA, np.array([-1.0, 0.0, 1.0]), NormalStreams([np.random.default_rng(0)], [0]))
 
 
 def one_row_streams(seed, stream, skip=0):
@@ -177,17 +190,78 @@ def test_stuck_rows_of_several_streams_read_at_most_32_normals_each(monkeypatch)
     streams = np.arange(xs.size) % 60
     normals = NormalStreams([np.random.default_rng([9, s]) for s in range(60)], streams)
     shared_widths = []
-    peek = normals.peek
+    peek, next_all = normals.peek, normals.next_all
 
     def spy(rows, width):
         if np.unique(streams[rows]).size > 1:
             shared_widths.append(width)
         return peek(rows, width)
 
+    def spy_all():
+        # the first round: one normal of every row
+        shared_widths.append(1)
+        return next_all()
+
     monkeypatch.setattr(normals, "peek", spy)
+    monkeypatch.setattr(normals, "next_all", spy_all)
     with pytest.raises(ArithmeticError, match="after 4096 trials"):
         model.observation_samples(THETA, xs, normals)
     assert shared_widths and max(shared_widths) <= 32
+
+
+# The samplers' scalar feature functions before zero, one and linear were
+# summed by kind; every location summed these over every feature.
+SUMMED_FEATURES = {
+    "zero": lambda x: 0.0,
+    "one": lambda x: 1.0,
+    "linear": float,
+    "tanh": math.tanh,
+    "sin": math.sin,
+}
+
+
+def summed_locations(names, theta, xs):
+    """theta . features(x) per state, as Python floats, zero features included."""
+    locations = []
+    for x in xs:
+        loc = 0.0
+        for t, name in zip(theta, names):
+            loc += t * SUMMED_FEATURES[name](x)
+        locations.append(loc)
+    return np.array(locations)
+
+
+feature_pairs = st.lists(st.sampled_from(sorted(SUMMED_FEATURES)), min_size=2, max_size=2).map(tuple)
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drift=feature_pairs,
+    obs=feature_pairs,
+    theta=st.lists(st.one_of(signed_zeros, st.floats(-1.0, 1.0)), min_size=2, max_size=2),
+    xs=st.lists(st.one_of(signed_zeros, st.floats(-3.0, 3.0)), min_size=1, max_size=8).map(lambda v: [0.0] + v),
+)
+def test_locations_by_feature_kind_keep_the_summed_bits(drift, obs, theta, xs):
+    # theta spans 0 and the states include 0.0, so a term that rounds to
+    # -0.0 or +0.0 shows in the int64 views
+    model = make_model(cells=8, order=0, drift=drift, obs=obs, trans_scale=2.0, theta_box=((-1.0, 1.0),) * 2)
+    theta, xs = np.array(theta), np.array(xs)
+    for plan, names in ((model._drift_plan, drift), (model._obs_plan, obs)):
+        expected = summed_locations(names, theta.tolist(), xs.tolist()).view(np.int64)
+        assert np.array_equal(model._row_locations(plan, theta, xs).view(np.int64), expected)
+        scalar = [model._scalar_location(plan, theta, x) for x in xs.tolist()]
+        assert np.array_equal(np.array(scalar).view(np.int64), expected)
+    # multi-row sampler calls against one-row calls on per-row streams
+    normals = NormalStreams([np.random.default_rng([21, r]) for r in range(xs.size)], np.arange(xs.size))
+    batched = model.transition_samples(theta, xs, normals)
+    batched = np.stack([batched, model.observation_samples(theta, batched, normals)])
+    one_row = []
+    for r, x in enumerate(xs.tolist()):
+        row = one_row_streams(21, r)
+        x = model.transition_samples(theta, np.array([x]), row)
+        one_row.append(np.concatenate([x, model.observation_samples(theta, x, row)]))
+    assert np.array_equal(batched.view(np.int64), np.stack(one_row, axis=1).view(np.int64))
 
 
 # The per-measure formulas of the built-in functionals before they took rows.

@@ -620,7 +620,7 @@ class TestSimulate:
         xs, accepted, starts, count = np.linspace(-3.0, 3.0, 25), [], [], 0
         for x in xs:
             starts.append(count)
-            loc = model._scalar_location(model._drift_scalars, theta, float(x))
+            loc = model._scalar_location(model._drift_plan, theta, float(x))
             while True:
                 expected = loc + model.trans_scale * replay.standard_normal()
                 count += 1

@@ -63,6 +63,54 @@ def test_simulated_paths_keep_the_scalar_samplers_bits(name):
     assert digest.hexdigest() == PATH_DIGESTS[name]
 
 
+# Batched _draw_paths calls: (model kwargs, theta, starts, replicas, steps).
+# Row s * replicas + r starts at starts[s] and reads replica r's stream, as
+# ergodicity_experiment's rows do.
+BATCHED_DRAWS = {
+    # the shipped compact model in the ergodicity workload's shape
+    "ergodicity": ({"cells": 24, "order": 1}, THETA, (-2.875, 2.875, 0.125), 20, 40),
+    # rows reject in the width-1 round and go on to the wider rounds
+    "narrow-box": ({"cells": 16, "order": 1, **MODELS["narrow-box"]}, THETA, (-2.9, 0.0, 1.5), 20, 40),
+    # the streams refill and grow, and some rows go on stream by stream
+    "tight-box": ({"cells": 16, "order": 1, **MODELS["tight-box"]}, THETA, (-2.9, 0.0, 1.5), 4, 10),
+    # every feature kind but zero, in a theta box that spans 0
+    "mixed-features": (
+        {"cells": 16, "order": 1, "drift": ("one", "sin"), "obs": ("linear", "tanh"),
+         "theta_box": ((-1.0, 1.0), (-1.0, 1.0))},
+        np.array([-0.3, 0.7]), (-2.9, 0.0, 1.5), 6, 30,
+    ),
+}
+
+# sha256 over seeds 0-4 of the states' and then the observations' bytes of
+# the BATCHED_DRAWS calls on labeled_rng(seed, "ergodicity", r) streams,
+# recorded with the sampler code before the first rejection round ran over
+# every row without index arrays and the locations were summed by feature kind.
+BATCHED_DIGESTS = {
+    "ergodicity": "bee3e0f95977678f1919208c51b84615c46f5157eb6622e70bb21d1872fb4454",
+    "mixed-features": "e5624c8ccc6a3d3b5631387d341db131aadd6e1343d01e615684ae47614cec78",
+    "narrow-box": "79e727d04538dba971cf6240e7a478323033323be19cfd0a457997ef2e416217",
+    "tight-box": "1df38a4196fde3adc93835f46db49dcb59207f25b26439bda9b357f6bacf3b0a",
+}
+
+
+def batched_draw_digest(name):
+    kwargs, theta, starts, replicas, steps = BATCHED_DRAWS[name]
+    model = make_model(**kwargs)
+    digest = hashlib.sha256()
+    for seed in range(5):
+        generators = [labeled_rng(seed, "ergodicity", r) for r in range(replicas)]
+        normals = NormalStreams(generators, np.tile(np.arange(replicas), len(starts)))
+        states, observations = models._draw_paths(model, theta, np.repeat(starts, replicas), normals, steps)
+        digest.update(states.tobytes())
+        digest.update(observations.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_DRAWS))
+def test_batched_draws_keep_their_recorded_bits(name):
+    assert batched_draw_digest(name) == BATCHED_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", ["compact", "gaussian", "narrow-box"])
 def test_rate_paths_are_the_per_replica_simulate_paths(monkeypatch, name):
     # the (horizon, replicas) observations the rate estimate filters, drawn in one call
