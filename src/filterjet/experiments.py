@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtering import KernelCache, _fold, filter_iterate
+from .filtering import KernelCache, _check_measure, _fold, filter_iterate
 from .grid import GridMeasure, StateGrid, VectorMeasure, embed, measure_distance, vector_norms
 from .models import ModelSpec, _draw_paths, simulate
-from .multiindex import IndexSet, MultiIndex
+from .multiindex import IndexSet, MultiIndex, enumerate_indices
 from .oracle import FDScheme, fd_derivatives
 from .seeding import NormalStreams, labeled_rng, labeled_seed
 
@@ -137,18 +137,21 @@ class PhiSpec:
     """A test functional of (state, observation, filter measure), over rows.
 
     fn(xs, ys, components, index_set, grid) scores R rows at once: (R,)
-    states and observations and the (R, K, N) components of the rows'
-    filter measures, returning (R,) values.  Calling the spec scores one
-    state as one row.  phi_bound and growth_exponent describe its
-    polynomial envelope in the filter measure: |phi| <= phi_bound *
-    norm^growth_exponent, with the matching Lipschitz bound in the
-    measure argument.
+    states and observations and the (R, K_d, N) components of the rows'
+    filter measures on index_set, returning (R,) values.  order is d, the
+    highest degree among the slots fn reads; index_set is the order-d set
+    (K_d slots) in the ergodicity experiment, and any set of order >= d
+    elsewhere.  Calling the spec scores one state as one row.  phi_bound
+    and growth_exponent describe its polynomial envelope in the filter
+    measure: |phi| <= phi_bound * norm^growth_exponent, with the matching
+    Lipschitz bound in the measure argument.
     """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray, IndexSet, StateGrid], np.ndarray]
     phi_bound: float
     growth_exponent: float
+    order: int
 
     def __call__(self, x: float, y: float, measure: VectorMeasure) -> float:
         row = self.fn(
@@ -172,6 +175,7 @@ def posterior_mean_phi(model: ModelSpec) -> PhiSpec:
         fn=lambda xs, ys, components, index_set, grid: _slot_zero_means(components, index_set, grid),
         phi_bound=radius,
         growth_exponent=0.0,
+        order=0,
     )
 
 
@@ -189,6 +193,7 @@ def component_tv_phi(alpha) -> PhiSpec:
         fn=tv_norms,
         phi_bound=1.0,
         growth_exponent=1.0,
+        order=alpha.degree,
     )
 
 
@@ -205,6 +210,7 @@ def bounded_lipschitz_phi(model: ModelSpec) -> PhiSpec:
         fn=tanh_of_sum,
         phi_bound=radius,
         growth_exponent=0.0,
+        order=0,
     )
 
 
@@ -215,6 +221,7 @@ def state_projection_phi() -> PhiSpec:
         fn=lambda xs, ys, components, index_set, grid: np.array(xs, dtype=float),
         phi_bound=math.inf,
         growth_exponent=0.0,
+        order=0,
     )
 
 
@@ -273,6 +280,14 @@ def ergodicity_experiment(
     alone from replica r's generator gives.  The paths of all rows are
     drawn step by step, then all rows filter as one batch and phi scores
     them together; an abort names the row as its replica.
+
+    The rows step only the slots of degree <= phi.order, the prefix of
+    the starts' graded index set that phi reads: _step's pairing and
+    recentering for slot k read slots of degree <= |k| only, so those
+    slots step as a chain of their own, and phi gets (R, K_d, N)
+    components on the order-d index set.  The starts must share one index
+    set of order >= phi.order (ValueError otherwise, before any path is
+    drawn); the mass checks run on the stepped slots.
     """
     if replicas < 2:
         raise ValueError("at least two replicas are required")
@@ -287,7 +302,20 @@ def ergodicity_experiment(
     n_max = int(record_ns[-1])
     if len(initial_conditions) == 0:
         raise ValueError("initial_conditions must name at least one start point")
-    cache = KernelCache(model, theta, initial_conditions[0][2].index_set)
+    full = initial_conditions[0][2].index_set
+    if phi.order > full.order:
+        raise ValueError(
+            f"phi {phi.name!r} reads slots of order {phi.order}, above the starts' order {full.order}"
+        )
+    model.validate_order(full.order)
+    cache = KernelCache(model, theta, enumerate_indices(full.dimension, phi.order))
+    # One truncated measure per start, which _fold checks once: the graded slots
+    # of degree <= phi.order are a prefix of the starts'.
+    truncated = {}
+    for _, _, m in initial_conditions:
+        if m not in truncated:
+            _check_measure(m, full, cache.grid)
+            truncated[m] = VectorMeasure(m.components[: len(cache.index_set)], cache.index_set, m.grid)
     starts = len(initial_conditions)
     rows = starts * replicas
 
@@ -302,7 +330,7 @@ def ergodicity_experiment(
     update_with = ys[1:] if chain == "aligned" else ys[:-1]
 
     # The rows at n = 0, then after each step; the loop runs the fold to its end, which checks the starts.
-    row_starts = [m for _, _, m in initial_conditions for _ in range(replicas)]
+    row_starts = [truncated[m] for _, _, m in initial_conditions for _ in range(replicas)]
     stepped = (step[0] for step in _fold(cache, update_with, row_starts))
     samples = np.empty((starts, record_ns.size, replicas))
     t_idx = 0

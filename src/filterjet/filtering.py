@@ -212,7 +212,8 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
     It builds the kernels of as many points as SLOT0_CHUNK_BYTES holds
     in one reused (chunk, N, N) buffer from the C-contiguous order-0
     bases, and one stacked matmul applies them: the one-point GEMV on
-    each slice.  A point keeps the bits of its pass alone.
+    each slice.  A point keeps the bits of its pass alone.  Other order-0
+    steps skip the Leibniz terms, which are none.
     """
     blocks, obs_rows, moved_rows, coeff = _update_plan(cache.index_set)
     rows, slots, size = weighted.shape
@@ -237,6 +238,9 @@ def _prediction_update(cache: KernelCache, obs: np.ndarray, weighted: np.ndarray
             out = moved[:, start : start + count].reshape(points, -1, size)
             moving = batch[:, :count] if q == 0 else batch[:, :count] * scales[:, q, None, None]
             np.matmul(moving.reshape(points, -1, size), bases[:, base_of[q]].transpose(0, 2, 1), out=out)
+    if slots == 1:
+        # No Leibniz term at order 0: the update is slot 0's obs[0] * moved[0] alone.
+        return (obs[:, 0] * moved[:, 0]).reshape(rows, 1, size)
     # take gathers on axis 1 in half the time of fancy indexing there: 3 against 6 us at N = 32, order 1.
     terms = obs.take(obs_rows, 1) * moved.take(moved_rows, 1)
     terms = terms.reshape(points, len(obs_rows), replicas * size)

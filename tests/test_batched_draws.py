@@ -311,10 +311,13 @@ def test_phi_rows_equal_the_per_measure_formulas(grid):
         assert [phi(x, y, m) for x, y, m in zip(xs, ys, measures)] == expected
 
 
-def row_major_ergodicity(model, theta, phi_name, starts, record_ns, replicas, seed, chain):
-    """The experiment as it ran row by row: one-row draws per row, phi per measure view."""
-    formula = PER_MEASURE[phi_name]
-    cache = KernelCache(model, theta, starts[0][2].index_set)
+def row_major_ergodicity(model, theta, phi, starts, record_ns, replicas, seed, chain):
+    """The experiment as it ran row by row: one-row draws per row, phi per measure view.
+
+    The rows step the slots of phi's order, as the experiment does.
+    """
+    formula = PER_MEASURE[phi.name]
+    cache = KernelCache(model, theta, model.index_set(phi.order))
     n_max = record_ns[-1]
     n_rows = len(starts) * replicas
     xs = np.empty((n_rows, n_max + 1))
@@ -330,7 +333,8 @@ def row_major_ergodicity(model, theta, phi_name, starts, record_ns, replicas, se
                 y = model.observation_samples(theta, x, normals)
                 xs[row, n], ys[row, n] = x[0], y[0]
     update_with = ys[:, 1:] if chain == "aligned" else ys[:, :-1]
-    components = np.repeat([m.components for _, _, m in starts], replicas, axis=0)
+    slots = len(cache.index_set)
+    components = np.repeat([m.components[:slots] for _, _, m in starts], replicas, axis=0)
     samples = np.empty((len(starts), len(record_ns), replicas))
     t_idx = 0
     for n in range(n_max + 1):
@@ -367,7 +371,7 @@ def test_probe_equals_the_row_major_loop(variant, chain):
     for phi in builtin_phis(model):
         probe = ergodicity_experiment(model, THETA, phi, starts, record_ns, 6, seed=29, chain=chain)
         estimates, stderr, spreads, slope, r2 = row_major_ergodicity(
-            model, THETA, phi.name, starts, record_ns, 6, 29, chain
+            model, THETA, phi, starts, record_ns, 6, 29, chain
         )
         assert np.array_equal(probe.estimates, estimates), phi.name
         assert np.array_equal(probe.stderr, stderr), phi.name

@@ -96,7 +96,7 @@ class TestForgetting:
 class TestErgodicity:
     def test_constant_functional_has_zero_spread(self, small_model, theta):
         iset = small_model.index_set()
-        one = PhiSpec("one", lambda xs, *_: np.ones(xs.size), phi_bound=1.0, growth_exponent=0.0)
+        one = PhiSpec("one", lambda xs, *_: np.ones(xs.size), phi_bound=1.0, growth_exponent=0.0, order=0)
         zs = [point_mass_pair(small_model, iset)[0]]
         zs = [(-2.0, 0.0, zs[0]), (2.0, 0.0, zs[0])]
         probe = ergodicity_experiment(small_model, theta, one, zs, [0, 3, 6], 10, seed=6)
@@ -169,7 +169,7 @@ class TestErgodicity:
             ergodicity_experiment(small_model, theta, phi, [z], [1], 10, seed=0, chain="sideways")
         with pytest.raises(ValueError, match="at least one horizon"):
             ergodicity_experiment(small_model, theta, phi, [z], [], 10, seed=0)
-        scalar = PhiSpec("scalar", lambda *_: 1.0, phi_bound=1.0, growth_exponent=0.0)
+        scalar = PhiSpec("scalar", lambda *_: 1.0, phi_bound=1.0, growth_exponent=0.0, order=0)
         with pytest.raises(ValueError, match=r"must return \(10,\) values"):
             ergodicity_experiment(small_model, theta, scalar, [z], [1], 10, seed=0)
 

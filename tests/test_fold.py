@@ -100,10 +100,13 @@ def reference_forgetting_distances(model, theta, pairs, n_max, seed):
 
 
 def reference_ergodicity(model, theta, phi, initial_conditions, record_ns, replicas, seed, chain):
-    """ergodicity_experiment's (estimates, stderr) by one _step per step over all rows."""
+    """ergodicity_experiment's (estimates, stderr) by one _step per step over all rows.
+
+    The rows step the slots of phi's order, as the experiment does.
+    """
     n_max = record_ns[-1]
     starts = len(initial_conditions)
-    cache = KernelCache(model, theta, initial_conditions[0][2].index_set)
+    cache = KernelCache(model, theta, model.index_set(phi.order))
     normals = NormalStreams(
         [labeled_rng(seed, "ergodicity", r) for r in range(replicas)], np.tile(np.arange(replicas), starts)
     )
@@ -115,7 +118,8 @@ def reference_ergodicity(model, theta, phi, initial_conditions, record_ns, repli
         xs[n] = model.transition_samples(theta, xs[n - 1], normals)
         ys[n] = model.observation_samples(theta, xs[n], normals)
     update_with = ys[1:] if chain == "aligned" else ys[:-1]
-    components = np.repeat([m.components for _, _, m in initial_conditions], replicas, axis=0)
+    slots = len(cache.index_set)
+    components = np.repeat([m.components[:slots] for _, _, m in initial_conditions], replicas, axis=0)
     samples = np.empty((starts, len(record_ns), replicas))
     t_idx = 0
     for n in range(n_max + 1):
